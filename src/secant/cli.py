@@ -16,7 +16,8 @@ human and JSON output are rendered from the same report object.  Exit codes:
 precondition), 2 resource cap exceeded.  Randomized subcommands require an
 explicit ``--seed`` in JSON mode.  The environment variable
 ``SECANT_CACHE_DIR`` enables on-disk memoization of oracle tables (a
-version-stamped JSON header plus a raw rank array; safe to delete).
+version-stamped JSON header with the sha256 of a raw rank array, both
+written atomically; safe to delete).
 """
 
 from __future__ import annotations
@@ -426,6 +427,9 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
+    if args.max_rank < 1:
+        raise ValueError("--max-rank must be at least 1, got %d"
+                         % args.max_rank)
     rows = generate_table(args.max_rank)
     body = [{
         "descriptor": format_descriptor(g),

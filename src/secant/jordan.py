@@ -31,6 +31,7 @@ from math import lcm
 
 from .linalg import (
     QuadExt,
+    exact_rationals,
     int_row_basis,
     modp_nullspace,
     modp_rank,
@@ -982,12 +983,4 @@ def albert_from_json(obj) -> AlbertElement:
     coords = obj.get("coords")
     if not isinstance(coords, list) or len(coords) != 27:
         raise ValueError("jordan element needs exactly 27 coords")
-    for s in coords:
-        if isinstance(s, float):
-            raise ValueError("inexact float coordinate %r; write it as a "
-                             "'p/q' string" % (s,))
-    try:
-        vals = [Q(s) for s in coords]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError("bad rational coordinate: %s" % exc) from None
-    return AlbertElement.from_coords(vals)
+    return AlbertElement.from_coords(exact_rationals(coords))

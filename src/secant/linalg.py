@@ -14,6 +14,19 @@ Vec = tuple[Q, ...]
 Mat = list[list[Q]]
 
 
+def exact_rationals(raw) -> list[Q]:
+    """JSON coordinates (ints or 'p/q' strings) as Fractions; ValueError on
+    a float, which is inexact, and on a malformed string."""
+    for s in raw:
+        if isinstance(s, float):
+            raise ValueError("inexact float coordinate %r; write it as a "
+                             "'p/q' string" % (s,))
+    try:
+        return [Q(s) for s in raw]
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError("bad rational coordinate: %s" % exc) from None
+
+
 # ---------------------------------------------------------------------------
 # rational elimination
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -67,7 +68,7 @@ __all__ = [
 #: Hard cap on ambient vector count (p ** dim).
 AMBIENT_CAP = 1 << 24
 
-TABLE_VERSION = 1
+TABLE_VERSION = 2
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -617,43 +618,107 @@ class RankTable:
         }
 
     def save(self, stem: str) -> None:
-        with open(stem + ".json", "w", encoding="utf-8") as fh:
-            json.dump(self.header(), fh, indent=1, sort_keys=True)
-        with open(stem + ".bin", "wb") as fh:
-            fh.write(self.ranks.astype(np.uint8).tobytes())
+        """Write ``stem.bin`` (the rank bytes) and then ``stem.json`` (the
+        header with their sha256), each through a temporary file in the
+        same directory that is renamed into place."""
+        data = self.ranks.astype(np.uint8).tobytes()
+        head = dict(self.header(), sha256=_sha256(data))
+        _write_atomic(stem + ".bin", data)
+        _write_atomic(stem + ".json", json.dumps(
+            head, indent=1, sort_keys=True).encode("utf-8"))
 
     @classmethod
     def load(cls, stem: str) -> "RankTable":
+        """Read a table written by ``save``; ValueError if the header's
+        version, length or sha256 does not match the rank bytes."""
         with open(stem + ".json", "r", encoding="utf-8") as fh:
             head = json.load(fh)
         if head.get("version") != TABLE_VERSION:
             raise ValueError("cache version mismatch")
-        ranks = np.frombuffer(open(stem + ".bin", "rb").read(), dtype=np.uint8)
-        if len(ranks) != head["prime"] ** head["dim"]:
+        with open(stem + ".bin", "rb") as fh:
+            data = fh.read()
+        if len(data) != head["prime"] ** head["dim"]:
             raise ValueError("cache length mismatch")
+        if _sha256(data) != head.get("sha256"):
+            raise ValueError("cache checksum mismatch")
         pts = PointSet(family=head["family"], prime=head["prime"],
                        dim=head["dim"], reps=tuple(head["reps"]))
         return cls(family=head["family"], prime=head["prime"],
-                   dim=head["dim"], ranks=ranks.copy(), points=pts)
+                   dim=head["dim"], ranks=np.frombuffer(data, np.uint8).copy(),
+                   points=pts)
+
+
+def _sha256(data: bytes) -> str:
+    # imported here: hashlib loads OpenSSL, about 3 MiB resident, which
+    # only the table cache needs
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it
+    into place, so a reader sees the old file or the new one."""
+    tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 _UNSEEN = 255
+#: Codes per block: the unit of work and of the thread split.
+_BLOCK = 1 << 16
+#: A layer pulls once |frontier| * _PULL_RATIO exceeds the unseen count.
+_PULL_RATIO = 14
+#: A pull drops the codes it has placed from its block every this many
+#: cone points.
+_COMPACT_EVERY = 8
 
 
-def _add_codes(frontier, s_digits, p, d, powers):
-    """Vectorized code addition: frontier + point, digitwise mod p."""
-    out = np.zeros_like(frontier)
-    rem = frontier.copy()
-    for i in range(d):
-        di = rem % p
-        rem //= p
-        out += ((di + s_digits[i]) % p) * powers[i]
-    return out
+def _digit_add_rows(halves, p, k, scale):
+    """One int32 row per half a: row[x] is scale times the k-digit base-p
+    code of the digitwise sum a + x mod p, for x in range(p**k)."""
+    x = np.arange(p ** k, dtype=np.int32)
+    halves = halves.astype(np.int32)[:, None]
+    rows = np.zeros((len(halves), p ** k), dtype=np.int32)
+    for i in range(k):
+        w = p ** i
+        digit = halves // w + x // w
+        digit %= p
+        digit *= w * scale
+        rows += digit
+    return rows
 
 
 def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     """Layered breadth-first rank table: layer r is (layer r-1 + cone)
-    minus everything already assigned; partitions the whole space."""
+    minus everything already assigned; partitions the whole space.
+
+    Each layer runs in one of two directions (direction-optimising BFS,
+    Beamer, Asanovic and Patterson, SC 2012).  While the frontier (layer
+    r-1) is small it pushes: f + s gets rank r for every frontier code f
+    and cone point s with f + s unseen.  Once |frontier| * 14 exceeds the
+    number of unseen codes it pulls: an unseen code u gets rank r if u - s
+    has rank r-1 for some cone point s.  The cone is closed under scalars,
+    so -s runs over the cone as s does and a pull adds the same cone codes
+    as a push.  A pull gathers the unseen codes of one window of 2^16
+    entries of ``ranks`` at a time and drops the codes it has placed every
+    8 cone points.
+
+    Over F_2, f + s is f ^ s.  Over an odd prime, digitwise addition of s
+    is two lookups in half-word rows: with h = d // 2, row lo maps the low
+    h base-p digits of f to those of f + s, row hi the high d - h digits
+    (times p**h), so f + s = hi[f // p**h] + lo[f % p**h].  There is one
+    row per distinct half of a cone point.
+
+    Blocks of at most 2^16 codes (frontier chunks when pushing, windows of
+    ``ranks`` when pulling) are the unit of work: each makes its buffers
+    once, and ``threads`` workers share the blocks of a layer.
+    """
     p, d = points.prime, points.dim
     size = p ** d
     if size > AMBIENT_CAP:
@@ -664,37 +729,89 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     ranks = np.full(size, _UNSEEN, dtype=np.uint8)
     ranks[0] = 0
     ranks[cone] = 1
-    powers = np.array([p ** i for i in range(d)], dtype=np.int64)
-    cone_digits = [decode_vec(int(s), p, d) for s in cone]
-    frontier = cone
+    if p == 2:
+        steps = [int(s) for s in cone]
+    else:
+        half = p ** (d // 2)
+        lo_keys, lo_of = np.unique(cone % half, return_inverse=True)
+        hi_keys, hi_of = np.unique(cone // half, return_inverse=True)
+        lo_rows = _digit_add_rows(lo_keys, p, d // 2, 1)
+        hi_rows = _digit_add_rows(hi_keys, p, d - d // 2, half)
+        steps = [(lo_rows[i], hi_rows[j]) for i, j in zip(lo_of, hi_of)]
+
+    def expand(r, pull, block):
+        # a sum is read from keys: the codes over F_2, their high and low
+        # halves over an odd prime; every index below is in range by
+        # construction, so the takes use mode="clip", which writes
+        # straight into ``out``
+        n = len(block)
+        if not n:
+            return
+        keys = [block] if p == 2 else list(np.divmod(block, half))
+        cand = np.empty(n, dtype=np.intp)
+        parts = np.empty((2, n), dtype=np.int32)
+        seen = np.empty(n, dtype=np.uint8)
+        hit = np.empty(n, dtype=bool)
+        found = np.zeros(n, dtype=bool)
+        want = r - 1 if pull else _UNSEEN
+        for k, s in enumerate(steps, 1):
+            m = len(keys[0])
+            c, ht = cand[:m], hit[:m]
+            if p == 2:
+                np.bitwise_xor(keys[0], s, out=c)
+            else:
+                np.take(s[1], keys[0], out=parts[0, :m], mode="clip")
+                np.take(s[0], keys[1], out=parts[1, :m], mode="clip")
+                np.add(parts[0, :m], parts[1, :m], out=c)
+            np.take(ranks, c, out=seen[:m], mode="clip")
+            np.equal(seen[:m], want, out=ht)
+            if not pull:
+                ranks[c[ht]] = r
+                continue
+            done = found[:m]
+            done |= ht
+            if k % _COMPACT_EVERY and k < len(steps) or not done.any():
+                continue
+            codes = keys[0] if p == 2 else keys[0] * half + keys[1]
+            ranks[codes[done]] = r
+            keep = ~done
+            keys = [key[keep] for key in keys]
+            if not len(keys[0]):
+                return
+            found[:len(keys[0])] = False
+
+    unseen = size - 1 - len(cone)
+    placed = len(cone)
     r = 1
-    while int((ranks == _UNSEEN).sum()):
+    while unseen:
         r += 1
         if r > 120:
             raise AssertionError("rank layering failed to terminate")
+        pull = placed * _PULL_RATIO > unseen
+        if pull:
+            starts = range(0, size, _BLOCK)
 
-        def expand(chunk):
-            for s, s_digits in zip(cone, cone_digits):
-                if p == 2:
-                    cand = chunk ^ int(s)
-                else:
-                    cand = _add_codes(chunk, s_digits, p, d, powers)
-                new = cand[ranks[cand] == _UNSEEN]
-                ranks[new] = r
-
-        chunks = [frontier[i:i + (1 << 19)]
-                  for i in range(0, len(frontier), 1 << 19)]
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(expand, chunks))
+            def run(start):
+                block = np.flatnonzero(ranks[start:start + _BLOCK] == _UNSEEN)
+                block += start
+                expand(r, pull, block)
         else:
-            for chunk in chunks:
-                expand(chunk)
-        frontier = np.flatnonzero(ranks == r).astype(np.int64)
-        if len(frontier) == 0:
-            if int((ranks == _UNSEEN).sum()):
-                raise AssertionError("point set does not span the ambient space")
-            break
+            frontier = np.flatnonzero(ranks == r - 1)
+            starts = range(0, len(frontier), _BLOCK)
+
+            def run(start):
+                expand(r, pull, frontier[start:start + _BLOCK])
+
+        if threads > 1 and len(starts) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(run, starts))
+        else:
+            for start in starts:
+                run(start)
+        placed = int(np.count_nonzero(ranks == r))
+        if not placed:
+            raise AssertionError("point set does not span the ambient space")
+        unseen -= placed
     return RankTable(family=points.family, prime=p, dim=d,
                      ranks=ranks, points=points)
 

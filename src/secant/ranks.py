@@ -21,7 +21,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .linalg import int_rank, matvec, nullspace, rank as mat_rank, row_reduce
+from .linalg import (
+    exact_rationals,
+    int_rank,
+    matvec,
+    nullspace,
+    rank as mat_rank,
+    row_reduce,
+)
 
 __all__ = [
     "Tensor",
@@ -813,10 +820,7 @@ def tensor_from_json(obj) -> Tensor:
     raw = obj.get("coords")
     if not isinstance(raw, list):
         raise ValueError("coords must be a list of rational strings")
-    try:
-        coords = [Q(s) for s in raw]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError("bad rational coordinate: %s" % exc) from None
+    coords = exact_rationals(raw)
     expected = {
         "matrix": (lambda d: len(d) == 2 and True, lambda d: d[0] * d[1]),
         "symmetric": (lambda d: len(d) == 1, lambda d: d[0] * d[0]),

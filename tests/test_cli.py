@@ -116,6 +116,14 @@ class TestRank:
         code, _ = run_cli("rank", "matrix", str(path))
         assert code == 1
 
+    def test_float_coordinate_exit_1(self, tmp_path, capsys):
+        path = self.write(tmp_path, {
+            "shape": "matrix", "dims": [1, 1], "coords": [0.1]})
+        code, out = run_cli("rank", "matrix", path)
+        assert code == 1
+        assert out == ""
+        assert "float" in capsys.readouterr().err
+
 
 class TestChopTree:
     def test_wild_chain(self):
@@ -251,6 +259,13 @@ class TestTable:
         code, out = run_cli("table", "--max-rank", "8", "--format", "json")
         got = {r["descriptor"] for r in json.loads(out)["rows"]}
         assert got == want
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_max_rank_below_one_exit_1(self, bad, capsys):
+        code, out = run_cli("table", "--max-rank", bad)
+        assert code == 1
+        assert out == ""
+        assert "--max-rank must be at least 1" in capsys.readouterr().err
 
     def test_all_rows_tame(self):
         code, out = run_cli("table", "--max-rank", "4", "--format", "json")

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from secant.linalg import modp_rank
 from secant.oracle import (
     AMBIENT_CAP,
+    PointSet,
+    RankTable,
     SubspaceCodec,
     bfs_rank_table,
     decode_vec,
@@ -48,6 +51,40 @@ def gaussian_binomial(n, k, q):
         den *= q ** (k - i) - 1
     assert num % den == 0
     return num // den
+
+
+def matrix_rank_count(m, n, r, q):
+    """m x n matrices of rank r over F_q:
+    prod_{i<r} (q^m - q^i)(q^n - q^i) / (q^r - q^i)."""
+    num = den = 1
+    for i in range(r):
+        num *= (q ** m - q ** i) * (q ** n - q ** i)
+        den *= q ** r - q ** i
+    assert num % den == 0
+    return num // den
+
+
+def reference_ranks(reps, p, d):
+    """Additive ranks by a plain BFS over digit tuples: layer r holds the
+    sums of a layer r-1 vector and a nonzero multiple of a representative
+    that no earlier layer holds.  Returns the ranks in code order."""
+    def digits(code):
+        return tuple(code // p ** i % p for i in range(d))
+
+    cone = {tuple(c * v % p for v in digits(code))
+            for code in reps for c in range(1, p)}
+    rank = {(0,) * d: 0}
+    layer = [(0,) * d]
+    while layer:
+        nxt = []
+        for vec in layer:
+            for s in cone:
+                w = tuple((a + b) % p for a, b in zip(vec, s))
+                if w not in rank:
+                    rank[w] = rank[vec] + 1
+                    nxt.append(w)
+        layer = nxt
+    return [rank[digits(code)] for code in range(p ** d)]
 
 
 class TestFamilies:
@@ -241,9 +278,59 @@ class TestBFS:
             assert table.rank_of_code(code) == modp_rank(mat, 2) // 2
 
     def test_threads_agree(self):
-        seq = bfs_rank_table(enumerate_cone_points("gr2-5", 2), threads=1)
-        par = bfs_rank_table(enumerate_cone_points("gr2-5", 2), threads=4)
+        # the 635376 codes left unseen for layer 3 spread over all 16
+        # windows of 2^16 codes, so the pulled layer splits into 16 blocks
+        pts = enumerate_cone_points("gr3-6", 2)
+        seq = bfs_rank_table(pts, threads=1)
+        # more workers than cores, switching often, so that lost or
+        # misplaced writes to the shared rank array would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = bfs_rank_table(pts, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seq.layer_counts()[3] == 635376
         assert np.array_equal(seq.ranks, par.ranks)
+
+    @pytest.mark.parametrize("family,p", [
+        ("segre-2x3", 2), ("gr2-5", 2), ("segre-2x2x2", 2),
+        ("segre-2x2", 3), ("quadric-5", 3), ("segre-2x2x2", 3),
+        ("segre-2x2", 5), ("veronese2-2", 5),
+    ])
+    def test_matches_reference_bfs(self, family, p):
+        pts = enumerate_cone_points(family, p)
+        table = bfs_rank_table(pts)
+        want = reference_ranks(pts.reps, p, pts.dim)
+        assert len(table.ranks) == len(want)
+        assert [int(v) for v in table.ranks] == want
+
+    @pytest.mark.parametrize("p,d", [(2, 5), (3, 3), (5, 2)])
+    def test_coordinate_points_rank_is_support_size(self, p, d):
+        # with fewer than 8 cone points every pull places its codes only
+        # after the last cone point
+        pts = PointSet(family="coordinates", prime=p, dim=d,
+                       reps=tuple(p ** i for i in range(d)))
+        table = bfs_rank_table(pts)
+        for code in range(p ** d):
+            assert table.rank_of_code(code) == sum(
+                1 for v in decode_vec(code, p, d) if v)
+
+    def test_push_then_pull(self):
+        # layer 2 pushes from the 128 cone codes (128 * 14 <= 6432 unseen)
+        # and layer 3 pulls (4032 * 14 > 2400 unseen);
+        # test_matches_reference_bfs checks this family code for code
+        counts = rank_table("segre-2x2x2", 3, cache=False).layer_counts()
+        assert counts == {0: 1, 1: 128, 2: 4032, 3: 2400}
+        assert counts[1] * 14 <= 3 ** 8 - 1 - counts[1]
+        assert counts[2] * 14 > counts[3]
+
+    @pytest.mark.parametrize("m,n,p", [(3, 4, 3), (3, 3, 5)])
+    def test_matrix_layers_closed_form(self, m, n, p):
+        table = rank_table("segre-%dx%d" % (m, n), p, cache=False)
+        counts = table.layer_counts()
+        assert counts == {r: matrix_rank_count(m, n, r, p)
+                          for r in range(min(m, n) + 1)}
 
 
 class TestCaching:
@@ -268,11 +355,31 @@ class TestCaching:
     def test_corrupt_cache_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
         t1 = rank_table("segre-2x2", 2)
-        stem = [f for f in os.listdir(tmp_path) if f.endswith(".json")][0]
-        with open(tmp_path / stem, "w") as fh:
-            fh.write("{not json")
+        name = [f for f in os.listdir(tmp_path) if f.endswith(".json")][0]
+        stem = str(tmp_path / name[:-len(".json")])
+        # one flipped rank byte keeps the length the header expects
+        with open(stem + ".bin", "r+b") as fh:
+            fh.seek(5)
+            byte = fh.read(1)[0]
+            fh.seek(5)
+            fh.write(bytes([byte ^ 1]))
+        with pytest.raises(ValueError):
+            RankTable.load(stem)
         t2 = rank_table("segre-2x2", 2)
         assert np.array_equal(t1.ranks, t2.ranks)
+        assert np.array_equal(RankTable.load(stem).ranks, t1.ranks)
+        with open(stem + ".json", "w") as fh:
+            fh.write("{not json")
+        t3 = rank_table("segre-2x2", 2)
+        assert np.array_equal(t1.ranks, t3.ranks)
+
+    def test_save_leaves_no_temporaries(self, tmp_path):
+        table = rank_table("segre-2x2", 3, cache=False)
+        table.save(str(tmp_path / "t"))
+        table.save(str(tmp_path / "t"))
+        assert sorted(os.listdir(tmp_path)) == ["t.bin", "t.json"]
+        with open(tmp_path / "t.json") as fh:
+            assert len(json.load(fh)["sha256"]) == 64
 
 
 class TestLeviProjection:

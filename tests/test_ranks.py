@@ -455,6 +455,15 @@ class TestTensorJSON:
             tensor_from_json({"shape": "matrix", "dims": [2, 2],
                               "coords": ["1", "x", "0", "1"]})
 
+    def test_float_coordinates_rejected(self):
+        # a JSON float is not an exact rational; ints and strings are
+        with pytest.raises(ValueError):
+            tensor_from_json({"shape": "matrix", "dims": [1, 1], "coords": [0.1]})
+        with pytest.raises(ValueError):
+            tensor_from_json({"shape": "quadric", "dims": [2], "coords": [1, 2.0]})
+        t = tensor_from_json({"shape": "quadric", "dims": [2], "coords": [1, "2"]})
+        assert t.coords == [Q(1), Q(2)]
+
     def test_rank_dispatch(self):
         mat = Tensor("matrix", [2, 2], [Q(1), Q(0), Q(0), Q(1)])
         assert rank_of_tensor(mat) == (2, None)
