@@ -18,6 +18,7 @@ from fractions import Fraction as Q
 
 from .linalg import (
     IntEchelon,
+    _integer_row,
     dot,
     int_row_basis,
     inverse,
@@ -318,31 +319,10 @@ def grade_by_fundamental(alg: ChevalleyAlgebra, vertex: int) -> GradedDecomposit
 # Orbit dimensions
 
 
-def _clear_denominators(x: dict) -> dict:
-    mult = 1
-    for v in x.values():
-        if isinstance(v, Q) and v.denominator != 1:
-            mult = mult * v.denominator // _gcd(mult, v.denominator)
-    out = {}
-    for k, v in x.items():
-        w = v * mult
-        if isinstance(w, Q):
-            assert w.denominator == 1
-            w = int(w)
-        if w:
-            out[k] = w
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def orbit_dim(alg: ChevalleyAlgebra, x: dict) -> int:
     """Dimension of the adjoint orbit through x: rank of t |-> [t, x]."""
-    x = _clear_denominators(x)
+    ints, _ = _integer_row(x.values())
+    x = {k: w for k, w in zip(x, ints) if w}
     if not x:
         return 0
     ech = IntEchelon()
@@ -583,19 +563,6 @@ def random_so_conjugate(A, G, rng: random.Random, passes: int = 2) -> tuple:
     return A2, G2
 
 
-def _column_space_basis(W):
-    """Indices of a set of columns of W spanning its column space."""
-    cols = transpose(W)
-    scaled = []
-    for col in cols:
-        mult = 1
-        for v in col:
-            if isinstance(v, Q) and v.denominator != 1:
-                mult = mult * v.denominator // _gcd(mult, v.denominator)
-        scaled.append([int(v * mult) for v in col])
-    return int_row_basis(scaled)
-
-
 def skew_im_stats(omega, sym) -> tuple:
     """(dim Im, rank of the symmetric form on Im) for a skew coform.
 
@@ -612,7 +579,8 @@ def skew_im_stats(omega, sym) -> tuple:
                 raise ValueError("ambient form matrix is not symmetric")
     if rank([list(r) for r in sym]) != n:
         raise ValueError("ambient symmetric form is degenerate")
-    cols = _column_space_basis(omega)
+    # indices of columns of omega spanning its image
+    cols = int_row_basis([_integer_row(col)[0] for col in transpose(omega)])
     dim_im = len(cols)
     basis = [[omega[i][c] for i in range(n)] for c in cols]
     gram = [[sum(Q(u[i]) * sym[i][j] * v[j] for i in range(n) for j in range(n)

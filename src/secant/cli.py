@@ -44,7 +44,7 @@ from .chopping import (
 )
 from .classifier import classify, generate_table
 from .jordan import albert_from_json, f4_pi2_witness_search, jordan_rank
-from .oracle import family_dim, parse_family, rank_table
+from .oracle import family_dim, rank_table
 from .ranks import (
     rank_of_tensor,
     sp6_wedge3_witness,
@@ -356,40 +356,19 @@ def _cmd_orbit_dim(args, out) -> int:
 def _oracle_check(family: str, table) -> dict:
     """Independent verification where a closed form exists; structural
     invariants otherwise."""
-    from .linalg import modp_rank
-    from .oracle import decode_vec
+    from .oracle import _closed_form, decode_vec
     import numpy as np
 
     p, d = table.prime, table.points.dim
-    kind = parse_family(family)["kind"]
     cone = set(int(c) for c in table.points.cone_codes())
     ones = set(int(c) for c in np.flatnonzero(table.ranks == 1))
     check = {"rank1_layer_is_cone": ones == cone, "closed_form": None}
-
-    if kind == "segre" and len(parse_family(family)["sizes"]) == 2:
-        m, n = parse_family(family)["sizes"]
-        agree = all(
-            table.rank_of_code(code) == modp_rank(
-                [decode_vec(code, p, d)[i * n:(i + 1) * n]
-                 for i in range(m)], p)
-            for code in range(1, p ** d))
-        check["closed_form"] = {"kind": "matrix rank", "agrees": agree}
-    elif kind == "gr2":
-        import itertools as it
-        n = parse_family(family)["n"]
-        pairs = list(it.combinations(range(n), 2))
-        agree = True
-        for code in range(1, p ** d):
-            vec = decode_vec(code, p, d)
-            mat = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(pairs, vec):
-                mat[i][j] = v
-                mat[j][i] = (-v) % p
-            if table.rank_of_code(code) != modp_rank(mat, p) // 2:
-                agree = False
-                break
-        check["closed_form"] = {"kind": "half the skew matrix rank",
-                                "agrees": agree}
+    closed = _closed_form(family, p)
+    if closed is not None:
+        label, rank_of = closed
+        agree = all(table.rank_of_code(code) == rank_of(decode_vec(code, p, d))
+                    for code in range(1, p ** d))
+        check["closed_form"] = {"kind": label, "agrees": agree}
     return check
 
 

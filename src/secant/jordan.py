@@ -27,10 +27,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
 
 from .linalg import (
     QuadExt,
+    _integer_row,
     exact_rationals,
     int_row_basis,
     modp_nullspace,
@@ -263,18 +263,12 @@ class AlbertElement:
         the scaled element has int coordinates; (self, 1) when self is
         already integral or has coordinates outside Q."""
         co = self.coords()
-        den = 1
-        for v in co:
-            t = type(v)
-            if t is Q:
-                den = lcm(den, v.denominator)
-            elif t is not int:
-                return self, 1
+        if any(type(v) is not int and type(v) is not Q for v in co):
+            return self, 1
+        ints, den = _integer_row(co)
         if den == 1:
             return self, 1
-        return AlbertElement.from_coords(
-            [v * den if type(v) is int else v.numerator * (den // v.denominator)
-             for v in co], lines=self.lines), den
+        return AlbertElement.from_coords(ints, lines=self.lines), den
 
     def is_zero(self):
         return not any(self.coords())

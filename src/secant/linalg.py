@@ -8,7 +8,7 @@ blow up; prime-field routines work on plain ints reduced mod p.  No floats.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 Vec = tuple[Q, ...]
 Mat = list[list[Q]]
@@ -25,6 +25,14 @@ def exact_rationals(raw) -> list[Q]:
         return [Q(s) for s in raw]
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError("bad rational coordinate: %s" % exc) from None
+
+
+def _integer_row(values) -> tuple[list[int], int]:
+    """(ints, den): den is the lcm of the denominators of the rational
+    values (ints or Fractions) and ints[i] == values[i] * den."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---------------------------------------------------------------------------

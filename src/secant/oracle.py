@@ -15,27 +15,48 @@ Vector encoding: little-endian base-p packing — coordinate i of a code c is
 (c // p**i) % p.  Projective representatives are the lexicographically
 smallest scalar multiples of each point, so tables are canonical and
 diffable.
+
+Families: one registry, ``_FAMILIES``, holds a ``_Family`` record per kind
+with its tag pattern, ambient dimension, cone-point generator, membership
+check, Lie-algebra generators, optional closed-form rank (checked by
+``secant oracle --check``), whether the tangent bound is asserted, and its
+Levi coordinate embedding.  The records are built from shared pieces:
+tensor and matrix models (segre, veronese2, sl3-adjoint), k-vectors with
+an optional isotropic codec (gr2, gr3, lambda20, lambda30), the split
+quadric and the pure spinors.  Every function below reads the record, so
+adding a family is adding one record.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import os
+import re
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 
 import numpy as np
 
 from .linalg import modp_nullspace, modp_rank, modp_row_reduce
-from .linalg import rank as q_rank
 from .ranks import (
     EVEN_SUBSETS,
-    WEDGE3_TRIPLES,
+    WEDGE3_INDEX,
+    _contraction_rows,
+    _divisor_matrix,
+    _flattening,
+    _perm_sign,
+    _subset_index,
+    _tr2_value,
+    _wedge_rows,
+    pure_even_spinor,
     purity_quadric_table,
     wedge3_c6_rank,
+    wedge3_tr2_poly,
 )
 from .rootsys import CapExceeded
 
@@ -74,58 +95,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 # ---------------------------------------------------------------------------
-# Families
+# Coordinates
 # ---------------------------------------------------------------------------
-
-def parse_family(name: str) -> dict:
-    """Parse a family tag into its kind and parameters.
-
-    Supported: segre-MxN, segre-2x2x2, veronese2-N, gr2-N, gr3-6,
-    lambda20-2N, lambda30-6, quadric-N, spinor10, sl3-adjoint.
-    """
-    if not isinstance(name, str):
-        raise ValueError("family must be a string")
-    if name == "segre-2x2x2":
-        return {"kind": "segre3", "sizes": (2, 2, 2)}
-    if name == "spinor10":
-        return {"kind": "spinor10"}
-    if name == "sl3-adjoint":
-        return {"kind": "sl3adj"}
-    if name == "gr3-6":
-        return {"kind": "gr3", "n": 6}
-    for prefix, kind in (("segre-", "segre"), ("veronese2-", "veronese2"),
-                         ("gr2-", "gr2"), ("lambda20-", "lambda20"),
-                         ("lambda30-", "lambda30"), ("quadric-", "quadric")):
-        if name.startswith(prefix):
-            rest = name[len(prefix):]
-            if kind == "segre":
-                parts = rest.split("x")
-                if len(parts) == 2 and all(s.isdigit() for s in parts):
-                    m, n = int(parts[0]), int(parts[1])
-                    if m >= 2 and n >= 2:
-                        return {"kind": "segre", "sizes": (m, n)}
-                raise ValueError("bad segre family %r (expected segre-MxN)" % name)
-            if not rest.isdigit():
-                raise ValueError("bad family %r: %r is not a number" % (name, rest))
-            n = int(rest)
-            if kind == "lambda20":
-                if n % 2 or n < 4:
-                    raise ValueError("lambda20 needs an even dimension >= 4")
-                return {"kind": "lambda20", "n": n}
-            if kind == "lambda30":
-                if n != 6:
-                    raise ValueError("lambda30 is only supported in dimension 6")
-                return {"kind": "lambda30", "n": 6}
-            if n < 2:
-                raise ValueError("family %r dimension too small" % name)
-            return {"kind": kind, "n": n}
-    raise ValueError("unknown family %r" % name)
-
-
-def _wedge2_index(n):
-    pairs = tuple(itertools.combinations(range(n), 2))
-    return pairs, {pq: i for i, pq in enumerate(pairs)}
-
 
 def mirror_symplectic_form(n: int):
     """Symplectic form pairing coordinate i with coordinate n-1-i (the
@@ -137,11 +108,6 @@ def mirror_symplectic_form(n: int):
         f[i][n - 1 - i] = 1
         f[n - 1 - i][i] = -1
     return f
-
-
-def _split_symmetric_modp(n, p):
-    from .chevalley import split_symmetric_form
-    return [[v % p for v in row] for row in split_symmetric_form(n)]
 
 
 def split_quadric_value(v, p):
@@ -235,12 +201,7 @@ def decode_vec(code, p, d):
 
 def _canonical_rep(vec, p):
     """Lexicographically smallest scalar multiple (little-endian digits)."""
-    best = None
-    for c in range(1, p):
-        cand = tuple(c * v % p for v in vec)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(tuple(c * v % p for v in vec) for c in range(1, p))
 
 
 def _proj_reps(n, p):
@@ -270,112 +231,271 @@ def _iter_subspaces(k, n, p):
             yield mat
 
 
-def family_dim(name: str) -> int:
-    """Ambient coordinate dimension of a family."""
-    fam = parse_family(name)
-    kind = fam["kind"]
-    if kind == "segre":
-        m, n = fam["sizes"]
-        return m * n
-    if kind == "segre3":
-        return 8
-    if kind == "veronese2":
-        n = fam["n"]
-        return n * (n + 1) // 2
-    if kind == "gr2":
-        n = fam["n"]
-        return n * (n - 1) // 2
-    if kind == "gr3":
-        return 20
-    if kind == "lambda20":
-        n = fam["n"]
-        return n * (n - 1) // 2 - 1
-    if kind == "lambda30":
-        return 14
-    if kind == "quadric":
-        return fam["n"]
-    if kind == "spinor10":
-        return 16
-    if kind == "sl3adj":
-        return 8
-    raise AssertionError(kind)
+def _matrix_units(n):
+    units = []
+    for a in range(n):
+        for b in range(n):
+            m = [[0] * n for _ in range(n)]
+            m[a][b] = 1
+            units.append(m)
+    return units
 
 
-def _check_cap(p, d):
-    if p ** d > AMBIENT_CAP:
-        raise CapExceeded(
-            "family instance has %d^%d ambient vectors, over the %d cap"
-            % (p, d, AMBIENT_CAP))
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
 
 
-def _lambda20_codec(n, p):
-    pairs, pidx = _wedge2_index(n)
-    form = mirror_symplectic_form(n)
-    row = [0] * len(pairs)
-    for (i, j), t in pidx.items():
-        row[t] = form[i][j] % p
-    return SubspaceCodec([row], p, len(pairs)), pairs, pidx, form
+def _matrix_of(act, d, p):
+    """Matrix mod p of a linear map on coordinate vectors of length d,
+    built column by column from the images of the unit vectors."""
+    cols = [act([int(r == c) for r in range(d)]) for c in range(d)]
+    return [[col[r] % p for col in cols] for r in range(d)]
 
 
-def _lambda30_codec(p):
-    form = mirror_symplectic_form(6)
-    tidx = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
-    rows = [[0] * 20 for _ in range(6)]
-    for (a, b, c), t in tidx.items():
-        rows[c][t] = (rows[c][t] + form[a][b]) % p
-        rows[b][t] = (rows[b][t] - form[a][c]) % p
-        rows[a][t] = (rows[a][t] + form[b][c]) % p
-    return SubspaceCodec(rows, p, 20), tidx, form
+def _model_generators(d, p, n, unfold, fold, act):
+    """Generators of gl_n on a matrix model: for each matrix unit E, the
+    coordinate map x -> fold(act(E, unfold(x)))."""
+    return [_matrix_of(lambda x, e=e: fold(act(e, unfold(x))), d, p)
+            for e in _matrix_units(n)]
 
 
-def _wedge_of_rows(rows, n, pairs, p):
-    x, y = rows
-    return [(x[i] * y[j] - x[j] * y[i]) % p for (i, j) in pairs]
+def _form_algebra_basis(form, p):
+    """Basis of {S : S^T F + F S = 0} mod p (symplectic/orthogonal type)."""
+    n = len(form)
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = [0] * (n * n)
+            # (S^T F + F S)[a][b] = sum_k S[k][a] F[k][b] + F[a][k] S[k][b]
+            for k in range(n):
+                row[k * n + a] = (row[k * n + a] + form[k][b]) % p
+                row[k * n + b] = (row[k * n + b] + form[a][k]) % p
+            rows.append(row)
+    basis = []
+    for vec in modp_nullspace(rows, p):
+        basis.append([[int(vec[i * n + j]) % p for j in range(n)]
+                      for i in range(n)])
+    return basis
 
 
-def _wedge3_of_rows(rows, p):
-    x, y, z = rows
+# ---------------------------------------------------------------------------
+# Tensor and matrix models: segre, veronese2, sl3-adjoint
+# ---------------------------------------------------------------------------
+
+def _segre_points(fam, p):
+    for factors in itertools.product(*(_proj_reps(s, p) for s in fam["sizes"])):
+        yield [math.prod(vals) % p for vals in itertools.product(*factors)]
+
+
+def _segre_member(fam, p):
+    # rank one along every axis but the last forces it along the last
+    sizes = fam["sizes"]
+    return lambda rep: all(modp_rank(_flattening(rep, sizes, axis), p) == 1
+                           for axis in range(len(sizes) - 1))
+
+
+def _factor_action(sizes, axis, e, vec):
+    """A matrix acting on one factor of a flat row-major tensor."""
+    stride, size = math.prod(sizes[axis + 1:]), sizes[axis]
     out = []
-    for (a, b, c) in WEDGE3_TRIPLES:
-        det = (x[a] * (y[b] * z[c] - y[c] * z[b])
-               - x[b] * (y[a] * z[c] - y[c] * z[a])
-               + x[c] * (y[a] * z[b] - y[b] * z[a]))
-        out.append(det % p)
+    for f in range(len(vec)):
+        c = f // stride % size
+        out.append(sum(e[c][t] * vec[f + (t - c) * stride]
+                       for t in range(size)))
     return out
 
 
-def _plucker2_ok(w, n, pidx, p):
-    """Halved Plücker quadrics for a 2-vector: w_ij w_kl - w_ik w_jl +
-    w_il w_jk = 0 for all quadruples (characteristic-safe)."""
-    def get(i, j):
-        return w[pidx[(i, j)]]
-    for (i, j, k, l) in itertools.combinations(range(n), 4):
-        if (get(i, j) * get(k, l) - get(i, k) * get(j, l)
-                + get(i, l) * get(j, k)) % p:
-            return False
-    return True
+def _segre_generators(fam, p):
+    sizes = fam["sizes"]
+    return [_matrix_of(functools.partial(_factor_action, sizes, axis, e),
+                       math.prod(sizes), p)
+            for axis, size in enumerate(sizes) for e in _matrix_units(size)]
 
 
-def _wedge3_divisors_modp(co, p):
-    """Dimension of {v : v wedge psi = 0} over F_p, psi in 20 coords."""
-    tidx = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
-    rows = []
-    for quad in itertools.combinations(range(6), 4):
-        row = []
-        for i in range(6):
-            if i not in quad:
-                row.append(0)
-                continue
-            rest = tuple(x for x in quad if x != i)
-            pos = quad.index(i)
-            row.append(((-1) ** pos * co[tidx[rest]]) % p)
-        rows.append(row)
-    return len(modp_nullspace(rows, p))
+def _matrix_rank(fam, p):
+    return lambda vec: modp_rank(_flattening(vec, fam["sizes"], 0), p)
 
 
-def _spinor_quadrics_modp(p):
-    table = purity_quadric_table()
-    return [{k: c % p for k, c in quad.items()} for quad in table]
+def _segre_embedding(big, sub):
+    (bm, bn), (sm, sn) = big["sizes"], sub["sizes"]
+    if sm > bm or sn > bn:
+        raise ValueError("sub factors exceed big factors")
+    return [i * bn + j for i in range(sm) for j in range(sn)]
+
+
+def _sym_cells(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _veronese_points(fam, p):
+    cells = _sym_cells(fam["n"])
+    for v in _proj_reps(fam["n"], p):
+        yield [v[i] * v[j] % p for i, j in cells]
+
+
+def _veronese_member(fam, p):
+    n, cells = fam["n"], _sym_cells(fam["n"])
+
+    def member(rep):
+        full = [[0] * n for _ in range(n)]
+        for (i, j), val in zip(cells, rep):
+            full[i][j] = full[j][i] = val
+        return modp_rank(full, p) == 1
+    return member
+
+
+def _veronese_generators(fam, p):
+    """gl_n acting on quadratic forms x^T A x, A upper triangular, by
+    A -> E A + A E^T; a form's coordinate on cell (i, j) is its x_i x_j
+    coefficient.  Off the diagonal a cell of a point v v^T is half the
+    x_i x_j coefficient of (v.x)^2, so over the points these matrices are
+    not the derivative of the group action."""
+    n, cells = fam["n"], _sym_cells(fam["n"])
+
+    def unfold(vec):
+        a = [[0] * n for _ in range(n)]
+        for (i, j), val in zip(cells, vec):
+            a[i][j] = val
+        return a
+
+    def fold(b):
+        return [b[i][j] + b[j][i] if i < j else b[i][i] for i, j in cells]
+
+    def act(e, a):
+        ea, ae = _mul(e, a), _mul(a, list(zip(*e)))
+        return [[x + y for x, y in zip(r, s)] for r, s in zip(ea, ae)]
+    return _model_generators(len(cells), p, n, unfold, fold, act)
+
+
+#: sl3 coordinates: every entry but the last diagonal one, which is minus
+#: the trace of the others.
+_SL3_CELLS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def _sl3_unfold(vec):
+    mat = [[0] * 3 for _ in range(3)]
+    for (i, j), val in zip(_SL3_CELLS, vec):
+        mat[i][j] = val
+    mat[2][2] = -mat[0][0] - mat[1][1]
+    return mat
+
+
+def _sl3_fold(mat):
+    return [mat[i][j] for i, j in _SL3_CELLS]
+
+
+def _sl3_points(fam, p):
+    for u in _proj_reps(3, p):
+        for v in _proj_reps(3, p):
+            if sum(a * b for a, b in zip(u, v)) % p == 0:
+                yield [x % p for x in _sl3_fold(_mul([[a] for a in u], [v]))]
+
+
+def _sl3_generators(fam, p):
+    def bracket(e, x):
+        return [[a - b for a, b in zip(r, s)]
+                for r, s in zip(_mul(e, x), _mul(x, e))]
+    return _model_generators(8, p, 3, _sl3_unfold, _sl3_fold, bracket)
+
+
+# ---------------------------------------------------------------------------
+# k-vectors: gr2, gr3 and their isotropic parts lambda20, lambda30
+# ---------------------------------------------------------------------------
+
+def _wedge_dim(k, isotropic, fam):
+    n = fam["n"]
+    return math.comb(n, k) - (math.comb(n, k - 2) if isotropic else 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _isotropic_codec(n, k, p):
+    """Codec of the k-vectors on F_p^n whose contraction with the mirror
+    symplectic form vanishes."""
+    rows = _contraction_rows(mirror_symplectic_form(n), n, k)
+    codec = SubspaceCodec(rows, p, math.comb(n, k))
+    if codec.dim != math.comb(n, k) - len(rows):
+        raise AssertionError("contraction constraints are dependent")
+    return codec
+
+
+def _wedge_points(k, isotropic, fam, p):
+    n = fam["n"]
+    if isotropic:
+        form, codec = mirror_symplectic_form(n), _isotropic_codec(n, k, p)
+    for mat in _iter_subspaces(k, n, p):
+        if isotropic and any(
+                sum(x[i] * form[i][j] * y[j]
+                    for i in range(n) for j in range(n)) % p
+                for x, y in itertools.combinations(mat, 2)):
+            continue
+        full = [v % p for v in _wedge_rows(mat, n)]
+        yield codec.to_sub(full) if isotropic else full
+
+
+def _wedge_member(k, isotropic, fam, p):
+    # a nonzero k-vector is decomposable iff its divisors span k dimensions
+    n = fam["n"]
+    full = _isotropic_codec(n, k, p).to_full if isotropic else list
+    return lambda rep: len(modp_nullspace(
+        _divisor_matrix(full(list(rep)), n, k), p)) == k
+
+
+def _derive(e, n, k, vec):
+    """A matrix acting on k-vectors as a derivation:
+    x_1 ^ ... ^ x_k -> sum over i of x_1 ^ ... ^ E x_i ^ ... ^ x_k."""
+    index = _subset_index(n, k)
+    out = [0] * len(index)
+    for s, c in zip(index, vec):
+        if not c:
+            continue
+        for pos, i in enumerate(s):
+            for m in range(n):
+                if e[m][i] and (m == i or m not in s):
+                    seq = s[:pos] + (m,) + s[pos + 1:]
+                    out[index[tuple(sorted(seq))]] += (
+                        _perm_sign(seq) * e[m][i] * c)
+    return out
+
+
+def _wedge_generators(k, isotropic, fam, p):
+    n = fam["n"]
+    if not isotropic:
+        return [_matrix_of(functools.partial(_derive, e, n, k),
+                           math.comb(n, k), p) for e in _matrix_units(n)]
+    codec = _isotropic_codec(n, k, p)
+    return [_matrix_of(lambda x, s=s: codec.to_sub(
+                _derive(s, n, k, codec.to_full(x))), codec.dim, p)
+            for s in _form_algebra_basis(mirror_symplectic_form(n), p)]
+
+
+def _half_skew_rank(fam, p):
+    n = fam["n"]
+
+    def rank(vec):
+        mat = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(_subset_index(n, 2), vec):
+            mat[i][j] = v
+            mat[j][i] = (-v) % p
+        return modp_rank(mat, p) // 2
+    return rank
+
+
+def _gr2_embedding(big, sub):
+    if sub["n"] > big["n"]:
+        raise ValueError("sub dimension exceeds big dimension")
+    index = _subset_index(big["n"], 2)
+    return [index[pq] for pq in _subset_index(sub["n"], 2)]
+
+
+# ---------------------------------------------------------------------------
+# The split quadric and the pure spinors
+# ---------------------------------------------------------------------------
+
+def _quadric_generators(fam, p):
+    from .chevalley import split_symmetric_form
+    form = [[v % p for v in row] for row in split_symmetric_form(fam["n"])]
+    return _form_algebra_basis(form, p)
 
 
 def f2_pure_spinor_set():
@@ -383,49 +503,209 @@ def f2_pure_spinor_set():
     exponential parametrization over the vacuum plus closure under the
     double Clifford flips e_I -> e_{I xor {i,j}} (products of two unit
     reflections, preserving the even half and the purity cone)."""
-    n = 5
-    sub_index = {frozenset(s): i for i, s in enumerate(EVEN_SUBSETS)}
+    pairs = tuple(itertools.combinations(range(5), 2))
     # exponential cell: coords 1, w_ij, pfaffian of 4x4 minors (mod 2)
     cell = set()
-    pair_list = tuple(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pair_list)):
-        w = {}
-        for t, pq in enumerate(pair_list):
-            w[pq] = (bits >> t) & 1
-        code = 1  # coefficient 1 on the empty subset
-        for pq in pair_list:
-            if w[pq]:
-                code |= 1 << sub_index[frozenset(pq)]
-        for quad in itertools.combinations(range(n), 4):
-            a, b, c, d = quad
-            pf = (w[(a, b)] * w[(c, d)] ^ w[(a, c)] * w[(b, d)]
-                  ^ w[(a, d)] * w[(b, c)])
-            if pf & 1:
-                code |= 1 << sub_index[frozenset(quad)]
-        cell.add(code)
+    for bits in range(1 << len(pairs)):
+        omega = [[0] * 5 for _ in range(5)]
+        for t, (i, j) in enumerate(pairs):
+            omega[i][j] = bits >> t & 1
+            omega[j][i] = -omega[i][j]
+        cell.add(sum(int(c) % 2 << t
+                     for t, c in enumerate(pure_even_spinor(omega))))
     # double flips act on basis labels: I -> I xor {i, j}
-    perms = []
-    for i, j in itertools.combinations(range(n), 2):
-        perm = [0] * 16
-        for idx, s in enumerate(EVEN_SUBSETS):
-            target = frozenset(s) ^ {i, j}
-            perm[idx] = sub_index[target]
-        perms.append(perm)
-    frontier = set(cell)
-    seen = set(cell)
+    index = {frozenset(s): t for t, s in enumerate(EVEN_SUBSETS)}
+    flips = [[index[frozenset(s) ^ {i, j}] for s in EVEN_SUBSETS]
+             for i, j in pairs]
+    seen = frontier = cell
     while frontier:
-        nxt = set()
-        for code in frontier:
-            for perm in perms:
-                out = 0
-                for idx in range(16):
-                    if (code >> idx) & 1:
-                        out |= 1 << perm[idx]
-                if out not in seen:
-                    seen.add(out)
-                    nxt.add(out)
-        frontier = nxt
+        frontier = {sum(1 << perm[t] for t in range(16) if code >> t & 1)
+                    for code in frontier for perm in flips} - seen
+        seen = seen | frontier
     return seen
+
+
+def _spinor_points(fam, p):
+    if p != 2:
+        raise ValueError("spinor10 enumeration is supported over F_2 only")
+    for code in f2_pure_spinor_set():
+        yield [(code >> i) & 1 for i in range(16)]
+
+
+def _spinor_member(fam, p):
+    quadrics = purity_quadric_table()
+    return lambda rep: all(
+        sum(c * rep[a] * rep[b] for (a, b), c in quad.items()) % p == 0
+        for quad in quadrics)
+
+
+def _spinor_generators(fam, p):
+    """so10 acting on the even half-spinors: e_i ^ e_j, the contraction
+    by both, and e_i contracted against e_j, as moves of the basis
+    subsets (None where the basis element is killed)."""
+    index = {frozenset(s): t for t, s in enumerate(EVEN_SUBSETS)}
+    moves = []
+    for i, j in itertools.combinations(range(5), 2):
+        moves.append(lambda s, ij={i, j}: None if s & ij else s | ij)
+        moves.append(lambda s, ij={i, j}: s - ij if ij <= s else None)
+    for i in range(5):
+        for j in range(5):
+            moves.append(lambda s, i=i, j=j: (s - {j}) | {i}
+                         if j in s and (i == j or i not in s) else None)
+    gens = []
+    for move in moves:
+        g = [[0] * 16 for _ in range(16)]
+        for t, s in enumerate(EVEN_SUBSETS):
+            target = move(frozenset(s))
+            if target is not None:
+                g[index[target]][t] = 1
+        gens.append(g)
+    return gens
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """One point family.  ``params`` turns the integer groups of a tag
+    matching ``pattern`` into the family's parameters (ValueError when out
+    of range); every other function takes the parsed family dict ``fam``,
+    and most the prime ``p``."""
+    kind: str
+    pattern: str
+    params: Callable
+    #: fam -> ambient coordinate dimension
+    dim: Callable
+    #: (fam, p) -> cone vectors; each is reduced to its canonical multiple
+    points: Callable
+    #: (fam, p) -> predicate on a canonical representative
+    member: Callable
+    #: (fam, p) -> Lie-algebra action matrices on the ambient coordinates
+    generators: Callable
+    #: (label, (fam, p) -> rank of a coordinate vector), checked by --check
+    closed_form: tuple | None = None
+    #: tangent probes x + t.x have rank <= 2 over every field
+    asserted: bool = False
+    #: (big fam, sub fam) -> big coordinate of each sub coordinate
+    embed: Callable | None = None
+    meta: dict = field(default_factory=dict)
+
+
+def _dimension(low, even=False):
+    def params(n):
+        if n < low or even and n % 2:
+            raise ValueError("dimension %d is not supported: it must be %s"
+                             "at least %d" % (n, "even and " if even else "",
+                                              low))
+        return {"n": n}
+    return params
+
+
+def _sizes(m, n):
+    if m < 2 or n < 2:
+        raise ValueError("segre factors need dimension at least 2")
+    return {"sizes": (m, n)}
+
+
+def _wedge_family(kind, pattern, params, k, isotropic, **extra):
+    return _Family(
+        kind, pattern, params,
+        dim=functools.partial(_wedge_dim, k, isotropic),
+        points=functools.partial(_wedge_points, k, isotropic),
+        member=functools.partial(_wedge_member, k, isotropic),
+        generators=functools.partial(_wedge_generators, k, isotropic),
+        **extra)
+
+
+def _segre_family(kind, pattern, params, **extra):
+    return _Family(
+        kind, pattern, params, dim=lambda fam: math.prod(fam["sizes"]),
+        points=_segre_points, member=_segre_member,
+        generators=_segre_generators, **extra)
+
+
+_FAMILIES = (
+    _segre_family("segre", r"segre-(\d+)x(\d+)", _sizes,
+                  closed_form=("matrix rank", _matrix_rank), asserted=True,
+                  embed=_segre_embedding),
+    _segre_family("segre3", "segre-2x2x2", lambda: {"sizes": (2, 2, 2)}),
+    _Family("veronese2", r"veronese2-(\d+)", _dimension(2),
+            dim=lambda fam: math.comb(fam["n"] + 1, 2),
+            points=_veronese_points, member=_veronese_member,
+            generators=_veronese_generators),
+    _wedge_family("gr2", r"gr2-(\d+)", _dimension(2), 2, False,
+                  closed_form=("half the skew matrix rank", _half_skew_rank),
+                  asserted=True, embed=_gr2_embedding),
+    _wedge_family("gr3", "gr3-6", lambda: {"n": 6}, 3, False),
+    _wedge_family("lambda20", r"lambda20-(\d+)", _dimension(4, even=True),
+                  2, True, meta={"codec": "free wedge coordinates after "
+                                          "removing the form trace"}),
+    _wedge_family("lambda30", "lambda30-6", lambda: {"n": 6}, 3, True,
+                  meta={"codec": "free wedge coordinates inside the "
+                                 "zero-contraction space"}),
+    _Family("quadric", r"quadric-(\d+)", _dimension(2),
+            dim=lambda fam: fam["n"],
+            points=lambda fam, p: (v for v in _proj_reps(fam["n"], p)
+                                   if split_quadric_value(v, p) == 0),
+            member=lambda fam, p: lambda rep: split_quadric_value(rep, p) == 0,
+            generators=_quadric_generators),
+    _Family("spinor10", "spinor10", lambda: {}, dim=lambda fam: 16,
+            points=_spinor_points, member=_spinor_member,
+            generators=_spinor_generators),
+    _Family("sl3adj", "sl3-adjoint", lambda: {}, dim=lambda fam: 8,
+            points=_sl3_points,
+            member=lambda fam, p: lambda rep: modp_rank(
+                _sl3_unfold(rep), p) == 1,
+            generators=_sl3_generators),
+)
+
+
+def _family(name):
+    """(record, parsed family dict) of a family tag."""
+    if not isinstance(name, str):
+        raise ValueError("family must be a string")
+    for rec in _FAMILIES:
+        match = re.fullmatch(rec.pattern, name)
+        if match:
+            fam = rec.params(*(int(g) for g in match.groups()))
+            return rec, {"kind": rec.kind, **fam}
+    raise ValueError("unknown family %r" % name)
+
+
+def parse_family(name: str) -> dict:
+    """Parse a family tag into its kind and parameters.
+
+    Supported: segre-MxN, segre-2x2x2, veronese2-N, gr2-N, gr3-6,
+    lambda20-2N, lambda30-6, quadric-N, spinor10, sl3-adjoint.
+    """
+    return _family(name)[1]
+
+
+def family_dim(name: str) -> int:
+    """Ambient coordinate dimension of a family."""
+    rec, fam = _family(name)
+    return rec.dim(fam)
+
+
+def _closed_form(family, p):
+    """(label, rank of a coordinate vector over F_p) for a family with a
+    closed-form rank, else None."""
+    rec, fam = _family(family)
+    if rec.closed_form is None:
+        return None
+    label, rank_of = rec.closed_form
+    return label, rank_of(fam, p)
+
+
+def _check_cap(p, d):
+    # past the cap's bit length even 2**d is over it, so p**d is never
+    # taken for a huge d
+    if d > AMBIENT_CAP.bit_length() or p ** d > AMBIENT_CAP:
+        raise CapExceeded(
+            "family instance has %d^%d ambient vectors, over the %d cap"
+            % (p, d, AMBIENT_CAP))
 
 
 def enumerate_cone_points(family: str, p: int) -> PointSet:
@@ -433,147 +713,19 @@ def enumerate_cone_points(family: str, p: int) -> PointSet:
     over F_p and check the defining equations on every point."""
     if p not in _SMALL_PRIMES:
         raise ValueError("prime %r not supported (need a prime <= 13)" % p)
-    fam = parse_family(family)
-    kind = fam["kind"]
-    d = family_dim(family)
+    rec, fam = _family(family)
+    d = rec.dim(fam)
     _check_cap(p, d)
-    reps = set()
-    meta = {}
-
-    if kind == "segre":
-        m, n = fam["sizes"]
-        for u in _proj_reps(m, p):
-            for v in _proj_reps(n, p):
-                flat = [u[i] * v[j] % p for i in range(m) for j in range(n)]
-                reps.add(_canonical_rep(flat, p))
-        for rep in reps:
-            mat = [list(rep[i * n:(i + 1) * n]) for i in range(m)]
-            assert modp_rank(mat, p) == 1, "segre point is not rank 1"
-
-    elif kind == "segre3":
-        for u in _proj_reps(2, p):
-            for v in _proj_reps(2, p):
-                for w in _proj_reps(2, p):
-                    flat = [u[i] * v[j] * w[k] % p
-                            for i in range(2) for j in range(2) for k in range(2)]
-                    reps.add(_canonical_rep(flat, p))
-        for rep in reps:
-            for axis in range(3):
-                rows = {}
-                for i in range(2):
-                    for j in range(2):
-                        for k in range(2):
-                            idx = (i, j, k)
-                            r, c = idx[axis], idx[(axis + 1) % 3] * 2 + idx[(axis + 2) % 3]
-                            rows.setdefault(r, [0] * 4)[c] = rep[(i * 2 + j) * 2 + k]
-                assert modp_rank([rows[0], rows[1]], p) == 1
-
-    elif kind == "veronese2":
-        n = fam["n"]
-        cells = [(i, j) for i in range(n) for j in range(i, n)]
-        for v in _proj_reps(n, p):
-            flat = [v[i] * v[j] % p for (i, j) in cells]
-            reps.add(_canonical_rep(flat, p))
-        for rep in reps:
-            full = [[0] * n for _ in range(n)]
-            for (i, j), val in zip(cells, rep):
-                full[i][j] = full[j][i] = val
-            assert modp_rank(full, p) == 1, "square point is not rank 1"
-
-    elif kind == "gr2":
-        n = fam["n"]
-        pairs, pidx = _wedge2_index(n)
-        for mat in _iter_subspaces(2, n, p):
-            reps.add(_canonical_rep(_wedge_of_rows(mat, n, pairs, p), p))
-        for rep in reps:
-            assert _plucker2_ok(rep, n, pidx, p), "2-vector fails the quadrics"
-
-    elif kind == "gr3":
-        for mat in _iter_subspaces(3, 6, p):
-            reps.add(_canonical_rep(_wedge3_of_rows(mat, p), p))
-        for rep in reps:
-            assert _wedge3_divisors_modp(rep, p) == 3, "3-vector not decomposable"
-
-    elif kind == "lambda20":
-        n = fam["n"]
-        codec, pairs, pidx, form = _lambda20_codec(n, p)
-        assert codec.dim == d
-        for mat in _iter_subspaces(2, n, p):
-            x, y = mat
-            pairing = sum(x[i] * form[i][j] * y[j]
-                          for i in range(n) for j in range(n)) % p
-            if pairing:
-                continue
-            full = _wedge_of_rows(mat, n, pairs, p)
-            sub = codec.to_sub(full)
-            reps.add(_canonical_rep(sub, p))
-        for rep in reps:
-            full = codec.to_full(list(rep))
-            assert _plucker2_ok(full, n, pidx, p)
-        meta["codec"] = "free wedge coordinates after removing the form trace"
-
-    elif kind == "lambda30":
-        codec, tidx, form = _lambda30_codec(p)
-        assert codec.dim == 14
-        for mat in _iter_subspaces(3, 6, p):
-            rows = mat
-            iso = all(
-                sum(rows[a][i] * form[i][j] * rows[b][j]
-                    for i in range(6) for j in range(6)) % p == 0
-                for a in range(3) for b in range(a + 1, 3))
-            if not iso:
-                continue
-            full = _wedge3_of_rows(rows, p)
-            sub = codec.to_sub(full)
-            reps.add(_canonical_rep(sub, p))
-        for rep in reps:
-            full = codec.to_full(list(rep))
-            assert _wedge3_divisors_modp(full, p) == 3
-        meta["codec"] = "free wedge coordinates inside the zero-contraction space"
-
-    elif kind == "quadric":
-        n = fam["n"]
-        for v in _proj_reps(n, p):
-            if split_quadric_value(v, p) == 0:
-                reps.add(_canonical_rep(v, p))
-        for rep in reps:
-            assert split_quadric_value(rep, p) == 0
-
-    elif kind == "spinor10":
-        if p != 2:
-            _check_cap(p, 16)  # p = 3 already exceeds the cap
-            raise ValueError("spinor10 enumeration is supported over F_2 only")
-        quadrics = _spinor_quadrics_modp(2)
-        for code in f2_pure_spinor_set():
-            vec = [(code >> i) & 1 for i in range(16)]
-            reps.add(tuple(vec))
-        for rep in reps:
-            for quad in quadrics:
-                val = sum(c * rep[a] * rep[b] for (a, b), c in quad.items()) % 2
-                assert val == 0, "enumerated spinor fails a purity quadric"
-
-    elif kind == "sl3adj":
-        cells = [(0, 0), (1, 1), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-        for u in _proj_reps(3, p):
-            for v in _proj_reps(3, p):
-                if sum(a * b for a, b in zip(u, v)) % p:
-                    continue
-                mat = [[u[i] * v[j] % p for j in range(3)] for i in range(3)]
-                flat = [mat[i][j] for (i, j) in cells]
-                reps.add(_canonical_rep(flat, p))
-        for rep in reps:
-            mat = [[0] * 3 for _ in range(3)]
-            for (i, j), val in zip(cells, rep):
-                mat[i][j] = val
-            mat[2][2] = (-mat[0][0] - mat[1][1]) % p
-            assert modp_rank(mat, p) == 1
-
-    else:
-        raise AssertionError(kind)
-
-    reps.discard(tuple([0] * d))
+    reps = {_canonical_rep(vec, p) for vec in rec.points(fam, p)}
+    reps.discard((0,) * d)
+    member = rec.member(fam, p)
+    for rep in reps:
+        if not member(rep):
+            raise AssertionError("%s point %r fails the membership check"
+                                 % (family, rep))
     encoded = tuple(sorted(encode_vec(list(r), p) for r in reps))
-    return PointSet(family=family, prime=p, dim=d, reps=encoded, meta=meta)
+    return PointSet(family=family, prime=p, dim=d, reps=encoded,
+                    meta=dict(rec.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +781,25 @@ class RankTable:
 
     @classmethod
     def load(cls, stem: str) -> "RankTable":
-        """Read a table written by ``save``; ValueError if the header's
-        version, length or sha256 does not match the rank bytes."""
+        """Read a table written by ``save``; ValueError if the header is
+        not an object with the fields ``save`` writes, or if its version,
+        length or sha256 does not match the rank bytes."""
         with open(stem + ".json", "r", encoding="utf-8") as fh:
             head = json.load(fh)
+        if not isinstance(head, dict):
+            raise ValueError("cache header is not a JSON object")
         if head.get("version") != TABLE_VERSION:
             raise ValueError("cache version mismatch")
+        for key, kind in _HEADER_FIELDS:
+            if type(head.get(key)) is not kind:
+                raise ValueError("cache header field %r is missing or not "
+                                 "of type %s" % (key, kind.__name__))
+        if any(type(code) is not int for code in head["reps"]):
+            raise ValueError("cache header reps are not all integers")
         with open(stem + ".bin", "rb") as fh:
             data = fh.read()
-        if len(data) != head["prime"] ** head["dim"]:
+        p, d = head["prime"], head["dim"]
+        if d > AMBIENT_CAP.bit_length() or len(data) != p ** d:
             raise ValueError("cache length mismatch")
         if _sha256(data) != head.get("sha256"):
             raise ValueError("cache checksum mismatch")
@@ -646,6 +808,11 @@ class RankTable:
         return cls(family=head["family"], prime=head["prime"],
                    dim=head["dim"], ranks=np.frombuffer(data, np.uint8).copy(),
                    points=pts)
+
+
+#: (key, type) of every header field that ``load`` reads.
+_HEADER_FIELDS = (("family", str), ("prime", int), ("dim", int),
+                  ("reps", list), ("sha256", str))
 
 
 def _sha256(data: bytes) -> str:
@@ -720,9 +887,8 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     once, and ``threads`` workers share the blocks of a layer.
     """
     p, d = points.prime, points.dim
+    _check_cap(p, d)
     size = p ** d
-    if size > AMBIENT_CAP:
-        raise CapExceeded("%d^%d vectors exceed the ambient cap" % (p, d))
     cone = points.cone_codes()
     if len(cone) == 0:
         raise ValueError("empty point set")
@@ -833,7 +999,7 @@ def rank_table(family: str, p: int, threads: int = 1,
             table = RankTable.load(stem)
             if table.family == family and table.prime == p:
                 return table
-        except (ValueError, OSError, KeyError):
+        except (ValueError, OSError):
             pass  # corrupt or stale cache: recompute
     table = bfs_rank_table(enumerate_cone_points(family, p), threads=threads)
     if stem is not None:
@@ -859,33 +1025,16 @@ class LeviReport:
     projection_contained: bool
 
 
-def _embedding_maps(big: str, sub: str):
-    """Coordinate embedding sub -> big and the matching projection,
-    as an index list: sub coordinate t sits at big coordinate emb[t]."""
-    bf, sf = parse_family(big), parse_family(sub)
-    if bf["kind"] == "segre" and sf["kind"] == "segre":
-        (bm, bn), (sm, sn) = bf["sizes"], sf["sizes"]
-        if sm > bm or sn > bn:
-            raise ValueError("sub factors exceed big factors")
-        emb = [i * bn + j for i in range(sm) for j in range(sn)]
-        return emb
-    if bf["kind"] == "gr2" and sf["kind"] == "gr2":
-        bn, sn = bf["n"], sf["n"]
-        if sn > bn:
-            raise ValueError("sub dimension exceeds big dimension")
-        bpairs, bidx = _wedge2_index(bn)
-        spairs, _ = _wedge2_index(sn)
-        emb = [bidx[pq] for pq in spairs]
-        return emb
-    raise ValueError("unsupported projection pair %s -> %s" % (big, sub))
-
-
 def levi_projection_test(big: str, sub: str, p: int,
                          threads: int = 1) -> LeviReport:
     """Exhaustively verify that additive rank computed against the big cone
     equals rank against the small cone on the coordinate subspace, and that
     projecting any big cone point lands in the small cone or at zero."""
-    emb = _embedding_maps(big, sub)
+    (big_rec, big_fam), (sub_rec, sub_fam) = _family(big), _family(sub)
+    if big_rec is not sub_rec or big_rec.embed is None:
+        raise ValueError("unsupported projection pair %s -> %s" % (big, sub))
+    # sub coordinate t sits at big coordinate emb[t]
+    emb = big_rec.embed(big_fam, sub_fam)
     big_table = rank_table(big, p, threads=threads)
     sub_table = rank_table(sub, p, threads=threads)
     bd, sd = big_table.dim, sub_table.dim
@@ -933,104 +1082,10 @@ class TangentReport:
     label: str
 
 
-def _matrix_units(n):
-    units = []
-    for a in range(n):
-        for b in range(n):
-            m = [[0] * n for _ in range(n)]
-            m[a][b] = 1
-            units.append(m)
-    return units
-
-
-def _derivation_on_wedge2(e, n, pairs, p):
-    """Action of a matrix on 2-vectors: x^y -> ex^y + x^ey, as a matrix on
-    wedge coordinates."""
-    _, pidx = _wedge2_index(n)
-    dim = len(pairs)
-    out = [[0] * dim for _ in range(dim)]
-    for (i, j), src in pidx.items():
-        # e_i e_j basis bivector: e.(e_i) ^ e_j + e_i ^ e.(e_j)
-        for k in range(n):
-            if e[k][i]:
-                a, b, s = (k, j, 1) if k < j else (j, k, -1)
-                if k != j:
-                    out[pidx[(a, b)]][src] = (out[pidx[(a, b)]][src]
-                                              + s * e[k][i]) % p
-            if e[k][j]:
-                a, b, s = (i, k, 1) if i < k else (k, i, -1)
-                if i != k:
-                    out[pidx[(a, b)]][src] = (out[pidx[(a, b)]][src]
-                                              + s * e[k][j]) % p
-    return out
-
-
-def _derivation_on_wedge3(e, p):
-    tidx = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
-    out = [[0] * 20 for _ in range(20)]
-
-    def add_term(seq, coeff, src):
-        if len(set(seq)) != 3:
-            return
-        key = tuple(sorted(seq))
-        sign = 1
-        lst = list(seq)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if lst[i] > lst[j]:
-                    lst[i], lst[j] = lst[j], lst[i]
-                    sign = -sign
-        out[tidx[key]][src] = (out[tidx[key]][src] + sign * coeff) % p
-
-    for (i, j, k), src in tidx.items():
-        for m in range(6):
-            if e[m][i]:
-                add_term((m, j, k), e[m][i], src)
-            if e[m][j]:
-                add_term((i, m, k), e[m][j], src)
-            if e[m][k]:
-                add_term((i, j, m), e[m][k], src)
-    return out
-
-
-def _form_algebra_basis(form, p):
-    """Basis of {S : S^T F + F S = 0} mod p (symplectic/orthogonal type)."""
-    n = len(form)
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            row = [0] * (n * n)
-            # (S^T F + F S)[a][b] = sum_k S[k][a] F[k][b] + F[a][k] S[k][b]
-            for k in range(n):
-                row[k * n + a] = (row[k * n + a] + form[k][b]) % p
-                row[k * n + b] = (row[k * n + b] + form[a][k]) % p
-            rows.append(row)
-    basis = []
-    for vec in modp_nullspace(rows, p):
-        basis.append([[int(vec[i * n + j]) % p for j in range(n)]
-                      for i in range(n)])
-    return basis
-
-
 def _apply_linear(mat, vec, p):
     n = len(mat)
     return [sum(mat[i][j] * vec[j] for j in range(len(vec))) % p
             for i in range(n)]
-
-
-def _conjugate_into(codec, big_action, p):
-    """Restrict an ambient linear action preserving the subspace to the
-    codec's coordinates."""
-    sub_dim = codec.dim
-    g = [[0] * sub_dim for _ in range(sub_dim)]
-    for col in range(sub_dim):
-        basis_sub = [0] * sub_dim
-        basis_sub[col] = 1
-        image = _apply_linear(big_action, codec.to_full(basis_sub), p)
-        image_sub = codec.to_sub(image)
-        for row in range(sub_dim):
-            g[row][col] = image_sub[row]
-    return g
 
 
 def _composite_batch(units, p, family, count=24):
@@ -1059,164 +1114,14 @@ def _composite_batch(units, p, family, count=24):
     return out
 
 
-def _family_generators(family, p):
-    """(generator action matrices on the ambient coordinates, label)."""
-    fam = parse_family(family)
-    kind = fam["kind"]
-    if kind == "segre":
-        m, n = fam["sizes"]
-        gens = []
-        for e in _matrix_units(m):  # left action: E M
-            g = [[0] * (m * n) for _ in range(m * n)]
-            for i in range(m):
-                for j in range(n):
-                    for k in range(m):
-                        if e[i][k]:
-                            g[i * n + j][k * n + j] = e[i][k] % p
-            gens.append(g)
-        for e in _matrix_units(n):  # right action: M E^T-style column mix
-            g = [[0] * (m * n) for _ in range(m * n)]
-            for i in range(m):
-                for j in range(n):
-                    for k in range(n):
-                        if e[j][k]:
-                            g[i * n + j][i * n + k] = e[j][k] % p
-            gens.append(g)
-        return gens
-    if kind == "segre3":
-        gens = []
-        for axis in range(3):
-            for e in _matrix_units(2):
-                g = [[0] * 8 for _ in range(8)]
-                for i in range(2):
-                    for j in range(2):
-                        for k in range(2):
-                            idx = (i, j, k)
-                            src = (i * 2 + j) * 2 + k
-                            for t in range(2):
-                                if e[idx[axis]][t]:
-                                    dst_idx = list(idx)
-                                    # value flows from source with axis coord t
-                                    src_idx = list(idx)
-                                    src_idx[axis] = t
-                                    s = (src_idx[0] * 2 + src_idx[1]) * 2 + src_idx[2]
-                                    g[src][s] = (g[src][s] + e[idx[axis]][t]) % p
-                gens.append(g)
-        return gens
-    if kind == "veronese2":
-        n = fam["n"]
-        cells = [(i, j) for i in range(n) for j in range(i, n)]
-        cidx = {c: t for t, c in enumerate(cells)}
-        gens = []
-        for e in _matrix_units(n):
-            g = [[0] * len(cells) for _ in range(len(cells))]
-            for (i, j), src in cidx.items():
-                # S = v v^T: action E S + S E^T on cell (a,b)
-                for a in range(n):
-                    if e[a][i]:
-                        key = (a, j) if a <= j else (j, a)
-                        g[cidx[key]][src] = (g[cidx[key]][src] + e[a][i]) % p
-                    if e[a][j]:
-                        key = (i, a) if i <= a else (a, i)
-                        g[cidx[key]][src] = (g[cidx[key]][src] + e[a][j]) % p
-            gens.append(g)
-        return gens
-    if kind == "gr2":
-        n = fam["n"]
-        pairs, _ = _wedge2_index(n)
-        return [_derivation_on_wedge2(e, n, pairs, p) for e in _matrix_units(n)]
-    if kind == "gr3":
-        return [_derivation_on_wedge3(e, p) for e in _matrix_units(6)]
-    if kind == "lambda20":
-        n = fam["n"]
-        codec, pairs, pidx, form = _lambda20_codec(n, p)
-        return [_conjugate_into(codec, _derivation_on_wedge2(s_mat, n, pairs, p), p)
-                for s_mat in _form_algebra_basis(form, p)]
-    if kind == "lambda30":
-        codec, tidx, form = _lambda30_codec(p)
-        return [_conjugate_into(codec, _derivation_on_wedge3(s_mat, p), p)
-                for s_mat in _form_algebra_basis(form, p)]
-    if kind == "quadric":
-        n = fam["n"]
-        return _form_algebra_basis(_split_symmetric_modp(n, p), p)
-    if kind == "spinor10":
-        gens = []
-        sub_index = {frozenset(s): i for i, s in enumerate(EVEN_SUBSETS)}
-
-        def op_matrix(action):
-            g = [[0] * 16 for _ in range(16)]
-            for idx, s in enumerate(EVEN_SUBSETS):
-                for (target, coeff) in action(frozenset(s)):
-                    g[sub_index[target]][idx] = (g[sub_index[target]][idx]
-                                                 + coeff) % p
-            return g
-
-        for i, j in itertools.combinations(range(5), 2):
-            def wedge_ij(s, i=i, j=j):
-                if i in s or j in s:
-                    return []
-                return [(s | {i, j}, 1)]
-
-            def contract_ij(s, i=i, j=j):
-                if i not in s or j not in s:
-                    return []
-                return [(s - {i, j}, 1)]
-            gens.append(op_matrix(wedge_ij))
-            gens.append(op_matrix(contract_ij))
-        for i in range(5):
-            for j in range(5):
-                def mixed(s, i=i, j=j):
-                    if j not in s:
-                        return []
-                    if i in s and i != j:
-                        return []
-                    return [((s - {j}) | {i}, 1)]
-                gens.append(op_matrix(mixed))
-        return gens
-    if kind == "sl3adj":
-        cells = [(0, 0), (1, 1), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-        cidx = {c: t for t, c in enumerate(cells)}
-
-        def unfold(vec):
-            mat = [[0] * 3 for _ in range(3)]
-            for (i, j), val in zip(cells, vec):
-                mat[i][j] = val
-            mat[2][2] = (-mat[0][0] - mat[1][1]) % p
-            return mat
-
-        def fold(mat):
-            return [mat[i][j] % p for (i, j) in cells]
-
-        gens = []
-        for e in _matrix_units(3):
-            g = [[0] * 8 for _ in range(8)]
-            for col in range(8):
-                basis = [0] * 8
-                basis[col] = 1
-                x = unfold(basis)
-                bracket = [[(sum(e[i][k] * x[k][j] for k in range(3))
-                             - sum(x[i][k] * e[k][j] for k in range(3))) % p
-                            for j in range(3)] for i in range(3)]
-                for row, val in enumerate(fold(bracket)):
-                    g[row][col] = val
-            gens.append(g)
-        return gens
-    raise ValueError("no algebra action available for family %r" % family)
-
-
-#: Families with field-independent rank <= 2 for x + t.x (matrix rank /
-#: skew normal form arguments work over any field).
-_ASSERT_FAMILIES = ("segre", "gr2")
-
-
 def tangent_probe(family: str, p: int, threads: int = 1) -> TangentReport:
     """BFS rank of x + t.x over all cone representatives x and algebra
     generators t.  Asserts rank <= 2 for matrix/skew families where the
     bound is field-independent; reports (without asserting) elsewhere."""
     table = rank_table(family, p, threads=threads)
-    gens = _family_generators(family, p)
+    rec, fam = _family(family)
+    gens = rec.generators(fam, p)
     gens = gens + _composite_batch(gens, p, family)
-    kind = parse_family(family)["kind"]
     hist = {}
     probes = 0
     for code in table.points.reps:
@@ -1228,16 +1133,15 @@ def tangent_probe(family: str, p: int, threads: int = 1) -> TangentReport:
             hist[r] = hist.get(r, 0) + 1
             probes += 1
     mx = max(hist)
-    asserted = kind in _ASSERT_FAMILIES
-    if asserted and mx > 2:
+    if rec.asserted and mx > 2:
         raise AssertionError(
             "tangent probe exceeded rank 2 on a field-independent family")
     label = ("asserted: field-independent rank <= 2 bound"
-             if asserted else
+             if rec.asserted else
              "report-only: finite-field rank may exceed the "
              "characteristic-0 border rank")
     return TangentReport(family=family, prime=p, probes=probes,
-                         histogram=hist, max_rank=mx, asserted=asserted,
+                         histogram=hist, max_rank=mx, asserted=rec.asserted,
                          label=label)
 
 
@@ -1261,107 +1165,19 @@ def tensor222_check(p: int, threads: int = 1) -> bool:
 # Alternating 3-tensor lift comparison over F_2
 # ---------------------------------------------------------------------------
 
-_TR2_POLY = None
-
-
-def wedge3_tr2_poly():
-    """The unnormalized quartic invariant as a dict {sorted variable tuple:
-    integer coefficient} over the 20 lexicographic wedge coordinates.
-    Zero-testing this polynomial is equivalent to zero-testing the
-    normalized quartic."""
-    global _TR2_POLY
-    if _TR2_POLY is not None:
-        return _TR2_POLY
-    tidx = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
-    full = (0, 1, 2, 3, 4, 5)
-
-    def perm_sign(seq):
-        inv = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq))
-                  if seq[a] > seq[b])
-        return -1 if inv % 2 else 1
-
-    def coeff_var(i, j, k):
-        if len({i, j, k}) != 3:
-            return None
-        key = tuple(sorted((i, j, k)))
-        return (tidx[key], perm_sign((i, j, k)))
-
-    # phi[k][i] as sparse quadratics {(v1 <= v2): coeff}
-    phi = [[{} for _ in range(6)] for _ in range(6)]
-    for i in range(6):
-        four = {}
-        for t in WEDGE3_TRIPLES:
-            if i in t:
-                continue
-            quad = tuple(sorted((i,) + t))
-            pos = quad.index(i)
-            four.setdefault(quad, []).append((tidx[t], (-1) ** pos))
-        for e, f in itertools.combinations(range(6), 2):
-            comp = tuple(x for x in full if x not in (e, f))
-            terms = four.get(comp, [])
-            if not terms:
-                continue
-            eps = perm_sign((e, f) + comp)
-            for k in range(6):
-                cv = coeff_var(k, e, f)
-                if cv is None:
-                    continue
-                var1, s1 = cv
-                entry = phi[k][i]
-                for var2, s2 in terms:
-                    key = (var1, var2) if var1 <= var2 else (var2, var1)
-                    entry[key] = entry.get(key, 0) + s1 * eps * s2
-    poly = {}
-    for a in range(6):
-        for b in range(6):
-            for (v1, v2), c1 in phi[a][b].items():
-                if not c1:
-                    continue
-                for (v3, v4), c2 in phi[b][a].items():
-                    if not c2:
-                        continue
-                    key = tuple(sorted((v1, v2, v3, v4)))
-                    poly[key] = poly.get(key, 0) + c1 * c2
-    _TR2_POLY = {k: v for k, v in poly.items() if v}
-    return _TR2_POLY
-
-
 def wedge3_tr2_values(coords) -> np.ndarray:
     """Exact values of the unnormalized quartic on an (N, 20) integer
     coordinate array, vectorized.  Entries must be small (|c| <= 100 or so)
     for the int64 accumulation to stay exact."""
-    coords = np.asarray(coords)
-    monos = [(mono, c) for mono, c in wedge3_tr2_poly().items() if c]
+    coords = np.asarray(coords, dtype=np.int64)
+    poly = wedge3_tr2_poly()
     out = np.zeros(len(coords), dtype=np.int64)
     step = 1 << 16
     for lo in range(0, len(coords), step):
-        block = coords[lo:lo + step].astype(np.int64)
-        acc = np.zeros(len(block), dtype=np.int64)
-        for mono, c in monos:
-            term = block[:, mono[0]].copy()
-            for v in mono[1:]:
-                term *= block[:, v]
-            acc += c * term
-        out[lo:lo + step] = acc
+        # one contiguous array per coordinate, evaluated like scalars
+        columns = np.ascontiguousarray(coords[lo:lo + step].T)
+        out[lo:lo + step] = _tr2_value(poly, columns)
     return out
-
-
-def _divisor_matrix_int(co):
-    """The 15x6 integer matrix of v -> v wedge psi in the quartic-free
-    coordinates; its kernel is the divisor space."""
-    tidx = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
-    rows = []
-    for quad in itertools.combinations(range(6), 4):
-        row = []
-        for i in range(6):
-            if i not in quad:
-                row.append(0)
-                continue
-            rest = tuple(x for x in quad if x != i)
-            pos = quad.index(i)
-            row.append(((-1) ** pos) * int(co[tidx[rest]]))
-        rows.append(row)
-    return rows
 
 
 def _gr3_point_lifts(table: "RankTable") -> tuple:
@@ -1371,27 +1187,18 @@ def _gr3_point_lifts(table: "RankTable") -> tuple:
     row r reduces to codes[r] mod 2."""
     codes = table.points.cone_codes()
     lifts = np.zeros((len(codes), 20), dtype=np.int8)
-    tidx = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
     for r, code in enumerate(codes):
         co = [(int(code) >> i) & 1 for i in range(20)]
-        kernel = modp_nullspace(_divisor_matrix_int(co), 2)
+        kernel = modp_nullspace(_divisor_matrix(co), 2)
         if len(kernel) != 3:
             raise AssertionError(
                 "cone point %d has mod-2 divisor dimension %d, expected 3"
                 % (code, len(kernel)))
-        basis = [[int(x) % 2 for x in vec] for vec in kernel]
-        for (i, j, k), pos in tidx.items():
-            det = (
-                basis[0][i] * (basis[1][j] * basis[2][k]
-                               - basis[1][k] * basis[2][j])
-                - basis[0][j] * (basis[1][i] * basis[2][k]
-                                 - basis[1][k] * basis[2][i])
-                + basis[0][k] * (basis[1][i] * basis[2][j]
-                                 - basis[1][j] * basis[2][i]))
-            lifts[r][pos] = det
-            if det % 2 != co[pos]:
-                raise AssertionError("integer lift of point %d does not "
-                                     "reduce to it mod 2" % code)
+        lift = _wedge_rows(kernel, 6)
+        if [v % 2 for v in lift] != co:
+            raise AssertionError("integer lift of point %d does not "
+                                 "reduce to it mod 2" % code)
+        lifts[r] = lift
     return codes, lifts
 
 
@@ -1464,7 +1271,7 @@ def wedge3_f2_report(threads: int = 1, cache: bool = True) -> dict:
     report["rank2_quartic_nonzero"] = int(len(twos) - len(need_divisor))
     report["rank2_divisor_checked"] = int(len(need_divisor))
     for row in need_divisor:
-        mat = _divisor_matrix_int([int(x) for x in two_lifts[row]])
+        mat = _divisor_matrix([int(x) for x in two_lifts[row]])
         if int_rank(mat) >= 6:
             report["criterion_le_bfs"] = False
             report["first_violation"] = int(twos[row])
@@ -1474,9 +1281,8 @@ def wedge3_f2_report(threads: int = 1, cache: bool = True) -> dict:
 
     # frozen regression value: the witness element reduced mod 2
     witness_code = 0
-    tidx = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
     for t in ((0, 1, 3), (0, 2, 4), (1, 2, 5)):
-        witness_code |= 1 << tidx[t]
+        witness_code |= 1 << WEDGE3_INDEX[t]
     report["witness_code"] = int(witness_code)
     report["witness_bfs_rank"] = int(table.rank_of_code(witness_code))
     report["max_rank"] = int(table.max_rank)

@@ -15,6 +15,7 @@ multi-index order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .linalg import (
+    _integer_row,
     exact_rationals,
     int_rank,
     matvec,
@@ -53,7 +55,9 @@ __all__ = [
     "wedge3_quartic",
     "wedge3_divisor_space",
     "wedge3_transform",
+    "wedge3_tr2_poly",
     "WEDGE3_TRIPLES",
+    "WEDGE3_INDEX",
     "wedge3_from_triples",
     "sp6_wedge3_witness",
     "rank_of_tensor",
@@ -61,12 +65,9 @@ __all__ = [
 
 
 def _perm_sign(seq) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    """Sign of the permutation that sorts seq (distinct entries)."""
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 def _check_matrix(mat, square=False):
@@ -242,7 +243,7 @@ def _chevalley_pair(su, sv):
     if set(su) & set(sv) or len(su) + len(sv) != 5:
         return 0
     rev = (-1) ** (len(su) * (len(su) - 1) // 2)
-    return rev * _perm_sign(su + sv) * (1 if _perm_sign(tuple(range(5))) else 1)
+    return rev * _perm_sign(su + sv)
 
 
 def purity_quadric_table():
@@ -422,18 +423,12 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
         raise ValueError("input two-form is not annihilated by the symplectic form")
 
     # integer rescaling: A / den == current remainder, den > 0
-    den = 1
-    for row in m:
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    a = [[int(v * den) for v in row] for row in m]
+    flat, den = _integer_row(v for row in m for v in row)
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     # the form only enters through zero tests, so any integer rescaling works
-    fden = 1
-    for row in f:
-        for v in row:
-            fden = fden * v.denominator // math.gcd(fden, v.denominator)
-    fnz = [(i, j, int(g * fden)) for i, row in enumerate(f)
-           for j, g in enumerate(row) if g]
+    flat, _ = _integer_row(g for row in f for g in row)
+    fnz = [(i, j, flat[i * n + j]) for i in range(n) for j in range(n)
+           if flat[i * n + j]]
 
     def bil_int(x, y):
         return sum(g * x[i] * y[j] for i, j, g in fnz)
@@ -548,6 +543,14 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
 # Three-factor flattenings
 # ---------------------------------------------------------------------------
 
+def _flattening(vec, sizes, axis):
+    """Matrix of a flat row-major tensor whose rows run along one axis."""
+    stride = math.prod(sizes[axis + 1:])
+    block = stride * sizes[axis]
+    return [[vec[b + c * stride + s] for b in range(0, len(vec), block)
+             for s in range(stride)] for c in range(sizes[axis])]
+
+
 def flattening_images(coords, dims):
     """Bases (reduced echelon rows) of the three flattening images of a
     three-factor tensor given by flat coordinates in row-major order."""
@@ -556,25 +559,11 @@ def flattening_images(coords, dims):
     if len(co) != d1 * d2 * d3:
         raise ValueError("tensor needs %d coordinates, got %d"
                          % (d1 * d2 * d3, len(co)))
-
-    def entry(i, j, k):
-        return co[(i * d2 + j) * d3 + k]
-
     images = []
-    for axis, d in ((0, d1), (1, d2), (2, d3)):
-        rows = []
-        ranges = [range(d1), range(d2), range(d3)]
-        ranges[axis] = [None]
-        other = [r for a, r in enumerate(ranges) if a != axis]
-        for jk in itertools.product(*other):
-            vec = []
-            for i in range(d):
-                idx = list(jk)
-                idx.insert(axis, i)
-                vec.append(entry(*idx))
-            rows.append(vec)
-        red, piv = row_reduce(rows)
-        images.append([red[r] for r in range(len(piv))])
+    for axis in range(3):
+        # the image along an axis is spanned by its flattening's columns
+        red, piv = row_reduce(zip(*_flattening(co, dims, axis)))
+        images.append(red[:len(piv)])
     return tuple(images)
 
 
@@ -582,9 +571,68 @@ def flattening_images(coords, dims):
 # Alternating 3-tensors on a 6-dimensional space
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _subset_index(n: int, k: int) -> dict:
+    """{k-subset of range(n): its coordinate}, subsets in lexicographic
+    order: the coordinates of k-vectors on an n-dimensional space."""
+    return {s: t for t, s in enumerate(itertools.combinations(range(n), k))}
+
+
+#: {lexicographic triple: coordinate} for the 20 coordinates.
+WEDGE3_INDEX = _subset_index(6, 3)
 #: Lexicographic triples indexing the 20 coordinates.
-WEDGE3_TRIPLES = tuple(itertools.combinations(range(6), 3))
-_TRIPLE_INDEX = {t: i for i, t in enumerate(WEDGE3_TRIPLES)}
+WEDGE3_TRIPLES = tuple(WEDGE3_INDEX)
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_template(n: int, k: int) -> tuple:
+    """The product v ^ w of a vector v and a k-vector w on n coordinates:
+    one row per (k+1)-subset S, in lexicographic order, of triples
+    (i, t, sign) with (v ^ w)[S] = sum of sign * v[i] * w[t], where t is
+    the coordinate of S without i and sign is -1 to the position of i in
+    S.  Read by columns it is the divisor matrix of w; read by rows it
+    builds wedges of vectors one factor at a time."""
+    index = _subset_index(n, k)
+    return tuple(
+        tuple((i, index[s[:pos] + s[pos + 1:]], -1 if pos % 2 else 1)
+              for pos, i in enumerate(s))
+        for s in itertools.combinations(range(n), k + 1))
+
+
+def _divisor_matrix(w, n: int = 6, k: int = 3) -> list:
+    """Matrix of v -> v ^ w for a k-vector w; its kernel is the divisor
+    space of w.  Entries are signed coordinates of w, so the same matrix
+    serves over Q, Z and F_p."""
+    rows = []
+    for entries in _wedge_template(n, k):
+        row = [0] * n
+        for i, t, sign in entries:
+            row[i] = sign * w[t]
+        rows.append(row)
+    return rows
+
+
+def _wedge_rows(rows, n: int) -> list:
+    """Coordinates of rows[0] ^ ... ^ rows[-1] on n coordinates: the
+    maximal minors of the rows, by Laplace expansion along each row."""
+    w = [1]
+    for k, v in enumerate(reversed(rows)):
+        w = [sum(sign * v[i] * w[t] for i, t, sign in entries)
+             for entries in _wedge_template(n, k)]
+    return w
+
+
+def _contraction_rows(form, n: int, k: int) -> list:
+    """Matrix of the contraction of k-vectors on n coordinates with a
+    2-form, one row per (k-2)-subset: e_S goes to the sum over positions
+    a < b of (-1)**(a+b+1) * form[S_a][S_b] * e_(S without S_a and S_b)."""
+    subsets, rest_index = _subset_index(n, k), _subset_index(n, k - 2)
+    rows = [[0] * len(subsets) for _ in rest_index]
+    for s, t in subsets.items():
+        for a, b in itertools.combinations(range(k), 2):
+            rest = s[:a] + s[a + 1:b] + s[b + 1:]
+            rows[rest_index[rest]][t] += (-1) ** (a + b + 1) * form[s[a]][s[b]]
+    return rows
 
 
 def wedge3_from_triples(terms):
@@ -595,78 +643,89 @@ def wedge3_from_triples(terms):
         if len({i, j, k}) != 3:
             raise ValueError("degenerate triple (%d,%d,%d)" % (i, j, k))
         key = tuple(sorted((i, j, k)))
-        co[_TRIPLE_INDEX[key]] += _perm_sign((i, j, k)) * Q(val)
+        co[WEDGE3_INDEX[key]] += _perm_sign((i, j, k)) * Q(val)
     return co
-
-
-def _wedge3_coeff(co, i, j, k):
-    key = tuple(sorted((i, j, k)))
-    return _perm_sign((i, j, k)) * co[_TRIPLE_INDEX[key]] if len({i, j, k}) == 3 else Q(0)
 
 
 def wedge3_divisor_space(co):
     """Basis of the space of vectors v with v wedge psi = 0 (the divisors)."""
-    quads = tuple(itertools.combinations(range(6), 4))
-    rows = []
-    for quad in quads:
-        row = []
-        for i in range(6):
-            if i not in quad:
-                row.append(Q(0))
-                continue
-            rest = tuple(x for x in quad if x != i)
-            pos = quad.index(i)
-            row.append(((-1) ** pos) * co[_TRIPLE_INDEX[rest]])
-        rows.append(row)
-    return nullspace(rows)
+    return nullspace(_divisor_matrix(co))
 
 
-def _wedge3_tr2(co):
-    """Raw trace-square of the double contraction operator phi: wedge the
-    tensor with a basis vector to a 4-form, pass through the volume form to
-    a 2-covector, contract back into the tensor."""
-    full = (0, 1, 2, 3, 4, 5)
-    phi = [[Q(0)] * 6 for _ in range(6)]
+@functools.lru_cache(maxsize=None)
+def _tr2_table() -> tuple:
+    """The unnormalized quartic invariant tr(phi^2) as a polynomial in the
+    20 coordinates, and its value on e0^e1^e2 + e3^e4^e5.
+
+    phi is the double contraction operator: phi[k][i] wedges the tensor
+    with e_i to a 4-form, passes it through the volume form to a
+    2-covector and contracts that back into the tensor, so each entry is a
+    quadratic form {(v1 <= v2): coefficient}.  The polynomial is
+    {sorted 4-tuple of coordinates: integer coefficient}, zero terms
+    dropped."""
+    # four[i][S] = (coordinate, sign) of e_i ^ psi on the 4-subset S
+    four = [{} for _ in range(6)]
+    for s, entries in zip(itertools.combinations(range(6), 4),
+                          _wedge_template(6, 3)):
+        for i, t, sign in entries:
+            four[i][s] = (t, sign)
+    phi = [[{} for _ in range(6)] for _ in range(6)]
     for i in range(6):
-        # (e_i ^ psi) as a 4-form
-        four = {}
-        for t in WEDGE3_TRIPLES:
-            if i in t:
-                continue
-            quad = tuple(sorted((i,) + t))
-            pos = quad.index(i)
-            four[quad] = four.get(quad, Q(0)) + ((-1) ** pos) * co[_TRIPLE_INDEX[t]]
-        # beta_{ef} = volume-form contraction of the 4-form on the complement
         for e, f in itertools.combinations(range(6), 2):
-            comp = tuple(x for x in full if x not in (e, f))
-            val = four.get(comp, Q(0))
-            if val == 0:
+            comp = tuple(x for x in range(6) if x not in (e, f))
+            if comp not in four[i]:
                 continue
-            beta = _perm_sign((e, f) + comp) * val
+            var2, s2 = four[i][comp]
+            eps = _perm_sign((e, f) + comp)
             for k in range(6):
-                coeff = _wedge3_coeff(co, k, e, f)
-                if coeff:
-                    phi[k][i] += coeff * beta
-    return sum(phi[a][b] * phi[b][a] for a in range(6) for b in range(6))
+                if k in (e, f):
+                    continue
+                var1 = WEDGE3_INDEX[tuple(sorted((k, e, f)))]
+                key = (min(var1, var2), max(var1, var2))
+                entry = phi[k][i]
+                entry[key] = entry.get(key, 0) + _perm_sign((k, e, f)) * eps * s2
+    poly = {}
+    for a in range(6):
+        for b in range(6):
+            for (v1, v2), c1 in phi[a][b].items():
+                if not c1:
+                    continue
+                for (v3, v4), c2 in phi[b][a].items():
+                    if not c2:
+                        continue
+                    key = tuple(sorted((v1, v2, v3, v4)))
+                    poly[key] = poly.get(key, 0) + c1 * c2
+    poly = {key: c for key, c in poly.items() if c}
+    pin = [0] * 20
+    pin[WEDGE3_INDEX[(0, 1, 2)]] = pin[WEDGE3_INDEX[(3, 4, 5)]] = 1
+    norm = _tr2_value(poly, pin)
+    if norm == 0:
+        raise AssertionError("quartic normalizer vanished on the two-block element")
+    return poly, norm
 
 
-_W3_NORM = None
+def _tr2_value(poly, x):
+    """The quartic table at x: ints, Fractions or numpy columns."""
+    return sum(c * x[a] * x[b] * x[e] * x[f] for (a, b, e, f), c in poly.items())
+
+
+def wedge3_tr2_poly() -> dict:
+    """The unnormalized quartic invariant as a dict {sorted variable tuple:
+    integer coefficient} over the 20 lexicographic wedge coordinates.
+    Zero-testing this polynomial is equivalent to zero-testing the
+    normalized quartic."""
+    return _tr2_table()[0]
 
 
 def wedge3_quartic(co):
     """Quartic invariant normalized so the two-block element
     e0^e1^e2 + e3^e4^e5 takes value 1; vanishes on decomposable and
-    divisible elements and is nonzero exactly on the open orbit."""
-    global _W3_NORM
-    if _W3_NORM is None:
-        pin = [Q(0)] * 20
-        pin[_TRIPLE_INDEX[(0, 1, 2)]] = Q(1)
-        pin[_TRIPLE_INDEX[(3, 4, 5)]] = Q(1)
-        raw = _wedge3_tr2(pin)
-        if raw == 0:
-            raise AssertionError("quartic normalizer vanished on the two-block element")
-        _W3_NORM = raw
-    return _wedge3_tr2([Q(v) for v in co]) / _W3_NORM
+    divisible elements and is nonzero exactly on the open orbit.  It is
+    homogeneous of degree 4, so it is evaluated on the coordinates with
+    their denominators cleared."""
+    poly, norm = _tr2_table()
+    ints, den = _integer_row(Q(v) for v in co)
+    return Q(_tr2_value(poly, ints), norm * den ** 4)
 
 
 def wedge3_c6_rank(co) -> int:
@@ -696,21 +755,13 @@ def wedge3_transform(co, mat):
     if len(m) != 6:
         raise ValueError("transform needs a 6x6 matrix")
     co = [Q(v) for v in co]
+    cols = list(zip(*m))
     out = [Q(0)] * 20
-    for ti, tgt in enumerate(WEDGE3_TRIPLES):
-        acc = Q(0)
-        for si, src in enumerate(WEDGE3_TRIPLES):
-            if co[si] == 0:
-                continue
-            det = Q(0)
-            for perm in itertools.permutations(range(3)):
-                term = _perm_sign(perm)
-                prod = Q(term)
-                for r in range(3):
-                    prod *= m[tgt[r]][src[perm[r]]]
-                det += prod
-            acc += det * co[si]
-        out[ti] = acc
+    for src, c in zip(WEDGE3_TRIPLES, co):
+        if c:
+            # the image of e_src is the wedge of the three source columns
+            image = _wedge_rows([cols[j] for j in src], 6)
+            out = [acc + minor * c for acc, minor in zip(out, image)]
     return out
 
 
@@ -752,16 +803,8 @@ def sp6_wedge3_witness():
     for i, j in ((0, 5), (1, 4), (2, 3)):
         form[i][j] = Q(1)
         form[j][i] = Q(-1)
-    # contraction: sum over pairs inside each basis triple
-    contraction = [Q(0)] * 6
-    for (a, b, c) in WEDGE3_TRIPLES:
-        val = co[_TRIPLE_INDEX[(a, b, c)]]
-        if val == 0:
-            continue
-        contraction[c] += form[a][b] * val
-        contraction[b] -= form[a][c] * val
-        contraction[a] += form[b][c] * val
-    contraction_zero = all(v == 0 for v in contraction)
+    contraction_zero = all(sum(r * c for r, c in zip(row, co)) == 0
+                           for row in _contraction_rows(form, 6, 3))
     planes = [(0, 1, 3), (0, 4, 2), (5, 1, 2)]
     isotropic = all(form[p[u]][p[v]] == 0
                     for p in planes

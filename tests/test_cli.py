@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -234,6 +235,16 @@ class TestOracle:
         code, _ = run_cli("oracle", "spinor10", "--prime", "3")
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,p", [("gr2-100000", 2),
+                                          ("gr2-20000", 13)])
+    def test_huge_family_exit_2_at_once(self, family, p, capsys):
+        # refused from its dimension alone, before p ** dim is taken
+        start = time.perf_counter()
+        code, _ = run_cli("oracle", family, "--prime", str(p))
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5
 
     def test_unknown_family_exit_1(self, capsys):
         code, _ = run_cli("oracle", "mystery-9", "--prime", "2")

@@ -9,6 +9,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secant.linalg import modp_rank
 from secant.oracle import (
@@ -33,6 +35,7 @@ from secant.oracle import (
     wedge3_tr2_poly,
     wedge3_tr2_values,
 )
+from secant.oracle import _FAMILIES, _family  # noqa: internal registry
 from secant.ranks import (
     WEDGE3_TRIPLES,
     purity_quadric_table,
@@ -122,6 +125,47 @@ class TestFamilies:
         assert AMBIENT_CAP == 1 << 24
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.from_regex(r"(segre|veronese2|gr[23]|lambda[23]0|quadric|sl3)"
+                  r"-[0-9x-]{0,7}", fullmatch=True)))
+def test_parse_family_returns_or_raises_value_error(name):
+    try:
+        fam = parse_family(name)
+    except ValueError:
+        return
+    assert fam["kind"] in {rec.kind for rec in _FAMILIES}
+    assert family_dim(name) >= 1
+
+
+class TestRegistry:
+    """Every family kind, through its own record."""
+
+    INSTANCES = {
+        "segre": ("segre-2x3", 3), "segre3": ("segre-2x2x2", 3),
+        "veronese2": ("veronese2-3", 3), "gr2": ("gr2-5", 2),
+        "gr3": ("gr3-6", 2), "lambda20": ("lambda20-6", 2),
+        "lambda30": ("lambda30-6", 2), "quadric": ("quadric-5", 3),
+        "spinor10": ("spinor10", 2), "sl3adj": ("sl3-adjoint", 3),
+    }
+
+    def test_instances_cover_every_kind(self):
+        assert set(self.INSTANCES) == {rec.kind for rec in _FAMILIES}
+
+    @pytest.mark.parametrize("kind", sorted(INSTANCES))
+    def test_dim_and_membership(self, kind):
+        family, p = self.INSTANCES[kind]
+        rec, fam = _family(family)
+        assert fam == parse_family(family)
+        assert fam["kind"] == kind
+        pts = enumerate_cone_points(family, p)
+        assert family_dim(family) == pts.dim
+        member = rec.member(fam, p)
+        for code in pts.reps:
+            assert member(tuple(decode_vec(code, p, pts.dim)))
+
+
 class TestEncoding:
     def test_roundtrip(self):
         rng = random.Random(5)
@@ -207,8 +251,11 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_isotropic_points_are_isotropic(self, p):
-        from secant.oracle import _lambda20_codec  # noqa: internal helper
-        codec, pairs, pidx, form = _lambda20_codec(6, p)
+        from secant.oracle import _isotropic_codec  # noqa: internal helper
+        codec = _isotropic_codec(6, 2, p)
+        pairs = list(itertools.combinations(range(6), 2))
+        pidx = {pq: t for t, pq in enumerate(pairs)}
+        form = mirror_symplectic_form(6)
         pts = enumerate_cone_points("lambda20-6", p)
         assert "codec" in pts.meta
         for code in pts.reps:
@@ -372,6 +419,14 @@ class TestCaching:
             fh.write("{not json")
         t3 = rank_table("segre-2x2", 2)
         assert np.array_equal(t1.ranks, t3.ranks)
+        # a header that is not an object, or has a field of the wrong type
+        for header in ("[]", '{"version": 2, "prime": "2", "dim": 6}'):
+            with open(stem + ".json", "w") as fh:
+                fh.write(header)
+            with pytest.raises(ValueError):
+                RankTable.load(stem)
+            t4 = rank_table("segre-2x2", 2)
+            assert np.array_equal(t1.ranks, t4.ranks)
 
     def test_save_leaves_no_temporaries(self, tmp_path):
         table = rank_table("segre-2x2", 3, cache=False)
@@ -423,6 +478,23 @@ class TestTangentProbes:
         assert not rep.asserted
         assert rep.max_rank <= 3
 
+    # recorded from commit 37b77ff, before the family registry, to pin the
+    # generators; veronese2 reaches rank 3 because its generators act on
+    # quadratic-form coefficients while its points are the cells of v v^T
+    @pytest.mark.parametrize("family,p,probes,histogram", [
+        ("segre-2x2x2", 3, 2304, {0: 42, 1: 1250, 2: 684, 3: 328}),
+        ("veronese2-3", 3, 429, {0: 8, 1: 49, 2: 205, 3: 167}),
+        ("lambda20-4", 3, 1360, {0: 16, 1: 579, 2: 765}),
+        ("quadric-5", 3, 1360, {0: 5, 1: 623, 2: 732}),
+        ("spinor10", 2, 158355, {0: 693, 1: 110890, 2: 46772}),
+        ("sl3-adjoint", 3, 1716, {0: 37, 1: 466, 2: 1213}),
+    ])
+    def test_pinned_histogram(self, family, p, probes, histogram):
+        rep = tangent_probe(family, p)
+        assert not rep.asserted
+        assert rep.probes == probes
+        assert rep.histogram == histogram
+
 
 class TestThreeFactorLowerBound:
     @pytest.mark.parametrize("p", [2, 3])
@@ -437,10 +509,15 @@ class TestThreeFactorLowerBound:
 class TestWedge3Lift:
     def test_tr2_matches_normalized_quartic(self):
         rng = random.Random(77)
-        for _ in range(40):
+        for trial in range(40):
             co = [rng.randint(-3, 3) for _ in range(20)]
             raw = int(wedge3_tr2_values(np.array([co]))[0])
             assert Q(raw, 6) == wedge3_quartic(co)
+            # Fraction coordinates, whose reduced denominators differ; the
+            # quartic is homogeneous of degree 4
+            den = 2 + trial % 5
+            scaled = [Q(c, den) for c in co]
+            assert Q(raw, 6 * den ** 4) == wedge3_quartic(scaled)
 
     def test_tr2_poly_is_quartic(self):
         poly = wedge3_tr2_poly()

@@ -11,6 +11,7 @@ from secant.chevalley import split_symmetric_form
 from secant.linalg import rank as mat_rank
 from secant.ranks import (
     EVEN_SUBSETS,
+    WEDGE3_INDEX,
     WEDGE3_TRIPLES,
     CoformDecomposition,
     Tensor,
@@ -37,7 +38,6 @@ from secant.ranks import (
     wedge3_quartic,
     wedge3_transform,
 )
-from secant.ranks import _TRIPLE_INDEX  # noqa: internal, used to build fixtures
 
 
 def outer_sum(us, vs):
@@ -376,7 +376,7 @@ class TestWedge3:
 
     def test_triple_builder_signs(self):
         co = wedge3_from_triples([(2, 1, 0, 1)])
-        assert co[_TRIPLE_INDEX[(0, 1, 2)]] == -1
+        assert co[WEDGE3_INDEX[(0, 1, 2)]] == -1
         with pytest.raises(ValueError):
             wedge3_from_triples([(0, 0, 1, 1)])
 
