@@ -7,19 +7,26 @@ wildness witnesses: the adjoint-orbit dimensions attached to sums of root
 vectors in the largest exceptional algebra, and image statistics of skew
 bilinear coforms on a quadratic space (dimension of the image, rank of the
 restricted symmetric form).
+
+Integers first: structure constants are computed on simple-root
+coefficient tuples with the root system's integer Gram matrix, and the
+coform statistics clear denominators once and eliminate over the integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import factorial
 
 from .linalg import (
     IntEchelon,
+    _integer_matrix,
     _integer_row,
-    dot,
+    int_rank,
     int_row_basis,
     inverse,
     matmul,
@@ -68,6 +75,8 @@ class ChevalleyAlgebra:
     l + k is the root vector e_alpha for alpha = self.root_list[k]
     (positive roots in height-lex order, then their negatives in the
     same order).  Elements are sparse dicts {basis index: coefficient}.
+    `_n` maps pairs of simple-root coefficient tuples (a, b) with a + b a
+    root to the structure constant N(a, b).
     """
 
     def __init__(self, system: RootSystem, sign_fn=None):
@@ -79,30 +88,32 @@ class ChevalleyAlgebra:
         self.root_list: tuple = tuple(pos + neg)
         self.root_index = {r: i for i, r in enumerate(self.root_list)}
         self.dim = l + len(self.root_list)
-        self._root_set = set(self.root_list)
+        coeffs = list(system.positive_coeffs)
+        coeffs += [tuple(-c for c in r) for r in coeffs]
+        self._coeffs = tuple(coeffs)
         self._n = _structure_constants(system, sign_fn)
-        # pairing of each root with the simple coroots: [h_i, e_a] = <a, a_i^v> e_a
-        self._h_action = []
-        for r in self.root_list:
-            row = []
-            for i in range(l):
-                c = system.coroot_pairing(r, i)
-                assert c.denominator == 1
-                row.append(int(c))
-            self._h_action.append(tuple(row))
-        # [e_a, e_{-a}] = sum_i m_i (a_i,a_i)/(a,a) h_i  for a = sum_i m_i a_i
-        self._coroot = []
-        for r in self.root_list:
-            coeffs = system.root_coeffs(r)
-            rr = system.inner(r, r)
-            entry = {}
-            for i, m in enumerate(coeffs):
+        # nonzero brackets of basis vectors as (basis index, coefficient)
+        # terms: [h_i, e_a] = <a, a_i^v> e_a, [e_a, e_b] = N(a, b) e_{a+b},
+        # and [e_a, e_-a] = sum_i m_i (a_i,a_i)/(a,a) h_i for a = sum m_i a_i
+        self._table = [{} for _ in range(self.dim)]
+        shared: dict = {}  # one tuple per distinct term list
+
+        def put(i, j, terms):
+            self._table[i][j] = shared.setdefault(terms, terms)
+
+        index = {r: k for k, r in enumerate(coeffs, l)}
+        for k, r in enumerate(coeffs, l):
+            for i, m in enumerate(system.coroot_marks(r)):
                 if m:
-                    ai = system.simple_roots[i]
-                    c = Q(m) * system.inner(ai, ai) / rr
-                    assert c.denominator == 1
-                    entry[i] = int(c)
-            self._coroot.append(entry)
+                    put(i, k, ((k, m),))
+                    put(k, i, ((k, -m),))
+            rr = system.form(r, r)
+            put(k, index[tuple(-c for c in r)],
+                tuple((i, _exact(m * system.gram[i][i], rr))
+                      for i, m in enumerate(r) if m))
+        for (ra, rb), v in self._n.items():
+            put(index[ra], index[rb],
+                ((index[tuple(map(operator.add, ra, rb))], v),))
 
     # -- naming
 
@@ -117,7 +128,7 @@ class ChevalleyAlgebra:
         l = self.type.rank
         if k < l:
             raise ValueError("basis index %d is a Cartan generator" % k)
-        return self.system.root_coeffs(self.root_list[k - l])
+        return self._coeffs[k - l]
 
     def root_basis_index(self, root) -> int:
         """Basis index of e_alpha for a root given as an epsilon-vector."""
@@ -126,65 +137,57 @@ class ChevalleyAlgebra:
     # -- bracket
 
     def bracket(self, x: dict, y: dict) -> dict:
-        l = self.type.rank
         out: dict = {}
-
-        def add(k, c):
-            if not c:
-                return
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-
         for i, xi in x.items():
-            if not xi:
-                continue
+            row = self._table[i]
             for j, yj in y.items():
-                c = xi * yj
-                if not c:
-                    continue
-                if i < l and j < l:
-                    continue
-                if i < l:  # [h_i, e_b]
-                    add(j, c * self._h_action[j - l][i])
-                elif j < l:  # [e_a, h_j] = -[h_j, e_a]
-                    add(i, -c * self._h_action[i - l][j])
-                else:
-                    ra = self.root_list[i - l]
-                    rb = self.root_list[j - l]
-                    s = tuple(p + q for p, q in zip(ra, rb))
-                    if not any(s):
-                        for hi, hc in self._coroot[i - l].items():
-                            add(hi, c * hc)
-                    elif s in self._root_set:
-                        add(l + self.root_index[s], c * self._n[(ra, rb)])
+                for k, n in row.get(j, ()):
+                    v = out.get(k, 0) + xi * yj * n
+                    if v:
+                        out[k] = v
+                    else:
+                        out.pop(k, None)
         return out
 
 
+def _exact(num: int, den: int) -> int:
+    """num / den, asserting that it divides."""
+    q, rem = divmod(num, den)
+    assert rem == 0, (num, den)
+    return q
+
+
 def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
-    """Integer constants N(a,b) for all root pairs with a+b a root.
+    """Integer constants N(a,b) for all root pairs with a+b a root, keyed by
+    simple-root coefficient tuples.
 
     Signs are pinned on one distinguished ("extraspecial") decomposition of
     each positive non-simple root -- the decomposition whose first summand
     comes earliest in the height-lex order -- where N = +(p+1) with p the
     length of the descending root string.  All other constants follow from
-    the Jacobi identity.  `sign_fn` (coeff tuple -> +-1) overrides the
-    extraspecial sign per root, for convention-independence tests.
+    the Jacobi identity (Carter, Simple Groups of Lie Type, 4.1); ratios of
+    squared lengths come from the integer Gram matrix and divide exactly.
+    `sign_fn` (coeff tuple -> +-1) overrides the extraspecial sign per
+    root, for convention-independence tests.
     """
-    pos = list(system.positive_roots)
+    pos = system.positive_coeffs
     pidx = {r: i for i, r in enumerate(pos)}
-    roots = system.roots
-    inner = system.inner
+    roots = set(pos) | {tuple(-x for x in r) for r in pos}
+    norm = {r: system.form(r, r) for r in roots}
+
+    def neg(a):
+        return tuple(map(operator.neg, a))
+
+    def sub(a, b):
+        return tuple(map(operator.sub, a, b))
 
     def string_down(a, b) -> int:
         # largest k with b - k*a a root
         k = 0
-        cur = tuple(x - y for x, y in zip(b, a))
+        cur = sub(b, a)
         while cur in roots:
             k += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
+            cur = sub(cur, a)
         return k
 
     table: dict = {}  # (a, b) with pidx[a] < pidx[b] -> N(a,b)
@@ -194,67 +197,61 @@ def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
             return table[(a, b)]
         return -table[(b, a)]
 
-    def nval(a, b) -> Q:
-        ha = system.root_height(a)
-        hb = system.root_height(b)
+    def nval(a, b) -> int:
+        ha, hb = sum(a), sum(b)
         if ha > 0 and hb > 0:
-            return Q(npos(a, b))
+            return npos(a, b)
         if ha < 0 and hb < 0:
-            na = tuple(-x for x in a)
-            nb = tuple(-x for x in b)
-            return -Q(npos(na, nb))
+            return -npos(neg(a), neg(b))
         if ha < 0:  # normalize to (positive, negative)
             return -nval(b, a)
-        xi, mu = a, tuple(-x for x in b)
-        nu = tuple(p + q for p, q in zip(a, b))
-        if system.root_height(nu) > 0:
-            return -inner(nu, nu) / inner(xi, xi) * npos(mu, nu)
-        rho = tuple(-x for x in nu)
-        return -inner(rho, rho) / inner(mu, mu) * npos(xi, rho)
+        xi, mu = a, neg(b)
+        nu = tuple(map(operator.add, a, b))
+        if sum(nu) > 0:
+            return _exact(-norm[nu] * npos(mu, nu), norm[xi])
+        rho = neg(nu)
+        return _exact(-norm[rho] * npos(xi, rho), norm[mu])
 
-    by_height: dict = {}
-    for g in pos:
-        by_height.setdefault(system.root_height(g), []).append(g)
-
-    for h in sorted(by_height):
-        if h < 2:
+    for g in pos:  # by height, so every constant used is already known
+        if sum(g) < 2:
             continue
-        for g in by_height[h]:
-            specials = []
-            for a in pos:
-                if pidx[a] >= pidx[g]:
-                    break
-                b = tuple(x - y for x, y in zip(g, a))
-                if b in roots and system.root_height(b) > 0 and pidx[a] < pidx[b]:
-                    specials.append((a, b))
-            specials.sort(key=lambda p: pidx[p[0]])
-            a1, b1 = specials[0]
-            sign = 1 if sign_fn is None else sign_fn(system.root_coeffs(g))
-            if sign not in (1, -1):
-                raise ValueError("sign function must return +1 or -1")
-            n11 = sign * (string_down(a1, b1) + 1)
-            table[(a1, b1)] = n11
-            for a, b in specials[1:]:
-                na = tuple(-x for x in a)
-                d1 = tuple(x - y for x, y in zip(b1, a))
-                d2 = tuple(x - y for x, y in zip(a1, a))
-                t = Q(0)
-                if d1 in roots:
-                    t += nval(b1, na) * nval(d1, a1)
-                if d2 in roots:
-                    t += nval(na, a1) * nval(d2, b1)
-                val = inner(g, g) / inner(b, b) * t / n11
-                assert val.denominator == 1 and val != 0, (a, b, g)
-                table[(a, b)] = int(val)
+        specials = []
+        for a in pos:
+            if pidx[a] >= pidx[g]:
+                break
+            b = sub(g, a)
+            if b in pidx and pidx[a] < pidx[b]:
+                specials.append((a, b))
+        a1, b1 = specials[0]
+        sign = 1 if sign_fn is None else sign_fn(g)
+        if sign not in (1, -1):
+            raise ValueError("sign function must return +1 or -1")
+        n11 = sign * (string_down(a1, b1) + 1)
+        table[(a1, b1)] = n11
+        for a, b in specials[1:]:
+            na = neg(a)
+            d1 = sub(b1, a)
+            d2 = sub(a1, a)
+            t = 0
+            if d1 in roots:
+                t += nval(b1, na) * nval(d1, a1)
+            if d2 in roots:
+                t += nval(na, a1) * nval(d2, b1)
+            val = _exact(norm[g] * t, norm[b] * n11)
+            assert val != 0, (a, b, g)
+            table[(a, b)] = val
 
+    # a root as one integer in signed base 32: coefficients of a sum of
+    # two roots lie in -12..12, so codes add like the tuples
+    code = {r: sum(x << (5 * i) for i, x in enumerate(r)) for r in roots}
+    sums = set(code.values())
     full: dict = {}
-    for a in roots:
-        for b in roots:
-            s = tuple(p + q for p, q in zip(a, b))
-            if s in roots:
+    for a, ca in code.items():
+        for b, cb in code.items():
+            if ca + cb in sums:
                 v = nval(a, b)
-                assert v.denominator == 1 and v != 0
-                full[(a, b)] = int(v)
+                assert v != 0
+                full[(a, b)] = v
     return full
 
 
@@ -309,9 +306,8 @@ def grade_by_fundamental(alg: ChevalleyAlgebra, vertex: int) -> GradedDecomposit
     if not 1 <= vertex <= l:
         raise ValueError("vertex %d out of range 1..%d" % (vertex, l))
     comps: dict = {0: list(range(l))}
-    for k, r in enumerate(alg.root_list):
-        d = alg.system.root_coeffs(r)[vertex - 1]
-        comps.setdefault(d, []).append(l + k)
+    for k, r in enumerate(alg._coeffs):
+        comps.setdefault(r[vertex - 1], []).append(l + k)
     return GradedDecomposition({d: tuple(sorted(v)) for d, v in comps.items()})
 
 
@@ -342,19 +338,12 @@ def exp_ad_apply(alg: ChevalleyAlgebra, n: dict, x: dict, max_terms: int = 30) -
         if not term:
             return out
         for k, v in term.items():
-            c = out.get(k, 0) + Q(v, 1) / _factorial(m)
+            c = out.get(k, 0) + Q(v, 1) / factorial(m)
             if c:
                 out[k] = c
             else:
                 out.pop(k, None)
     raise ValueError("exp_ad_apply: ad-nilpotency not reached; is n nilpotent?")
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,57 +396,49 @@ def e7_wild_witness() -> E7WitnessReport:
     """
     alg = build_chevalley(SimpleType("E", 8))
     sysm = alg.system
-    grading = grade_by_fundamental(alg, 1)
-    l = alg.type.rank
-    theta = sysm.highest_root
-    delta1 = [alg.root_list[k - l] for k in grading.components[1]]
-    delta1_idx = [alg.root_index[r] + l for r in delta1]
+    assert sysm.gram_den == 1  # so form is the invariant inner product
+    inner = sysm.form
+    delta1_idx = list(grade_by_fundamental(alg, 1).components[1])
+    delta1 = [alg.root_of_basis(k) for k in delta1_idx]
+    theta = sysm.positive_coeffs[-1]
     for r in delta1:
-        assert sysm.inner(r, theta) == 1
+        assert inner(r, theta) == 1
 
     single_dim = orbit_dim(alg, {delta1_idx[0]: 1})
 
     pair_dims: dict = {2: single_dim}
-    pair_reps: dict = {
-        2: (sysm.root_coeffs(delta1[0]), sysm.root_coeffs(delta1[0]))
-    }
+    pair_reps: dict = {2: (delta1[0], delta1[0])}
     for i, j in itertools.combinations(range(len(delta1)), 2):
-        v = sysm.inner(delta1[i], delta1[j])
-        assert v.denominator == 1
-        v = int(v)
+        v = inner(delta1[i], delta1[j])
         assert v in (1, 0, -1)
         if v in pair_dims:
             continue
         pair_dims[v] = orbit_dim(alg, {delta1_idx[i]: 1, delta1_idx[j]: 1})
-        pair_reps[v] = (sysm.root_coeffs(delta1[i]), sysm.root_coeffs(delta1[j]))
+        pair_reps[v] = (delta1[i], delta1[j])
         if len(pair_dims) == 4:
             break
 
     triple = None
     for i, j, k in itertools.combinations(range(len(delta1)), 3):
-        if (sysm.inner(delta1[i], delta1[j]) == 0
-                and sysm.inner(delta1[i], delta1[k]) == 0
-                and sysm.inner(delta1[j], delta1[k]) == 0):
+        if (inner(delta1[i], delta1[j]) == 0
+                and inner(delta1[i], delta1[k]) == 0
+                and inner(delta1[j], delta1[k]) == 0):
             triple = (i, j, k)
             break
     if triple is None:
         raise AssertionError(
             "no pairwise orthogonal degree-1 root triple: root table bug")
     i, j, k = triple
+    minus_theta = tuple(-c for c in theta)
     for t in (i, j, k):  # the quadruple with -theta forms a D4 diagram
-        assert sysm.inner(tuple(-c for c in theta), delta1[t]) == -1
+        assert inner(minus_theta, delta1[t]) == -1
     element = {delta1_idx[i]: 1, delta1_idx[j]: 1, delta1_idx[k]: 1}
     witness_dim = orbit_dim(alg, element)
 
-    minus_theta = tuple(-c for c in sysm.root_coeffs(theta))
+    roots = (delta1[i], delta1[j], delta1[k])
     return E7WitnessReport(
-        quadruple=(minus_theta,
-                   sysm.root_coeffs(delta1[i]),
-                   sysm.root_coeffs(delta1[j]),
-                   sysm.root_coeffs(delta1[k])),
-        element_roots=(sysm.root_coeffs(delta1[i]),
-                       sysm.root_coeffs(delta1[j]),
-                       sysm.root_coeffs(delta1[k])),
+        quadruple=(minus_theta,) + roots,
+        element_roots=roots,
         element=element,
         single_dim=single_dim,
         pair_dims=pair_dims,
@@ -563,12 +544,25 @@ def random_so_conjugate(A, G, rng: random.Random, passes: int = 2) -> tuple:
     return A2, G2
 
 
+def _form_value(sym_rows, u, v) -> int:
+    """u^T S v for an integer form given by its sparse rows [(j, S_ij)]."""
+    return sum(x * s * v[j] for x, row in zip(u, sym_rows) if x
+               for j, s in row)
+
+
+def _sparse_rows(sym) -> list:
+    return [[(j, s) for j, s in enumerate(row) if s] for row in sym]
+
+
 def skew_im_stats(omega, sym) -> tuple:
     """(dim Im, rank of the symmetric form on Im) for a skew coform.
 
     `omega` is the matrix of a skew bivector (mapping covectors to vectors
     in the coordinates where `sym` is the matrix of the ambient symmetric
-    form); the ambient form must be nondegenerate.
+    form); the ambient form must be nondegenerate.  Entries are ints or
+    Fractions; each matrix is cleared of denominators once, which scales
+    neither statistic, and the ranks are taken by integer fraction-free
+    elimination.
     """
     n = len(omega)
     for i in range(n):
@@ -577,16 +571,14 @@ def skew_im_stats(omega, sym) -> tuple:
                 raise ValueError("coform matrix is not skew-symmetric")
             if sym[i][j] != sym[j][i]:
                 raise ValueError("ambient form matrix is not symmetric")
-    if rank([list(r) for r in sym]) != n:
+    sym, _ = _integer_matrix(sym)
+    if int_rank(sym) != n:
         raise ValueError("ambient symmetric form is degenerate")
-    # indices of columns of omega spanning its image
-    cols = int_row_basis([_integer_row(col)[0] for col in transpose(omega)])
-    dim_im = len(cols)
-    basis = [[omega[i][c] for i in range(n)] for c in cols]
-    gram = [[sum(Q(u[i]) * sym[i][j] * v[j] for i in range(n) for j in range(n)
-                 if sym[i][j])
-             for v in basis] for u in basis]
-    return dim_im, rank(gram)
+    cols = [list(col) for col in zip(*_integer_matrix(omega)[0])]
+    basis = [cols[c] for c in int_row_basis(cols)]  # spans the image
+    rows = _sparse_rows(sym)
+    gram = [[_form_value(rows, u, v) for v in basis] for u in basis]
+    return len(basis), int_rank(gram)
 
 
 _CASE_TABLE = {
@@ -604,20 +596,20 @@ def isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
 
     Classifies by (dim Im, rank of the restricted form); for genuine pairs
     of isotropic 2-planes the statistics always land in the six-row table
-    {(4,4),(4,2),(4,0),(2,1),(2,0),(0,0)}.
+    {(4,4),(4,2),(4,0),(2,1),(2,0),(0,0)}.  The four vectors share one
+    cleared denominator D, which scales the coform by D^2.
     """
-    n = len(sym)
+    sym, _ = _integer_matrix(sym)
+    rows = _sparse_rows(sym)
+    (x1, x2, y1, y2), _ = _integer_matrix([x1, x2, y1, y2])
     for u, v in ((x1, x2), (y1, y2)):
-        gram = [[sum(Q(a[i]) * sym[i][j] * b[j]
-                     for i in range(n) for j in range(n) if sym[i][j])
-                 for b in (u, v)] for a in (u, v)]
-        if any(gram[i][j] != 0 for i in range(2) for j in range(2)):
+        if any(_form_value(rows, a, b) for a in (u, v) for b in (u, v)):
             raise ValueError("input plane is not isotropic")
-        if rank([list(u), list(v)]) != 2:
+        if int_rank([u, v]) != 2:
             raise ValueError("input vectors do not span a 2-plane")
-    W = [[Q(x1[i]) * x2[j] - Q(x2[i]) * x1[j]
-          + Q(y1[i]) * y2[j] - Q(y2[i]) * y1[j]
-          for j in range(n)] for i in range(n)]
+    W = [[a1 * b2 - a2 * b1 + c1 * d2 - c2 * d1
+          for b1, b2, d1, d2 in zip(x1, x2, y1, y2)]
+         for a1, a2, c1, c2 in zip(x1, x2, y1, y2)]
     stats = skew_im_stats(W, sym)
     if stats not in _CASE_TABLE:
         raise ValueError(

@@ -38,7 +38,7 @@ from .linalg import (
     modp_row_reduce,
     sqrt_element,
 )
-from .rootsys import SimpleType, build_root_system
+from .rootsys import CapExceeded, SimpleType, build_root_system
 
 __all__ = [
     "FANO_LINES",
@@ -643,6 +643,12 @@ def apply_matrix(mat, elem: AlbertElement) -> AlbertElement:
 # Mod-p witness search
 # ---------------------------------------------------------------------------
 
+#: caps of f4_pi2_witness_search: the prime, and prime x budget, the number
+#: of quartic evaluations its root scan may make
+F4_PRIME_CAP = 2 * 10 ** 6
+F4_SEARCH_CAP = 2 * 10 ** 6
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -656,8 +662,10 @@ def _is_prime(n: int) -> bool:
 
 def _isotropic_octonion_modp(p: int):
     """Deterministic nonzero octonion over F_p with zero norm, returned as
-    an 8-tuple of small nonnegative ints."""
-    for b in range(p):
+    an 8-tuple of small nonnegative ints.  a^2 + b^2 = 0 with a != 0 needs
+    -1 to be a square, so for p = 3 (mod 4) the search starts at three
+    coordinates."""
+    for b in range(p if p % 4 == 1 else 0):
         for a in range(1, p):
             if (a * a + b * b) % p == 0:
                 return (a, b, 0, 0, 0, 0, 0, 0)
@@ -802,7 +810,16 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
 
     Deterministic for fixed (prime, seed, budget).  Requires an odd prime
     greater than 50 so the mod-p geometry matches characteristic zero.
+    Raises CapExceeded, before the primality test, for a prime above
+    F4_PRIME_CAP or a prime x budget above F4_SEARCH_CAP: each trial scans
+    every residue for roots.
     """
+    if isinstance(prime, int) and prime > F4_PRIME_CAP:
+        raise CapExceeded("prime %d exceeds the f4 search cap %d"
+                          % (prime, F4_PRIME_CAP))
+    if isinstance(prime, int) and prime * budget > F4_SEARCH_CAP:
+        raise CapExceeded("prime x budget = %d exceeds the f4 search cap %d"
+                          % (prime * budget, F4_SEARCH_CAP))
     if not isinstance(prime, int) or not _is_prime(prime):
         raise ValueError("prime must be a prime integer, got %r" % (prime,))
     if prime <= 50:

@@ -35,6 +35,15 @@ def _integer_row(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _integer_matrix(mat) -> tuple[list[list[int]], int]:
+    """(rows, den): den is the lcm of the denominators of all entries and
+    rows[i][j] == mat[i][j] * den."""
+    mat = [list(row) for row in mat]
+    flat, den = _integer_row(x for row in mat for x in row)
+    it = iter(flat)
+    return [[next(it) for _ in row] for row in mat], den
+
+
 # ---------------------------------------------------------------------------
 # rational elimination
 

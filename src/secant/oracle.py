@@ -334,38 +334,31 @@ def _veronese_points(fam, p):
         yield [v[i] * v[j] % p for i, j in cells]
 
 
+def _sym_unfold(n, cells, vec):
+    """The symmetric matrix whose upper-triangle cells are vec."""
+    full = [[0] * n for _ in range(n)]
+    for (i, j), val in zip(cells, vec):
+        full[i][j] = full[j][i] = val
+    return full
+
+
 def _veronese_member(fam, p):
     n, cells = fam["n"], _sym_cells(fam["n"])
-
-    def member(rep):
-        full = [[0] * n for _ in range(n)]
-        for (i, j), val in zip(cells, rep):
-            full[i][j] = full[j][i] = val
-        return modp_rank(full, p) == 1
-    return member
+    return lambda rep: modp_rank(_sym_unfold(n, cells, rep), p) == 1
 
 
 def _veronese_generators(fam, p):
-    """gl_n acting on quadratic forms x^T A x, A upper triangular, by
-    A -> E A + A E^T; a form's coordinate on cell (i, j) is its x_i x_j
-    coefficient.  Off the diagonal a cell of a point v v^T is half the
-    x_i x_j coefficient of (v.x)^2, so over the points these matrices are
-    not the derivative of the group action."""
+    """gl_n acting on symmetric matrices by S -> E S + S E^T, read on the
+    upper-triangle cells; a point v v^T goes to (Ev) v^T + v (Ev)^T, the
+    derivative of the group action v v^T -> (gv)(gv)^T."""
     n, cells = fam["n"], _sym_cells(fam["n"])
-
-    def unfold(vec):
-        a = [[0] * n for _ in range(n)]
-        for (i, j), val in zip(cells, vec):
-            a[i][j] = val
-        return a
-
-    def fold(b):
-        return [b[i][j] + b[j][i] if i < j else b[i][i] for i, j in cells]
 
     def act(e, a):
         ea, ae = _mul(e, a), _mul(a, list(zip(*e)))
         return [[x + y for x, y in zip(r, s)] for r, s in zip(ea, ae)]
-    return _model_generators(len(cells), p, n, unfold, fold, act)
+    return _model_generators(len(cells), p, n,
+                             functools.partial(_sym_unfold, n, cells),
+                             lambda b: [b[i][j] for i, j in cells], act)
 
 
 #: sl3 coordinates: every entry but the last diagonal one, which is minus

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .linalg import (
+    _integer_matrix,
     _integer_row,
     exact_rationals,
     int_rank,
@@ -423,12 +424,11 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
         raise ValueError("input two-form is not annihilated by the symplectic form")
 
     # integer rescaling: A / den == current remainder, den > 0
-    flat, den = _integer_row(v for row in m for v in row)
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    a, den = _integer_matrix(m)
     # the form only enters through zero tests, so any integer rescaling works
-    flat, _ = _integer_row(g for row in f for g in row)
-    fnz = [(i, j, flat[i * n + j]) for i in range(n) for j in range(n)
-           if flat[i * n + j]]
+    fi, _ = _integer_matrix(f)
+    fnz = [(i, j, g) for i, row in enumerate(fi) for j, g in enumerate(row)
+           if g]
 
     def bil_int(x, y):
         return sum(g * x[i] * y[j] for i, j, g in fnz)

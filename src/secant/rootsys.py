@@ -1,7 +1,8 @@
 """Root systems, weights, and Weyl-orbit combinatorics in exact arithmetic.
 
 Simple roots are given in explicit rational coordinates ("ε-coordinates"),
-one table per family, normalized so long roots have squared length 2.  The
+one table per family, normalized so long roots have squared length 2; all
+other roots are generated in integer simple-root coordinates.  The
 simple-root numbering follows the Onishchik–Vinberg textbook convention
 throughout the package (a conversion table to Bourbaki numbering is in the
 README); tests pin each label through the Weyl dimension formula.
@@ -17,7 +18,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial
 
-from .linalg import Vec, dot, inverse, matvec
+from .linalg import Vec, _integer_matrix, dot, inverse
 
 FAMILIES = "ABCDEFG"
 
@@ -209,8 +210,13 @@ _ROOT_COUNTS = {
 class RootSystem:
     """Root system of one simple type, with its invariant bilinear form.
 
-    Roots are rational coordinate tuples; positive roots are those whose
-    expansion over the simple roots has nonnegative integer coefficients.
+    Roots are generated as integer simple-root coefficient tuples by simple
+    reflections read off the Cartan matrix; the public ε-coordinate roots
+    are derived from them once, over one common denominator.  Positive
+    roots are those with nonnegative coefficients, ordered by height and
+    then lexicographically by coefficients.  The form on coefficients is
+    the integer Gram matrix `gram`: (Σ c_i α_i, Σ d_j α_j) =
+    c^T gram d / gram_den.
     """
 
     def __init__(self, st: SimpleType):
@@ -224,20 +230,41 @@ class RootSystem:
         self.simple_roots: tuple[Vec, ...] = tuple(simple)
         self.scale: Q = scale
         self.ndim = len(simple[0])
-        self.roots: frozenset[Vec] = self._generate_roots()
+        n = st.rank
+        gram, self.gram_den = _integer_matrix(
+            [self.inner(a, b) for b in simple] for a in simple)
+        self.gram: tuple[tuple[int, ...], ...] = tuple(map(tuple, gram))
+        self.cartan: tuple[tuple[int, ...], ...] = tuple(
+            tuple(2 * g // row[i] for g in row)
+            for i, row in enumerate(self.gram))
+        # the Weyl orbit of the simple roots is the whole root system
+        found = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        frontier = list(found)
+        while frontier:
+            nxt = []
+            for r in frontier:
+                for i, m in enumerate(self.coroot_marks(r)):
+                    img = r[:i] + (r[i] - m,) + r[i + 1:]
+                    if img not in found:
+                        found.add(img)
+                        nxt.append(img)
+            frontier = nxt
         expected = _ROOT_COUNTS[st.family](st.rank)
-        if len(self.roots) != expected:
+        if len(found) != expected:
             raise AssertionError(
                 "generated %d roots for %s, expected %d"
-                % (len(self.roots), st, expected))
-        self._coeffs = self._expand_all()
-        pos = [r for r in self.roots if sum(self._coeffs[r]) > 0]
-        pos.sort(key=lambda r: (sum(self._coeffs[r]), self._coeffs[r]))
-        self.positive_roots: tuple[Vec, ...] = tuple(pos)
-        self.cartan: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(2 * self.inner(a, b) / self.inner(a, a))
-                  for b in self.simple_roots)
-            for a in self.simple_roots)
+                % (len(found), st, expected))
+        self.positive_coeffs: tuple[tuple[int, ...], ...] = tuple(sorted(
+            (c for c in found if sum(c) > 0), key=lambda c: (sum(c), c)))
+        srows, den = _integer_matrix(simple)
+        self.positive_roots: tuple[Vec, ...] = tuple(
+            tuple(Q(sum(c * row[t] for c, row in zip(cs, srows) if c), den)
+                  for t in range(self.ndim))
+            for cs in self.positive_coeffs)
+        self._coeffs = dict(zip(self.positive_roots, self.positive_coeffs))
+        self._coeffs.update((tuple(-x for x in r), tuple(-c for c in cs))
+                            for r, cs in list(self._coeffs.items()))
+        self.roots: frozenset[Vec] = frozenset(self._coeffs)
         self._fw: tuple[Vec, ...] | None = None
 
     # -- form and pairings
@@ -250,42 +277,15 @@ class RootSystem:
         a = self.simple_roots[i]
         return 2 * self.inner(v, a) / self.inner(a, a)
 
-    # -- construction
+    def coroot_marks(self, coeffs) -> tuple[int, ...]:
+        """⟨β, αᵢ∨⟩ for every simple coroot, β = Σ coeffs_j α_j."""
+        return tuple(sum(c * a for c, a in zip(coeffs, row) if c)
+                     for row in self.cartan)
 
-    def _generate_roots(self) -> frozenset[Vec]:
-        seen = set(self.simple_roots)
-        frontier = list(seen)
-        norms = [dot(a, a) for a in self.simple_roots]
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for a, na in zip(self.simple_roots, norms):
-                    c = 2 * dot(r, a) / na
-                    img = tuple(x - c * y for x, y in zip(r, a))
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        full = set(seen)
-        for r in seen:
-            full.add(tuple(-x for x in r))
-        return frozenset(full)
-
-    def _expand_all(self) -> dict[Vec, tuple[int, ...]]:
-        gram = [[self.inner(a, b) for b in self.simple_roots]
-                for a in self.simple_roots]
-        ginv = inverse(gram)
-        out = {}
-        for r in self.roots:
-            rhs = [self.inner(r, a) for a in self.simple_roots]
-            c = matvec(ginv, rhs)
-            ints = []
-            for x in c:
-                if x.denominator != 1:
-                    raise AssertionError("non-integer root coefficient for %s" % (r,))
-                ints.append(int(x))
-            out[r] = tuple(ints)
-        return out
+    def form(self, c, d) -> int:
+        """gram_den * (Σ c_i α_i, Σ d_j α_j), in integers."""
+        return sum(x * g * y for x, row in zip(c, self.gram) if x
+                   for g, y in zip(row, d) if g and y)
 
     # -- derived data
 
@@ -301,10 +301,7 @@ class RootSystem:
 
     @property
     def highest_root_marks(self) -> tuple[int, ...]:
-        th = self.highest_root
-        marks = [self.coroot_pairing(th, i) for i in range(self.type.rank)]
-        assert all(m.denominator == 1 for m in marks)
-        return tuple(int(m) for m in marks)
+        return self.coroot_marks(self.positive_coeffs[-1])
 
     @property
     def fundamental_weights(self) -> tuple[Vec, ...]:

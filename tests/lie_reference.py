@@ -1,0 +1,172 @@
+"""Fraction-arithmetic references for the integer Lie layer.
+
+These are the earlier implementations, kept here only to check the
+integer code against: root generation by reflections of rational
+ε-coordinate vectors, structure constants computed on ε-vectors with
+Fraction ratios of squared lengths, and image statistics by rational
+elimination.  Nothing in `secant` imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+
+from secant.linalg import (
+    dot,
+    inverse,
+    matmul,
+    matvec,
+    rank,
+    row_reduce,
+    transpose,
+)
+from secant.rootsys import SimpleType, _simple_root_table
+
+#: every simple type of rank at most 8
+ALL_TYPES = ([SimpleType("A", n) for n in range(1, 9)]
+             + [SimpleType(f, n) for f in "BC" for n in range(2, 9)]
+             + [SimpleType("D", n) for n in range(3, 9)]
+             + [SimpleType("E", n) for n in (6, 7, 8)]
+             + [SimpleType("F", 4), SimpleType("G", 2)])
+
+
+def fraction_root_data(st):
+    """(positive roots in height-lex order, {root: coefficients}, Cartan
+    matrix, highest-root marks) from reflections of ε-vectors."""
+    simple, scale = _simple_root_table(st)
+
+    def inner(u, v):
+        return scale * dot(u, v)
+
+    seen = set(simple)
+    frontier = list(seen)
+    norms = [dot(a, a) for a in simple]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for a, na in zip(simple, norms):
+                c = 2 * dot(r, a) / na
+                img = tuple(x - c * y for x, y in zip(r, a))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    roots = set(seen) | {tuple(-x for x in r) for r in seen}
+    ginv = inverse([[inner(a, b) for b in simple] for a in simple])
+    coeffs = {}
+    for r in roots:
+        c = matvec(ginv, [inner(r, a) for a in simple])
+        assert all(x.denominator == 1 for x in c)
+        coeffs[r] = tuple(int(x) for x in c)
+    pos = sorted((r for r in roots if sum(coeffs[r]) > 0),
+                 key=lambda r: (sum(coeffs[r]), coeffs[r]))
+    cartan = tuple(tuple(int(2 * inner(a, b) / inner(a, a)) for b in simple)
+                   for a in simple)
+    theta = pos[-1]
+    marks = tuple(2 * inner(theta, a) / inner(a, a) for a in simple)
+    assert all(m.denominator == 1 for m in marks)
+    return tuple(pos), coeffs, cartan, tuple(int(m) for m in marks)
+
+
+def fraction_structure_constants(system, sign_fn=None) -> dict:
+    """N(a, b) keyed by pairs of ε-vectors, with Fraction ratios of
+    squared lengths."""
+    pos = list(system.positive_roots)
+    pidx = {r: i for i, r in enumerate(pos)}
+    roots = system.roots
+    inner = system.inner
+
+    def string_down(a, b) -> int:
+        k = 0
+        cur = tuple(x - y for x, y in zip(b, a))
+        while cur in roots:
+            k += 1
+            cur = tuple(x - y for x, y in zip(cur, a))
+        return k
+
+    table: dict = {}
+
+    def npos(a, b) -> int:
+        if pidx[a] < pidx[b]:
+            return table[(a, b)]
+        return -table[(b, a)]
+
+    def nval(a, b) -> Q:
+        ha = system.root_height(a)
+        hb = system.root_height(b)
+        if ha > 0 and hb > 0:
+            return Q(npos(a, b))
+        if ha < 0 and hb < 0:
+            return -Q(npos(tuple(-x for x in a), tuple(-x for x in b)))
+        if ha < 0:
+            return -nval(b, a)
+        xi, mu = a, tuple(-x for x in b)
+        nu = tuple(p + q for p, q in zip(a, b))
+        if system.root_height(nu) > 0:
+            return -inner(nu, nu) / inner(xi, xi) * npos(mu, nu)
+        rho = tuple(-x for x in nu)
+        return -inner(rho, rho) / inner(mu, mu) * npos(xi, rho)
+
+    by_height: dict = {}
+    for g in pos:
+        by_height.setdefault(system.root_height(g), []).append(g)
+    for h in sorted(by_height):
+        if h < 2:
+            continue
+        for g in by_height[h]:
+            specials = []
+            for a in pos:
+                if pidx[a] >= pidx[g]:
+                    break
+                b = tuple(x - y for x, y in zip(g, a))
+                if b in roots and system.root_height(b) > 0 \
+                        and pidx[a] < pidx[b]:
+                    specials.append((a, b))
+            specials.sort(key=lambda p: pidx[p[0]])
+            a1, b1 = specials[0]
+            sign = 1 if sign_fn is None else sign_fn(system.root_coeffs(g))
+            n11 = sign * (string_down(a1, b1) + 1)
+            table[(a1, b1)] = n11
+            for a, b in specials[1:]:
+                na = tuple(-x for x in a)
+                d1 = tuple(x - y for x, y in zip(b1, a))
+                d2 = tuple(x - y for x, y in zip(a1, a))
+                t = Q(0)
+                if d1 in roots:
+                    t += nval(b1, na) * nval(d1, a1)
+                if d2 in roots:
+                    t += nval(na, a1) * nval(d2, b1)
+                val = inner(g, g) / inner(b, b) * t / n11
+                assert val.denominator == 1 and val != 0
+                table[(a, b)] = int(val)
+
+    full: dict = {}
+    for a in roots:
+        for b in roots:
+            s = tuple(p + q for p, q in zip(a, b))
+            if s in roots:
+                v = nval(a, b)
+                assert v.denominator == 1 and v != 0
+                full[(a, b)] = int(v)
+    return full
+
+
+_CASES = {(4, 4): "a", (4, 2): "b", (4, 0): "c", (2, 1): "d", (2, 0): "e",
+          (0, 0): "f"}
+
+
+def fraction_skew_im_stats(omega, sym) -> tuple:
+    """(dim Im, rank of the form on Im) by rational elimination."""
+    rref, pivots = row_reduce(transpose(omega))
+    basis = rref[:len(pivots)]  # spans the column space of omega
+    if not basis:
+        return 0, 0
+    return len(basis), rank(matmul(matmul(basis, sym), transpose(basis)))
+
+
+def fraction_isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
+    n = len(sym)
+    w = [[Q(x1[i]) * x2[j] - Q(x2[i]) * x1[j]
+          + Q(y1[i]) * y2[j] - Q(y2[i]) * y1[j]
+          for j in range(n)] for i in range(n)]
+    return _CASES[fraction_skew_im_stats(w, sym)]

@@ -24,7 +24,12 @@ from secant.chevalley import (
     so_nilpotent_realization,
     split_symmetric_form,
 )
-from secant.linalg import rank
+from lie_reference import (
+    ALL_TYPES,
+    fraction_isotropic_pair_case,
+    fraction_structure_constants,
+)
+from secant.linalg import rank, transpose
 from secant.rootsys import SimpleType, build_root_system
 
 
@@ -105,7 +110,47 @@ def test_structure_constant_magnitudes(fam, n):
                 while cur in sysm.roots:
                     k += 1
                     cur = tuple(x - y for x, y in zip(cur, a))
-                assert abs(alg._n[(a, b)]) == k + 1, (a, b)
+                key = (sysm.root_coeffs(a), sysm.root_coeffs(b))
+                assert abs(alg._n[key]) == k + 1, (a, b)
+
+
+def _by_coeffs(sysm, constants):
+    return {(sysm.root_coeffs(a), sysm.root_coeffs(b)): v
+            for (a, b), v in constants.items()}
+
+
+@pytest.mark.parametrize("st_", ALL_TYPES, ids=str)
+def test_structure_constants_match_fraction_reference(st_):
+    sysm = build_root_system(st_)
+    ref = fraction_structure_constants(sysm)
+    alg = build_chevalley(st_)
+    assert alg._n == _by_coeffs(sysm, ref)
+    if st_ not in (SimpleType("E", 7), SimpleType("E", 8)):
+        # the reference takes 5 s on these two with the default signs alone
+        sign = lambda coeffs: -1 if sum(coeffs) % 2 == 0 else 1  # noqa: E731
+        alt = build_chevalley_with_signs(st_, sign)
+        assert alt._n == _by_coeffs(
+            sysm, fraction_structure_constants(sysm, sign))
+    # the bracket of two basis vectors, from the reference constants and
+    # the rational form
+    l = st_.rank
+    for k, r in enumerate(alg.root_list):
+        for i in range(l):
+            c = sysm.coroot_pairing(r, i)
+            assert alg.bracket({i: 1}, {l + k: 1}) == ({l + k: c} if c else {})
+    for i, a in enumerate(alg.root_list):
+        coroot = {}
+        for t, m in enumerate(sysm.root_coeffs(a)):
+            if m:
+                simple = sysm.simple_roots[t]
+                coroot[t] = m * sysm.inner(simple, simple) / sysm.inner(a, a)
+        for j, b in enumerate(alg.root_list):
+            s = tuple(p + q for p, q in zip(a, b))
+            if s in sysm.roots:
+                want = {alg.root_basis_index(s): ref[(a, b)]}
+            else:
+                want = {} if any(s) else coroot
+            assert alg.bracket({l + i: 1}, {l + j: 1}) == want
 
 
 def test_antisymmetry_of_constants():
@@ -334,6 +379,90 @@ def test_isotropic_pair_cases_constructed():
         isotropic_pair_case(a1, b1, a3, a4, G)  # non-isotropic plane
     with pytest.raises(ValueError):
         isotropic_pair_case(a1, a1, a3, a4, G)  # not a plane
+    # a rational change of basis, with the form transported along, keeps
+    # every label
+    rng = random.Random(318)
+    for _ in range(4):
+        for vectors, label in _case_templates(n):
+            moved, form = _transport(vectors, G, rng)
+            assert isotropic_pair_case(*moved, form) == label
+
+
+def _case_templates(n):
+    """The six constructed pairs (x1, x2, y1, y2) of isotropic planes in the
+    split space of dimension n >= 8, with their case labels."""
+    a1, a2, a3, a4 = (hyperbolic_vec(n, **{"a%d" % i: 1}) for i in range(1, 5))
+    b1, b2 = hyperbolic_vec(n, b1=1), hyperbolic_vec(n, b2=1)
+    return [((a1, a2, b1, b2), "a"), ((a1, a2, b1, a3), "b"),
+            ((a1, a2, a3, a4), "c"), ((a1, a2, b2, a1), "d"),
+            ((a1, a2, a1, a3), "e"), ((a1, a2, a2, a1), "f")]
+
+
+def _int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _transport(vectors, form, rng):
+    """Vectors v -> P v and the integer form G -> P^-T G P^-1 for a seeded
+    rational P = D U: U a product of integer elementary row operations,
+    with U^-1 built alongside from the inverse operations, and D a
+    diagonal of rationals."""
+    n = len(form)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Uinv = [row[:] for row in U]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]  # (I + c E_ij) U
+        for row in Uinv:  # U^-1 (I - c E_ij)
+            row[j] -= c * row[i]
+    assert _int_matmul(U, Uinv) == [[int(i == j) for j in range(n)]
+                                    for i in range(n)]
+    d = [Q(rng.choice([1, 2, 3]), rng.choice([1, 2, 5])) for _ in range(n)]
+    moved = [tuple(di * sum(u * x for u, x in zip(row, v) if u)
+                   for di, row in zip(d, U)) for v in vectors]
+    m = _int_matmul(transpose(Uinv), _int_matmul(form, Uinv))
+    return moved, [[Q(x) / (d[i] * d[j]) for j, x in enumerate(row)]
+                   for i, row in enumerate(m)]
+
+
+def test_isotropic_pair_case_matches_fraction_reference():
+    # 500 seeded pairs over every case: constructed pairs with each plane
+    # re-spanned by a determinant-1 change (which keeps the coform), or two
+    # sampled planes (case a), moved through a rational change of basis;
+    # the form is rational after the move
+    n = 12
+    G = split_symmetric_form(n)
+    templates = _case_templates(n)
+    seen = Counter()
+    for seed in range(500):
+        rng = random.Random("pair-reference/%d" % seed)
+        if seed % 7 == 6:
+            vectors = sample_isotropic_plane(n, rng) + \
+                sample_isotropic_plane(n, rng)
+            label = "a"
+        else:
+            (x1, x2, y1, y2), label = templates[seed % 7]
+            s, r = (Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in "sr")
+            t = rng.randint(-2, 2)
+            vectors = (tuple((u + t * v) / s for u, v in zip(x1, x2)),
+                       tuple(s * v for v in x2), tuple(r * u for u in y1),
+                       tuple((v - t * u) / r for u, v in zip(y1, y2)))
+        moved, form = _transport(vectors, G, rng)
+        got = isotropic_pair_case(*moved, form)
+        assert got == fraction_isotropic_pair_case(*moved, form) == label
+        seen[got] += 1
+    assert set(seen) == set("abcdef")
+    # a plane paired with itself: (x1, x2, x2, x1) cancels, (x1, x2, x1, x2)
+    # doubles
+    rng = random.Random(64)
+    for _ in range(20):
+        x1, x2 = sample_isotropic_plane(n, rng)
+        for vectors, label in (((x1, x2, x2, x1), "f"),
+                               ((x1, x2, x1, x2), "e")):
+            assert isotropic_pair_case(*vectors, G) == label
+            assert fraction_isotropic_pair_case(*vectors, G) == label
 
 
 def test_isotropic_pair_sampling_stays_in_table():

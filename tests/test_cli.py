@@ -13,6 +13,7 @@ from secant.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "table_rank8_golden.json")
+LIE_GOLDEN = os.path.join(DATA, "lie_cli_golden.json")
 
 
 def run_cli(*argv):
@@ -179,6 +180,39 @@ class TestWitness:
         code, out = run_cli("witness", "f4")
         assert code == 0
         assert "tangent rank 21" in out
+
+    def test_f4_large_prime_returns(self):
+        # p = 3 (mod 4) has no isotropic octonion with two coordinates,
+        # which once made the search scan all p^2 pairs
+        start = time.perf_counter()
+        code, _ = run_cli("witness", "f4", "--prime", "1000003",
+                          "--budget", "1", "--seed", "0", "--json")
+        assert code in (0, 2)
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("prime,budget", [
+        ("100000000000000000000000000319", "1"),  # a 30-digit prime
+        ("1000003", "200"),  # prime x budget over its cap
+    ])
+    def test_f4_caps_exit_2(self, capsys, prime, budget):
+        start = time.perf_counter()
+        code, _ = run_cli("witness", "f4", "--prime", prime,
+                          "--budget", budget, "--seed", "0")
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5
+
+
+with open(LIE_GOLDEN) as _fh:
+    _LIE_OUTPUTS = json.load(_fh)["outputs"]
+
+
+@pytest.mark.parametrize("entry", _LIE_OUTPUTS,
+                         ids=lambda e: " ".join(e["argv"][:-1]))
+def test_lie_cli_golden(entry):
+    code, out = run_cli(*entry["argv"])
+    assert code == 0
+    assert out == entry["stdout"]
 
 
 class TestOrbitDim:

@@ -35,7 +35,7 @@ from secant.oracle import (
     wedge3_tr2_poly,
     wedge3_tr2_values,
 )
-from secant.oracle import _FAMILIES, _family  # noqa: internal registry
+from secant.oracle import _FAMILIES, _composite_batch, _family  # noqa: internals
 from secant.ranks import (
     WEDGE3_TRIPLES,
     purity_quadric_table,
@@ -479,11 +479,11 @@ class TestTangentProbes:
         assert rep.max_rank <= 3
 
     # recorded from commit 37b77ff, before the family registry, to pin the
-    # generators; veronese2 reaches rank 3 because its generators act on
-    # quadratic-form coefficients while its points are the cells of v v^T
+    # generators; the veronese2 row is recorded after its generators were
+    # changed to act on the symmetric matrix of the cells (S -> E S + S E^T)
     @pytest.mark.parametrize("family,p,probes,histogram", [
         ("segre-2x2x2", 3, 2304, {0: 42, 1: 1250, 2: 684, 3: 328}),
-        ("veronese2-3", 3, 429, {0: 8, 1: 49, 2: 205, 3: 167}),
+        ("veronese2-3", 3, 429, {0: 12, 1: 50, 2: 367}),
         ("lambda20-4", 3, 1360, {0: 16, 1: 579, 2: 765}),
         ("quadric-5", 3, 1360, {0: 5, 1: 623, 2: 732}),
         ("spinor10", 2, 158355, {0: 693, 1: 110890, 2: 46772}),
@@ -494,6 +494,33 @@ class TestTangentProbes:
         assert not rep.asserted
         assert rep.probes == probes
         assert rep.histogram == histogram
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_veronese2_probes_have_matrix_rank(self, p):
+        # every probe x + t.x is a symmetric matrix of rank <= 2, a tangent
+        # vector of the Veronese, and over an odd prime the rank of a
+        # symmetric matrix is the number of cone points it needs; the family
+        # stays report-only because over F_2 [[0,1],[1,0]] needs three
+        family, n = "veronese2-3", 3
+        table = rank_table(family, p)
+        rec, fam = _family(family)
+        gens = rec.generators(fam, p)
+        gens = gens + _composite_batch(gens, p, family)
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        hist: dict = {}
+        for code in table.points.reps:
+            x = decode_vec(int(code), p, table.dim)
+            for g in gens:
+                y = [(a + sum(c * b for c, b in zip(row, x))) % p
+                     for a, row in zip(x, g)]
+                sym = [[0] * n for _ in range(n)]
+                for (i, j), v in zip(cells, y):
+                    sym[i][j] = sym[j][i] = v
+                r = modp_rank(sym, p)
+                assert table.rank_of_vec(y) == r <= 2
+                hist[r] = hist.get(r, 0) + 1
+        rep = tangent_probe(family, p)
+        assert rep.histogram == hist and not rep.asserted
 
 
 class TestThreeFactorLowerBound:

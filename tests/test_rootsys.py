@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lie_reference import ALL_TYPES, fraction_root_data
 from secant.rootsys import (
     CapExceeded,
     GroupDescriptor,
@@ -40,6 +42,29 @@ def test_root_counts(st_):
     sys = build_root_system(st_)
     assert len(sys.roots) == ROOT_COUNTS[str(st_)]
     assert 2 * len(sys.positive_roots) == len(sys.roots)
+
+
+@pytest.mark.parametrize("st_", ALL_TYPES, ids=str)
+def test_roots_match_fraction_reference(st_):
+    # integer reflections of coefficient tuples give the same roots, order,
+    # coefficients, Cartan matrix and highest-root marks as reflections of
+    # rational ε-vectors
+    pos, coeffs, cartan, marks = fraction_root_data(st_)
+    sys = build_root_system(st_)
+    assert sys.positive_roots == pos
+    assert sys.roots == frozenset(coeffs)
+    assert all(sys.root_coeffs(r) == c for r, c in coeffs.items())
+    assert sys.positive_coeffs == tuple(coeffs[r] for r in pos)
+    assert sys.cartan == cartan
+    assert sys.highest_root_marks == marks
+    assert all(type(x) is Q for r in sys.roots for x in r)
+
+    def eps(c):
+        return tuple(sum(x * a[t] for x, a in zip(c, sys.simple_roots))
+                     for t in range(sys.ndim))
+    for a in sys.positive_coeffs[:12]:
+        for b in sys.positive_coeffs[-12:]:
+            assert sys.form(a, b) == sys.gram_den * sys.inner(eps(a), eps(b))
 
 
 @pytest.mark.parametrize("st_", TYPES, ids=str)
