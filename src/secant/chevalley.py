@@ -564,6 +564,12 @@ def skew_im_stats(omega, sym) -> tuple:
     neither statistic, and the ranks are taken by integer fraction-free
     elimination.
     """
+    return _int_skew_im_stats(_integer_matrix(omega)[0],
+                              _integer_matrix(sym)[0])
+
+
+def _int_skew_im_stats(omega, sym) -> tuple:
+    """``skew_im_stats`` of integer matrices."""
     n = len(omega)
     for i in range(n):
         for j in range(n):
@@ -571,10 +577,9 @@ def skew_im_stats(omega, sym) -> tuple:
                 raise ValueError("coform matrix is not skew-symmetric")
             if sym[i][j] != sym[j][i]:
                 raise ValueError("ambient form matrix is not symmetric")
-    sym, _ = _integer_matrix(sym)
     if int_rank(sym) != n:
         raise ValueError("ambient symmetric form is degenerate")
-    cols = [list(col) for col in zip(*_integer_matrix(omega)[0])]
+    cols = [list(col) for col in zip(*omega)]
     basis = [cols[c] for c in int_row_basis(cols)]  # spans the image
     rows = _sparse_rows(sym)
     gram = [[_form_value(rows, u, v) for v in basis] for u in basis]
@@ -610,7 +615,7 @@ def isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
     W = [[a1 * b2 - a2 * b1 + c1 * d2 - c2 * d1
           for b1, b2, d1, d2 in zip(x1, x2, y1, y2)]
          for a1, a2, c1, c2 in zip(x1, x2, y1, y2)]
-    stats = skew_im_stats(W, sym)
+    stats = _int_skew_im_stats(W, sym)
     if stats not in _CASE_TABLE:
         raise ValueError(
             "image statistics %s outside the isotropic-pair table" % (stats,))

@@ -355,19 +355,22 @@ def _cmd_orbit_dim(args, out) -> int:
 
 def _oracle_check(family: str, table) -> dict:
     """Independent verification where a closed form exists; structural
-    invariants otherwise."""
-    from .oracle import _closed_form, decode_vec
+    invariants otherwise.  The closed form is evaluated on every nonzero
+    vector, a block of codes at a time."""
+    from .oracle import _closed_form, _code_blocks, decode_array
     import numpy as np
 
     p, d = table.prime, table.points.dim
-    cone = set(int(c) for c in table.points.cone_codes())
-    ones = set(int(c) for c in np.flatnonzero(table.ranks == 1))
-    check = {"rank1_layer_is_cone": ones == cone, "closed_form": None}
+    ones = np.flatnonzero(table.ranks == 1)
+    check = {"rank1_layer_is_cone":
+             np.array_equal(ones, table.points.cone_codes()),
+             "closed_form": None}
     closed = _closed_form(family, p)
     if closed is not None:
         label, rank_of = closed
-        agree = all(table.rank_of_code(code) == rank_of(decode_vec(code, p, d))
-                    for code in range(1, p ** d))
+        agree = all(np.array_equal(rank_of(decode_array(codes, p, d)),
+                                   table.ranks[codes])
+                    for codes in _code_blocks(1, p ** d))
         check["closed_form"] = {"kind": label, "agrees": agree}
     return check
 

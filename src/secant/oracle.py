@@ -12,19 +12,22 @@ equality on matrix/skew families); everything else is reported with a label,
 because finite-field ranks may differ from characteristic-0 border ranks.
 
 Vector encoding: little-endian base-p packing — coordinate i of a code c is
-(c // p**i) % p.  Projective representatives are the lexicographically
-smallest scalar multiples of each point, so tables are canonical and
-diffable.
+(c // p**i) % p.  ``encode_vec``/``decode_vec`` convert one vector;
+``encode_array``/``decode_array`` convert an (N, d) digit array; the
+membership checks, closed forms, cone multiples, tangent products and Levi
+projections below run on such arrays, in blocks of ``_BLOCK`` rows.
+Projective representatives are the lexicographically smallest scalar
+multiples of each point, so tables are canonical and diffable.
 
 Families: one registry, ``_FAMILIES``, holds a ``_Family`` record per kind
 with its tag pattern, ambient dimension, cone-point generator, membership
-check, Lie-algebra generators, optional closed-form rank (checked by
-``secant oracle --check``), whether the tangent bound is asserted, and its
-Levi coordinate embedding.  The records are built from shared pieces:
-tensor and matrix models (segre, veronese2, sl3-adjoint), k-vectors with
-an optional isotropic codec (gr2, gr3, lambda20, lambda30), the split
-quadric and the pure spinors.  Every function below reads the record, so
-adding a family is adding one record.
+check and optional closed-form rank (both on digit arrays; the closed form
+is checked by ``secant oracle --check``), Lie-algebra generators, whether
+the tangent bound is asserted, and its Levi coordinate embedding.  The
+records are built from shared pieces: tensor and matrix models (segre,
+veronese2, sl3-adjoint), k-vectors with an optional isotropic codec (gr2,
+gr3, lambda20, lambda30), the split quadric and the pure spinors.  Every
+function below reads the record, so adding a family is adding one record.
 """
 
 from __future__ import annotations
@@ -42,17 +45,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import modp_nullspace, modp_rank, modp_row_reduce
+from .linalg import _BLOCK, modp_nullspace, modp_rank_batch, modp_row_reduce
 from .ranks import (
     EVEN_SUBSETS,
     WEDGE3_INDEX,
     _contraction_rows,
     _divisor_matrix,
-    _flattening,
     _perm_sign,
     _subset_index,
     _tr2_value,
     _wedge_rows,
+    _wedge_template,
     pure_even_spinor,
     purity_quadric_table,
     wedge3_c6_rank,
@@ -81,6 +84,8 @@ __all__ = [
     "f2_pure_spinor_set",
     "encode_vec",
     "decode_vec",
+    "encode_array",
+    "decode_array",
     "split_quadric_value",
     "SubspaceCodec",
     "TABLE_VERSION",
@@ -113,13 +118,13 @@ def mirror_symplectic_form(n: int):
 def split_quadric_value(v, p):
     """Halved split quadratic form: sum of products over hyperbolic pairs
     plus the square of the odd leftover coordinate.  Characteristic-safe:
-    over F_2 the doubled Gram evaluation would vanish identically."""
-    n = len(v)
-    total = 0
-    for i in range(n // 2):
-        total += v[2 * i] * v[2 * i + 1]
+    over F_2 the doubled Gram evaluation would vanish identically.  ``v``
+    is one vector or an (N, n) array of them (then an (N,) array)."""
+    v = np.asarray(v, dtype=np.int64)
+    n = v.shape[-1]
+    total = (v[..., 0:n - 1:2] * v[..., 1:n:2]).sum(axis=-1)
     if n % 2:
-        total += v[n - 1] * v[n - 1]
+        total += v[..., n - 1] * v[..., n - 1]
     return total % p
 
 
@@ -149,12 +154,16 @@ class SubspaceCodec:
         return [full[c] for c in self.free]
 
     def to_full(self, sub):
-        full = [0] * self.nfull
-        for c, v in zip(self.free, sub):
-            full[c] = v % self.p
-        for row, piv in zip(self.rref, self.pivots):
-            acc = sum(row[c] * full[c] for c in self.free) % self.p
-            full[piv] = (-acc) % self.p
+        return self.to_full_array(np.array([sub]))[0].tolist()
+
+    def to_full_array(self, subs):
+        """Full coordinates of an (N, dim) array of subspace coordinates."""
+        full = np.zeros((len(subs), self.nfull), dtype=np.int64)
+        full[:, self.free] = subs
+        full[:, self.free] %= self.p
+        if self.pivots:
+            rref = np.array(self.rref, dtype=np.int64)[:, self.free]
+            full[:, self.pivots] = -(full[:, self.free] @ rref.T) % self.p
         return full
 
 
@@ -172,14 +181,12 @@ class PointSet:
         return len(self.reps)
 
     def cone_codes(self):
-        """All nonzero scalar multiples of the representatives, encoded."""
-        p, d = self.prime, self.dim
-        out = set()
-        for code in self.reps:
-            vec = decode_vec(code, p, d)
-            for c in range(1, p):
-                out.add(encode_vec([c * v % p for v in vec], p))
-        return np.array(sorted(out), dtype=np.int64)
+        """All nonzero scalar multiples of the representatives, encoded,
+        as a sorted int64 array."""
+        p = self.prime
+        digits = decode_array(self.reps, p, self.dim)
+        return np.unique(np.concatenate(
+            [encode_array(digits * c % p, p) for c in range(1, p)]))
 
 
 def encode_vec(vec, p) -> int:
@@ -199,9 +206,43 @@ def decode_vec(code, p, d):
     return out
 
 
-def _canonical_rep(vec, p):
-    """Lexicographically smallest scalar multiple (little-endian digits)."""
-    return min(tuple(c * v % p for v in vec) for c in range(1, p))
+def _place_values(p, d):
+    return p ** np.arange(d, dtype=np.int64)
+
+
+def encode_array(digits, p) -> np.ndarray:
+    """Codes (int64) of the rows of an (N, d) array of digits in [0, p)."""
+    digits = np.asarray(digits)
+    return digits @ _place_values(p, digits.shape[-1])
+
+
+def decode_array(codes, p, d) -> np.ndarray:
+    """(N, d) uint8 digit array of N codes below p ** d."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
+    return (codes // _place_values(p, d) % p).astype(np.uint8)
+
+
+def _code_blocks(start, stop):
+    """Consecutive int64 code ranges of at most _BLOCK codes covering
+    range(start, stop)."""
+    for lo in range(start, stop, _BLOCK):
+        yield np.arange(lo, min(lo + _BLOCK, stop), dtype=np.int64)
+
+
+def _canonical_codes(vecs, p):
+    """Code of the lexicographically smallest scalar multiple of each row
+    of an (N, d) array: the smallest when read with coordinate 0 as the
+    most significant digit."""
+    best_key = best = None
+    for c in range(1, p):
+        mult = vecs * c % p
+        key, code = encode_array(mult[:, ::-1], p), encode_array(mult, p)
+        if best is None:
+            best_key, best = key, code
+        else:
+            smaller = key < best_key
+            best_key[smaller], best[smaller] = key[smaller], code[smaller]
+    return best
 
 
 def _proj_reps(n, p):
@@ -288,11 +329,24 @@ def _segre_points(fam, p):
         yield [math.prod(vals) % p for vals in itertools.product(*factors)]
 
 
+def _flattenings(vecs, sizes, axis):
+    """(N, sizes[axis], rest) array of the flattenings of flat row-major
+    tensors along one axis."""
+    tensors = np.asarray(vecs).reshape(-1, *sizes)
+    return np.moveaxis(tensors, axis + 1, 1).reshape(
+        len(tensors), sizes[axis], -1)
+
+
 def _segre_member(fam, p):
     # rank one along every axis but the last forces it along the last
     sizes = fam["sizes"]
-    return lambda rep: all(modp_rank(_flattening(rep, sizes, axis), p) == 1
-                           for axis in range(len(sizes) - 1))
+
+    def member(reps):
+        ok = np.ones(len(reps), dtype=bool)
+        for axis in range(len(sizes) - 1):
+            ok &= modp_rank_batch(_flattenings(reps, sizes, axis), p) == 1
+        return ok
+    return member
 
 
 def _factor_action(sizes, axis, e, vec):
@@ -314,7 +368,7 @@ def _segre_generators(fam, p):
 
 
 def _matrix_rank(fam, p):
-    return lambda vec: modp_rank(_flattening(vec, fam["sizes"], 0), p)
+    return lambda vecs: modp_rank_batch(_flattenings(vecs, fam["sizes"], 0), p)
 
 
 def _segre_embedding(big, sub):
@@ -334,17 +388,27 @@ def _veronese_points(fam, p):
         yield [v[i] * v[j] % p for i, j in cells]
 
 
+def _cells_unfold(vecs, n, cells, mirror):
+    """(N, n, n) int16 array of the matrices whose cells (i, j) hold the
+    coordinates of the rows of ``vecs``, and whose cells (j, i) hold the
+    same (mirror=1) or their negatives (mirror=-1)."""
+    vecs = np.asarray(vecs, dtype=np.int16).reshape(-1, len(cells))
+    rows, cols = np.array(cells).T
+    out = np.zeros((len(vecs), n, n), dtype=np.int16)
+    out[:, cols, rows] = mirror * vecs
+    out[:, rows, cols] = vecs
+    return out
+
+
 def _sym_unfold(n, cells, vec):
     """The symmetric matrix whose upper-triangle cells are vec."""
-    full = [[0] * n for _ in range(n)]
-    for (i, j), val in zip(cells, vec):
-        full[i][j] = full[j][i] = val
-    return full
+    return _cells_unfold(vec, n, cells, 1)[0].tolist()
 
 
 def _veronese_member(fam, p):
     n, cells = fam["n"], _sym_cells(fam["n"])
-    return lambda rep: modp_rank(_sym_unfold(n, cells, rep), p) == 1
+    return lambda reps: modp_rank_batch(_cells_unfold(reps, n, cells, 1),
+                                        p) == 1
 
 
 def _veronese_generators(fam, p):
@@ -366,12 +430,16 @@ def _veronese_generators(fam, p):
 _SL3_CELLS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
+def _sl3_unfold_array(vecs):
+    mats = np.zeros((len(vecs), 3, 3), dtype=np.int16)
+    rows, cols = np.array(_SL3_CELLS).T
+    mats[:, rows, cols] = vecs
+    mats[:, 2, 2] = -mats[:, 0, 0] - mats[:, 1, 1]
+    return mats
+
+
 def _sl3_unfold(vec):
-    mat = [[0] * 3 for _ in range(3)]
-    for (i, j), val in zip(_SL3_CELLS, vec):
-        mat[i][j] = val
-    mat[2][2] = -mat[0][0] - mat[1][1]
-    return mat
+    return _sl3_unfold_array(np.array([vec]))[0].tolist()
 
 
 def _sl3_fold(mat):
@@ -426,12 +494,25 @@ def _wedge_points(k, isotropic, fam, p):
         yield codec.to_sub(full) if isotropic else full
 
 
+def _divisor_array(vecs, n, k):
+    """(N, C(n, k+1), n) int16 array of the divisor matrices (v -> v ^ w,
+    as ``ranks._divisor_matrix``) of the k-vectors in the rows of vecs."""
+    entries = [(r, i, t, sign) for r, row in enumerate(_wedge_template(n, k))
+               for i, t, sign in row]
+    rows, cols, coords, signs = np.array(entries).T
+    vecs = np.asarray(vecs, dtype=np.int16)
+    out = np.zeros((len(vecs), len(_wedge_template(n, k)), n), dtype=np.int16)
+    out[:, rows, cols] = signs.astype(np.int16) * vecs[:, coords]
+    return out
+
+
 def _wedge_member(k, isotropic, fam, p):
-    # a nonzero k-vector is decomposable iff its divisors span k dimensions
+    # a nonzero k-vector is decomposable iff its divisors span k dimensions,
+    # that is iff its divisor matrix has rank n - k
     n = fam["n"]
-    full = _isotropic_codec(n, k, p).to_full if isotropic else list
-    return lambda rep: len(modp_nullspace(
-        _divisor_matrix(full(list(rep)), n, k), p)) == k
+    full = _isotropic_codec(n, k, p).to_full_array if isotropic else None
+    return lambda reps: modp_rank_batch(_divisor_array(
+        reps if full is None else full(reps), n, k), p) == n - k
 
 
 def _derive(e, n, k, vec):
@@ -464,14 +545,9 @@ def _wedge_generators(k, isotropic, fam, p):
 
 def _half_skew_rank(fam, p):
     n = fam["n"]
-
-    def rank(vec):
-        mat = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(_subset_index(n, 2), vec):
-            mat[i][j] = v
-            mat[j][i] = (-v) % p
-        return modp_rank(mat, p) // 2
-    return rank
+    pairs = list(_subset_index(n, 2))
+    return lambda vecs: modp_rank_batch(
+        _cells_unfold(vecs, n, pairs, -1), p) // 2
 
 
 def _gr2_embedding(big, sub):
@@ -484,6 +560,11 @@ def _gr2_embedding(big, sub):
 # ---------------------------------------------------------------------------
 # The split quadric and the pure spinors
 # ---------------------------------------------------------------------------
+
+def _quadric_points(fam, p):
+    vecs = np.array(_proj_reps(fam["n"], p), dtype=np.int64)
+    return vecs[split_quadric_value(vecs, p) == 0]
+
 
 def _quadric_generators(fam, p):
     from .chevalley import split_symmetric_form
@@ -527,9 +608,15 @@ def _spinor_points(fam, p):
 
 def _spinor_member(fam, p):
     quadrics = purity_quadric_table()
-    return lambda rep: all(
-        sum(c * rep[a] * rep[b] for (a, b), c in quad.items()) % p == 0
-        for quad in quadrics)
+
+    def member(reps):
+        reps = np.asarray(reps, dtype=np.int64)
+        ok = np.ones(len(reps), dtype=bool)
+        for quad in quadrics:
+            ok &= sum(c * reps[:, a] * reps[:, b]
+                      for (a, b), c in quad.items()) % p == 0
+        return ok
+    return member
 
 
 def _spinor_generators(fam, p):
@@ -573,11 +660,13 @@ class _Family:
     dim: Callable
     #: (fam, p) -> cone vectors; each is reduced to its canonical multiple
     points: Callable
-    #: (fam, p) -> predicate on a canonical representative
+    #: (fam, p) -> predicate on an (N, d) digit array of canonical
+    #: representatives, an (N,) bool array
     member: Callable
     #: (fam, p) -> Lie-algebra action matrices on the ambient coordinates
     generators: Callable
-    #: (label, (fam, p) -> rank of a coordinate vector), checked by --check
+    #: (label, (fam, p) -> ranks of an (N, d) digit array, an (N,) integer
+    #: array), checked by --check
     closed_form: tuple | None = None
     #: tangent probes x + t.x have rank <= 2 over every field
     asserted: bool = False
@@ -640,17 +729,17 @@ _FAMILIES = (
                                  "zero-contraction space"}),
     _Family("quadric", r"quadric-(\d+)", _dimension(2),
             dim=lambda fam: fam["n"],
-            points=lambda fam, p: (v for v in _proj_reps(fam["n"], p)
-                                   if split_quadric_value(v, p) == 0),
-            member=lambda fam, p: lambda rep: split_quadric_value(rep, p) == 0,
+            points=_quadric_points,
+            member=lambda fam, p: lambda reps: split_quadric_value(
+                reps, p) == 0,
             generators=_quadric_generators),
     _Family("spinor10", "spinor10", lambda: {}, dim=lambda fam: 16,
             points=_spinor_points, member=_spinor_member,
             generators=_spinor_generators),
     _Family("sl3adj", "sl3-adjoint", lambda: {}, dim=lambda fam: 8,
             points=_sl3_points,
-            member=lambda fam, p: lambda rep: modp_rank(
-                _sl3_unfold(rep), p) == 1,
+            member=lambda fam, p: lambda reps: modp_rank_batch(
+                _sl3_unfold_array(reps), p) == 1,
             generators=_sl3_generators),
 )
 
@@ -683,8 +772,8 @@ def family_dim(name: str) -> int:
 
 
 def _closed_form(family, p):
-    """(label, rank of a coordinate vector over F_p) for a family with a
-    closed-form rank, else None."""
+    """(label, ranks over F_p of an (N, d) digit array) for a family with
+    a closed-form rank, else None."""
     rec, fam = _family(family)
     if rec.closed_form is None:
         return None
@@ -709,16 +798,16 @@ def enumerate_cone_points(family: str, p: int) -> PointSet:
     rec, fam = _family(family)
     d = rec.dim(fam)
     _check_cap(p, d)
-    reps = {_canonical_rep(vec, p) for vec in rec.points(fam, p)}
-    reps.discard((0,) * d)
-    member = rec.member(fam, p)
-    for rep in reps:
-        if not member(rep):
-            raise AssertionError("%s point %r fails the membership check"
-                                 % (family, rep))
-    encoded = tuple(sorted(encode_vec(list(r), p) for r in reps))
-    return PointSet(family=family, prime=p, dim=d, reps=encoded,
-                    meta=dict(rec.meta))
+    vecs = np.array(list(rec.points(fam, p)), dtype=np.int64).reshape(-1, d)
+    codes = np.unique(_canonical_codes(vecs, p))
+    codes = codes[codes != 0]
+    reps = decode_array(codes, p, d)
+    ok = rec.member(fam, p)(reps)
+    if not ok.all():
+        raise AssertionError("%s point %r fails the membership check"
+                             % (family, tuple(reps[np.argmin(ok)].tolist())))
+    return PointSet(family=family, prime=p, dim=d,
+                    reps=tuple(codes.tolist()), meta=dict(rec.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +919,8 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 _UNSEEN = 255
-#: Codes per block: the unit of work and of the thread split.
-_BLOCK = 1 << 16
+# _BLOCK (from linalg) codes per block are also the BFS's unit of work and
+# of its thread split.
 #: A layer pulls once |frontier| * _PULL_RATIO exceeds the unseen count.
 _PULL_RATIO = 14
 #: A pull drops the codes it has placed from its block every this many
@@ -1032,28 +1121,19 @@ def levi_projection_test(big: str, sub: str, p: int,
     sub_table = rank_table(sub, p, threads=threads)
     bd, sd = big_table.dim, sub_table.dim
 
-    equal = True
-    for code in range(1, p ** sd):
-        svec = decode_vec(code, p, sd)
-        bvec = [0] * bd
-        for t, pos in enumerate(emb):
-            bvec[pos] = svec[t]
-        if big_table.rank_of_vec(bvec) != sub_table.rank_of_code(code):
-            equal = False
-            break
+    # big code of each sub code: its digits at the big place values
+    places = p ** np.array(emb, dtype=np.int64)
+    equal = all(np.array_equal(
+        big_table.ranks[decode_array(codes, p, sd) @ places],
+        sub_table.ranks[codes]) for codes in _code_blocks(1, p ** sd))
 
-    sub_cone = set(int(c) for c in sub_table.points.cone_codes())
-    contained = True
-    projected = 0
-    for code in big_table.points.cone_codes():
-        bvec = decode_vec(int(code), p, bd)
-        proj = [bvec[pos] for pos in emb]
-        if not any(proj):
-            continue
-        projected += 1
-        if encode_vec(proj, p) not in sub_cone:
-            contained = False
-            break
+    proj = decode_array(big_table.points.cone_codes(), p, bd)[:, emb]
+    hit = proj.any(axis=1)
+    inside = np.isin(encode_array(proj[hit], p),
+                     sub_table.points.cone_codes())
+    contained = bool(inside.all())
+    # projections counted up to the first one outside the small cone
+    projected = len(inside) if contained else int(np.argmin(inside)) + 1
     return LeviReport(big_family=big, sub_family=sub, prime=p,
                       vectors_checked=p ** sd - 1, rank_equal=equal,
                       points_projected=projected,
@@ -1075,12 +1155,6 @@ class TangentReport:
     label: str
 
 
-def _apply_linear(mat, vec, p):
-    n = len(mat)
-    return [sum(mat[i][j] * vec[j] for j in range(len(vec))) % p
-            for i in range(n)]
-
-
 def _composite_batch(units, p, family, count=24):
     """Deterministic dense algebra elements: seeded mod-p combinations of
     the basis generators.  Rank-1 basis elements alone probe degenerately
@@ -1091,20 +1165,10 @@ def _composite_batch(units, p, family, count=24):
     rng = _random.Random("tangent:%s:%d" % (family, p))
     if not units:
         return []
-    rows = len(units[0])
-    cols = len(units[0][0])
-    out = []
-    for _ in range(count):
-        acc = [[0] * cols for _ in range(rows)]
-        for u in units:
-            c = rng.randrange(p)
-            if c:
-                for i in range(rows):
-                    for j in range(cols):
-                        if u[i][j]:
-                            acc[i][j] = (acc[i][j] + c * u[i][j]) % p
-        out.append(acc)
-    return out
+    coeffs = np.array([[rng.randrange(p) for _ in units] for _ in range(count)],
+                      dtype=np.int64)
+    units = np.array(units, dtype=np.int64)
+    return (np.tensordot(coeffs, units, axes=1) % p).tolist()
 
 
 def tangent_probe(family: str, p: int, threads: int = 1) -> TangentReport:
@@ -1114,17 +1178,21 @@ def tangent_probe(family: str, p: int, threads: int = 1) -> TangentReport:
     table = rank_table(family, p, threads=threads)
     rec, fam = _family(family)
     gens = rec.generators(fam, p)
-    gens = gens + _composite_batch(gens, p, family)
-    hist = {}
-    probes = 0
-    for code in table.points.reps:
-        x = decode_vec(int(code), p, table.dim)
-        for g in gens:
-            tx = _apply_linear(g, x, p)
-            y = [(a + b) % p for a, b in zip(x, tx)]
-            r = table.rank_of_vec(y)
-            hist[r] = hist.get(r, 0) + 1
-            probes += 1
+    gens = np.array(gens + _composite_batch(gens, p, family), dtype=np.int32)
+    d = table.dim
+    # x + t.x = (1 + t) x for every t at once: column block t of ``ops``
+    # holds the transpose of 1 + t, so row x @ ops lists every probe of x
+    ops = (gens + np.eye(d, dtype=np.int32)).reshape(-1, d).T
+    counts = np.zeros(_UNSEEN + 1, dtype=np.int64)
+    step = max(1, _BLOCK // len(gens))
+    reps = np.array(table.points.reps, dtype=np.int64)
+    for lo in range(0, len(reps), step):
+        x = decode_array(reps[lo:lo + step], p, d).astype(np.int32)
+        probe = (x @ ops).reshape(-1, d) % p
+        counts += np.bincount(table.ranks[encode_array(probe, p)],
+                              minlength=len(counts))
+    hist = {r: int(c) for r, c in enumerate(counts) if c}
+    probes = len(reps) * len(gens)
     mx = max(hist)
     if rec.asserted and mx > 2:
         raise AssertionError(

@@ -375,11 +375,6 @@ class CoformDecomposition:
         return len(self.pairs)
 
 
-def _wedge_matrix(x, y):
-    n = len(x)
-    return [[x[i] * y[j] - x[j] * y[i] for j in range(n)] for i in range(n)]
-
-
 def _form_contraction(w, form):
     total = Q(0)
     n = len(w)
@@ -425,6 +420,7 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
 
     # integer rescaling: A / den == current remainder, den > 0
     a, den = _integer_matrix(m)
+    cleared = (a, den)
     # the form only enters through zero tests, so any integer rescaling works
     fi, _ = _integer_matrix(f)
     fnz = [(i, j, g) for i, row in enumerate(fi) for j, g in enumerate(row)
@@ -524,19 +520,35 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
 
     if 2 * len(pairs) != initial_rank:
         raise AssertionError("peel did not drop the rank by 2")
-
-    # self-verification
-    total = [[Q(0)] * n for _ in range(n)]
-    for x, y in pairs:
-        pw = _wedge_matrix(x, y)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += pw[i][j]
-        if bil_int(x, y) != 0:
-            raise AssertionError("peeled pair is not isotropic")
-    if total != m:
-        raise AssertionError("decomposition does not reassemble the input")
+    _verify_pairs(pairs, *cleared, bil_int)
     return CoformDecomposition(pairs=pairs, form=f)
+
+
+def _verify_pairs(pairs, a, den, bil):
+    """AssertionError unless every rational pair (x, y) has bil(x, y) == 0
+    and the x ^ y sum to a / den (a an integer matrix, den > 0).
+
+    Runs in integers: with x = X / dx and y = Y / dy cleared and L the lcm
+    of den and every dx * dy, it compares the sum of (L / (dx dy)) X ^ Y
+    with (L / den) a.  ``bil`` is bilinear, so it is tested on X and Y.
+    """
+    n = len(a)
+    cleared = []
+    for x, y in pairs:
+        (xs, dx), (ys, dy) = _integer_row(x), _integer_row(y)
+        if bil(xs, ys) != 0:
+            raise AssertionError("peeled pair is not isotropic")
+        cleared.append((xs, ys, dx * dy))
+    big = math.lcm(den, *(d for _, _, d in cleared))
+    total = [[v * (big // den) for v in row] for row in a]
+    for xs, ys, d in cleared:
+        s = big // d
+        for i in range(n):
+            sx, sy, row = s * xs[i], s * ys[i], total[i]
+            for j in range(n):
+                row[j] -= sx * ys[j] - sy * xs[j]
+    if any(any(row) for row in total):
+        raise AssertionError("decomposition does not reassemble the input")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from secant.linalg import (
     inverse,
     matmul,
     matvec,
-    rank,
     row_reduce,
     transpose,
 )
@@ -161,7 +160,8 @@ def fraction_skew_im_stats(omega, sym) -> tuple:
     basis = rref[:len(pivots)]  # spans the column space of omega
     if not basis:
         return 0, 0
-    return len(basis), rank(matmul(matmul(basis, sym), transpose(basis)))
+    gram = matmul(matmul(basis, sym), transpose(basis))
+    return len(basis), len(row_reduce(gram)[1])
 
 
 def fraction_isotropic_pair_case(x1, x2, y1, y2, sym) -> str:

@@ -265,6 +265,39 @@ class TestOracle:
         assert doc["check"]["closed_form"]["kind"] == "matrix rank"
         assert doc["check"]["closed_form"]["agrees"] is True
 
+    @pytest.fixture(scope="class")
+    def segre_4x5_table(self, tmp_path_factory):
+        """The cached segre-4x5 table over F_2 (2^20 codes, 16 blocks of
+        the check), as (header, rank bytes)."""
+        from secant.oracle import rank_table
+        stem = str(tmp_path_factory.mktemp("cache") / "t")
+        rank_table("segre-4x5", 2, cache=False).save(stem)
+        with open(stem + ".json") as fh, open(stem + ".bin", "rb") as fb:
+            return json.load(fh), fb.read()
+
+    @pytest.mark.parametrize("code,message", [
+        (65, "closed-form"),             # a rank-2 code in the first block
+        ((1 << 16) + 7, "closed-form"),  # past the first block boundary
+        ((1 << 20) - 2, "closed-form"),  # next to the last code
+        (1, "rank-1 layer"),             # a cone point
+    ])
+    def test_check_reports_flipped_rank_byte(self, tmp_path, monkeypatch,
+                                             segre_4x5_table, code, message):
+        # a cached table with one rank byte flipped and a matching sha256
+        import hashlib
+        head, data = segre_4x5_table
+        data = bytearray(data)
+        assert (data[code] == 1) == (message == "rank-1 layer")
+        data[code] ^= 1
+        stem = str(tmp_path / "oracle_segre-4x5_p2_v2")
+        with open(stem + ".bin", "wb") as fh:
+            fh.write(data)
+        with open(stem + ".json", "w") as fh:
+            json.dump(dict(head, sha256=hashlib.sha256(data).hexdigest()), fh)
+        monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
+        with pytest.raises(AssertionError, match=message):
+            run_cli("oracle", "segre-4x5", "--prime", "2", "--check", "--json")
+
     def test_cap_exit_2(self, capsys):
         code, _ = run_cli("oracle", "spinor10", "--prime", "3")
         assert code == 2

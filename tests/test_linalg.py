@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from secant.linalg import (
+    _BLOCK,
     IntEchelon,
     QuadExt,
     dot,
@@ -18,6 +20,7 @@ from secant.linalg import (
     modp_inverse,
     modp_nullspace,
     modp_rank,
+    modp_rank_batch,
     modp_solve,
     nullspace,
     rank,
@@ -26,6 +29,7 @@ from secant.linalg import (
     solve,
     sqrt_element,
 )
+from secant.oracle import _SMALL_PRIMES  # noqa: the oracle's primes
 
 
 def random_int_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -79,7 +83,10 @@ def test_int_rank_matches_rational_rank():
     rng = random.Random(13)
     for _ in range(40):
         m = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert int_rank(m) == rank(m)
+        assert int_rank(m) == rank(m) == len(row_reduce(m)[1])
+        # rank clears denominators before its integer elimination
+        frac = [[Q(v, rng.randint(1, 9)) for v in row] for row in m]
+        assert rank(frac) == len(row_reduce(frac)[1])
 
 
 def test_int_rank_sparse_rows():
@@ -115,6 +122,47 @@ def test_modp_rank_and_nullspace(p):
         for v in ns:
             img = [sum(a * b for a, b in zip(row, v)) % p for row in m]
             assert all(x == 0 for x in img)
+
+
+def _batch_cases(rng, p):
+    """(N, m, n) integer arrays: empty batches and sides, single rows and
+    columns, zero matrices, repeated rows, signed random entries."""
+    yield np.zeros((0, 3, 4), dtype=np.int64)
+    for m, n in ((0, 3), (3, 0), (0, 0), (1, 5), (5, 1), (1, 1), (3, 3),
+                 (4, 6), (6, 4), (15, 6)):
+        mats = rng.integers(-2 * p, 2 * p, size=(40, m, n))
+        mats[:5] = 0
+        if m > 1:
+            mats[5:15, 1] = mats[5:15, 0]                 # a repeated row
+            mats[15:20, m - 1] = 3 * mats[15:20, 0] + p   # a multiple, shifted
+        yield mats
+
+
+@pytest.mark.parametrize("p", _SMALL_PRIMES)
+def test_modp_rank_batch_matches_modp_rank(p):
+    rng = np.random.default_rng(p)
+    for mats in _batch_cases(rng, p):
+        got = modp_rank_batch(mats, p)
+        assert got.shape == (len(mats),)
+        assert got.tolist() == [modp_rank(m.tolist(), p) for m in mats]
+
+
+@pytest.mark.parametrize("p", _SMALL_PRIMES)
+def test_modp_rank_batch_across_blocks(p):
+    # 40 distinct matrices tiled past the first block boundary
+    rng = np.random.default_rng(100 + p)
+    base = rng.integers(0, p, size=(40, 4, 3))
+    base[::4, 2] = base[::4, 1]
+    reps = _BLOCK // len(base) + 2
+    mats = np.tile(base, (reps, 1, 1))
+    assert len(mats) > _BLOCK
+    want = [modp_rank(m.tolist(), p) for m in base] * reps
+    assert modp_rank_batch(mats, p).tolist() == want
+
+
+def test_modp_rank_batch_rejects_non_batch_shape():
+    with pytest.raises(ValueError):
+        modp_rank_batch(np.zeros((3, 3), dtype=np.int64), 2)
 
 
 def test_modp_solve_and_inverse():

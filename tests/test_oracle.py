@@ -19,7 +19,9 @@ from secant.oracle import (
     RankTable,
     SubspaceCodec,
     bfs_rank_table,
+    decode_array,
     decode_vec,
+    encode_array,
     encode_vec,
     enumerate_cone_points,
     f2_pure_spinor_set,
@@ -35,13 +37,20 @@ from secant.oracle import (
     wedge3_tr2_poly,
     wedge3_tr2_values,
 )
-from secant.oracle import _FAMILIES, _composite_batch, _family  # noqa: internals
+from secant.oracle import (  # noqa: internals
+    _FAMILIES,
+    _closed_form,
+    _composite_batch,
+    _family,
+)
 from secant.ranks import (
     WEDGE3_TRIPLES,
     purity_quadric_table,
     wedge3_quartic,
 )
 from secant.rootsys import CapExceeded
+
+from oracle_reference import CLOSED_FORM, MEMBER
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "wedge3_f2_fixture.json")
@@ -162,8 +171,37 @@ class TestRegistry:
         pts = enumerate_cone_points(family, p)
         assert family_dim(family) == pts.dim
         member = rec.member(fam, p)
-        for code in pts.reps:
-            assert member(tuple(decode_vec(code, p, pts.dim)))
+        assert member(decode_array(pts.reps, p, pts.dim)).all()
+
+    @pytest.mark.parametrize("kind", sorted(INSTANCES))
+    def test_array_member_matches_scalar_reference(self, kind):
+        # the cone points and random vectors, most of them off the cone
+        family, p = self.INSTANCES[kind]
+        rec, fam = _family(family)
+        pts = enumerate_cone_points(family, p)
+        d = pts.dim
+        rng = random.Random(kind)
+        codes = list(pts.reps) + [rng.randrange(1, p ** d)
+                                  for _ in range(300)]
+        ref = MEMBER[kind](fam, p)
+        want = [ref(tuple(decode_vec(code, p, d))) for code in codes]
+        assert not all(want)
+        got = rec.member(fam, p)(decode_array(codes, p, d))
+        assert got.dtype == bool and got.tolist() == want
+
+    @pytest.mark.parametrize("family,p", [
+        ("segre-2x3", 3), ("segre-3x2", 5), ("gr2-5", 2), ("gr2-4", 3),
+        ("gr2-4", 5)])
+    def test_array_closed_form_matches_scalar_reference(self, family, p):
+        # every nonzero vector; the odd primes tell a sign slip apart
+        assert set(CLOSED_FORM) == {rec.kind for rec in _FAMILIES
+                                    if rec.closed_form is not None}
+        rec, fam = _family(family)
+        ref = CLOSED_FORM[rec.kind](fam, p)
+        d = family_dim(family)
+        codes = range(1, p ** d)
+        got = _closed_form(family, p)[1](decode_array(codes, p, d))
+        assert got.tolist() == [ref(decode_vec(code, p, d)) for code in codes]
 
 
 class TestEncoding:
@@ -177,6 +215,17 @@ class TestEncoding:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             decode_vec(1 << 20, 2, 20)
+
+    @pytest.mark.parametrize("p,d", [(2, 20), (3, 9), (13, 6)])
+    def test_array_codec_matches_scalar(self, p, d):
+        rng = random.Random(p)
+        codes = [0, 1, p ** d - 1] + [rng.randrange(p ** d)
+                                      for _ in range(200)]
+        digits = decode_array(codes, p, d)
+        assert digits.shape == (len(codes), d)
+        assert digits.tolist() == [decode_vec(code, p, d) for code in codes]
+        assert encode_array(digits, p).tolist() == codes
+        assert decode_array([], p, d).shape == (0, d)
 
     def test_split_quadric_value_char2(self):
         # the halved form is not identically zero mod 2

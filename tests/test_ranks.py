@@ -293,6 +293,34 @@ class TestCoform:
         with pytest.raises(ValueError):
             coform_rank_decompose([[1, 0], [0, 1]])
 
+    def test_self_check_rejects_wrong_pairs(self):
+        # the integer self-check accepts the emitted pairs, and rejects a
+        # doubled pair (still isotropic) or an added non-isotropic one
+        from secant.linalg import _integer_matrix
+        from secant.ranks import _verify_pairs
+        rng = random.Random(7)
+        form = split_symplectic_form(6)
+
+        def bil(x, y):
+            return sum(x[i] * form[i][j] * y[j]
+                       for i in range(6) for j in range(6))
+
+        w = [[v / 3 for v in row]
+             for row in random_tracefree_coform(rng, 6, form)]
+        a, den = _integer_matrix(w)
+        pairs = coform_rank_decompose(w).pairs
+        assert den > 1 and len(pairs) > 1
+        _verify_pairs(pairs, a, den, bil)
+        x, y = pairs[0]
+        doubled = ([2 * v for v in x], y)
+        with pytest.raises(AssertionError, match="reassemble"):
+            _verify_pairs([doubled] + pairs[1:], a, den, bil)
+        e0, f0 = [0] * 6, [0] * 6
+        e0[0], f0[1] = 1, 1
+        assert bil(e0, f0) != 0
+        with pytest.raises(AssertionError, match="isotropic"):
+            _verify_pairs(pairs + [(e0, f0)], a, den, bil)
+
 
 class TestFlattening:
     def test_decomposable(self):
