@@ -30,7 +30,6 @@ from .linalg import (
     int_row_basis,
     inverse,
     matmul,
-    rank,
     transpose,
 )
 from .rootsys import (
@@ -75,8 +74,7 @@ class ChevalleyAlgebra:
     l + k is the root vector e_alpha for alpha = self.root_list[k]
     (positive roots in height-lex order, then their negatives in the
     same order).  Elements are sparse dicts {basis index: coefficient}.
-    `_n` maps pairs of simple-root coefficient tuples (a, b) with a + b a
-    root to the structure constant N(a, b).
+    The structure constants N(a, b) live only in the bracket table.
     """
 
     def __init__(self, system: RootSystem, sign_fn=None):
@@ -91,7 +89,6 @@ class ChevalleyAlgebra:
         coeffs = list(system.positive_coeffs)
         coeffs += [tuple(-c for c in r) for r in coeffs]
         self._coeffs = tuple(coeffs)
-        self._n = _structure_constants(system, sign_fn)
         # nonzero brackets of basis vectors as (basis index, coefficient)
         # terms: [h_i, e_a] = <a, a_i^v> e_a, [e_a, e_b] = N(a, b) e_{a+b},
         # and [e_a, e_-a] = sum_i m_i (a_i,a_i)/(a,a) h_i for a = sum m_i a_i
@@ -111,7 +108,7 @@ class ChevalleyAlgebra:
             put(k, index[tuple(-c for c in r)],
                 tuple((i, _exact(m * system.gram[i][i], rr))
                       for i, m in enumerate(r) if m))
-        for (ra, rb), v in self._n.items():
+        for (ra, rb), v in _structure_constants(system, sign_fn).items():
             put(index[ra], index[rb],
                 ((index[tuple(map(operator.add, ra, rb))], v),))
 
@@ -155,6 +152,12 @@ def _exact(num: int, den: int) -> int:
     q, rem = divmod(num, den)
     assert rem == 0, (num, den)
     return q
+
+
+def _quotient(num: int, den: int):
+    """num / den: an int when den divides num, else a Fraction."""
+    q, rem = divmod(num, den)
+    return Q(num, den) if rem else q
 
 
 def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
@@ -643,7 +646,10 @@ def sample_isotropic_plane(n: int, rng: random.Random, bound: int = 9) -> tuple:
 
     Sampling works in the hyperbolic chart: free integer coordinates with
     one (for the first vector) or two (for the second) linear equations
-    solved exactly for leftover hyperbolic coordinates.
+    solved exactly for leftover hyperbolic coordinates.  Everything is
+    computed in integers: each solved coordinate is one quotient of
+    integers (an int when it divides), and the rank check runs on the
+    vectors scaled by their denominators.
     """
     m = n // 2
     extra = n % 2
@@ -655,39 +661,46 @@ def sample_isotropic_plane(n: int, rng: random.Random, bound: int = 9) -> tuple:
         for i in range(m):
             v.extend((p[i], q[i]))
         v.extend(w)
-        return tuple(v)
+        return v
 
     while True:
-        p = [Q(rng.randint(-bound, bound)) for _ in range(m)]
+        p = [rng.randint(-bound, bound) for _ in range(m)]
         if not p[0]:
             continue
-        w = [Q(rng.randint(-bound, bound)) for _ in range(extra)]
-        q = [Q(rng.randint(-bound, bound)) for _ in range(m)]
-        # (u,u) = 2 sum p_i q_i + sum w_j^2 = 0, solved for q_0
-        q[0] = -(sum(p[i] * q[i] for i in range(1, m))
-                 + sum((x * x for x in w), Q(0)) / 2) / p[0]
-        u = assemble(p, q, w)
+        w = [rng.randint(-bound, bound) for _ in range(extra)]
+        q = [rng.randint(-bound, bound) for _ in range(m)]
+        # (u,u) = 2 sum p_i q_i + sum w_j^2 = 0, solved for q_0 = nq / dq
+        dq = 2 * p[0]
+        nq = -(2 * sum(p[i] * q[i] for i in range(1, m))
+               + sum(x * x for x in w))
 
-        r = [Q(rng.randint(-bound, bound)) for _ in range(m)]
-        z = [Q(rng.randint(-bound, bound)) for _ in range(extra)]
-        s = [Q(rng.randint(-bound, bound)) for _ in range(m)]
+        r = [rng.randint(-bound, bound) for _ in range(m)]
+        z = [rng.randint(-bound, bound) for _ in range(extra)]
+        s = [rng.randint(-bound, bound) for _ in range(m)]
         det = r[0] * p[1] - r[1] * p[0]
         if not det:
             continue
-        # (v,v) = 0 and (u,v) = 0, solved for s_0, s_1:
-        #   2(r_0 s_0 + r_1 s_1) = -2 sum_{i>=2} r_i s_i - sum z_j^2
-        #   p_0 s_0 + p_1 s_1 = -sum_{i>=2} p_i s_i - sum q_i r_i - sum w_j z_j
-        c1 = -(sum(r[i] * s[i] for i in range(2, m))
-               + sum((x * x for x in z), Q(0)) / 2)
-        c2 = -(sum(p[i] * s[i] for i in range(2, m))
-               + sum(q[i] * r[i] for i in range(m))
-               + sum((a * b for a, b in zip(w, z)), Q(0)))
-        s[0] = (c1 * p[1] - c2 * r[1]) / det
-        s[1] = (r[0] * c2 - p[0] * c1) / det
-        v = assemble(r, s, z)
-        if rank([list(u), list(v)]) != 2:
+        # (v,v) = 0 and (u,v) = 0, solved for s_0, s_1 by Cramer's rule:
+        #   r_0 s_0 + r_1 s_1 = -sum_{i>=2} r_i s_i - sum z_j^2 / 2 = c1 / 2
+        #   p_0 s_0 + p_1 s_1 = -sum_{i>=2} p_i s_i - sum q_i r_i
+        #                       - sum w_j z_j = c2 / dq
+        c1 = -(2 * sum(r[i] * s[i] for i in range(2, m))
+               + sum(x * x for x in z))
+        c2 = -(dq * (sum(p[i] * s[i] for i in range(2, m))
+                     + sum(q[i] * r[i] for i in range(1, m))
+                     + sum(a * b for a, b in zip(w, z)))
+               + nq * r[0])
+        ds = 2 * dq * det
+        ns = [c1 * p[1] * dq - 2 * c2 * r[1], 2 * r[0] * c2 - p[0] * c1 * dq]
+        if int_rank([
+                assemble([dq * x for x in p], [nq] + [dq * x for x in q[1:]],
+                         [dq * x for x in w]),
+                assemble([ds * x for x in r], ns + [ds * x for x in s[2:]],
+                         [ds * x for x in z])]) != 2:
             continue
-        return u, v
+        q[0] = _quotient(nq, dq)
+        s[:2] = (_quotient(x, ds) for x in ns)
+        return tuple(assemble(p, q, w)), tuple(assemble(r, s, z))
 
 
 # ---------------------------------------------------------------------------

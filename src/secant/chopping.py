@@ -6,12 +6,24 @@ left, with the marks restricted.  Wildness descends along chopping: if a
 chopped pair is wild, so is the original.  A certificate is therefore a
 chain of chopping steps ending in a registered wild base case; replaying
 the chain verifies the wildness claim mechanically.
+
+`chop` validates its removal selection and hands it to one core, `_chop`,
+which the certificate search also calls with the subsets it builds.  The
+core grows only the components that carry a mark (canonicalization would
+drop the others) and identifies each through `_subdiagram`, a table keyed
+on the diagram structure (type, vertex tuple) that holds the recognised
+type and all its vertex bijections.  The table is built lazily and kept,
+like `build_root_system`, and has at most one entry per connected
+subdiagram; the smallest transported mark vector is still chosen among the
+bijections on every chop.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 from .rootsys import (
     CapExceeded,
@@ -95,25 +107,26 @@ def _normalize_removed(g: GroupDescriptor, removed) -> tuple[tuple[int, ...], ..
     return tuple(tuple(sorted(v)) for v in per_factor)
 
 
-def _factor_components(cartan, kept: list[int]) -> list[list[int]]:
-    """Connected components of the induced subdiagram, vertices 1-based."""
-    kept_set = set(kept)
-    seen: set[int] = set()
+def _marked_components(st: SimpleType, marks, removed) -> list[tuple[int, ...]]:
+    """Connected components of the diagram minus `removed` that carry a
+    mark, as sorted 1-based vertex tuples; unmarked components are never
+    grown, since canonicalization would drop them."""
+    cartan = build_root_system(st).cartan
+    seen = set(removed)
     comps = []
-    for start in kept:
-        if start in seen:
+    for v, m in enumerate(marks, start=1):
+        if not m or v in seen:
             continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
+        seen.add(v)
+        comp = [v]
+        stack = [v]
         while stack:
-            v = stack.pop()
-            for w in kept_set:
-                if w not in seen and cartan[v - 1][w - 1] != 0:
+            for w, a in enumerate(cartan[stack.pop() - 1], start=1):
+                if a and w not in seen:
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
-        comps.append(sorted(comp))
+        comps.append(tuple(sorted(comp)))
     return comps
 
 
@@ -160,24 +173,42 @@ def _diagram_bijections(sub, target):
     yield from bt(0)
 
 
-def _identify_component(sub_cartan, comp_marks) -> tuple[SimpleType, tuple[int, ...]]:
-    """Recognize a connected sub-Cartan matrix and transport the marks.
+@lru_cache(maxsize=None)
+def _subdiagram(st: SimpleType, comp: tuple[int, ...]):
+    """(recognised type, bijections) of a connected subdiagram of `st`.
 
-    Families are tried in alphabetical order; among the diagram automorphisms
-    of the match, the lexicographically smallest transported mark vector is
-    chosen, so the result is deterministic.
+    Families are tried in alphabetical order.  Each bijection lists, for
+    the vertices of the recognised type in order, the 0-based index in
+    `st` of the vertex it is matched with, so a mark tuple of `st` is
+    transported by reading it at those indices.  Keyed on the diagram
+    structure only, so the table holds at most one entry per connected
+    subdiagram of each type.
     """
-    r = len(sub_cartan)
-    for st in _candidate_types(r):
-        target = build_root_system(st).cartan
-        best = None
-        for sigma in _diagram_bijections(sub_cartan, target):
-            marks = tuple(comp_marks[v] for v in sigma)
-            if best is None or marks < best:
-                best = marks
-        if best is not None:
-            return st, best
-    raise AssertionError("unrecognized connected diagram: %r" % (sub_cartan,))
+    cartan = build_root_system(st).cartan
+    sub = [[cartan[a - 1][b - 1] for b in comp] for a in comp]
+    for cand in _candidate_types(len(comp)):
+        sigmas = tuple(tuple(comp[v] - 1 for v in sigma) for sigma in
+                       _diagram_bijections(sub, build_root_system(cand).cartan))
+        if sigmas:
+            return cand, sigmas
+    raise AssertionError("unrecognized connected diagram: %r" % (sub,))
+
+
+def _chop(g: GroupDescriptor,
+          removed: tuple[tuple[int, ...], ...]) -> GroupDescriptor:
+    """Chop with an already-validated per-factor removal selection.
+
+    Among the diagram automorphisms of each marked component, the
+    lexicographically smallest transported mark vector is chosen, so the
+    result is deterministic.
+    """
+    pieces = []
+    for (st, marks), rm in zip(g.factors, removed):
+        for comp in _marked_components(st, marks, rm):
+            sub_type, sigmas = _subdiagram(st, comp)
+            pieces.append(
+                (sub_type, min(tuple(marks[i] for i in s) for s in sigmas)))
+    return canonicalize(GroupDescriptor(tuple(pieces)))
 
 
 def chop(g: GroupDescriptor, removed) -> GroupDescriptor:
@@ -186,19 +217,10 @@ def chop(g: GroupDescriptor, removed) -> GroupDescriptor:
     `removed` is an iterable of vertex numbers for single-factor descriptors,
     or one iterable per factor (or a {factor index: vertices} dict) for
     products.  Marks are restricted to the kept vertices; components with no
-    marks are dropped by canonicalization, so chopping away every marked
-    vertex yields the empty (trivial) descriptor.
+    marks are dropped, so chopping away every marked vertex yields the empty
+    (trivial) descriptor.
     """
-    removed_norm = _normalize_removed(g, removed)
-    pieces: list[tuple[SimpleType, tuple[int, ...]]] = []
-    for (st, marks), rm in zip(g.factors, removed_norm):
-        sys = build_root_system(st)
-        kept = [v for v in range(1, st.rank + 1) if v not in rm]
-        for comp in _factor_components(sys.cartan, kept):
-            sub = [[sys.cartan[a - 1][b - 1] for b in comp] for a in comp]
-            comp_marks = [marks[v - 1] for v in comp]
-            pieces.append(_identify_component(sub, comp_marks))
-    return canonicalize(GroupDescriptor(tuple(pieces)))
+    return _chop(g, _normalize_removed(g, removed))
 
 
 @dataclass(frozen=True)
@@ -381,7 +403,6 @@ def replay_certificate(cert: Certificate) -> bool:
 def _removal_subsets(rank: int):
     """Nonempty proper-or-full vertex subsets, smallest and lexicographic first."""
     verts = list(range(1, rank + 1))
-    from itertools import combinations
     for size in range(1, rank + 1):
         yield from combinations(verts, size)
 
@@ -423,7 +444,7 @@ def find_wild_certificate(
             assert len(state.factors) == 1  # fundamental chops stay fundamental
             st, _marks = state.factors[0]
             for subset in _removal_subsets(st.rank):
-                result = chop(state, subset)
+                result = _chop(state, (subset,))
                 if height(result) == 0 or result in seen:
                     continue
                 seen.add(result)

@@ -311,33 +311,43 @@ def _dual_reduce_product_factor(st: SimpleType, marks: tuple[int, ...]):
     return marks
 
 
+def _dense_fundamentals(st: SimpleType):
+    """Fundamental mark tuples of `st` at projectively-dense positions."""
+    for pos in range(1, st.rank + 1):
+        if dense_position(st.family, st.rank, pos):
+            yield tuple(int(t == pos - 1) for t in range(st.rank))
+
+
 def generate_table(max_rank: int = 8):
-    """All tame pairs among simple types of rank <= max_rank with height <= 3
-    marks, plus two-factor products with height 2; deterministic order.
+    """All tame pairs among simple types of rank <= max_rank with marks of
+    height <= 3, plus two-factor products of fundamental weights;
+    deterministic order.
+
+    Only possible tame candidates are classified: every weight of height 3
+    is wild by the height rule, and a product of two fundamentals has
+    height 2, so it is tame only if both positions are dense.  So singles
+    of height <= 2 and products of two dense fundamentals are enumerated,
+    and each of them still goes through `classify`.
 
     Product entries are normalized under the per-factor duality twist of SL
     factors (a mark on the last vertex becomes a mark on the first), since
     dualizing one factor is an automorphism-twist giving the same variety.
     """
     rows: dict[GroupDescriptor, TamenessVerdict] = {}
-    for st in _canonical_single_types(max_rank):
-        for marks in _all_marks_up_to_height(st.rank, 3):
+    singles = _canonical_single_types(max_rank)
+    for st in singles:
+        for marks in _all_marks_up_to_height(st.rank, 2):
             g = canonicalize(GroupDescriptor(((st, marks),)))
             if height(g) == 0 or g in rows:
                 continue
             verdict = classify(g)
             if verdict.tame:
                 rows[g] = verdict
-    singles = _canonical_single_types(max_rank)
     for i, st1 in enumerate(singles):
         for st2 in singles[i:]:
-            for p1 in range(1, st1.rank + 1):
-                for p2 in range(1, st2.rank + 1):
-                    m1 = tuple(1 if t == p1 - 1 else 0 for t in range(st1.rank))
-                    m2 = tuple(1 if t == p2 - 1 else 0 for t in range(st2.rank))
+            for m1 in _dense_fundamentals(st1):
+                for m2 in _dense_fundamentals(st2):
                     g = canonicalize(GroupDescriptor(((st1, m1), (st2, m2))))
-                    if len(g.factors) != 2:
-                        continue
                     verdict = classify(g)
                     if not verdict.tame:
                         continue

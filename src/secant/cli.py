@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from .chevalley import (
     build_chevalley,
@@ -509,11 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process-wide parser: parsing leaves it unchanged, so it is built
+    once rather than on every `main` call."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args, out)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,0 +1,76 @@
+"""All-components reference for diagram chopping.
+
+This is the earlier `chop`, kept here only to check the marked-component
+core of `secant.chopping` against: it grows every connected component of
+the kept subdiagram, marked or not, identifies each one by backtracking
+over diagram bijections against every candidate type, and leaves the
+unmarked ones for canonicalization to drop.  Nothing in `secant` imports
+this module.
+"""
+
+from __future__ import annotations
+
+from secant.chopping import (
+    _candidate_types,
+    _diagram_bijections,
+    _normalize_removed,
+)
+from secant.rootsys import (
+    GroupDescriptor,
+    SimpleType,
+    build_root_system,
+    canonicalize,
+)
+
+
+def factor_components(cartan, kept: list[int]) -> list[list[int]]:
+    """Connected components of the induced subdiagram, vertices 1-based."""
+    kept_set = set(kept)
+    seen: set[int] = set()
+    comps = []
+    for start in kept:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in kept_set:
+                if w not in seen and cartan[v - 1][w - 1] != 0:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def identify_component(sub_cartan, comp_marks) -> tuple[SimpleType, tuple[int, ...]]:
+    """Recognize a connected sub-Cartan matrix and transport the marks,
+    choosing the lexicographically smallest transported mark vector."""
+    r = len(sub_cartan)
+    for st in _candidate_types(r):
+        target = build_root_system(st).cartan
+        best = None
+        for sigma in _diagram_bijections(sub_cartan, target):
+            marks = tuple(comp_marks[v] for v in sigma)
+            if best is None or marks < best:
+                best = marks
+        if best is not None:
+            return st, best
+    raise AssertionError("unrecognized connected diagram: %r" % (sub_cartan,))
+
+
+def reference_chop(g: GroupDescriptor, removed) -> GroupDescriptor:
+    """Remove vertices (1-based, per factor), identify every component of
+    what is left and canonicalize."""
+    removed_norm = _normalize_removed(g, removed)
+    pieces: list[tuple[SimpleType, tuple[int, ...]]] = []
+    for (st, marks), rm in zip(g.factors, removed_norm):
+        sys = build_root_system(st)
+        kept = [v for v in range(1, st.rank + 1) if v not in rm]
+        for comp in factor_components(sys.cartan, kept):
+            sub = [[sys.cartan[a - 1][b - 1] for b in comp] for a in comp]
+            comp_marks = [marks[v - 1] for v in comp]
+            pieces.append(identify_component(sub, comp_marks))
+    return canonicalize(GroupDescriptor(tuple(pieces)))

@@ -3,8 +3,8 @@
 These are the earlier implementations, kept here only to check the
 integer code against: root generation by reflections of rational
 ε-coordinate vectors, structure constants computed on ε-vectors with
-Fraction ratios of squared lengths, and image statistics by rational
-elimination.  Nothing in `secant` imports this module.
+Fraction ratios of squared lengths, image statistics by rational
+elimination, and isotropic planes sampled in Fraction coordinates.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
@@ -170,3 +170,50 @@ def fraction_isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
           + Q(y1[i]) * y2[j] - Q(y2[i]) * y1[j]
           for j in range(n)] for i in range(n)]
     return _CASES[fraction_skew_im_stats(w, sym)]
+
+
+def fraction_sample_isotropic_plane(n: int, rng, bound: int = 9) -> tuple:
+    """Two vectors spanning an isotropic plane for the split form, built
+    coordinate by coordinate in Fractions; same draws from `rng` as
+    `secant.chevalley.sample_isotropic_plane`."""
+    m = n // 2
+    extra = n % 2
+    if m < 3:
+        raise ValueError("need at least 3 hyperbolic pairs to sample planes")
+
+    def assemble(p, q, w):
+        v = []
+        for i in range(m):
+            v.extend((p[i], q[i]))
+        v.extend(w)
+        return tuple(v)
+
+    while True:
+        p = [Q(rng.randint(-bound, bound)) for _ in range(m)]
+        if not p[0]:
+            continue
+        w = [Q(rng.randint(-bound, bound)) for _ in range(extra)]
+        q = [Q(rng.randint(-bound, bound)) for _ in range(m)]
+        # (u,u) = 2 sum p_i q_i + sum w_j^2 = 0, solved for q_0
+        q[0] = -(sum(p[i] * q[i] for i in range(1, m))
+                 + sum((x * x for x in w), Q(0)) / 2) / p[0]
+        u = assemble(p, q, w)
+
+        r = [Q(rng.randint(-bound, bound)) for _ in range(m)]
+        z = [Q(rng.randint(-bound, bound)) for _ in range(extra)]
+        s = [Q(rng.randint(-bound, bound)) for _ in range(m)]
+        det = r[0] * p[1] - r[1] * p[0]
+        if not det:
+            continue
+        # (v,v) = 0 and (u,v) = 0, solved for s_0, s_1
+        c1 = -(sum(r[i] * s[i] for i in range(2, m))
+               + sum((x * x for x in z), Q(0)) / 2)
+        c2 = -(sum(p[i] * s[i] for i in range(2, m))
+               + sum(q[i] * r[i] for i in range(m))
+               + sum((a * b for a, b in zip(w, z)), Q(0)))
+        s[0] = (c1 * p[1] - c2 * r[1]) / det
+        s[1] = (r[0] * c2 - p[0] * c1) / det
+        v = assemble(r, s, z)
+        if len(row_reduce([list(u), list(v)])[1]) != 2:
+            continue
+        return u, v

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from secant.chevalley import (
+    _structure_constants,
     build_chevalley,
     build_chevalley_with_signs,
     coform_of_operator,
@@ -27,6 +28,7 @@ from secant.chevalley import (
 from lie_reference import (
     ALL_TYPES,
     fraction_isotropic_pair_case,
+    fraction_sample_isotropic_plane,
     fraction_structure_constants,
 )
 from secant.linalg import rank, transpose
@@ -99,8 +101,8 @@ def test_jacobi_random(fam, n, count):
 ])
 def test_structure_constant_magnitudes(fam, n):
     # every constant has magnitude p+1, the descending root-string length
-    alg = build_chevalley(SimpleType(fam, n))
-    sysm = alg.system
+    sysm = build_root_system(SimpleType(fam, n))
+    constants = _structure_constants(sysm)
     for a in sysm.roots:
         for b in sysm.roots:
             s = tuple(p + q for p, q in zip(a, b))
@@ -111,7 +113,7 @@ def test_structure_constant_magnitudes(fam, n):
                     k += 1
                     cur = tuple(x - y for x, y in zip(cur, a))
                 key = (sysm.root_coeffs(a), sysm.root_coeffs(b))
-                assert abs(alg._n[key]) == k + 1, (a, b)
+                assert abs(constants[key]) == k + 1, (a, b)
 
 
 def _by_coeffs(sysm, constants):
@@ -124,12 +126,11 @@ def test_structure_constants_match_fraction_reference(st_):
     sysm = build_root_system(st_)
     ref = fraction_structure_constants(sysm)
     alg = build_chevalley(st_)
-    assert alg._n == _by_coeffs(sysm, ref)
+    assert _structure_constants(sysm) == _by_coeffs(sysm, ref)
     if st_ not in (SimpleType("E", 7), SimpleType("E", 8)):
         # the reference takes 5 s on these two with the default signs alone
         sign = lambda coeffs: -1 if sum(coeffs) % 2 == 0 else 1  # noqa: E731
-        alt = build_chevalley_with_signs(st_, sign)
-        assert alt._n == _by_coeffs(
+        assert _structure_constants(sysm, sign) == _by_coeffs(
             sysm, fraction_structure_constants(sysm, sign))
     # the bracket of two basis vectors, from the reference constants and
     # the rational form
@@ -154,12 +155,12 @@ def test_structure_constants_match_fraction_reference(st_):
 
 
 def test_antisymmetry_of_constants():
-    alg = build_chevalley(SimpleType("C", 3))
-    for (a, b), v in alg._n.items():
-        assert alg._n[(b, a)] == -v
+    constants = _structure_constants(build_root_system(SimpleType("C", 3)))
+    for (a, b), v in constants.items():
+        assert constants[(b, a)] == -v
         na = tuple(-x for x in a)
         nb = tuple(-x for x in b)
-        assert alg._n[(na, nb)] == -v
+        assert constants[(na, nb)] == -v
 
 
 def test_cartan_acts_diagonally():
@@ -177,11 +178,12 @@ def test_sign_convention_independence():
     # flipping the pinned signs gives another valid Chevalley basis with
     # identical invariants
     t = SimpleType("A", 3)
-    alt = build_chevalley_with_signs(
-        t, lambda coeffs: -1 if sum(coeffs) % 2 == 0 else 1)
+    sign_fn = lambda coeffs: -1 if sum(coeffs) % 2 == 0 else 1  # noqa: E731
+    alt = build_chevalley_with_signs(t, sign_fn)
     ref = build_chevalley(t)
-    for (a, b), v in ref._n.items():
-        assert abs(alt._n[(a, b)]) == abs(v)
+    alt_constants = _structure_constants(alt.system, sign_fn)
+    for (a, b), v in _structure_constants(ref.system).items():
+        assert abs(alt_constants[(a, b)]) == abs(v)
     for i, j, k in itertools.product(range(alt.dim), repeat=3):
         assert not jacobi_defect(alt, i, j, k)
     x = {alt.type.rank + 0: 1, alt.type.rank + 2: 1}
@@ -491,6 +493,19 @@ def test_sampled_planes_are_isotropic():
         assert sum(Q(u[i]) * G[i][j] * v[j]
                    for i in range(n) for j in range(n)) == 0
         assert rank([list(u), list(v)]) == 2
+
+
+def test_sample_isotropic_plane_matches_fraction_reference():
+    # same draws, equal vectors; integral coordinates come back as ints
+    for n in (7, 8, 13):
+        for seed in range(500):
+            rng = random.Random("plane/%d/%d" % (n, seed))
+            ref_rng = random.Random("plane/%d/%d" % (n, seed))
+            got = sample_isotropic_plane(n, rng)
+            assert got == fraction_sample_isotropic_plane(n, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            for x in got[0] + got[1]:
+                assert type(x) is int or (type(x) is Q and x.denominator > 1)
 
 
 def test_secant_orbit_reps():

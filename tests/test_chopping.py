@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import json
+import pathlib
 import random
 
 import pytest
 
+from chopping_reference import reference_chop
 from secant.chopping import (
     BASE_CASES,
     Chopping,
+    _marked_components,
     certificate_from_json,
     certificate_to_json,
     chop,
@@ -18,7 +22,9 @@ from secant.chopping import (
     match_base_case,
     replay_certificate,
 )
+from secant.classifier import _canonical_single_types
 from secant.rootsys import (
+    CapExceeded,
     GroupDescriptor,
     SimpleType,
     canonicalize,
@@ -26,6 +32,8 @@ from secant.rootsys import (
     height,
     parse_descriptor,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def fund(fam, n, k):
@@ -104,23 +112,111 @@ def test_chop_of_fundamental_is_fundamental_or_trivial():
 
 def test_chop_functorial_on_vertex_sets():
     # removing S1 ∪ S2 at once equals removing S1 and then S2, where the
-    # second removal is applied in the original vertex numbering
+    # second removal is applied in the original vertex numbering; with
+    # every vertex marked, the marked components are all components
     rng = random.Random(11)
-    from secant.chopping import _factor_components
-    from secant.rootsys import build_root_system
     for st in [SimpleType("A", 7), SimpleType("D", 7), SimpleType("E", 8)]:
-        cart = build_root_system(st).cartan
         verts = list(range(1, st.rank + 1))
+        ones = (1,) * st.rank
         for _ in range(20):
             s1 = set(rng.sample(verts, rng.randint(1, 3)))
             s2 = set(rng.sample(verts, rng.randint(1, 3))) - s1
-            kept_once = [v for v in verts if v not in s1 | s2]
-            comps_once = _factor_components(cart, kept_once)
+            comps_once = _marked_components(st, ones, s1 | s2)
             comps_twice = []
-            for comp in _factor_components(cart, [v for v in verts if v not in s1]):
-                comps_twice.extend(
-                    _factor_components(cart, [v for v in comp if v not in s2]))
-            assert sorted(map(tuple, comps_once)) == sorted(map(tuple, comps_twice))
+            for comp in _marked_components(st, ones, s1):
+                outside = set(verts) - set(comp)
+                comps_twice.extend(_marked_components(st, ones, outside | s2))
+            assert sorted(comps_once) == sorted(comps_twice)
+
+
+def _removal_selections(rank):
+    verts = range(1, rank + 1)
+    for size in range(rank + 1):
+        yield from itertools.combinations(verts, size)
+
+
+def test_chop_matches_all_components_reference_on_fundamentals():
+    # every fundamental of every type of rank <= 8 (the low-rank aliases
+    # B2 and D3 included), under every removal subset
+    checked = 0
+    for fam, n, k in all_fundamentals(8):
+        marks = tuple(int(i + 1 == k) for i in range(n))
+        g = GroupDescriptor(((SimpleType(fam, n), marks),))
+        for removed in _removal_selections(n):
+            assert chop(g, removed) == reference_chop(g, removed), (g, removed)
+            checked += 1
+    assert checked == 17730  # sum over the types of rank * 2^rank
+
+
+def test_chop_matches_all_components_reference_seeded():
+    # multi-mark single factors and two-factor products, with seeded
+    # removals in every accepted form
+    rng = random.Random(2026)
+    types = [SimpleType(fam, n) for fam, n, k in all_fundamentals(9) if k == 1]
+    for case in range(1500):
+        factors = []
+        for _ in range(1 + case % 2):
+            st = rng.choice(types)
+            factors.append((st, tuple(rng.choice((0, 0, 0, 1, 2))
+                                      for _ in range(st.rank))))
+        g = GroupDescriptor(tuple(factors))
+        removed = [{v for v in range(1, st.rank + 1) if rng.random() < 0.3}
+                   for st, _ in factors]
+        if len(factors) == 1 and case % 4 == 0:
+            removed = sorted(removed[0])
+        elif case % 4 == 1:
+            removed = {fi: vs for fi, vs in enumerate(removed) if vs}
+        assert chop(g, removed) == reference_chop(g, removed), (g, removed)
+
+
+def _certificate_document():
+    rows = {}
+    for st in _canonical_single_types(8):
+        for pos in range(st.rank):
+            marks = tuple(int(t == pos) for t in range(st.rank))
+            g = canonicalize(GroupDescriptor(((st, marks),)))
+            cert = find_wild_certificate(g)
+            rows[format_descriptor(g)] = (None if cert is None
+                                          else certificate_to_json(cert))
+    return {"max_rank": 8, "certificates": rows}
+
+
+def test_certificates_match_rank8_golden():
+    # certificate_to_json of all 161 fundamentals of rank <= 8 (null for
+    # the tame ones), byte for byte
+    text = json.dumps(_certificate_document(), indent=1, sort_keys=True) + "\n"
+    assert len(json.loads(text)["certificates"]) == 161
+    assert text == (DATA / "certificates_rank8.json").read_text()
+
+
+def _first_passing_cap(g):
+    """Smallest max_states for which the search does not raise."""
+    lo, hi = 0, 1 << 16
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            find_wild_certificate(g, max_states=mid)
+        except CapExceeded:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_state_cap_matches_reference(monkeypatch):
+    # the search over the reference chop raises CapExceeded for exactly the
+    # same caps: one below the threshold found with the marked-component
+    # chop raises, the threshold itself passes
+    import secant.chopping as chopping
+    cases = [fund(fam, n, k) for fam, n, k in all_fundamentals(8)]
+    thresholds = [_first_passing_cap(g) for g in cases]
+    assert max(thresholds) > 1
+    monkeypatch.setattr(chopping, "_chop", reference_chop)
+    for g, k in zip(cases, thresholds):
+        if k:
+            with pytest.raises(CapExceeded):
+                find_wild_certificate(g, max_states=k - 1)
+        find_wild_certificate(g, max_states=k)
 
 
 def test_dense_position():

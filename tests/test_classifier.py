@@ -5,8 +5,14 @@ import pathlib
 
 import pytest
 
-from secant.chopping import find_wild_certificate, replay_certificate
+from secant.chopping import (
+    dense_position,
+    find_wild_certificate,
+    replay_certificate,
+)
 from secant.classifier import (
+    _all_marks_up_to_height,
+    _canonical_single_types,
     REASON_CERTIFICATE,
     REASON_H2_FAIL,
     REASON_H2_LIST,
@@ -195,6 +201,36 @@ def test_table_products_are_dual_reduced():
         for st, marks in g.factors:
             if len(g.factors) > 1 and st.family == "A" and st.rank > 1:
                 assert marks[0] == 1 and marks[-1] == 0
+
+
+def test_skipped_table_candidates_are_wild_rank8():
+    # the table no longer classifies height-3 singles or products with a
+    # non-dense fundamental; each of them classifies wild by the height
+    # rules, with a certificate that replays
+    skipped = []
+    for st in _canonical_single_types(8):
+        for marks in _all_marks_up_to_height(st.rank, 3):
+            if sum(marks) == 3:
+                skipped.append((GroupDescriptor(((st, marks),)), REASON_H3))
+    singles = _canonical_single_types(8)
+    for i, st1 in enumerate(singles):
+        for st2 in singles[i:]:
+            for p1 in range(1, st1.rank + 1):
+                for p2 in range(1, st2.rank + 1):
+                    if (dense_position(st1.family, st1.rank, p1)
+                            and dense_position(st2.family, st2.rank, p2)):
+                        continue
+                    m1 = tuple(int(t == p1 - 1) for t in range(st1.rank))
+                    m2 = tuple(int(t == p2 - 1) for t in range(st2.rank))
+                    skipped.append((GroupDescriptor(((st1, m1), (st2, m2))),
+                                    REASON_H2_FAIL))
+    # 1583 height-3 marks, and 13443 products of two of the 161
+    # fundamentals less the 260 products of two of the 22 dense ones
+    assert len(skipped) == 1583 + 13443 - 260
+    for g, reason in skipped:
+        verdict = classify(g)
+        assert (verdict.status, verdict.reason) == ("wild", reason), g
+        assert replay_certificate(verdict.certificate), g
 
 
 def test_double_entry_rank6():

@@ -353,6 +353,36 @@ class TestTable:
 
 
 class TestPlumbing:
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        # main reuses one parser per process; a run of different commands,
+        # errors and a cap in one process must read exactly like each
+        # command run alone
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"shape": "matrix", "dims": [2, 3],
+                                    "coords": ["1", "2", "3", "2", "4", "6"]}))
+        calls = [
+            ["rank", "matrix", str(path), "--json"],
+            ["classify", "A5[0,0,1,0,0]"],
+            ["classify", "Z9[1]"],
+            ["oracle", "spinor10", "--prime", "3"],
+            ["no-such-command"],
+            ["classify", "G2[1,0]", "--json"],
+            ["rank", "matrix", str(path)],
+        ]
+        in_process = []
+        for _ in range(2):
+            for argv in calls:
+                code, out = run_cli(*argv)
+                in_process.append((code, out, capsys.readouterr().err))
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "secant.cli"] + argv,
+                capture_output=True, text=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [c for c, _, _ in fresh] == [0, 0, 1, 2, 1, 0, 0]
+        assert in_process == fresh + fresh
+
     def test_usage_error_exit_1(self, capsys):
         code = main(["no-such-command"])
         assert code == 1
