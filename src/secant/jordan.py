@@ -36,7 +36,7 @@ from .linalg import (
     modp_nullspace,
     modp_rank,
     modp_row_reduce,
-    sqrt_element,
+    rational_sqrt,
 )
 from .rootsys import CapExceeded, SimpleType, build_root_system
 
@@ -388,21 +388,27 @@ def jordan_rank(x: AlbertElement) -> int:
     x# != 0; 3 otherwise."""
     if x.is_zero():
         return 0
-    if x.adjugate().is_zero():
+    # the rank of the integral multiple, whose x# and det3 need no division
+    whole, _ = x._cleared()
+    if whole.adjugate().is_zero():
         return 1
-    if x.det3() == 0:
+    if whole.det3() == 0:
         return 2
     return 3
+
+
+def _check_tracefree(x: AlbertElement) -> None:
+    if x.is_zero():
+        raise ValueError("the zero element has no rank stratum")
+    if x.trace() != 0:
+        raise ValueError("element must be trace-free (trace is %s)" % (x.trace(),))
 
 
 def f4_rank(x: AlbertElement) -> int:
     """Rank stratum of a nonzero trace-free element (the three strata 1..3
     index the nontrivial orbits of the automorphism group on trace-free
     elements)."""
-    if x.is_zero():
-        raise ValueError("the zero element has no rank stratum")
-    if x.trace() != 0:
-        raise ValueError("element must be trace-free (trace is %s)" % (x.trace(),))
+    _check_tracefree(x)
     return jordan_rank(x)
 
 
@@ -424,32 +430,58 @@ def rank2_split(x: AlbertElement) -> Rank2Split:
     """Split a trace-free rank-2 element as a sum of two rank-1 elements.
 
     The element satisfies a reduced quadratic: with S = Tr(x#) (negative for
-    trace-free rank 2 over Q), the eigenvalue pair is +-sqrt(-S), and the two
-    spectral pieces (x o x +- sqrt(-S) x) / (2 sqrt(-S)) are rank 1.  All
-    output coordinates lie in Q(sqrt(-S)); every postcondition is rechecked.
+    trace-free rank 2 over Q), the eigenvalue pair is +-sqrt(d), d = -S, and
+    the two spectral pieces (x o x +- sqrt(d) x) / (2 sqrt(d)) are rank 1.
+    They are P +- sqrt(d) Q with the rational elements P = x/2 and
+    Q = (x o x)/(2d), so the split is computed on two integer elements,
+    X = den x (den clearing the denominators of x) and Y = X o X.  With
+    d = dn/dd, both pieces have rank 1 iff dn den^2 X# + dd Y# = 0 and
+    X x Y = 0, and they are orthogonal iff dn den^2 (X o X) = dd (Y o Y);
+    these postconditions are rechecked, and so are that the pieces are
+    nonzero and that they resum to x.  The pieces' coordinates lie in
+    Q(sqrt(d)): QuadExt numbers, built once for the output, or plain
+    rationals when d is a square.
     """
     for co in x.coords():
         if not isinstance(co, (int, Q)):
             raise ValueError("rank2_split needs rational coordinates")
-    if f4_rank(x) != 2:
+    _check_tracefree(x)
+    whole, den = x._cleared()
+    sharp = whole.adjugate()
+    if sharp.is_zero() or whole.det3() != 0:
         raise ValueError("rank2_split needs a trace-free element of rank 2")
-    s_val = x.adjugate().trace()
-    d = -s_val
+    d = Q(-sharp.trace(), den * den)
     if d <= 0:
-        raise ValueError("degenerate quadratic invariant %s" % (s_val,))
-    mu = sqrt_element(d)
-    xsq = x.jordan(x)
-    inv2mu = _div(1, 2 * mu)
-    plus = (xsq + x.scale(mu)).scale(inv2mu)
-    minus = x - plus
-    if jordan_rank(plus) != 1 or jordan_rank(minus) != 1:
+        raise ValueError("degenerate quadratic invariant %s" % (-d,))
+    dn, dd = d.numerator, d.denominator
+    sq = whole.jordan(whole)
+    sq_sharp = sq.adjugate()
+    s = dn * den * den
+    if (not (sharp.scale(s) + sq_sharp.scale(dd)).is_zero()
+            or not ((whole + sq).adjugate() - sharp - sq_sharp).is_zero()):
+        raise AssertionError("rank-2 split produced pieces of wrong rank")
+    if sq.scale(s) != sq.jordan(sq).scale(dd):
+        raise AssertionError("rank-2 split pieces are not orthogonal")
+    # plus/minus coordinate i is (dn den X_i +- dd Y_i sqrt(d)) / (2 dn den^2)
+    m = 2 * s
+    pairs = [(dn * den * p, dd * q) for p, q in zip(whole.coords(), sq.coords())]
+    mu = rational_sqrt(d)
+    if mu is None:
+        field = QuadExt(0, 1, d)
+        plus = [field._new(p, q, m) for p, q in pairs]
+        minus = [field._new(p, -q, m) for p, q in pairs]
+    else:
+        mn, md = mu.numerator, mu.denominator
+        plus = [_div(md * p + mn * q, md * m) for p, q in pairs]
+        minus = [_div(md * p - mn * q, md * m) for p, q in pairs]
+    plus = AlbertElement.from_coords(plus, lines=x.lines)
+    minus = AlbertElement.from_coords(minus, lines=x.lines)
+    if plus.is_zero() or minus.is_zero():
         raise AssertionError("rank-2 split produced pieces of wrong rank")
     if plus + minus != x:
         raise AssertionError("rank-2 split does not resum")
-    if not plus.jordan(minus).is_zero():
-        raise AssertionError("rank-2 split pieces are not orthogonal")
-    return Rank2Split(plus=plus, minus=minus, disc=Q(d),
-                      field_degree=1 if isinstance(mu, Q) else 2)
+    return Rank2Split(plus=plus, minus=minus, disc=d,
+                      field_degree=1 if mu is not None else 2)
 
 
 @dataclass
@@ -490,30 +522,40 @@ def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
     det3(x - t v) is linear in t (the quadratic and cubic terms vanish since
     v# = 0), so t* = det3(x) / <x#, v> kills the determinant exactly and
     x = t* v + (x - t* v) with a rank-1 piece and a rank <= 2 residual.
+    x# and det3(x) are taken once, on X = den x, and the postconditions are
+    checked on the integer multiples V = vden v of the piece and
+    R = <X#, V> X - det3(X) V of the residual.
     """
-    if jordan_rank(x) != 3:
+    whole, den = x._cleared()
+    sharp = whole.adjugate()
+    det = whole.det3()
+    if det == 0:
         raise ValueError("rank3_split needs a full-rank element (det3 != 0)")
     if rng is None:
         rng = random.Random(0)
-    sharp = x.adjugate()
-    det = x.det3()
     for attempt in range(1, budget + 1):
         a0 = rng.randint(1, 5) * (1 if rng.random() < 0.5 else -1)
         yo = tuple(rng.randint(-3, 3) for _ in range(8))
         zo = tuple(rng.randint(-3, 3) for _ in range(8))
         v = rank1_from_chart(a0, yo, zo, lines=x.lines)
-        pair = sharp.inner(v)
+        vwhole, vden = v._cleared()
+        pair = sharp.inner(vwhole)
         if pair == 0:
             continue
-        t_star = _div(det, pair)
-        piece = v.scale(t_star)
-        residual = x - piece
+        # piece = t* v and residual = x - t* v are these over den * <X#, V>
+        whole_part, piece_part = whole.scale(pair), vwhole.scale(det)
+        residual = whole_part - piece_part
         if residual.det3() != 0:
             raise AssertionError("residual determinant did not vanish")
-        if jordan_rank(piece) != 1:
+        if vwhole.is_zero() or not vwhole.adjugate().is_zero():
             raise AssertionError("peeled piece is not rank 1")
-        if piece + residual != x:
+        if piece_part + residual != whole_part:
             raise AssertionError("rank-3 split does not resum")
+        q = den * pair
+        piece, residual = (
+            AlbertElement.from_coords([_div(c, q) for c in part.coords()],
+                                      lines=x.lines)
+            for part in (piece_part, residual))
         return Rank3Split(piece=piece, residual=residual, attempts=attempt)
     raise ValueError("no transversal rank-1 direction found in %d samples" % budget)
 

@@ -1,10 +1,13 @@
 """Exact linear algebra: rationals, integer fraction-free elimination, prime fields.
 
-Everything here is exact.  Rational routines use `fractions.Fraction`;
-integer routines stay in Z with per-row gcd normalization so entries do not
-blow up; prime-field routines work on plain ints reduced mod p, and
-`modp_rank_batch` on numpy integer arrays of many matrices at once.  No
-floats.
+Everything here is exact.  The rational routines (`row_reduce`,
+`nullspace`, `solve`, `inverse`) take ints and Fractions, run on one
+fraction-free integer engine (denominators cleared once, then Bareiss
+elimination) and return Fractions; `rank` is the integer rank of the
+cleared matrix.  Integer routines stay in Z with per-row gcd normalization
+so entries do not blow up; prime-field routines work on plain ints reduced
+mod p, and `modp_rank_batch` on numpy integer arrays of many matrices at
+once.  No floats.
 """
 
 from __future__ import annotations
@@ -39,8 +42,11 @@ def _integer_row(values) -> tuple[list[int], int]:
 
 def _integer_matrix(mat) -> tuple[list[list[int]], int]:
     """(rows, den): den is the lcm of the denominators of all entries and
-    rows[i][j] == mat[i][j] * den."""
+    rows[i][j] == mat[i][j] * den; ValueError on rows of unequal length."""
     mat = [list(row) for row in mat]
+    if any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("ragged matrix: rows of lengths %s"
+                         % sorted({len(row) for row in mat}))
     flat, den = _integer_row(x for row in mat for x in row)
     it = iter(flat)
     return [[next(it) for _ in row] for row in mat], den
@@ -48,41 +54,53 @@ def _integer_matrix(mat) -> tuple[list[list[int]], int]:
 
 # ---------------------------------------------------------------------------
 # rational elimination
+#
+# One fraction-free engine: the rational routines clear denominators and run
+# Gauss-Jordan elimination in Z (Bareiss, Math. Comp. 22, 1968), then divide
+# once per output entry.
 
 
 def row_reduce(mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over the rationals.
 
     Returns (rref rows, pivot column indices).  Accepts any nested iterable
-    of Fraction/int entries; rows of the result are lists of Fractions.
+    of Fraction/int rows of one length; rows of the result are lists of
+    Fractions.  Eliminates on the denominator-cleared integer matrix: with
+    pivot piv at (r, c), every other row becomes
+    (piv * row_i - a_ic * row_r) // prev, prev the previous pivot.  Each
+    division is exact, since every entry is then a minor of the matrix
+    (Sylvester's identity), and at the end each pivot row is the last pivot
+    times its reduced row.
     """
-    rows = [[Q(x) for x in row] for row in mat]
+    rows, _ = _integer_matrix(mat)
     pivots: list[int] = []
     if not rows:
         return rows, pivots
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        found = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if found is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ref = rows[r]
-                rows[i] = [a - f * b for a, b in zip(rows[i], ref)]
+        rows[r], rows[found] = rows[found], rows[r]
+        ref = rows[r]
+        piv = ref[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, ref)]
+            elif piv != prev:
+                rows[i] = [piv * a // prev for a in row]
+        prev = piv
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return rows, pivots
+    zero = Q(0)
+    return [[Q(a, prev) if a else zero for a in row] for row in rows], pivots
 
 
 def rank(mat) -> int:
@@ -93,15 +111,15 @@ def rank(mat) -> int:
 
 def nullspace(mat) -> list[Vec]:
     """Basis of the right kernel {v : mat @ v = 0}, as tuples of Fractions."""
-    rows = [list(row) for row in mat]
-    if not rows:
+    rref, pivots = row_reduce(mat)
+    if not rref:
         return []
-    ncols = len(rows[0])
-    rref, pivots = row_reduce(rows)
+    ncols = len(rref[0])
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [Q(0)] * ncols
         v[fc] = Q(1)
         for r, pc in enumerate(pivots):
@@ -111,12 +129,16 @@ def nullspace(mat) -> list[Vec]:
 
 
 def solve(mat, rhs) -> list[Q] | None:
-    """One exact solution of mat @ x = rhs, or None if inconsistent."""
-    rows = [list(row) + [Q(b)] for row, b in zip(mat, rhs)]
-    if not rows:
+    """One exact solution of mat @ x = rhs, or None if inconsistent;
+    ValueError unless rhs has one entry per row."""
+    mat, rhs = list(mat), list(rhs)
+    if len(mat) != len(rhs):
+        raise ValueError("solve needs one right-hand side per row: %d rows, "
+                         "%d values" % (len(mat), len(rhs)))
+    if not mat:
         return []
-    ncols = len(rows[0]) - 1
-    rref, pivots = row_reduce(rows)
+    rref, pivots = row_reduce(list(row) + [Q(b)] for row, b in zip(mat, rhs))
+    ncols = len(rref[0]) - 1
     if ncols in pivots:
         return None
     x = [Q(0)] * ncols
@@ -126,10 +148,15 @@ def solve(mat, rhs) -> list[Q] | None:
 
 
 def inverse(mat) -> Mat:
-    """Exact inverse of a square rational matrix; raises on singular input."""
+    """Exact inverse of a square rational matrix; ValueError on a singular
+    or non-square one."""
+    mat = [list(row) for row in mat]
     n = len(mat)
-    aug = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, row in enumerate(mat)]
+    if any(len(row) != n for row in mat):
+        raise ValueError("inverse needs a square matrix, got rows of "
+                         "lengths %s for %d rows"
+                         % (sorted({len(row) for row in mat}), n))
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     rref, pivots = row_reduce(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -661,7 +661,8 @@ def wedge3_from_triples(terms):
 
 def wedge3_divisor_space(co):
     """Basis of the space of vectors v with v wedge psi = 0 (the divisors)."""
-    return nullspace(_divisor_matrix(co))
+    # the kernel does not change when psi is scaled to integer coordinates
+    return nullspace(_divisor_matrix(_integer_row(co)[0]))
 
 
 @functools.lru_cache(maxsize=None)

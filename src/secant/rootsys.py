@@ -256,6 +256,8 @@ class RootSystem:
                 % (len(found), st, expected))
         self.positive_coeffs: tuple[tuple[int, ...], ...] = tuple(sorted(
             (c for c in found if sum(c) > 0), key=lambda c: (sum(c), c)))
+        self.highest_root_marks: tuple[int, ...] = self.coroot_marks(
+            self.positive_coeffs[-1])
         srows, den = _integer_matrix(simple)
         self.positive_roots: tuple[Vec, ...] = tuple(
             tuple(Q(sum(c * row[t] for c, row in zip(cs, srows) if c), den)
@@ -298,10 +300,6 @@ class RootSystem:
     @property
     def highest_root(self) -> Vec:
         return self.positive_roots[-1]
-
-    @property
-    def highest_root_marks(self) -> tuple[int, ...]:
-        return self.coroot_marks(self.positive_coeffs[-1])
 
     @property
     def fundamental_weights(self) -> tuple[Vec, ...]:

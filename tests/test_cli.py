@@ -108,6 +108,15 @@ class TestRank:
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_coordinate_count_mismatch_exit_1(self, tmp_path, capsys):
+        path = self.write(tmp_path, {
+            "shape": "matrix", "dims": [2, 3],
+            "coords": ["1", "2", "3", "4", "5"]})
+        code, out = run_cli("rank", "matrix", path)
+        assert code == 1
+        assert out == ""
+        assert "needs 6 coords" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, capsys):
         code, _ = run_cli("rank", "matrix", "/does/not/exist.json")
         assert code == 1
@@ -394,6 +403,24 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "tame" in proc.stdout
+
+    def test_numpy_imported_on_first_oracle_use(self, tmp_path):
+        # commands that build no rank table run without numpy
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"shape": "matrix", "dims": [2, 2],
+                                    "coords": ["1", "2", "2", "4"]}))
+        code = (
+            "import sys\n"
+            "from secant import cli, oracle\n"
+            "assert cli.main(['rank', 'matrix', sys.argv[1]]) == 0\n"
+            "assert cli.main(['classify', 'E6[1,0,0,0,0,0]']) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert oracle.family_dim('segre-2x2') == 4\n"
+            "assert cli.main(['oracle', 'segre-2x2', '--prime', '2']) == 0\n"
+            "assert oracle.np is sys.modules['numpy']\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_json_outputs_parse(self):
         for argv in (

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import jordan_reference as ref
 from secant.jordan import (
     FANO_LINES,
     FANO_LINES_ALT,
@@ -397,6 +398,85 @@ def test_rank3_split_validation_and_determinism():
     s1 = rank3_split(e, random.Random(5))
     s2 = rank3_split(e, random.Random(5))
     assert s1.piece == s2.piece and s1.residual == s2.residual
+
+
+def _square_disc_rank2(rng, lines):
+    """Trace-free rank-2 element whose discriminant is a square: (b + c)
+    times a diagonal idempotent minus a rank-1 element of the complementary
+    2x2 block (its diagonal b, c with bc = N(w) and off-diagonal slot w), so
+    the eigenvalues are +-(b + c)."""
+    w = tuple(rng.randint(-3, 3) for _ in range(8))
+    if not any(w):
+        w = (1,) + w[1:]
+    norm = oct_norm(w)
+    b = rng.choice([k for k in range(1, norm + 1) if norm % k == 0])
+    sign = rng.choice((1, -1))
+    b, c = sign * b, sign * (norm // b)
+    pos = rng.randrange(3)
+    diag = [-b, -c]
+    diag.insert(pos, b + c)
+    slots = [None, None, None]
+    slots[pos] = tuple(-v for v in w)
+    return AlbertElement(*diag, *slots, lines=lines)
+
+
+def _rank2_inputs(rng, count):
+    for t in range(count):
+        lines = FANO_LINES_ALT if t % 3 == 2 else FANO_LINES
+        if t % 5 == 0:
+            e = _square_disc_rank2(rng, lines)
+        else:
+            e = random_rank2_tracefree(rng, 2 + t % 3, lines)
+        if t % 4 == 1:
+            e = e.scale(rng.choice((1, -1))
+                        * Q(rng.randint(1, 12), rng.randint(2, 12)))
+        yield e
+
+
+def _assert_same_element(got, want):
+    assert got.lines == want.lines
+    assert [(type(v), repr(v)) for v in got.coords()] == \
+        [(type(v), repr(v)) for v in want.coords()]
+
+
+def test_rank2_split_matches_quadext_reference():
+    rng = random.Random(2025)
+    degrees = set()
+    for e in _rank2_inputs(rng, 600):
+        got, want = rank2_split(e), ref.rank2_split(e)
+        _assert_same_element(got.plus, want.plus)
+        _assert_same_element(got.minus, want.minus)
+        assert type(got.disc) is type(want.disc) and got.disc == want.disc
+        assert got.field_degree == want.field_degree
+        degrees.add(got.field_degree)
+    assert degrees == {1, 2}
+
+
+def test_rank3_split_matches_fraction_reference():
+    rng = random.Random(2026)
+    made = 0
+    attempts = set()
+    while made < 400:
+        lines = FANO_LINES_ALT if made % 3 == 2 else FANO_LINES
+        if made % 4 == 3:
+            # x# = k^2 diag(-1, -1, 1) pairs to zero with some rank-1 samples
+            k = rng.randint(1, 4)
+            e = AlbertElement.diag(k, k, -k, lines=lines)
+        else:
+            e = random_albert(rng, 1 + made % 6, lines)
+        if made % 4 == 1:
+            e = e.scale(Q(rng.randint(1, 12), rng.randint(2, 12)))
+        if jordan_rank(e) != 3:
+            continue
+        made += 1
+        sub = "rank3/%d" % made
+        got = rank3_split(e, random.Random(sub))
+        want = ref.rank3_split(e, random.Random(sub))
+        _assert_same_element(got.piece, want.piece)
+        _assert_same_element(got.residual, want.residual)
+        assert got.attempts == want.attempts
+        attempts.add(got.attempts)
+    assert max(attempts) > 1
 
 
 # ---------------------------------------------------------------------------

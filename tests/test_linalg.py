@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+import linalg_reference as ref
 from secant.linalg import (
     _BLOCK,
     IntEchelon,
@@ -83,10 +84,82 @@ def test_int_rank_matches_rational_rank():
     rng = random.Random(13)
     for _ in range(40):
         m = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert int_rank(m) == rank(m) == len(row_reduce(m)[1])
+        assert int_rank(m) == rank(m) == len(ref.row_reduce(m)[1])
         # rank clears denominators before its integer elimination
         frac = [[Q(v, rng.randint(1, 9)) for v in row] for row in m]
-        assert rank(frac) == len(row_reduce(frac)[1])
+        assert rank(frac) == len(ref.row_reduce(frac)[1])
+
+
+def _rational_matrices(rng, count):
+    """Seeded rational matrices of every shape 0..7 x 0..8: sparse and
+    dense, with zero rows and columns, rank-deficient rows, denominators
+    up to 12 and numerators above 2^60."""
+    for t in range(count):
+        m, n = t % 8, (t // 8) % 9
+        big = t % 5 == 4
+        density = (0.3, 0.7, 1.0)[t % 3]
+
+        def entry():
+            if rng.random() > density:
+                return 0
+            num = rng.randint(-9, 9)
+            if big:
+                num = num * 2 ** 61 + rng.randint(-2 ** 40, 2 ** 40)
+            den = rng.randint(1, 12)
+            return num if den == 1 and t % 2 else Q(num, den)
+        mat = [[entry() for _ in range(n)] for _ in range(m)]
+        if m > 2 and t % 4 == 1:   # a combination of two other rows
+            mat[1] = [3 * a - Q(b, 2) for a, b in zip(mat[0], mat[2])]
+        if m > 1 and t % 7 == 3:   # a zero row
+            mat[m - 1] = [0] * n
+        if n > 1 and t % 6 == 2:   # a zero column
+            for row in mat:
+                row[0] = 0
+        yield mat
+
+
+def test_engine_matches_fraction_reference():
+    rng = random.Random(2024)
+    seen_shapes = set()
+    for mat in _rational_matrices(rng, 2400):
+        got, want = row_reduce(mat), ref.row_reduce(mat)
+        assert got == want
+        assert [[type(v) for v in row] for row in got[0]] == \
+            [[type(v) for v in row] for row in want[0]]
+        assert rank(mat) == len(want[1])
+        assert nullspace(mat) == ref.nullspace(mat)
+        rhs = [Q(rng.randint(-9, 9), rng.randint(1, 12)) for _ in mat]
+        assert solve(mat, rhs) == ref.solve(mat, rhs)
+        if mat and len(mat) == len(mat[0]):
+            try:
+                want_inv = ref.inverse(mat)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    inverse(mat)
+            else:
+                assert inverse(mat) == want_inv
+        seen_shapes.add((len(mat), len(mat[0]) if mat else 0))
+    assert len(seen_shapes) == 8 * 9 - 8  # no 0 x n matrix has n columns
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(ValueError):
+        inverse([[1, 0, 0], [0, 1, 0]])
+
+
+def test_solve_rejects_unmatched_rows():
+    with pytest.raises(ValueError):
+        solve([[1, 0], [0, 1]], [5])
+
+
+def test_row_reduce_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        row_reduce([[1, 2, 3], [4, 5]])
+
+
+def test_rank_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        rank([[1, 2, 3], [4, 5]])
 
 
 def test_int_rank_sparse_rows():

@@ -152,6 +152,14 @@ def test_highest_root_marks(name, marks):
     assert build_root_system(st_).highest_root_marks == marks
 
 
+@pytest.mark.parametrize("st_", ALL_TYPES, ids=str)
+def test_highest_root_marks_derived_once(st_):
+    # stored when the system is built, not recomputed on each read
+    sys = build_root_system(st_)
+    assert "highest_root_marks" in vars(sys)
+    assert sys.highest_root_marks == sys.coroot_marks(sys.positive_coeffs[-1])
+
+
 def test_orbit_sizes():
     a1 = build_root_system(SimpleType("A", 1))
     assert weyl_orbit((1,), a1) == frozenset({(1,), (-1,)})
