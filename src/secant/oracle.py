@@ -14,15 +14,16 @@ because finite-field ranks may differ from characteristic-0 border ranks.
 Vector encoding: little-endian base-p packing — coordinate i of a code c is
 (c // p**i) % p.  ``encode_vec``/``decode_vec`` convert one vector;
 ``encode_array``/``decode_array`` convert an (N, d) digit array; the
-membership checks, closed forms, cone multiples, tangent products and Levi
-projections below run on such arrays, in blocks of ``_BLOCK`` rows.
+family point generators, membership checks, closed forms, cone multiples,
+tangent products and Levi projections below run on such arrays, the
+kernels in blocks of ``_BLOCK`` rows.
 Projective representatives are the lexicographically smallest scalar
 multiples of each point, so tables are canonical and diffable.
 
 Families: one registry, ``_FAMILIES``, holds a ``_Family`` record per kind
-with its tag pattern, ambient dimension, cone-point generator, membership
-check and optional closed-form rank (both on digit arrays; the closed form
-is checked by ``secant oracle --check``), Lie-algebra generators, whether
+with its tag pattern, ambient dimension, cone-point generator (an (N, d)
+int64 array), membership check and optional closed-form rank (both on
+digit arrays; the closed form is checked by ``secant oracle --check``), Lie-algebra generators, whether
 the tangent bound is asserted, and its Levi coordinate embedding.  The
 records are built from shared pieces: tensor and matrix models (segre,
 veronese2, sl3-adjoint), k-vectors with an optional isotropic codec (gr2,
@@ -161,11 +162,16 @@ class SubspaceCodec:
         self.dim = len(self.free)
 
     def to_sub(self, full):
-        full = [v % self.p for v in full]
-        for row, piv in zip(self.rref, self.pivots):
-            if sum(r * v for r, v in zip(row, full)) % self.p:
-                raise ValueError("vector violates the subspace constraints")
-        return [full[c] for c in self.free]
+        return self.to_sub_array(np.array([full]))[0].tolist()
+
+    def to_sub_array(self, full):
+        """Subspace coordinates of an (N, nfull) array of full coordinates;
+        ValueError if a row violates the constraints."""
+        full = np.asarray(full, dtype=np.int64) % self.p
+        if self.pivots and (full @ np.array(self.rref, dtype=np.int64).T
+                            % self.p).any():
+            raise ValueError("vector violates the subspace constraints")
+        return full[:, self.free]
 
     def to_full(self, sub):
         return self.to_full_array(np.array([sub]))[0].tolist()
@@ -259,31 +265,40 @@ def _canonical_codes(vecs, p):
     return best
 
 
+def _tuples(m, p):
+    """(p**m, m) int64 array of every m-tuple over range(p), in
+    lexicographic order (one row, of width 0, when m is 0)."""
+    return np.indices((p,) * m, dtype=np.int64).reshape(m, p ** m).T
+
+
 def _proj_reps(n, p):
-    """Projective representatives of F_p^n: first nonzero coordinate 1."""
-    out = []
+    """Projective representatives of F_p^n, first nonzero coordinate 1, as
+    an (M, n) int64 array in lexicographic order."""
+    blocks = []
     for lead in range(n):
-        tail = n - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            out.append((0,) * lead + (1,) + rest)
-    return out
+        block = np.zeros((p ** (n - lead - 1), n), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1:] = _tuples(n - lead - 1, p)
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def _iter_subspaces(k, n, p):
-    """All k-dimensional subspaces of F_p^n as rref basis matrices."""
+def _subspaces(k, n, p):
+    """All k-dimensional subspaces of F_p^n as rref bases, an (M, k, n)
+    int64 array: one block per pivot pattern in lexicographic order, whose
+    free cells (right of a row's pivot, outside the pivot columns) run over
+    every fill in lexicographic order."""
+    blocks = []
     for pivots in itertools.combinations(range(n), k):
-        free_cells = []
-        for r in range(k):
-            for c in range(pivots[r] + 1, n):
-                if c not in pivots:
-                    free_cells.append((r, c))
-        for fill in itertools.product(range(p), repeat=len(free_cells)):
-            mat = [[0] * n for _ in range(k)]
-            for r in range(k):
-                mat[r][pivots[r]] = 1
-            for (r, c), v in zip(free_cells, fill):
-                mat[r][c] = v
-            yield mat
+        cells = np.array([(r, c) for r in range(k)
+                          for c in range(pivots[r] + 1, n)
+                          if c not in pivots], dtype=np.intp).reshape(-1, 2)
+        fills = _tuples(len(cells), p)
+        block = np.zeros((len(fills), k, n), dtype=np.int64)
+        block[:, range(k), pivots] = 1
+        block[:, cells[:, 0], cells[:, 1]] = fills
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _matrix_units(n):
@@ -339,8 +354,14 @@ def _form_algebra_basis(form, p):
 # ---------------------------------------------------------------------------
 
 def _segre_points(fam, p):
-    for factors in itertools.product(*(_proj_reps(s, p) for s in fam["sizes"])):
-        yield [math.prod(vals) % p for vals in itertools.product(*factors)]
+    # outer products of one representative per factor, the first factor's
+    # outermost, flattened row-major
+    points = np.ones((1, 1), dtype=np.int64)
+    for size in fam["sizes"]:
+        reps = _proj_reps(size, p)
+        points = (points[:, None, :, None] * reps[None, :, None, :]).reshape(
+            len(points) * len(reps), -1) % p
+    return points
 
 
 def _flattenings(vecs, sizes, axis):
@@ -397,9 +418,9 @@ def _sym_cells(n):
 
 
 def _veronese_points(fam, p):
-    cells = _sym_cells(fam["n"])
-    for v in _proj_reps(fam["n"], p):
-        yield [v[i] * v[j] % p for i, j in cells]
+    rows, cols = np.array(_sym_cells(fam["n"])).T
+    v = _proj_reps(fam["n"], p)
+    return v[:, rows] * v[:, cols] % p
 
 
 def _cells_unfold(vecs, n, cells, mirror):
@@ -461,10 +482,13 @@ def _sl3_fold(mat):
 
 
 def _sl3_points(fam, p):
-    for u in _proj_reps(3, p):
-        for v in _proj_reps(3, p):
-            if sum(a * b for a, b in zip(u, v)) % p == 0:
-                yield [x % p for x in _sl3_fold(_mul([[a] for a in u], [v]))]
+    # the traceless rank-one matrices u v^T, u outermost
+    reps = _proj_reps(3, p)
+    u = np.repeat(reps, len(reps), axis=0)
+    v = np.tile(reps, (len(reps), 1))
+    keep = (u * v).sum(axis=1) % p == 0
+    rows, cols = np.array(_SL3_CELLS).T
+    return u[keep][:, rows] * v[keep][:, cols] % p
 
 
 def _sl3_generators(fam, p):
@@ -494,29 +518,43 @@ def _isotropic_codec(n, k, p):
     return codec
 
 
+def _template_arrays(n, k):
+    """``ranks._wedge_template(n, k)`` as three (C(n, k+1), k+1) int64
+    arrays: the vector index, the k-vector coordinate and the sign of each
+    term of each row."""
+    return np.array(_wedge_template(n, k), dtype=np.int64).transpose(2, 0, 1)
+
+
+def _wedge_array(mats, n, p):
+    """Coordinates mod p of the wedge of the rows of each matrix of an
+    (M, k, n) array, as ``ranks._wedge_rows``: an (M, C(n, k)) array."""
+    w = np.ones((len(mats), 1), dtype=np.int64)
+    for k in range(mats.shape[1]):
+        vec, coord, sign = _template_arrays(n, k)
+        w = (sign * mats[:, -1 - k, vec] * w[:, coord]).sum(axis=-1) % p
+    return w
+
+
 def _wedge_points(k, isotropic, fam, p):
     n = fam["n"]
+    mats = _subspaces(k, n, p)
     if isotropic:
-        form, codec = mirror_symplectic_form(n), _isotropic_codec(n, k, p)
-    for mat in _iter_subspaces(k, n, p):
-        if isotropic and any(
-                sum(x[i] * form[i][j] * y[j]
-                    for i in range(n) for j in range(n)) % p
-                for x, y in itertools.combinations(mat, 2)):
-            continue
-        full = [v % p for v in _wedge_rows(mat, n)]
-        yield codec.to_sub(full) if isotropic else full
+        # the isotropic subspaces: the mirror form vanishes on each basis
+        form = np.array(mirror_symplectic_form(n), dtype=np.int64)
+        gram = mats @ form @ mats.transpose(0, 2, 1) % p
+        mats = mats[~gram.any(axis=(1, 2))]
+    full = _wedge_array(mats, n, p)
+    return _isotropic_codec(n, k, p).to_sub_array(full) if isotropic else full
 
 
 def _divisor_array(vecs, n, k):
     """(N, C(n, k+1), n) int16 array of the divisor matrices (v -> v ^ w,
     as ``ranks._divisor_matrix``) of the k-vectors in the rows of vecs."""
-    entries = [(r, i, t, sign) for r, row in enumerate(_wedge_template(n, k))
-               for i, t, sign in row]
-    rows, cols, coords, signs = np.array(entries).T
+    vec, coord, sign = _template_arrays(n, k)
     vecs = np.asarray(vecs, dtype=np.int16)
-    out = np.zeros((len(vecs), len(_wedge_template(n, k)), n), dtype=np.int16)
-    out[:, rows, cols] = signs.astype(np.int16) * vecs[:, coords]
+    out = np.zeros((len(vecs), len(vec), n), dtype=np.int16)
+    out[:, np.arange(len(vec))[:, None], vec] = (
+        sign.astype(np.int16) * vecs[:, coord])
     return out
 
 
@@ -616,8 +654,8 @@ def f2_pure_spinor_set():
 def _spinor_points(fam, p):
     if p != 2:
         raise ValueError("spinor10 enumeration is supported over F_2 only")
-    for code in f2_pure_spinor_set():
-        yield [(code >> i) & 1 for i in range(16)]
+    codes = np.fromiter(f2_pure_spinor_set(), dtype=np.int64)
+    return codes[:, None] >> np.arange(16) & 1
 
 
 def _spinor_member(fam, p):
@@ -672,7 +710,8 @@ class _Family:
     params: Callable
     #: fam -> ambient coordinate dimension
     dim: Callable
-    #: (fam, p) -> cone vectors; each is reduced to its canonical multiple
+    #: (fam, p) -> (N, d) int64 array of cone vectors; each is reduced to
+    #: its canonical multiple
     points: Callable
     #: (fam, p) -> predicate on an (N, d) digit array of canonical
     #: representatives, an (N,) bool array
@@ -812,8 +851,7 @@ def enumerate_cone_points(family: str, p: int) -> PointSet:
     rec, fam = _family(family)
     d = rec.dim(fam)
     _check_cap(p, d)
-    vecs = np.array(list(rec.points(fam, p)), dtype=np.int64).reshape(-1, d)
-    codes = np.unique(_canonical_codes(vecs, p))
+    codes = np.unique(_canonical_codes(rec.points(fam, p), p))
     codes = codes[codes != 0]
     reps = decode_array(codes, p, d)
     ok = rec.member(fam, p)(reps)
@@ -849,8 +887,12 @@ class RankTable:
         return int(self.ranks.max())
 
     def layer_counts(self) -> dict:
-        vals, counts = np.unique(self.ranks, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
+        """{rank: number of codes} for every rank present, in rank order."""
+        # one comparison per rank: np.unique would sort a copy of the table,
+        # and np.bincount widen a copy to intp (8 bytes per code)
+        counts = (int(np.count_nonzero(self.ranks == r))
+                  for r in range(self.max_rank + 1))
+        return {r: c for r, c in enumerate(counts) if c}
 
     def header(self) -> dict:
         return {
@@ -944,17 +986,22 @@ _COMPACT_EVERY = 8
 
 def _digit_add_rows(halves, p, k, scale):
     """One int32 row per half a: row[x] is scale times the k-digit base-p
-    code of the digitwise sum a + x mod p, for x in range(p**k)."""
-    x = np.arange(p ** k, dtype=np.int32)
-    halves = halves.astype(np.int32)[:, None]
-    rows = np.zeros((len(halves), p ** k), dtype=np.int32)
-    for i in range(k):
-        w = p ** i
-        digit = halves // w + x // w
-        digit %= p
-        digit *= w * scale
-        rows += digit
-    return rows
+    code of the digitwise sum a + x mod p, for x in range(p**k).
+
+    With l = k // 2, the sum of a and x = xh * p**l + xl is the sum of their
+    high k - l digits times p**l plus the sum of their low l digits, so a
+    row is the outer sum of a high row over xh and a low row over xl, each
+    made the same way for the distinct high and low halves."""
+    halves = np.asarray(halves, dtype=np.int32)
+    if k <= 1:
+        return (halves[:, None] + np.arange(p ** k, dtype=np.int32)) \
+            % p ** k * scale
+    base = p ** (k // 2)
+    hi_keys, hi_of = np.unique(halves // base, return_inverse=True)
+    lo_keys, lo_of = np.unique(halves % base, return_inverse=True)
+    hi = _digit_add_rows(hi_keys, p, k - k // 2, scale * base)[hi_of]
+    lo = _digit_add_rows(lo_keys, p, k // 2, scale)[lo_of]
+    return (hi[:, :, None] + lo[:, None, :]).reshape(len(halves), p ** k)
 
 
 def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
@@ -1255,6 +1302,27 @@ def wedge3_tr2_values(coords) -> np.ndarray:
     return out
 
 
+#: A prime above the Hadamard bound of the minors that ``_divisor_ranks``
+#: meets.
+_HADAMARD_PRIME = 1_000_003
+
+
+def _divisor_ranks(vecs) -> np.ndarray:
+    """Exact ranks over Q of the divisor matrices of the integer 3-vectors on
+    6 coordinates in the rows of vecs, whose entries are at most 4 in
+    absolute value.
+
+    An r x r minor of such a 15 x 6 matrix has rows of at most 6 entries of
+    absolute value at most 4, so by Hadamard's inequality it is at most
+    (4 sqrt 6)^r <= (4 sqrt 6)^6 = 884,736 in absolute value, below
+    ``_HADAMARD_PRIME``: it vanishes mod that prime only if it vanishes,
+    and the rank mod the prime is the rank over Q."""
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 20)
+    if np.abs(vecs).max(initial=0) > 4:
+        raise ValueError("divisor ranks need entries of absolute value <= 4")
+    return modp_rank_batch(_divisor_array(vecs, 6, 3), _HADAMARD_PRIME)
+
+
 def _gr3_point_lifts(table: "RankTable") -> tuple:
     """For every F_2 cone point (a decomposable alternating 3-tensor),
     recover its 3-plane mod 2 and wedge the 0/1 basis lifts over the
@@ -1303,8 +1371,6 @@ def wedge3_f2_report(threads: int = 1, cache: bool = True) -> dict:
     search: a rational divisor space of dimension 3 reduces mod 2 to an F_2
     divisor space of dimension >= 3, which forces F_2-decomposability.
     """
-    from .linalg import int_rank
-
     table = rank_table("gr3-6", 2, threads=threads, cache=cache)
     counts = table.layer_counts()
     report = {
@@ -1345,12 +1411,13 @@ def wedge3_f2_report(threads: int = 1, cache: bool = True) -> dict:
     report["rank2_count"] = int(len(twos))
     report["rank2_quartic_nonzero"] = int(len(twos) - len(need_divisor))
     report["rank2_divisor_checked"] = int(len(need_divisor))
-    for row in need_divisor:
-        mat = _divisor_matrix([int(x) for x in two_lifts[row]])
-        if int_rank(mat) >= 6:
-            report["criterion_le_bfs"] = False
-            report["first_violation"] = int(twos[row])
-            return report
+    # a lift is a sum of two 3 x 3 minors of 0/1 matrices, each at most 2
+    # in absolute value
+    over = np.flatnonzero(_divisor_ranks(two_lifts[need_divisor]) >= 6)
+    if len(over):
+        report["criterion_le_bfs"] = False
+        report["first_violation"] = int(twos[need_divisor[over[0]]])
+        return report
     report["criterion_le_bfs"] = True
     report["rank3_count"] = int(counts.get(3, 0))
 

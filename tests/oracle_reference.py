@@ -1,21 +1,32 @@
-"""Scalar references for the oracle's array predicates.
+"""Scalar references for the oracle's array kernels.
 
 These are the earlier one-vector-at-a-time implementations of each
-family's membership check and closed-form rank, kept here only to check
-the array versions in `secant.oracle` against: each takes one coordinate
-vector (a tuple of ints) and eliminates with `modp_rank` or
-`modp_nullspace`.  Nothing in `secant` imports this module.
+family's membership check, closed-form rank and cone-point generator, of
+the odd-prime digit-add rows and of the layer counts, kept here only to
+check the array versions in `secant.oracle` against: the predicates take
+one coordinate vector (a tuple of ints) and eliminate with `modp_rank` or
+`modp_nullspace`, and the generators yield one point at a time.  Nothing
+in `secant` imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 from secant.linalg import modp_nullspace, modp_rank
-from secant.oracle import _SL3_CELLS, _isotropic_codec
+from secant.oracle import (
+    _SL3_CELLS,
+    _isotropic_codec,
+    f2_pure_spinor_set,
+    mirror_symplectic_form,
+)
 from secant.ranks import (
     _divisor_matrix,
     _flattening,
+    _wedge_rows,
     purity_quadric_table,
 )
 
@@ -118,3 +129,122 @@ def _half_skew_rank(fam, p):
 #: kind -> (fam, p) -> rank of one coordinate tuple, for the kinds with a
 #: closed-form rank
 CLOSED_FORM = {"segre": _matrix_rank, "gr2": _half_skew_rank}
+
+
+def _to_sub(codec, full):
+    """Subspace coordinates of full coordinates; ValueError off the
+    subspace."""
+    full = [v % codec.p for v in full]
+    for row in codec.rref:
+        if sum(r * v for r, v in zip(row, full)) % codec.p:
+            raise ValueError("vector violates the subspace constraints")
+    return [full[c] for c in codec.free]
+
+
+def _proj_reps(n, p):
+    """Projective representatives of F_p^n: first nonzero coordinate 1."""
+    out = []
+    for lead in range(n):
+        tail = n - lead - 1
+        for rest in itertools.product(range(p), repeat=tail):
+            out.append((0,) * lead + (1,) + rest)
+    return out
+
+
+def iter_subspaces(k, n, p):
+    """All k-dimensional subspaces of F_p^n as rref basis matrices."""
+    for pivots in itertools.combinations(range(n), k):
+        free_cells = []
+        for r in range(k):
+            for c in range(pivots[r] + 1, n):
+                if c not in pivots:
+                    free_cells.append((r, c))
+        for fill in itertools.product(range(p), repeat=len(free_cells)):
+            mat = [[0] * n for _ in range(k)]
+            for r in range(k):
+                mat[r][pivots[r]] = 1
+            for (r, c), v in zip(free_cells, fill):
+                mat[r][c] = v
+            yield mat
+
+
+def _segre_points(fam, p):
+    for factors in itertools.product(*(_proj_reps(s, p)
+                                       for s in fam["sizes"])):
+        yield [math.prod(vals) % p for vals in itertools.product(*factors)]
+
+
+def _veronese_points(fam, p):
+    n = fam["n"]
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for v in _proj_reps(n, p):
+        yield [v[i] * v[j] % p for i, j in cells]
+
+
+def _sl3_points(fam, p):
+    for u in _proj_reps(3, p):
+        for v in _proj_reps(3, p):
+            if sum(a * b for a, b in zip(u, v)) % p == 0:
+                yield [u[i] * v[j] % p for i, j in _SL3_CELLS]
+
+
+def _wedge_points(k, isotropic):
+    def points(fam, p):
+        n = fam["n"]
+        if isotropic:
+            form, codec = mirror_symplectic_form(n), _isotropic_codec(n, k, p)
+        for mat in iter_subspaces(k, n, p):
+            if isotropic and any(
+                    sum(x[i] * form[i][j] * y[j]
+                        for i in range(n) for j in range(n)) % p
+                    for x, y in itertools.combinations(mat, 2)):
+                continue
+            full = [v % p for v in _wedge_rows(mat, n)]
+            yield _to_sub(codec, full) if isotropic else full
+    return points
+
+
+def _quadric_points(fam, p):
+    member = _quadric(fam, p)
+    return (list(v) for v in _proj_reps(fam["n"], p) if member(v))
+
+
+def _spinor_points(fam, p):
+    if p != 2:
+        raise ValueError("spinor10 enumeration is supported over F_2 only")
+    for code in f2_pure_spinor_set():
+        yield [(code >> i) & 1 for i in range(16)]
+
+
+#: kind -> (fam, p) -> the cone vectors one list at a time, in the order
+#: of the array generators
+POINTS = {
+    "segre": _segre_points, "segre3": _segre_points,
+    "veronese2": _veronese_points,
+    "gr2": _wedge_points(2, False), "gr3": _wedge_points(3, False),
+    "lambda20": _wedge_points(2, True), "lambda30": _wedge_points(3, True),
+    "quadric": _quadric_points, "spinor10": _spinor_points,
+    "sl3adj": _sl3_points,
+}
+
+
+def digit_add_rows(halves, p, k, scale):
+    """One int32 row per half a: row[x] is scale times the k-digit base-p
+    code of the digitwise sum a + x mod p, for x in range(p**k), one digit
+    place at a time."""
+    x = np.arange(p ** k, dtype=np.int32)
+    halves = np.asarray(halves).astype(np.int32)[:, None]
+    rows = np.zeros((len(halves), p ** k), dtype=np.int32)
+    for i in range(k):
+        w = p ** i
+        digit = halves // w + x // w
+        digit %= p
+        digit *= w * scale
+        rows += digit
+    return rows
+
+
+def layer_counts(ranks):
+    """{rank: count} of a rank array, by sorting it."""
+    vals, counts = np.unique(ranks, return_counts=True)
+    return {int(v): int(c) for v, c in zip(vals, counts)}

@@ -32,6 +32,10 @@ from secant.linalg import (
 )
 from secant.oracle import _SMALL_PRIMES  # noqa: the oracle's primes
 
+#: The oracle's primes, the largest prime of the int16 path of
+#: ``modp_rank_batch`` (181^2 <= 2^15) and two primes of its int64 path.
+_BATCH_PRIMES = _SMALL_PRIMES + (181, 191, 1_000_003)
+
 
 def random_int_matrix(rng, nrows, ncols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
@@ -211,7 +215,7 @@ def _batch_cases(rng, p):
         yield mats
 
 
-@pytest.mark.parametrize("p", _SMALL_PRIMES)
+@pytest.mark.parametrize("p", _BATCH_PRIMES)
 def test_modp_rank_batch_matches_modp_rank(p):
     rng = np.random.default_rng(p)
     for mats in _batch_cases(rng, p):
@@ -220,7 +224,7 @@ def test_modp_rank_batch_matches_modp_rank(p):
         assert got.tolist() == [modp_rank(m.tolist(), p) for m in mats]
 
 
-@pytest.mark.parametrize("p", _SMALL_PRIMES)
+@pytest.mark.parametrize("p", _BATCH_PRIMES)
 def test_modp_rank_batch_across_blocks(p):
     # 40 distinct matrices tiled past the first block boundary
     rng = np.random.default_rng(100 + p)
@@ -236,6 +240,11 @@ def test_modp_rank_batch_across_blocks(p):
 def test_modp_rank_batch_rejects_non_batch_shape():
     with pytest.raises(ValueError):
         modp_rank_batch(np.zeros((3, 3), dtype=np.int64), 2)
+
+
+def test_modp_rank_batch_rejects_prime_past_int64_products():
+    with pytest.raises(ValueError):
+        modp_rank_batch(np.zeros((1, 2, 2), dtype=np.int64), (1 << 31) + 11)
 
 
 def test_modp_solve_and_inverse():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secant.linalg import modp_rank
+from secant.linalg import _BLOCK, int_rank, modp_rank
 from secant.oracle import (
     AMBIENT_CAP,
     PointSet,
@@ -39,18 +40,24 @@ from secant.oracle import (
 )
 from secant.oracle import (  # noqa: internals
     _FAMILIES,
+    _HADAMARD_PRIME,
     _closed_form,
     _composite_batch,
+    _digit_add_rows,
+    _divisor_ranks,
     _family,
 )
 from secant.ranks import (
     WEDGE3_TRIPLES,
+    _divisor_matrix,
+    _wedge_rows,
     purity_quadric_table,
     wedge3_quartic,
 )
 from secant.rootsys import CapExceeded
 
-from oracle_reference import CLOSED_FORM, MEMBER
+import oracle_reference
+from oracle_reference import CLOSED_FORM, MEMBER, POINTS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "wedge3_f2_fixture.json")
@@ -189,6 +196,22 @@ class TestRegistry:
         got = rec.member(fam, p)(decode_array(codes, p, d))
         assert got.dtype == bool and got.tolist() == want
 
+    @pytest.mark.parametrize("kind,p", [
+        (kind, p) for kind, (family, _) in sorted(INSTANCES.items())
+        for p in (2, 3, 5) if p ** family_dim(family) <= AMBIENT_CAP])
+    def test_array_points_match_scalar_reference(self, kind, p):
+        rec, fam = _family(self.INSTANCES[kind][0])
+        want = list(POINTS[kind](fam, p))
+        got = rec.points(fam, p)
+        assert got.dtype == np.int64 and got.shape == (len(want), rec.dim(fam))
+        assert got.tolist() == want
+
+    def test_spinor_points_need_f2(self):
+        rec, fam = _family("spinor10")
+        for points in (rec.points, POINTS["spinor10"]):
+            with pytest.raises(ValueError):
+                list(points(fam, 3))
+
     @pytest.mark.parametrize("family,p", [
         ("segre-2x3", 3), ("segre-3x2", 5), ("gr2-5", 2), ("gr2-4", 3),
         ("gr2-4", 5)])
@@ -240,6 +263,17 @@ class TestEncoding:
         for sub in itertools.product(range(3), repeat=3):
             full = codec.to_full(list(sub))
             assert codec.to_sub(full) == list(sub)
+
+    def test_codec_array_matches_scalar(self):
+        codec = SubspaceCodec([[1, 1, 0, 0], [0, 0, 1, 2]], 3, 4)
+        subs = np.array([[a, b] for a in range(3) for b in range(3)])
+        full = codec.to_full_array(subs)
+        assert codec.to_sub_array(full).tolist() == subs.tolist()
+        assert [codec.to_sub(row) for row in full.tolist()] == [
+            oracle_reference._to_sub(codec, row) for row in full.tolist()]
+        full[4, 0] += 1
+        with pytest.raises(ValueError):
+            codec.to_sub_array(full)
 
     def test_codec_rejects_outsiders(self):
         codec = SubspaceCodec([[1, 0, 0, 0]], 2, 4)
@@ -428,6 +462,31 @@ class TestBFS:
         assert counts == {r: matrix_rank_count(m, n, r, p)
                           for r in range(min(m, n) + 1)}
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_digit_add_rows_match_reference(self, p):
+        rng = random.Random(p)
+        for k in range(8):
+            top = p ** k - 1
+            halves = np.array([0, top, top, 0] + [rng.randrange(top + 1)
+                                                  for _ in range(3)])
+            for scale in (1, p):
+                got = _digit_add_rows(halves, p, k, scale)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, oracle_reference.digit_add_rows(
+                    halves, p, k, scale)), (k, scale)
+
+    def test_layer_counts_match_reference(self):
+        rng = np.random.default_rng(4)
+        for ranks in (np.array([0, 1, 1, 3, 3, 3], dtype=np.uint8),
+                      rng.choice(np.array([0, 1, 2, 4], dtype=np.uint8),
+                                 size=3 * _BLOCK + 7),
+                      rank_table("gr2-4", 3, cache=False).ranks):
+            table = RankTable(family="x", prime=2, dim=0, ranks=ranks,
+                              points=None)
+            counts = table.layer_counts()
+            assert counts == oracle_reference.layer_counts(ranks)
+            assert list(counts) == sorted(counts)
+
 
 class TestCaching:
     def test_save_load_roundtrip(self, tmp_path):
@@ -613,6 +672,42 @@ class TestWedge3Lift:
         assert rep["criterion_le_bfs"]
         assert rep["max_rank"] == 3
         assert rep["witness_bfs_rank"] == 3
+
+    def test_divisor_ranks_match_int_rank(self):
+        # decomposables (rank 3), sums of two of them (rank 5 when they
+        # share a line, 6 otherwise), the zero vector and random vectors
+        rng = random.Random(21)
+
+        def plane():
+            return [[rng.randrange(2) for _ in range(6)] for _ in range(3)]
+        vecs = [[0] * 20] + [[rng.randint(-4, 4) for _ in range(20)]
+                             for _ in range(40)]
+        for _ in range(200):
+            a, b = plane(), plane()
+            b[0] = a[0] if rng.randrange(2) else b[0]
+            wa, wb = _wedge_rows(a, 6), _wedge_rows(b, 6)
+            vecs += [wa, [x + y for x, y in zip(wa, wb)]]
+        want = [int_rank(_divisor_matrix(v)) for v in vecs]
+        assert {0, 3, 5, 6} <= set(want)
+        assert _divisor_ranks(vecs).tolist() == want
+        # the modulus is a prime above the Hadamard bound (4 sqrt 6)^6
+        q = _HADAMARD_PRIME
+        assert q * q > 4 ** 12 * 6 ** 6
+        assert all(q % f for f in range(2, math.isqrt(q) + 1))
+        with pytest.raises(ValueError):
+            _divisor_ranks([[5] + [0] * 19])
+
+    def test_report_violation_branch(self, monkeypatch):
+        # a divisor rank of 6 on a quartic-zero rank-2 lift would refute the
+        # criterion; the report names the first such code
+        import secant.oracle as orc
+        monkeypatch.setattr(orc, "_divisor_ranks",
+                            lambda vecs: np.arange(len(vecs)) % 7)
+        rep = wedge3_f2_report(cache=False)
+        assert rep["criterion_le_bfs"] is False
+        table = rank_table("gr3-6", 2, cache=False)
+        assert table.rank_of_code(rep["first_violation"]) == 2
+        assert "rank3_count" not in rep
 
     def test_01_coordinate_lift_is_the_wrong_comparison(self):
         # the 0/1 coordinate lift of an F_2-decomposable tensor need not be
