@@ -13,10 +13,13 @@ The module provides
   decomposable two-form with image statistics (4, 1) inside the second
   fundamental representation of the derivation algebra.
 
-All arithmetic is exact.  Coordinates are int first: a coordinate stays a
-Python int until a true division forces a Fraction, and a Fraction that
-comes back to denominator 1 is stored as an int again.  Rank-2 splits that
-need sqrt(d) use QuadExt, which keeps integer numerators over one common
+All arithmetic is exact.  Coordinates are int first, in the normal form of
+`secant.linalg._exact_scalar`: a coordinate stays a Python int until a true
+division forces a Fraction, and a Fraction that comes back to denominator
+1 is stored as an int again; an octonion whose coordinates are all ints is
+kept as it is.  The octonion product is one straight-line function per
+multiplication table, generated on first use.  Rank-2 splits that need
+sqrt(d) use QuadExt, which keeps integer numerators over one common
 denominator.  Floats are rejected.  The mod-p witness search works on
 machine integers mod p.
 """
@@ -30,6 +33,8 @@ from functools import lru_cache
 
 from .linalg import (
     QuadExt,
+    _exact_div,
+    _exact_scalar,
     _integer_row,
     exact_rationals,
     int_row_basis,
@@ -116,50 +121,56 @@ def _flat_table(lines):
     return tuple((i, j) + tab[i][j] for i in range(8) for j in range(8))
 
 
+@lru_cache(maxsize=None)
+def _oct_kernel(lines):
+    """Straight-line octonion product for one multiplication table: each
+    of the 8 output coordinates is one signed sum of 8 products over the
+    unpacked coordinates u0..u7 and v0..v7.  The source is generated from
+    the validated integer table `_flat_table(lines)` only, so every valid
+    table, and no invalid one, gets a kernel."""
+    sums = [[] for _ in range(8)]
+    for i, j, k, s in _flat_table(lines):
+        sums[k].append("%su%d*v%d" % ("+" if s > 0 else "-", i, j))
+    src = "def kernel(u, v):\n    %s = u\n    %s = v\n    return (%s,)\n" % (
+        ", ".join("u%d" % i for i in range(8)),
+        ", ".join("v%d" % i for i in range(8)),
+        ", ".join("".join(terms).lstrip("+") for terms in sums))
+    namespace = {}
+    exec(compile(src, "<octonion product %r>" % (lines,), "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _coerce_num(v):
-    """Normal form of an exact scalar: an int, a Fraction with denominator
-    > 1, or a QuadExt.  Floats are refused rather than converted, so an
-    inexact value cannot slip into the exact arithmetic."""
+    """Normal form of an exact scalar: `_exact_scalar` for rationals (an int,
+    or a Fraction with denominator > 1; floats raise TypeError), and a
+    QuadExt as it is."""
     t = type(v)
     if t is int or t is QuadExt:
         return v
-    if t is Q:
-        return v.numerator if v.denominator == 1 else v
-    if isinstance(v, float):
-        raise TypeError("inexact float coordinate %r; use an int, a Fraction "
-                        "or an exact string" % (v,))
-    if isinstance(v, int):
-        return int(v)
-    return _coerce_num(Q(v))
+    return _exact_scalar(v)
 
 
-def _div(n, d):
-    """Exact quotient: int / int stays an int when d divides n and becomes a
-    Fraction otherwise; every other combination divides in its own type."""
-    if type(n) is int and type(d) is int:
-        q, r = divmod(n, d)
-        return Q(n, d) if r else q
-    return n / d
+def _normal_oct(co):
+    """The tuple co as it is when every coordinate is an int, else its
+    coordinates in normal form."""
+    for c in co:
+        if type(c) is not int:
+            return tuple(map(_coerce_num, co))
+    return co
 
 
 def _coerce_oct(v):
     if v is None:
         return ZERO_OCT
-    co = tuple(_coerce_num(c) for c in v)
+    co = tuple(v)
     if len(co) != 8:
         raise ValueError("octonion needs 8 coordinates, got %d" % len(co))
-    return co
+    return _normal_oct(co)
 
 
 def oct_mul(u, v, lines=FANO_LINES):
     """Product of two octonions given by 8-coordinate tuples."""
-    out = [0] * 8
-    for i, j, k, s in _flat_table(lines):
-        if s > 0:
-            out[k] += u[i] * v[j]
-        else:
-            out[k] -= u[i] * v[j]
-    return tuple(map(_coerce_num, out))
+    return _normal_oct(_oct_kernel(lines)(u, v))
 
 
 def oct_conj(u):
@@ -330,15 +341,15 @@ class AlbertElement:
         nc = c1 * c2 + oct_dot(y1, y2) + oct_dot(x1, x2)
         tx = oct_mul(oct_conj(z1), oct_conj(y2), ln)
         tx2 = oct_mul(oct_conj(z2), oct_conj(y1), ln)
-        nx = tuple(_div(p + q + (b1 + c1) * r + (b2 + c2) * s, 2)
+        nx = tuple(_exact_div(p + q + (b1 + c1) * r + (b2 + c2) * s, 2)
                    for p, q, r, s in zip(tx, tx2, x2, x1))
         ty = oct_mul(oct_conj(x1), oct_conj(z2), ln)
         ty2 = oct_mul(oct_conj(x2), oct_conj(z1), ln)
-        ny = tuple(_div(p + q + (a2 + c2) * r + (a1 + c1) * s, 2)
+        ny = tuple(_exact_div(p + q + (a2 + c2) * r + (a1 + c1) * s, 2)
                    for p, q, r, s in zip(ty, ty2, self.y, other.y))
         tz = oct_mul(oct_conj(y1), oct_conj(x2), ln)
         tz2 = oct_mul(oct_conj(y2), oct_conj(x1), ln)
-        nz = tuple(_div(p + q + (a1 + b1) * r + (a2 + b2) * s, 2)
+        nz = tuple(_exact_div(p + q + (a1 + b1) * r + (a2 + b2) * s, 2)
                    for p, q, r, s in zip(tz, tz2, z2, z1))
         return AlbertElement(na, nb, nc, nx, ny, nz, lines=ln)
 
@@ -346,7 +357,7 @@ class AlbertElement:
         """Cubic norm: a b c - a N(x) - b N(y) - c N(z) + 2 Re((x y) z)."""
         whole, den = self._cleared()
         if den != 1:
-            return _div(whole.det3(), den ** 3)
+            return _exact_div(whole.det3(), den ** 3)
         ln = self.lines
         xy = oct_mul(self.x, self.y, ln)
         re_xyz = oct_dot(xy, oct_conj(self.z))
@@ -472,8 +483,8 @@ def rank2_split(x: AlbertElement) -> Rank2Split:
         minus = [field._new(p, -q, m) for p, q in pairs]
     else:
         mn, md = mu.numerator, mu.denominator
-        plus = [_div(md * p + mn * q, md * m) for p, q in pairs]
-        minus = [_div(md * p - mn * q, md * m) for p, q in pairs]
+        plus = [_exact_div(md * p + mn * q, md * m) for p, q in pairs]
+        minus = [_exact_div(md * p - mn * q, md * m) for p, q in pairs]
     plus = AlbertElement.from_coords(plus, lines=x.lines)
     minus = AlbertElement.from_coords(minus, lines=x.lines)
     if plus.is_zero() or minus.is_zero():
@@ -506,9 +517,9 @@ def rank1_from_chart(a, y, z, lines=FANO_LINES) -> AlbertElement:
         raise ValueError("chart needs a nonzero leading diagonal entry")
     y = _coerce_oct(y)
     z = _coerce_oct(z)
-    b = _div(oct_norm(z), a)
-    c = _div(oct_norm(y), a)
-    x = oct_scale(oct_mul(oct_conj(z), oct_conj(y), lines), _div(1, a))
+    b = _exact_div(oct_norm(z), a)
+    c = _exact_div(oct_norm(y), a)
+    x = oct_scale(oct_mul(oct_conj(z), oct_conj(y), lines), _exact_div(1, a))
     out = AlbertElement(a, b, c, x, y, z, lines=lines)
     if jordan_rank(out) != 1:
         raise AssertionError("chart element is not rank 1")
@@ -553,7 +564,7 @@ def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
             raise AssertionError("rank-3 split does not resum")
         q = den * pair
         piece, residual = (
-            AlbertElement.from_coords([_div(c, q) for c in part.coords()],
+            AlbertElement.from_coords([_exact_div(c, q) for c in part.coords()],
                                       lines=x.lines)
             for part in (piece_part, residual))
         return Rank3Split(piece=piece, residual=residual, attempts=attempt)

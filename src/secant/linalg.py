@@ -1,13 +1,15 @@
 """Exact linear algebra: rationals, integer fraction-free elimination, prime fields.
 
-Everything here is exact.  The rational routines (`row_reduce`,
-`nullspace`, `solve`, `inverse`) take ints and Fractions, run on one
-fraction-free integer engine (denominators cleared once, then Bareiss
-elimination) and return Fractions; `rank` is the integer rank of the
-cleared matrix.  Integer routines stay in Z with per-row gcd normalization
-so entries do not blow up; prime-field routines work on plain ints reduced
-mod p, and `modp_rank_batch` on numpy integer arrays of many matrices at
-once.  No floats.
+Everything here is exact.  Scalars follow one normal form, `_exact_scalar`:
+int first, a Fraction only where a division forces one (`_exact_div`), and
+a float is refused; `exact_rationals` reads JSON coordinates into it.  The
+rational routines (`row_reduce`, `nullspace`, `solve`, `inverse`) take
+ints and Fractions, run on one fraction-free integer engine (denominators
+cleared once, then Bareiss elimination) and return Fractions; `rank` is
+the integer rank of the cleared matrix.  Integer routines stay in Z with
+per-row gcd normalization so entries do not blow up; prime-field routines
+work on plain ints reduced mod p, and `modp_rank_batch` on numpy integer
+arrays of many matrices at once.  No floats.
 """
 
 from __future__ import annotations
@@ -19,17 +21,65 @@ Vec = tuple[Q, ...]
 Mat = list[list[Q]]
 
 
-def exact_rationals(raw) -> list[Q]:
-    """JSON coordinates (ints or 'p/q' strings) as Fractions; ValueError on
-    a float, which is inexact, and on a malformed string."""
+def _exact_scalar(v):
+    """Normal form of an exact rational scalar: an int stays an int, a
+    Fraction with denominator 1 becomes an int, other Fractions stay.  A
+    float raises TypeError rather than turn into its binary approximation;
+    anything else (an int subclass, a 'p/q' string, a Decimal) goes
+    through int or Fraction."""
+    t = type(v)
+    if t is int:
+        return v
+    if t is Q:
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, float):
+        raise TypeError("inexact float coordinate %r; use an int, a Fraction "
+                        "or an exact string" % (v,))
+    if isinstance(v, int):
+        return int(v)
+    return _exact_scalar(Q(v))
+
+
+def _exact_div(n, d):
+    """Exact quotient in the same normal form: int / int stays an int when
+    d divides n and becomes a Fraction otherwise; every other combination
+    divides in its own type."""
+    if type(n) is int and type(d) is int:
+        q, r = divmod(n, d)
+        return Q(n, d) if r else q
+    return n / d
+
+
+def _is_decimal_int(s) -> bool:
+    """True for an ASCII string of digits with an optional leading minus,
+    the form in which the integers of a JSON coordinate file are written."""
+    body = s[1:] if s[:1] == "-" else s
+    return body.isascii() and body.isdigit()
+
+
+def exact_rationals(raw) -> list:
+    """JSON coordinates (ints or 'p/q' strings) in the normal form of
+    `_exact_scalar`; ValueError on a float, which is inexact, on a boolean,
+    which is not a number, and on a malformed string.  A plain decimal
+    integer string is parsed by int, anything else by Fraction."""
+    out = []
     for s in raw:
-        if isinstance(s, float):
+        t = type(s)
+        if t is int:
+            out.append(s)
+        elif t is str and _is_decimal_int(s):
+            out.append(int(s))
+        elif t is bool:
+            raise ValueError("boolean coordinate %r is not a number" % (s,))
+        elif isinstance(s, float):
             raise ValueError("inexact float coordinate %r; write it as a "
                              "'p/q' string" % (s,))
-    try:
-        return [Q(s) for s in raw]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError("bad rational coordinate: %s" % exc) from None
+        else:
+            try:
+                out.append(_exact_scalar(Q(s)))
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                raise ValueError("bad rational coordinate: %s" % exc) from None
+    return out
 
 
 def _integer_row(values) -> tuple[list[int], int]:

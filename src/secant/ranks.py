@@ -11,6 +11,12 @@ invariant, and the symplectic rank-3 witness element.
 Tensor payloads serialize as JSON objects {"shape", "dims", "coords"} with
 exact "p/q" rational strings; wedge coordinates use lexicographic
 multi-index order.
+
+Scalars are int first: every input goes through `secant.linalg._exact_scalar`
+(ints stay ints, a Fraction with denominator 1 becomes an int, a float
+raises TypeError), ranks and eliminations run on integer multiples with
+cleared denominators, and a Fraction appears only where a division forces
+one.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .linalg import (
+    _exact_div,
+    _exact_scalar,
     _integer_matrix,
     _integer_row,
     exact_rationals,
@@ -79,7 +86,7 @@ def _check_matrix(mat, square=False):
         raise ValueError("ragged matrix")
     if square and len(mat) != ncol:
         raise ValueError("matrix must be square")
-    return [[Q(v) for v in row] for row in mat]
+    return [[_exact_scalar(v) for v in row] for row in mat]
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +136,20 @@ def split_symplectic_form(n: int):
     interleaved hyperbolic pairs: J[2i][2i+1] = 1 = -J[2i+1][2i]."""
     if n % 2:
         raise ValueError("symplectic space needs even dimension, got %d" % n)
-    j = [[Q(0)] * n for _ in range(n)]
+    j = [[0] * n for _ in range(n)]
     for i in range(0, n, 2):
-        j[i][i + 1] = Q(1)
-        j[i + 1][i] = Q(-1)
+        j[i][i + 1] = 1
+        j[i + 1][i] = -1
     return j
 
 
 def _quadric_value(v, gram):
-    return sum((Q(a) * Q(b) * g for a, row in zip(v, gram)
-                for b, g in zip(v, row) if g), Q(0))
+    return _bil(v, v, gram)
 
 
 def _bil(u, v, gram):
-    return sum((Q(a) * g * Q(b) for a, row in zip(u, gram)
-                for g, b in zip(row, v) if g), Q(0))
+    return _exact_scalar(sum(a * g * b for a, row in zip(u, gram)
+                            for g, b in zip(row, v) if g))
 
 
 def quadric_rank(v, gram) -> int:
@@ -152,7 +158,7 @@ def quadric_rank(v, gram) -> int:
     g = _check_matrix(gram, square=True)
     if mat_rank(g) != len(g):
         raise ValueError("quadratic form is degenerate")
-    vec = [Q(x) for x in v]
+    vec = [_exact_scalar(x) for x in v]
     if len(vec) != len(g):
         raise ValueError("vector length %d does not match form size %d"
                          % (len(vec), len(g)))
@@ -166,7 +172,7 @@ def quadric_split(v, gram):
     summing to v exactly.  Requires the form to admit rational isotropic
     directions transversal to v (true for split forms)."""
     g = _check_matrix(gram, square=True)
-    vec = [Q(x) for x in v]
+    vec = [_exact_scalar(x) for x in v]
     r = quadric_rank(vec, g)
     if r == 1:
         return [vec]
@@ -175,15 +181,15 @@ def quadric_split(v, gram):
 
     def finish(a):
         # v = t*a + (v - t*a) with q(a) = 0 and B(a, v) != 0
-        t = qv / (2 * _bil(a, vec, g))
-        p1 = [t * x for x in a]
-        p2 = [x - y for x, y in zip(vec, p1)]
+        t = _exact_div(qv, 2 * _bil(a, vec, g))
+        p1 = [_exact_scalar(t * x) for x in a]
+        p2 = [_exact_scalar(x - y) for x, y in zip(vec, p1)]
         assert _quadric_value(p1, g) == 0 and _quadric_value(p2, g) == 0
         assert [x + y for x, y in zip(p1, p2)] == vec
         return [p1, p2]
 
     def candidates():
-        basis = [[Q(1 if k == i else 0) for k in range(n)] for i in range(n)]
+        basis = [[1 if k == i else 0 for k in range(n)] for i in range(n)]
         for a in basis:
             yield a
         for i in range(n):
@@ -192,7 +198,7 @@ def quadric_split(v, gram):
                     yield [basis[i][k] + s * basis[j][k] for k in range(n)]
         rng = random.Random(0)
         for _ in range(500):
-            yield [Q(rng.randint(-4, 4)) for _ in range(n)]
+            yield [rng.randint(-4, 4) for _ in range(n)]
 
     for a in candidates():
         if any(a) and _quadric_value(a, g) == 0 and _bil(a, vec, g) != 0:
@@ -292,21 +298,16 @@ def _quadrics():
 
 def purity_quadrics(s):
     """Evaluate the ten purity quadrics on a 16-coordinate even spinor."""
-    co = [Q(v) for v in s]
+    co = [_exact_scalar(v) for v in s]
     if len(co) != 16:
         raise ValueError("even half-spinor needs 16 coordinates")
-    out = []
-    for quad in _quadrics():
-        val = Q(0)
-        for (p, q), c in quad.items():
-            val += c * co[p] * co[q]
-        out.append(val)
-    return out
+    return [_exact_scalar(sum(c * co[p] * co[q] for (p, q), c in quad.items()))
+            for quad in _quadrics()]
 
 
 def spinor10_rank(s) -> int:
     """1 if the nonzero spinor is pure (all ten quadrics vanish), else 2."""
-    co = [Q(v) for v in s]
+    co = [_exact_scalar(v) for v in s]
     if len(co) != 16:
         raise ValueError("even half-spinor needs 16 coordinates")
     if all(v == 0 for v in co):
@@ -318,11 +319,11 @@ def spinor_annihilator_dim(s) -> int:
     """Dimension of the space of Clifford directions killing s: 10 gamma
     actions (5 wedges, 5 contractions) into the odd half-spinor space.
     Equals 5 exactly on pure spinors; used as an independent cross-check."""
-    co = [Q(v) for v in s]
+    co = [_exact_scalar(v) for v in s]
     cols = []
     for kind in ("wedge", "contract"):
         for i in range(5):
-            col = [Q(0)] * len(_ODD_SUBSETS)
+            col = [0] * len(_ODD_SUBSETS)
             for pi, su in enumerate(EVEN_SUBSETS):
                 if co[pi] == 0:
                     continue
@@ -348,14 +349,14 @@ def pure_even_spinor(omega):
         for j in range(5):
             if w[i][j] != -w[j][i]:
                 raise ValueError("parameter matrix must be skew")
-    co = [Q(0)] * 16
-    co[_EVEN_INDEX[()]] = Q(1)
+    co = [0] * 16
+    co[_EVEN_INDEX[()]] = 1
     for i, j in itertools.combinations(range(5), 2):
         co[_EVEN_INDEX[(i, j)]] = w[i][j]
     for sub in itertools.combinations(range(5), 4):
         a, b, c, d = sub
         pf = w[a][b] * w[c][d] - w[a][c] * w[b][d] + w[a][d] * w[b][c]
-        co[_EVEN_INDEX[sub]] = pf
+        co[_EVEN_INDEX[sub]] = _exact_scalar(pf)
     return co
 
 
@@ -376,12 +377,8 @@ class CoformDecomposition:
 
 
 def _form_contraction(w, form):
-    total = Q(0)
     n = len(w)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += form[i][j] * w[i][j]
-    return total
+    return sum(form[i][j] * w[i][j] for i in range(n) for j in range(i + 1, n))
 
 
 def coform_rank_decompose(w, form=None) -> CoformDecomposition:
@@ -503,7 +500,8 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
         x, y, c = found  # remainder values are x/den, y/den, c/den
         # peel (x/c) ^ (y/den): both covectors land in the kernel of the
         # remainder, so the matrix rank drops by exactly 2
-        pairs.append(([Q(v, c) for v in x], [Q(v, den) for v in y]))
+        pairs.append(([_exact_div(v, c) for v in x],
+                      [_exact_div(v, den) for v in y]))
         a = [[c * a[i][j] - (x[i] * y[j] - x[j] * y[i]) for j in range(n)]
              for i in range(n)]
         den *= c
@@ -567,7 +565,7 @@ def flattening_images(coords, dims):
     """Bases (reduced echelon rows) of the three flattening images of a
     three-factor tensor given by flat coordinates in row-major order."""
     d1, d2, d3 = dims
-    co = [Q(v) for v in coords]
+    co = [_exact_scalar(v) for v in coords]
     if len(co) != d1 * d2 * d3:
         raise ValueError("tensor needs %d coordinates, got %d"
                          % (d1 * d2 * d3, len(co)))
@@ -650,13 +648,13 @@ def _contraction_rows(form, n: int, k: int) -> list:
 def wedge3_from_triples(terms):
     """Build 20 coordinates from (i, j, k, coefficient) terms with arbitrary
     index order; repeated triples accumulate with permutation signs."""
-    co = [Q(0)] * 20
+    co = [0] * 20
     for (i, j, k, val) in terms:
         if len({i, j, k}) != 3:
             raise ValueError("degenerate triple (%d,%d,%d)" % (i, j, k))
         key = tuple(sorted((i, j, k)))
-        co[WEDGE3_INDEX[key]] += _perm_sign((i, j, k)) * Q(val)
-    return co
+        co[WEDGE3_INDEX[key]] += _perm_sign((i, j, k)) * _exact_scalar(val)
+    return [_exact_scalar(v) for v in co]
 
 
 def wedge3_divisor_space(co):
@@ -737,8 +735,8 @@ def wedge3_quartic(co):
     homogeneous of degree 4, so it is evaluated on the coordinates with
     their denominators cleared."""
     poly, norm = _tr2_table()
-    ints, den = _integer_row(Q(v) for v in co)
-    return Q(_tr2_value(poly, ints), norm * den ** 4)
+    ints, den = _integer_row(_exact_scalar(v) for v in co)
+    return _exact_div(_tr2_value(poly, ints), norm * den ** 4)
 
 
 def wedge3_c6_rank(co) -> int:
@@ -746,7 +744,7 @@ def wedge3_c6_rank(co) -> int:
     1 iff decomposable (3-dimensional divisor space); 2 iff the quartic
     invariant is nonzero (open orbit) or the tensor is divisible by a vector
     (nonzero divisor space); 3 otherwise."""
-    co = [Q(v) for v in co]
+    co = [_exact_scalar(v) for v in co]
     if len(co) != 20:
         raise ValueError("alternating 3-tensor needs 20 coordinates")
     if all(v == 0 for v in co):
@@ -767,15 +765,15 @@ def wedge3_transform(co, mat):
     m = _check_matrix(mat, square=True)
     if len(m) != 6:
         raise ValueError("transform needs a 6x6 matrix")
-    co = [Q(v) for v in co]
+    co = [_exact_scalar(v) for v in co]
     cols = list(zip(*m))
-    out = [Q(0)] * 20
+    out = [0] * 20
     for src, c in zip(WEDGE3_TRIPLES, co):
         if c:
             # the image of e_src is the wedge of the three source columns
             image = _wedge_rows([cols[j] for j in src], 6)
             out = [acc + minor * c for acc, minor in zip(out, image)]
-    return out
+    return [_exact_scalar(v) for v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +810,10 @@ def sp6_wedge3_witness():
     # summands in 0-indexed labels: (0,1,3), (0,4,2), (5,1,2)
     terms = [(0, 1, 3, 1), (0, 4, 2, 1), (5, 1, 2, 1)]
     co = wedge3_from_triples(terms)
-    form = [[Q(0)] * 6 for _ in range(6)]
+    form = [[0] * 6 for _ in range(6)]
     for i, j in ((0, 5), (1, 4), (2, 3)):
-        form[i][j] = Q(1)
-        form[j][i] = Q(-1)
+        form[i][j] = 1
+        form[j][i] = -1
     contraction_zero = all(sum(r * c for r, c in zip(row, co)) == 0
                            for row in _contraction_rows(form, 6, 3))
     planes = [(0, 1, 3), (0, 4, 2), (5, 1, 2)]
@@ -860,7 +858,7 @@ _SHAPES = ("matrix", "symmetric", "skew", "coform", "wedge3", "spinor16", "quadr
 
 def tensor_to_json(t: Tensor) -> dict:
     return {"shape": t.shape, "dims": list(t.dims),
-            "coords": [str(Q(v)) for v in t.coords]}
+            "coords": [str(_exact_scalar(v)) for v in t.coords]}
 
 
 def tensor_from_json(obj) -> Tensor:
@@ -871,7 +869,8 @@ def tensor_from_json(obj) -> Tensor:
         raise ValueError("unknown tensor shape %r (expected one of %s)"
                          % (shape, ", ".join(_SHAPES)))
     dims = obj.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d > 0 for d in dims):
+    if not isinstance(dims, list) or not all(
+            type(d) is int and d > 0 for d in dims):
         raise ValueError("dims must be a list of positive integers")
     raw = obj.get("coords")
     if not isinstance(raw, list):

@@ -1,7 +1,8 @@
-"""QuadExt-arithmetic references for the constructive Jordan splits.
+"""References for the octonion product and the constructive Jordan splits.
 
-These are the earlier implementations, kept here only to check the
-integer code of `secant.jordan` against: the rank-2 split computed as
+These are the earlier implementations, kept here only to check the code
+of `secant.jordan` against: the octonion product as a loop over the 64
+entries of the multiplication table, the rank-2 split computed as
 (x o x + mu x) / (2 mu) in QuadExt coordinates with its postconditions
 checked on those coordinates, and the rank-3 peel with its own rank test
 and Fraction postconditions.  Nothing in `secant` imports this module.
@@ -13,15 +14,29 @@ import random
 from fractions import Fraction as Q
 
 from secant.jordan import (
+    FANO_LINES,
     AlbertElement,
     Rank2Split,
     Rank3Split,
-    _div,
+    _coerce_num,
+    _flat_table,
     f4_rank,
     jordan_rank,
     rank1_from_chart,
 )
-from secant.linalg import sqrt_element
+from secant.linalg import _exact_div, sqrt_element
+
+
+def oct_mul(u, v, lines=FANO_LINES):
+    """Product of two octonions, accumulated entry by entry over the flat
+    multiplication table."""
+    out = [0] * 8
+    for i, j, k, s in _flat_table(lines):
+        if s > 0:
+            out[k] += u[i] * v[j]
+        else:
+            out[k] -= u[i] * v[j]
+    return tuple(map(_coerce_num, out))
 
 
 def rank2_split(x: AlbertElement) -> Rank2Split:
@@ -36,7 +51,7 @@ def rank2_split(x: AlbertElement) -> Rank2Split:
         raise ValueError("degenerate quadratic invariant %s" % (s_val,))
     mu = sqrt_element(d)
     xsq = x.jordan(x)
-    inv2mu = _div(1, 2 * mu)
+    inv2mu = _exact_div(1, 2 * mu)
     plus = (xsq + x.scale(mu)).scale(inv2mu)
     minus = x - plus
     if jordan_rank(plus) != 1 or jordan_rank(minus) != 1:
@@ -64,7 +79,7 @@ def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
         pair = sharp.inner(v)
         if pair == 0:
             continue
-        t_star = _div(det, pair)
+        t_star = _exact_div(det, pair)
         piece = v.scale(t_star)
         residual = x - piece
         if residual.det3() != 0:

@@ -14,6 +14,7 @@ from secant.cli import main
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "table_rank8_golden.json")
 LIE_GOLDEN = os.path.join(DATA, "lie_cli_golden.json")
+RANK_GOLDEN = os.path.join(DATA, "rank_cli_golden.json")
 
 
 def run_cli(*argv):
@@ -134,6 +135,42 @@ class TestRank:
         assert code == 1
         assert out == ""
         assert "float" in capsys.readouterr().err
+
+    def test_boolean_coordinate_exit_1(self, tmp_path, capsys):
+        path = self.write(tmp_path, {
+            "shape": "jordan", "dims": [27], "coords": [True] + [0] * 26})
+        code, out = run_cli("rank", "jordan", path)
+        assert code == 1
+        assert out == ""
+        assert "boolean" in capsys.readouterr().err
+
+    def test_boolean_dims_exit_1(self, tmp_path, capsys):
+        path = self.write(tmp_path, {
+            "shape": "matrix", "dims": [True, 2], "coords": ["1", "2"]})
+        code, out = run_cli("rank", "matrix", path)
+        assert code == 1
+        assert out == ""
+        assert "dims" in capsys.readouterr().err
+
+
+with open(RANK_GOLDEN) as _fh:
+    _RANK_OUTPUTS = json.load(_fh)["outputs"]
+
+
+@pytest.mark.parametrize("entry", _RANK_OUTPUTS, ids=lambda e: e["argv"][2])
+def test_rank_cli_golden(entry, tmp_path, monkeypatch):
+    # the report names the file as given, so it is read from the working
+    # directory under its recorded name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / entry["argv"][2]).write_text(json.dumps(entry["doc"]))
+    code, out = run_cli(*entry["argv"])
+    assert code == 0
+    assert out == entry["stdout"]
+
+
+def test_rank_cli_golden_covers_every_shape():
+    from secant.ranks import _SHAPES
+    assert {e["argv"][1] for e in _RANK_OUTPUTS} == {"jordan", *_SHAPES}
 
 
 class TestChopTree:

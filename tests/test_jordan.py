@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jordan_reference as ref
 from secant.jordan import (
@@ -32,7 +34,7 @@ from secant.jordan import (
     random_rank2_tracefree,
     random_tracefree,
 )
-from secant.jordan import _mult_table
+from secant.jordan import _mult_table, _oct_kernel
 from secant.linalg import QuadExt
 
 
@@ -82,11 +84,43 @@ def test_unit_and_conj_norm():
 
 
 def test_bad_line_sets_rejected():
-    with pytest.raises(ValueError):
-        _mult_table(((1, 2, 3),) * 7)
-    with pytest.raises(ValueError):
-        _mult_table(((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
-                     (3, 4, 7), (1, 2, 3)))
+    for lines in (((1, 2, 3),) * 7,
+                  ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
+                   (3, 4, 7), (1, 2, 3))):
+        with pytest.raises(ValueError):
+            _mult_table(lines)
+        # no product kernel is generated for a rejected table
+        with pytest.raises(ValueError):
+            _oct_kernel(lines)
+        with pytest.raises(ValueError):
+            oct_mul((1,) * 8, (1,) * 8, lines)
+
+
+_INTS = st.integers(-10 ** 12, 10 ** 12)
+_FRACTIONS = st.fractions(-10 ** 6, 10 ** 6, max_denominator=60)
+_QUADEXT = st.builds(lambda a, b: QuadExt(a, b, Q(5, 3)), _FRACTIONS, _FRACTIONS)
+#: Coordinates of each kind; the Fraction and QuadExt kinds mix in ints
+_SCALARS = {
+    "int": _INTS,
+    "fraction": st.one_of(_INTS, _FRACTIONS),
+    "quadext": st.one_of(_INTS, _FRACTIONS, _QUADEXT),
+}
+
+
+@pytest.mark.parametrize("lines", [FANO_LINES, FANO_LINES_ALT])
+@pytest.mark.parametrize("kind", sorted(_SCALARS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_oct_kernel_matches_loop_reference(lines, kind, data):
+    octonion = st.tuples(*[_SCALARS[kind]] * 8)
+    u, v = data.draw(octonion), data.draw(octonion)
+    got, want = oct_mul(u, v, lines), ref.oct_mul(u, v, lines)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    _assert_exact(got)
+    if all(type(c) is int or (type(c) is Q and c.denominator == 1)
+           for c in u + v):
+        assert all(type(c) is int for c in got)
 
 
 # ---------------------------------------------------------------------------

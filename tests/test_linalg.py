@@ -11,7 +11,9 @@ from secant.linalg import (
     _BLOCK,
     IntEchelon,
     QuadExt,
+    _exact_scalar,
     dot,
+    exact_rationals,
     eye,
     int_rank,
     int_row_basis,
@@ -329,3 +331,36 @@ def test_dot_and_matvec_exact():
     u = (Q(1, 3), Q(2))
     v = (Q(3), Q(1, 2))
     assert dot(u, v) == Q(2)
+
+
+def test_exact_scalar_normal_form():
+    assert _exact_scalar(7) == 7 and type(_exact_scalar(7)) is int
+    assert type(_exact_scalar(Q(6, 3))) is int
+    assert _exact_scalar(Q(1, 3)) == Q(1, 3)
+    assert type(_exact_scalar(True)) is int
+    assert _exact_scalar("-4/6") == Q(-2, 3)
+    assert type(_exact_scalar("4/2")) is int
+    for bad in (0.5, 2.0, float("inf")):
+        with pytest.raises(TypeError):
+            _exact_scalar(bad)
+
+
+def test_exact_rationals_accepts_what_fraction_accepts():
+    # a plain decimal integer string is read by int, anything else by
+    # Fraction; the accepted strings and their values are Fraction's
+    texts = ["7", "-7", "007", "-0", " 7 ", "+7", "1_0", "1e3", "3.0",
+             "3/4", "-6/4", "8/4", "\u0663"]
+    got = exact_rationals(texts)
+    assert got == [Q(t) for t in texts]
+    for t, v in zip(texts, got):
+        assert type(v) is (int if Q(t).denominator == 1 else Q), (t, v)
+    assert exact_rationals([5, -2]) == [5, -2]
+    for bad in (["x"], [""], ["-"], ["--5"], ["1/0"], [None], [[1]], ["1.5e"]):
+        with pytest.raises(ValueError):
+            exact_rationals(bad)
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_exact_rationals_refuses_floats_and_booleans(bad):
+    with pytest.raises(ValueError):
+        exact_rationals(["1", bad])

@@ -519,3 +519,71 @@ class TestTensorJSON:
 
         r, cert = rank_of_tensor(Tensor("quadric", [4], [Q(1), Q(1), Q(0), Q(0)]))
         assert r == 2 and len(cert["isotropic_pieces"]) == 2
+
+
+class TestExactInputs:
+    """Python floats are inexact: every rank function refuses them, as the
+    Jordan layer does, instead of reading their binary approximation."""
+
+    def test_matrix(self):
+        # read as binary fractions these have ranks 1 and 2
+        with pytest.raises(TypeError):
+            segre_rank([[0.1, 0.2], [0.3, 0.6]])
+        with pytest.raises(TypeError):
+            segre_rank([[0.1, 0.2], [0.3, 0.6000000000000001]])
+        with pytest.raises(TypeError):
+            veronese2_rank([[1, 0.5], [0.5, 1]])
+        with pytest.raises(TypeError):
+            gr2_rank([[0, 1.0], [-1.0, 0]])
+
+    def test_coform(self):
+        w = [[0] * 4 for _ in range(4)]
+        w[0][2], w[2][0] = 0.5, -0.5
+        with pytest.raises(TypeError):
+            coform_rank_decompose(w)
+        form = split_symplectic_form(4)
+        form[0][1] = 1.0
+        w[0][2], w[2][0] = 1, -1
+        with pytest.raises(TypeError):
+            coform_rank_decompose(w, form)
+
+    def test_wedge3(self):
+        with pytest.raises(TypeError):
+            wedge3_c6_rank([0.5] + [0] * 19)
+        with pytest.raises(TypeError):
+            wedge3_quartic([1, 0.0] + [0] * 18)
+        eye = [[int(i == j) for j in range(6)] for i in range(6)]
+        with pytest.raises(TypeError):
+            wedge3_transform([0.25] + [0] * 19, eye)
+        eye[0][0] = 1.0
+        with pytest.raises(TypeError):
+            wedge3_transform([1] + [0] * 19, eye)
+
+    def test_spinor(self):
+        with pytest.raises(TypeError):
+            spinor10_rank([1.0] + [0] * 15)
+        with pytest.raises(TypeError):
+            purity_quadrics([1] + [0.0] * 15)
+        with pytest.raises(TypeError):
+            spinor_annihilator_dim([0.5] + [0] * 15)
+
+    def test_quadric(self):
+        gram = split_symmetric_form(4)
+        with pytest.raises(TypeError):
+            quadric_rank([1.0, 0, 0, 0], gram)
+        with pytest.raises(TypeError):
+            quadric_split([1, 1, 0.5, 0], gram)
+        gram[3][3] = 0.0
+        with pytest.raises(TypeError):
+            quadric_rank([1, 0, 0, 0], gram)
+
+    def test_int_first_outputs(self):
+        # integral values come back as ints, other rationals as Fractions
+        assert all(type(v) is int for row in split_symplectic_form(6)
+                   for v in row)
+        eye = [[int(i == j) for j in range(6)] for i in range(6)]
+        out = wedge3_transform([Q(4, 2)] + [Q(1, 2)] + [0] * 18, eye)
+        assert out[:2] == [2, Q(1, 2)] and type(out[0]) is int
+        assert [type(v) for v in purity_quadrics([Q(2)] * 16)] == [int] * 10
+        assert wedge3_from_triples([(0, 1, 2, Q(3, 3))])[0] == 1
+        assert type(wedge3_from_triples([(0, 1, 2, Q(3, 3))])[0]) is int
