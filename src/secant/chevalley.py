@@ -20,16 +20,19 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import factorial
 
 from .linalg import (
     IntEchelon,
+    _exact_div,
     _integer_matrix,
     _integer_row,
     int_rank,
     int_row_basis,
     inverse,
     matmul,
+    split_symmetric_form,
     transpose,
 )
 from .rootsys import (
@@ -112,14 +115,6 @@ class ChevalleyAlgebra:
             put(index[ra], index[rb],
                 ((index[tuple(map(operator.add, ra, rb))], v),))
 
-    # -- naming
-
-    def basis_name(self, k: int) -> str:
-        l = self.type.rank
-        if k < l:
-            return "h%d" % (k + 1)
-        return "e%d" % (k - l)
-
     def root_of_basis(self, k: int):
         """Simple-root coefficient tuple of the root vector at basis index k."""
         l = self.type.rank
@@ -152,12 +147,6 @@ def _exact(num: int, den: int) -> int:
     q, rem = divmod(num, den)
     assert rem == 0, (num, den)
     return q
-
-
-def _quotient(num: int, den: int):
-    """num / den: an int when den divides num, else a Fraction."""
-    q, rem = divmod(num, den)
-    return Q(num, den) if rem else q
 
 
 def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
@@ -258,21 +247,12 @@ def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
     return full
 
 
-_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def build_chevalley(t: SimpleType) -> ChevalleyAlgebra:
     """Construct (and memoize) the Chevalley-basis Lie algebra of type t."""
     if t.rank > 8:
         raise ValueError("chevalley construction capped at rank 8, got %s" % (t,))
-    if t not in _CACHE:
-        _CACHE[t] = ChevalleyAlgebra(build_root_system(t))
-    return _CACHE[t]
-
-
-def build_chevalley_with_signs(t: SimpleType, sign_fn) -> ChevalleyAlgebra:
-    """Uncached variant with an explicit extraspecial sign convention."""
-    return ChevalleyAlgebra(build_root_system(t), sign_fn)
+    return ChevalleyAlgebra(build_root_system(t))
 
 
 # ---------------------------------------------------------------------------
@@ -625,22 +605,6 @@ def isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
     return _CASE_TABLE[stats]
 
 
-def split_symmetric_form(n: int):
-    """Matrix of the split symmetric form on F^n.
-
-    Basis ordering: hyperbolic pairs (a_1, b_1, .., a_m, b_m) with
-    (a_i, b_i) = 1, followed by one unit vector if n is odd.
-    """
-    G = [[0] * n for _ in range(n)]
-    m = n // 2
-    for i in range(m):
-        G[2 * i][2 * i + 1] = 1
-        G[2 * i + 1][2 * i] = 1
-    if n % 2:
-        G[n - 1][n - 1] = 1
-    return G
-
-
 def sample_isotropic_plane(n: int, rng: random.Random, bound: int = 9) -> tuple:
     """Two rational vectors spanning an isotropic plane for the split form.
 
@@ -698,8 +662,8 @@ def sample_isotropic_plane(n: int, rng: random.Random, bound: int = 9) -> tuple:
                 assemble([ds * x for x in r], ns + [ds * x for x in s[2:]],
                          [ds * x for x in z])]) != 2:
             continue
-        q[0] = _quotient(nq, dq)
-        s[:2] = (_quotient(x, ds) for x in ns)
+        q[0] = _exact_div(nq, dq)
+        s[:2] = (_exact_div(x, ds) for x in ns)
         return tuple(assemble(p, q, w)), tuple(assemble(r, s, z))
 
 

@@ -20,7 +20,6 @@ bijections on every chop.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -380,10 +379,6 @@ class Certificate:
     base_case: str
     citation: str
 
-    @property
-    def final(self) -> GroupDescriptor:
-        return self.chain[-1].result if self.chain else self.root
-
 
 def replay_certificate(cert: Certificate) -> bool:
     """Re-run every chopping step and re-match the base case; True iff valid."""
@@ -510,7 +505,3 @@ def certificate_to_text(cert: Certificate) -> str:
     lines.append("base case: %s" % cert.base_case)
     lines.append("why wild: %s" % cert.citation)
     return "\n".join(lines)
-
-
-def dump_certificate(cert: Certificate) -> str:
-    return json.dumps(certificate_to_json(cert), indent=2, sort_keys=True)

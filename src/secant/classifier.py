@@ -27,6 +27,7 @@ from .chopping import (
     height2_tame,
 )
 from .rootsys import (
+    CapExceeded,
     GroupDescriptor,
     SimpleType,
     canonicalize,
@@ -318,6 +319,10 @@ def _dense_fundamentals(st: SimpleType):
             yield tuple(int(t == pos - 1) for t in range(st.rank))
 
 
+#: Largest simple-factor rank of `generate_table` (about 40 s at 32).
+TABLE_RANK_CAP = 32
+
+
 def generate_table(max_rank: int = 8):
     """All tame pairs among simple types of rank <= max_rank with marks of
     height <= 3, plus two-factor products of fundamental weights;
@@ -332,7 +337,11 @@ def generate_table(max_rank: int = 8):
     Product entries are normalized under the per-factor duality twist of SL
     factors (a mark on the last vertex becomes a mark on the first), since
     dualizing one factor is an automorphism-twist giving the same variety.
+    Raises CapExceeded for max_rank above TABLE_RANK_CAP.
     """
+    if max_rank > TABLE_RANK_CAP:
+        raise CapExceeded("max rank %d exceeds the table cap %d"
+                          % (max_rank, TABLE_RANK_CAP))
     rows: dict[GroupDescriptor, TamenessVerdict] = {}
     singles = _canonical_single_types(max_rank)
     for st in singles:

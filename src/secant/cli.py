@@ -56,7 +56,6 @@ from .ranks import (
 from .rootsys import (
     CapExceeded,
     SimpleType,
-    build_root_system,
     format_descriptor,
     parse_descriptor,
 )
@@ -227,13 +226,9 @@ def _witness_f4(args) -> dict:
 
 def _witness_sp6(args) -> dict:
     _, rep = sp6_wedge3_witness()
-    return {
-        "tensor": [str(c) for c in rep.tensor],
-        "form": [[str(v) for v in row] for row in rep.form],
-        "contraction_is_zero": rep.contraction_is_zero,
-        "summand_planes_isotropic": rep.summand_planes_isotropic,
-        "rank": rep.rank,
-    }
+    body = rep.as_dict()
+    body["form"] = [[str(v) for v in row] for row in rep.form]
+    return body
 
 
 def _witness_sl6(args) -> dict:

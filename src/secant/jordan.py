@@ -67,7 +67,6 @@ __all__ = [
     "albert_to_json",
     "albert_from_json",
     "random_albert",
-    "random_tracefree",
     "random_rank1",
     "random_rank2_tracefree",
 ]
@@ -581,12 +580,6 @@ def random_albert(rng, bound: int = 9, lines=FANO_LINES) -> AlbertElement:
         [rng.randint(-bound, bound) for _ in range(27)], lines=lines)
 
 
-def random_tracefree(rng, bound: int = 9, lines=FANO_LINES) -> AlbertElement:
-    co = [rng.randint(-bound, bound) for _ in range(27)]
-    co[2] = -co[0] - co[1]
-    return AlbertElement.from_coords(co, lines=lines)
-
-
 def random_rank1(rng, bound: int = 6, lines=FANO_LINES) -> AlbertElement:
     """Random rank-1 element via the chart with nonzero leading entry."""
     while True:
@@ -613,8 +606,6 @@ def random_rank2_tracefree(rng, bound: int = 4, lines=FANO_LINES) -> AlbertEleme
 # ---------------------------------------------------------------------------
 # Derivation algebra
 # ---------------------------------------------------------------------------
-
-_DERIV_CACHE: dict = {}
 
 #: Diagonal Gram of the trace form in flat coordinates (a, b, c, x, y, z).
 TRACE_GRAM_DIAG = (1, 1, 1) + (2,) * 24
@@ -643,8 +634,11 @@ def f4_derivations(lines=FANO_LINES):
     Every basis matrix kills the identity element and is skew for the trace
     form.  The result is cached per multiplication convention.
     """
-    if lines in _DERIV_CACHE:
-        return _DERIV_CACHE[lines]
+    return _f4_derivations(lines)
+
+
+@lru_cache(maxsize=None)
+def _f4_derivations(lines):
     basis = [AlbertElement.basis_element(i, lines) for i in range(27)]
     prods = [[None] * 27 for _ in range(27)]
     for i in range(27):
@@ -674,9 +668,7 @@ def f4_derivations(lines=FANO_LINES):
     idx = int_row_basis(flat)
     if len(idx) != 52:
         raise AssertionError("derivation span has dimension %d, expected 52" % len(idx))
-    out = [comms[k] for k in idx]
-    _DERIV_CACHE[lines] = out
-    return out
+    return [comms[k] for k in idx]
 
 
 def apply_matrix(mat, elem: AlbertElement) -> AlbertElement:

@@ -3,13 +3,15 @@
 Everything here is exact.  Scalars follow one normal form, `_exact_scalar`:
 int first, a Fraction only where a division forces one (`_exact_div`), and
 a float is refused; `exact_rationals` reads JSON coordinates into it.  The
-rational routines (`row_reduce`, `nullspace`, `solve`, `inverse`) take
-ints and Fractions, run on one fraction-free integer engine (denominators
-cleared once, then Bareiss elimination) and return Fractions; `rank` is
-the integer rank of the cleared matrix.  Integer routines stay in Z with
+rational routines (`row_reduce`, `nullspace`, `inverse`) take ints and
+Fractions, run on one fraction-free integer engine (denominators cleared
+once, then Bareiss elimination) and return Fractions; `rank` is the
+integer rank of the cleared matrix.  Integer routines stay in Z with
 per-row gcd normalization so entries do not blow up; prime-field routines
 work on plain ints reduced mod p, and `modp_rank_batch` on numpy integer
-arrays of many matrices at once.  No floats.
+arrays of many matrices at once.  The standard forms (`split_symmetric_form`,
+`split_symplectic_form`, `mirror_symplectic_form`) are integer matrices
+shared by every module.  No floats.
 """
 
 from __future__ import annotations
@@ -178,25 +180,6 @@ def nullspace(mat) -> list[Vec]:
     return basis
 
 
-def solve(mat, rhs) -> list[Q] | None:
-    """One exact solution of mat @ x = rhs, or None if inconsistent;
-    ValueError unless rhs has one entry per row."""
-    mat, rhs = list(mat), list(rhs)
-    if len(mat) != len(rhs):
-        raise ValueError("solve needs one right-hand side per row: %d rows, "
-                         "%d values" % (len(mat), len(rhs)))
-    if not mat:
-        return []
-    rref, pivots = row_reduce(list(row) + [Q(b)] for row, b in zip(mat, rhs))
-    ncols = len(rref[0]) - 1
-    if ncols in pivots:
-        return None
-    x = [Q(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][ncols]
-    return x
-
-
 def inverse(mat) -> Mat:
     """Exact inverse of a square rational matrix; ValueError on a singular
     or non-square one."""
@@ -221,10 +204,6 @@ def dot(u, v) -> Q:
     return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
-def matvec(mat, v):
-    return tuple(dot(row, v) for row in mat)
-
-
 def matmul(a, b):
     bt = list(zip(*b))
     return [[dot(row, col) for col in bt] for row in a]
@@ -234,8 +213,48 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
-def eye(n) -> Mat:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+# ---------------------------------------------------------------------------
+# standard forms
+
+
+def split_symmetric_form(n: int):
+    """Matrix of the split symmetric form on F^n.
+
+    Basis ordering: hyperbolic pairs (a_1, b_1, .., a_m, b_m) with
+    (a_i, b_i) = 1, followed by one unit vector if n is odd.
+    """
+    G = [[0] * n for _ in range(n)]
+    m = n // 2
+    for i in range(m):
+        G[2 * i][2 * i + 1] = 1
+        G[2 * i + 1][2 * i] = 1
+    if n % 2:
+        G[n - 1][n - 1] = 1
+    return G
+
+
+def split_symplectic_form(n: int):
+    """Standard symplectic matrix on an even-dimensional space with
+    interleaved hyperbolic pairs: J[2i][2i+1] = 1 = -J[2i+1][2i]."""
+    if n % 2:
+        raise ValueError("symplectic space needs even dimension, got %d" % n)
+    j = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        j[i][i + 1] = 1
+        j[i + 1][i] = -1
+    return j
+
+
+def mirror_symplectic_form(n: int):
+    """Symplectic form pairing coordinate i with coordinate n-1-i (the
+    convention of the witness element: first pairs with last)."""
+    if n % 2:
+        raise ValueError("even dimension required")
+    f = [[0] * n for _ in range(n)]
+    for i in range(n // 2):
+        f[i][n - 1 - i] = 1
+        f[n - 1 - i][i] = -1
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +468,6 @@ def modp_nullspace(mat, p: int) -> list[list[int]]:
     return basis
 
 
-def modp_solve(mat, rhs, p: int) -> list[int] | None:
-    rows = [list(row) + [b % p] for row, b in zip(mat, rhs)]
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
-    rref, pivots = modp_row_reduce(rows, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][ncols]
-    return x
-
-
-def modp_inverse(mat, p: int) -> list[list[int]]:
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    rref, pivots = modp_row_reduce(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular mod %d" % p)
-    return [row[n:] for row in rref[:n]]
-
-
 # ---------------------------------------------------------------------------
 # quadratic extensions Q(sqrt(d))
 
@@ -637,15 +632,3 @@ class QuadExt:
         if self.y == 0:
             return "QuadExt(%s, d=%s)" % (self.a, self.d)
         return "QuadExt(%s + %s*sqrt(%s))" % (self.a, self.b, self.d)
-
-
-def sqrt_element(x):
-    """sqrt of a positive rational: a Fraction if x is a perfect square,
-    otherwise the QuadExt sqrt(x) in Q(sqrt(x))."""
-    x = Q(x)
-    if x <= 0:
-        raise ValueError("sqrt_element needs a positive rational")
-    r = rational_sqrt(x)
-    if r is not None:
-        return r
-    return QuadExt(0, 1, x)

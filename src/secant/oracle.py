@@ -44,7 +44,14 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .linalg import _BLOCK, modp_nullspace, modp_rank_batch, modp_row_reduce
+from .linalg import (
+    _BLOCK,
+    mirror_symplectic_form,
+    modp_nullspace,
+    modp_rank_batch,
+    modp_row_reduce,
+    split_symmetric_form,
+)
 from .ranks import (
     EVEN_SUBSETS,
     WEDGE3_INDEX,
@@ -117,18 +124,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 # ---------------------------------------------------------------------------
 # Coordinates
 # ---------------------------------------------------------------------------
-
-def mirror_symplectic_form(n: int):
-    """Symplectic form pairing coordinate i with coordinate n-1-i (the
-    convention of the witness element: first pairs with last)."""
-    if n % 2:
-        raise ValueError("even dimension required")
-    f = [[0] * n for _ in range(n)]
-    for i in range(n // 2):
-        f[i][n - 1 - i] = 1
-        f[n - 1 - i][i] = -1
-    return f
-
 
 def split_quadric_value(v, p):
     """Halved split quadratic form: sum of products over hyperbolic pairs
@@ -619,7 +614,6 @@ def _quadric_points(fam, p):
 
 
 def _quadric_generators(fam, p):
-    from .chevalley import split_symmetric_form
     form = [[v % p for v in row] for row in split_symmetric_form(fam["n"])]
     return _form_algebra_basis(form, p)
 
@@ -843,6 +837,11 @@ def _check_cap(p, d):
             % (p, d, AMBIENT_CAP))
 
 
+def _check_threads(threads):
+    if threads < 1:
+        raise ValueError("threads must be at least 1, got %d" % threads)
+
+
 def enumerate_cone_points(family: str, p: int) -> PointSet:
     """Enumerate canonical projective representatives of a family's cone
     over F_p and check the defining equations on every point."""
@@ -1029,6 +1028,7 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     ``ranks`` when pulling) are the unit of work: each makes its buffers
     once, and ``threads`` workers share the blocks of a layer.
     """
+    _check_threads(threads)
     p, d = points.prime, points.dim
     _check_cap(p, d)
     size = p ** d
@@ -1136,6 +1136,7 @@ def _cache_stem(family, p):
 def rank_table(family: str, p: int, threads: int = 1,
                cache: bool = True) -> RankTable:
     """Enumerate + BFS with optional disk caching keyed by SECANT_CACHE_DIR."""
+    _check_threads(threads)
     stem = _cache_stem(family, p) if cache else None
     if stem is not None and os.path.exists(stem + ".json"):
         try:

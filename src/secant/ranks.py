@@ -34,10 +34,12 @@ from .linalg import (
     _integer_row,
     exact_rationals,
     int_rank,
-    matvec,
+    mirror_symplectic_form,
     nullspace,
     rank as mat_rank,
     row_reduce,
+    split_symmetric_form,
+    split_symplectic_form,
 )
 
 __all__ = [
@@ -130,18 +132,6 @@ def gr2_rank(mat) -> int:
 # ---------------------------------------------------------------------------
 # Quadric hypersurface
 # ---------------------------------------------------------------------------
-
-def split_symplectic_form(n: int):
-    """Standard symplectic matrix on an even-dimensional space with
-    interleaved hyperbolic pairs: J[2i][2i+1] = 1 = -J[2i+1][2i]."""
-    if n % 2:
-        raise ValueError("symplectic space needs even dimension, got %d" % n)
-    j = [[0] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        j[i][i + 1] = 1
-        j[i + 1][i] = -1
-    return j
-
 
 def _quadric_value(v, gram):
     return _bil(v, v, gram)
@@ -286,14 +276,9 @@ def purity_quadric_table():
     return quadrics
 
 
-_QUADRIC_TABLE = None
-
-
+@functools.lru_cache(maxsize=None)
 def _quadrics():
-    global _QUADRIC_TABLE
-    if _QUADRIC_TABLE is None:
-        _QUADRIC_TABLE = purity_quadric_table()
-    return _QUADRIC_TABLE
+    return purity_quadric_table()
 
 
 def purity_quadrics(s):
@@ -810,10 +795,7 @@ def sp6_wedge3_witness():
     # summands in 0-indexed labels: (0,1,3), (0,4,2), (5,1,2)
     terms = [(0, 1, 3, 1), (0, 4, 2, 1), (5, 1, 2, 1)]
     co = wedge3_from_triples(terms)
-    form = [[0] * 6 for _ in range(6)]
-    for i, j in ((0, 5), (1, 4), (2, 3)):
-        form[i][j] = 1
-        form[j][i] = -1
+    form = mirror_symplectic_form(6)
     contraction_zero = all(sum(r * c for r, c in zip(row, co)) == 0
                            for row in _contraction_rows(form, 6, 3))
     planes = [(0, 1, 3), (0, 4, 2), (5, 1, 2)]
@@ -919,9 +901,7 @@ def rank_of_tensor(t: Tensor):
     if t.shape == "spinor16":
         return spinor10_rank(t.coords), None
     if t.shape == "quadric":
-        n = t.dims[0]
-        from .chevalley import split_symmetric_form
-        gram = split_symmetric_form(n)
+        gram = split_symmetric_form(t.dims[0])
         r = quadric_rank(t.coords, gram)
         pieces = quadric_split(t.coords, gram)
         cert = {"isotropic_pieces": [[str(v) for v in piece] for piece in pieces]}

@@ -24,7 +24,19 @@ from secant.jordan import (
     jordan_rank,
     rank1_from_chart,
 )
-from secant.linalg import _exact_div, sqrt_element
+from secant.linalg import QuadExt, _exact_div, rational_sqrt
+
+
+def sqrt_element(x):
+    """sqrt of a positive rational: a Fraction if x is a perfect square,
+    otherwise the QuadExt sqrt(x) in Q(sqrt(x))."""
+    x = Q(x)
+    if x <= 0:
+        raise ValueError("sqrt_element needs a positive rational")
+    r = rational_sqrt(x)
+    if r is not None:
+        return r
+    return QuadExt(0, 1, x)
 
 
 def oct_mul(u, v, lines=FANO_LINES):

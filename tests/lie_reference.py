@@ -15,7 +15,6 @@ from secant.linalg import (
     dot,
     inverse,
     matmul,
-    matvec,
     row_reduce,
     transpose,
 )
@@ -27,6 +26,10 @@ ALL_TYPES = ([SimpleType("A", n) for n in range(1, 9)]
              + [SimpleType("D", n) for n in range(3, 9)]
              + [SimpleType("E", n) for n in (6, 7, 8)]
              + [SimpleType("F", 4), SimpleType("G", 2)])
+
+
+def matvec(mat, v):
+    return tuple(dot(row, v) for row in mat)
 
 
 def fraction_root_data(st):

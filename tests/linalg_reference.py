@@ -2,8 +2,8 @@
 
 This is the earlier elimination, kept here only to check the fraction-free
 engine against: Gauss-Jordan elimination on Fraction entries, with
-`nullspace`, `solve` and `inverse` read off its reduced rows in the same
-way.  Nothing in `secant` imports this module.
+`nullspace` and `inverse` read off its reduced rows in the same way.
+Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
@@ -56,20 +56,6 @@ def nullspace(mat):
             v[pc] = -rref[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(mat, rhs):
-    rows = [list(row) + [Q(b)] for row, b in zip(mat, rhs)]
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
-    rref, pivots = row_reduce(rows)
-    if ncols in pivots:
-        return None
-    x = [Q(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][ncols]
-    return x
 
 
 def inverse(mat):

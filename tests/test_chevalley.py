@@ -8,9 +8,9 @@ from fractions import Fraction as Q
 import pytest
 
 from secant.chevalley import (
+    ChevalleyAlgebra,
     _structure_constants,
     build_chevalley,
-    build_chevalley_with_signs,
     coform_of_operator,
     e7_wild_witness,
     exp_ad_apply,
@@ -179,7 +179,7 @@ def test_sign_convention_independence():
     # identical invariants
     t = SimpleType("A", 3)
     sign_fn = lambda coeffs: -1 if sum(coeffs) % 2 == 0 else 1  # noqa: E731
-    alt = build_chevalley_with_signs(t, sign_fn)
+    alt = ChevalleyAlgebra(build_root_system(t), sign_fn)
     ref = build_chevalley(t)
     alt_constants = _structure_constants(alt.system, sign_fn)
     for (a, b), v in _structure_constants(ref.system).items():

@@ -16,7 +16,6 @@ from secant.chopping import (
     certificate_to_json,
     chop,
     dense_position,
-    dump_certificate,
     find_wild_certificate,
     height2_tame,
     match_base_case,
@@ -313,7 +312,7 @@ def test_wild_iff_certificate_rank6_fundamentals():
 def test_certificate_json_roundtrip():
     cert = find_wild_certificate(parse_descriptor("C7[0,0,0,0,1,0,0]"))
     doc = certificate_to_json(cert)
-    text = dump_certificate(cert)
+    text = json.dumps(certificate_to_json(cert))
     assert json.loads(text) == doc
     back = certificate_from_json(doc)
     assert back == cert

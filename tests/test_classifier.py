@@ -18,12 +18,14 @@ from secant.classifier import (
     REASON_H2_LIST,
     REASON_H3,
     REASON_TABLE,
+    TABLE_RANK_CAP,
     classify,
     generate_table,
     hw_dense,
     max_typical_rank,
 )
 from secant.rootsys import (
+    CapExceeded,
     GroupDescriptor,
     SimpleType,
     canonicalize,
@@ -176,6 +178,11 @@ def test_generate_table_small():
               and len(g.factors) == 1]
     assert a_rows == ["A1[1]", "A1[2]", "A2[0,1]", "A2[0,2]",
                       "A2[1,0]", "A2[1,1]", "A2[2,0]"]
+
+
+def test_generate_table_caps_max_rank():
+    with pytest.raises(CapExceeded):
+        generate_table(TABLE_RANK_CAP + 1)
 
 
 def test_generate_table_deterministic_and_idempotent():

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from secant.classifier import TABLE_RANK_CAP
 from secant.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -363,6 +364,14 @@ class TestOracle:
         code, _ = run_cli("oracle", "mystery-9", "--prime", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_threads_below_one_exit_1(self, bad, capsys):
+        code, out = run_cli("oracle", "segre-2x2", "--prime", "2",
+                            "--threads", bad)
+        assert code == 1
+        assert out == ""
+        assert "threads must be at least 1" in capsys.readouterr().err
+
 
 class TestTable:
     def test_golden_bytes(self):
@@ -390,6 +399,14 @@ class TestTable:
         assert code == 1
         assert out == ""
         assert "--max-rank must be at least 1" in capsys.readouterr().err
+
+    def test_max_rank_over_cap_exit_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli("table", "--max-rank", str(TABLE_RANK_CAP + 1))
+        assert code == 2
+        assert out == ""
+        assert "cap" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1
 
     def test_all_rows_tame(self):
         code, out = run_cli("table", "--max-rank", "4", "--format", "json")

@@ -32,7 +32,6 @@ from secant.jordan import (
     random_albert,
     random_rank1,
     random_rank2_tracefree,
-    random_tracefree,
 )
 from secant.jordan import _mult_table, _oct_kernel
 from secant.linalg import QuadExt
@@ -552,6 +551,7 @@ def test_derivation_count_and_cache():
     d2 = f4_derivations()
     assert len(d1) == 52
     assert d1 is d2  # cached per convention
+    assert f4_derivations(FANO_LINES) is d1  # the default shares the entry
 
 
 def test_derivations_are_integer_matrices():
@@ -691,13 +691,3 @@ def test_json_rejects_extension_coordinates():
         if sp2.field_degree == 2:
             with pytest.raises(ValueError):
                 albert_to_json(sp2.plus)
-
-
-# ---------------------------------------------------------------------------
-# Misc sampling helpers
-# ---------------------------------------------------------------------------
-
-def test_random_tracefree():
-    rng = random.Random(41)
-    for _ in range(10):
-        assert random_tracefree(rng).trace() == 0

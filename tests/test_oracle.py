@@ -423,6 +423,17 @@ class TestBFS:
         assert seq.layer_counts()[3] == 635376
         assert np.array_equal(seq.ranks, par.ranks)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads, tmp_path, monkeypatch):
+        # refused even where a cached table would need no BFS at all
+        monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
+        rank_table("segre-2x2", 2)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            rank_table("segre-2x2", 2, threads=threads)
+        pts = enumerate_cone_points("segre-2x2", 2)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            bfs_rank_table(pts, threads=threads)
+
     @pytest.mark.parametrize("family,p", [
         ("segre-2x3", 2), ("gr2-5", 2), ("segre-2x2x2", 2),
         ("segre-2x2", 3), ("quadric-5", 3), ("segre-2x2x2", 3),
