@@ -25,6 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .rootsys import (
+    _RANK_BOUNDS,
     CapExceeded,
     GroupDescriptor,
     SimpleType,
@@ -130,19 +131,8 @@ def _marked_components(st: SimpleType, marks, removed) -> list[tuple[int, ...]]:
 
 
 def _candidate_types(r: int) -> list[SimpleType]:
-    out = [SimpleType("A", r)]
-    if r >= 2:
-        out.append(SimpleType("B", r))
-        out.append(SimpleType("C", r))
-    if r >= 4:
-        out.append(SimpleType("D", r))
-    if r in (6, 7, 8):
-        out.append(SimpleType("E", r))
-    if r == 4:
-        out.append(SimpleType("F", 4))
-    if r == 2:
-        out.append(SimpleType("G", 2))
-    return out
+    return [SimpleType(fam, r) for fam, (lo, hi) in _RANK_BOUNDS.items()
+            if lo <= r and (hi is None or r <= hi)]
 
 
 def _diagram_bijections(sub, target):
@@ -395,6 +385,11 @@ def replay_certificate(cert: Certificate) -> bool:
     return bc.matches(current)
 
 
+#: Largest simple-factor rank of the height-1 certificate search and of
+#: `classifier.generate_table` (the table takes about 40 s at 32).
+TABLE_RANK_CAP = 32
+
+
 def _removal_subsets(rank: int):
     """Nonempty proper-or-full vertex subsets, smallest and lexicographic first."""
     verts = list(range(1, rank + 1))
@@ -412,6 +407,8 @@ def find_wild_certificate(
     registry and otherwise reduced by breadth-first search over chopping
     steps (shortest chain first, deterministic tie-breaking).  Returns None
     when no certificate exists, which is the expected outcome for tame pairs.
+    Raises CapExceeded for a height-1 factor of rank above TABLE_RANK_CAP
+    and for a search past `max_states` states.
     """
     g = canonicalize(g)
     h = height(g)
@@ -426,7 +423,12 @@ def find_wild_certificate(
         bc = _BASE_BY_ID["height2-dense-failure"]
         return Certificate(root=g, chain=(), base_case=bc.id, citation=bc.citation)
 
-    # height 1: a single factor carrying one fundamental mark
+    # height 1: a single factor carrying one fundamental mark; the cap comes
+    # before the registry, whose adjoint rule builds the whole root system
+    st = g.factors[0][0]
+    if st.rank > TABLE_RANK_CAP:
+        raise CapExceeded("%s has rank above the certificate search cap %d"
+                          % (st, TABLE_RANK_CAP))
     bc = match_base_case(g)
     if bc is not None:
         return Certificate(root=g, chain=(), base_case=bc.id, citation=bc.citation)

@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chopping import (
+    TABLE_RANK_CAP,
     Certificate,
+    _unit_marks,
     dense_position,
     find_wild_certificate,
     height2_failing_factors,
@@ -137,14 +139,6 @@ def _fundamental_tame_citation(st: SimpleType, pos: int) -> str | None:
     return None
 
 
-def _unit_positions(g: GroupDescriptor) -> list[tuple[int, int]]:
-    units = []
-    for fi, (st, marks) in enumerate(g.factors):
-        for pos, m in enumerate(marks, start=1):
-            units.extend([(fi, pos)] * m)
-    return units
-
-
 def _describe_unit(g: GroupDescriptor, fi: int, pos: int) -> str:
     st, _ = g.factors[fi]
     if st.family == "A":
@@ -174,7 +168,7 @@ def classify(g: GroupDescriptor) -> TamenessVerdict:
         return TamenessVerdict("wild", REASON_H3, cert.citation, cert)
     if h == 2:
         if height2_tame(g):
-            (f1, p1), (f2, p2) = _unit_positions(g)
+            (f1, p1, _, _), (f2, p2, _, _) = _unit_marks(g)
             if f1 == f2 and p1 == p2:
                 shape = "twice the %s" % _describe_unit(g, f1, p1)
             elif f1 == f2:
@@ -317,10 +311,6 @@ def _dense_fundamentals(st: SimpleType):
     for pos in range(1, st.rank + 1):
         if dense_position(st.family, st.rank, pos):
             yield tuple(int(t == pos - 1) for t in range(st.rank))
-
-
-#: Largest simple-factor rank of `generate_table` (about 40 s at 32).
-TABLE_RANK_CAP = 32
 
 
 def generate_table(max_rank: int = 8):

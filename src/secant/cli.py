@@ -312,7 +312,11 @@ def _cmd_orbit_dim(args, out) -> int:
         dim = orbit_dim(alg, {theta_idx: 1})
         detail = {"element": "highest-root vector"}
     elif expr.startswith("pair:"):
-        want = Q(expr[5:])
+        try:
+            want = Q(expr[5:])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("bad --element %r: %r is not a rational number"
+                             % (expr, expr[5:])) from None
         reps = secant_orbit_reps(sysm.highest_root_marks, sysm)
         match = [r for r in reps if r.value == want]
         if not match:

@@ -16,7 +16,8 @@ Vector encoding: little-endian base-p packing — coordinate i of a code c is
 ``encode_array``/``decode_array`` convert an (N, d) digit array; the
 family point generators, membership checks, closed forms, cone multiples,
 tangent products and Levi projections below run on such arrays, the
-kernels in blocks of ``_BLOCK`` rows.
+kernels in blocks of ``_BLOCK`` rows; the Lie-algebra generators (all but
+the spinors') act on the identity matrix, every unit vector at once.
 Projective representatives are the lexicographically smallest scalar
 multiples of each point, so tables are canonical and diffable.
 
@@ -297,51 +298,30 @@ def _subspaces(k, n, p):
 
 
 def _matrix_units(n):
-    units = []
-    for a in range(n):
-        for b in range(n):
-            m = [[0] * n for _ in range(n)]
-            m[a][b] = 1
-            units.append(m)
-    return units
+    """(n*n, n, n) int64 array of the matrix units E_ab, a outermost."""
+    return np.eye(n * n, dtype=np.int64).reshape(n * n, n, n)
 
 
-def _mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
-
-
-def _matrix_of(act, d, p):
-    """Matrix mod p of a linear map on coordinate vectors of length d,
-    built column by column from the images of the unit vectors."""
-    cols = [act([int(r == c) for r in range(d)]) for c in range(d)]
-    return [[col[r] % p for col in cols] for r in range(d)]
-
-
-def _model_generators(d, p, n, unfold, fold, act):
+def _model_generators(p, n, unfold, cells, act):
     """Generators of gl_n on a matrix model: for each matrix unit E, the
-    coordinate map x -> fold(act(E, unfold(x)))."""
-    return [_matrix_of(lambda x, e=e: fold(act(e, unfold(x))), d, p)
+    matrix of x -> act(E, unfold(x)) mod p read on the cells, all x at once."""
+    units = unfold(np.eye(len(cells), dtype=np.int64)).astype(np.int64)
+    rows, cols = np.array(cells).T
+    return [(act(e, units)[:, rows, cols].T % p).tolist()
             for e in _matrix_units(n)]
 
 
 def _form_algebra_basis(form, p):
     """Basis of {S : S^T F + F S = 0} mod p (symplectic/orthogonal type)."""
+    form = np.asarray(form, dtype=np.int64)
     n = len(form)
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            row = [0] * (n * n)
-            # (S^T F + F S)[a][b] = sum_k S[k][a] F[k][b] + F[a][k] S[k][b]
-            for k in range(n):
-                row[k * n + a] = (row[k * n + a] + form[k][b]) % p
-                row[k * n + b] = (row[k * n + b] + form[a][k]) % p
-            rows.append(row)
-    basis = []
-    for vec in modp_nullspace(rows, p):
-        basis.append([[int(vec[i * n + j]) % p for j in range(n)]
-                      for i in range(n)])
-    return basis
+    eye = np.eye(n, dtype=np.int64)
+    # (S^T F + F S)[a][b] = sum_k S[k][a] F[k][b] + F[a][k] S[k][b], so row
+    # (a, b) has F[k][b] at column (k, a) and F[a][k] at column (k, b)
+    rows = (np.einsum("ca,kb->abkc", eye, form)
+            + np.einsum("cb,ak->abkc", eye, form)).reshape(n * n, n * n) % p
+    return np.array(modp_nullspace(rows.tolist(), p),
+                    dtype=np.int64).reshape(-1, n, n).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +359,13 @@ def _segre_member(fam, p):
     return member
 
 
-def _factor_action(sizes, axis, e, vec):
-    """A matrix acting on one factor of a flat row-major tensor."""
-    stride, size = math.prod(sizes[axis + 1:]), sizes[axis]
-    out = []
-    for f in range(len(vec)):
-        c = f // stride % size
-        out.append(sum(e[c][t] * vec[f + (t - c) * stride]
-                       for t in range(size)))
-    return out
-
-
 def _segre_generators(fam, p):
+    """gl of each factor acting on that factor of flat row-major tensors."""
     sizes = fam["sizes"]
-    return [_matrix_of(functools.partial(_factor_action, sizes, axis, e),
-                       math.prod(sizes), p)
+    d = math.prod(sizes)
+    units = np.eye(d, dtype=np.int64).reshape(d, *sizes)
+    return [(np.moveaxis(np.tensordot(units, e, axes=([axis + 1], [1])),
+                         -1, axis + 1).reshape(d, d).T % p).tolist()
             for axis, size in enumerate(sizes) for e in _matrix_units(size)]
 
 
@@ -430,11 +402,6 @@ def _cells_unfold(vecs, n, cells, mirror):
     return out
 
 
-def _sym_unfold(n, cells, vec):
-    """The symmetric matrix whose upper-triangle cells are vec."""
-    return _cells_unfold(vec, n, cells, 1)[0].tolist()
-
-
 def _veronese_member(fam, p):
     n, cells = fam["n"], _sym_cells(fam["n"])
     return lambda reps: modp_rank_batch(_cells_unfold(reps, n, cells, 1),
@@ -446,13 +413,8 @@ def _veronese_generators(fam, p):
     upper-triangle cells; a point v v^T goes to (Ev) v^T + v (Ev)^T, the
     derivative of the group action v v^T -> (gv)(gv)^T."""
     n, cells = fam["n"], _sym_cells(fam["n"])
-
-    def act(e, a):
-        ea, ae = _mul(e, a), _mul(a, list(zip(*e)))
-        return [[x + y for x, y in zip(r, s)] for r, s in zip(ea, ae)]
-    return _model_generators(len(cells), p, n,
-                             functools.partial(_sym_unfold, n, cells),
-                             lambda b: [b[i][j] for i, j in cells], act)
+    return _model_generators(p, n, lambda x: _cells_unfold(x, n, cells, 1),
+                             cells, lambda e, a: e @ a + a @ e.T)
 
 
 #: sl3 coordinates: every entry but the last diagonal one, which is minus
@@ -468,14 +430,6 @@ def _sl3_unfold_array(vecs):
     return mats
 
 
-def _sl3_unfold(vec):
-    return _sl3_unfold_array(np.array([vec]))[0].tolist()
-
-
-def _sl3_fold(mat):
-    return [mat[i][j] for i, j in _SL3_CELLS]
-
-
 def _sl3_points(fam, p):
     # the traceless rank-one matrices u v^T, u outermost
     reps = _proj_reps(3, p)
@@ -487,10 +441,8 @@ def _sl3_points(fam, p):
 
 
 def _sl3_generators(fam, p):
-    def bracket(e, x):
-        return [[a - b for a, b in zip(r, s)]
-                for r, s in zip(_mul(e, x), _mul(x, e))]
-    return _model_generators(8, p, 3, _sl3_unfold, _sl3_fold, bracket)
+    return _model_generators(p, 3, _sl3_unfold_array, _SL3_CELLS,
+                             lambda e, x: e @ x - x @ e)
 
 
 # ---------------------------------------------------------------------------
@@ -562,31 +514,29 @@ def _wedge_member(k, isotropic, fam, p):
         reps if full is None else full(reps), n, k), p) == n - k
 
 
-def _derive(e, n, k, vec):
-    """A matrix acting on k-vectors as a derivation:
+def _derivation(e, n, k):
+    """Matrix of an n x n matrix E acting on k-vectors as a derivation:
     x_1 ^ ... ^ x_k -> sum over i of x_1 ^ ... ^ E x_i ^ ... ^ x_k."""
     index = _subset_index(n, k)
-    out = [0] * len(index)
-    for s, c in zip(index, vec):
-        if not c:
-            continue
+    out = np.zeros((len(index), len(index)), dtype=np.int64)
+    for s, t in index.items():
         for pos, i in enumerate(s):
             for m in range(n):
                 if e[m][i] and (m == i or m not in s):
                     seq = s[:pos] + (m,) + s[pos + 1:]
-                    out[index[tuple(sorted(seq))]] += (
-                        _perm_sign(seq) * e[m][i] * c)
+                    out[index[tuple(sorted(seq))], t] += (
+                        _perm_sign(seq) * e[m][i])
     return out
 
 
 def _wedge_generators(k, isotropic, fam, p):
     n = fam["n"]
     if not isotropic:
-        return [_matrix_of(functools.partial(_derive, e, n, k),
-                           math.comb(n, k), p) for e in _matrix_units(n)]
+        return [(_derivation(e, n, k) % p).tolist() for e in _matrix_units(n)]
+    # the derivations of the form's algebra, read on the codec's units
     codec = _isotropic_codec(n, k, p)
-    return [_matrix_of(lambda x, s=s: codec.to_sub(
-                _derive(s, n, k, codec.to_full(x))), codec.dim, p)
+    units = codec.to_full_array(np.eye(codec.dim, dtype=np.int64))
+    return [codec.to_sub_array(units @ _derivation(s, n, k).T).T.tolist()
             for s in _form_algebra_basis(mirror_symplectic_form(n), p)]
 
 
@@ -614,8 +564,7 @@ def _quadric_points(fam, p):
 
 
 def _quadric_generators(fam, p):
-    form = [[v % p for v in row] for row in split_symmetric_form(fam["n"])]
-    return _form_algebra_basis(form, p)
+    return _form_algebra_basis(split_symmetric_form(fam["n"]), p)
 
 
 def f2_pure_spinor_set():

@@ -734,14 +734,12 @@ def wedge3_c6_rank(co) -> int:
         raise ValueError("alternating 3-tensor needs 20 coordinates")
     if all(v == 0 for v in co):
         raise ValueError("zero tensor has no rank")
-    div = wedge3_divisor_space(co)
-    if len(div) == 3:
+    # both tests are blind to scaling, so they read the cleared coordinates
+    ints = _integer_row(co)[0]
+    divisors = 6 - int_rank(_divisor_matrix(ints))
+    if divisors == 3:
         return 1
-    if len(div) > 0:
-        return 2
-    if wedge3_quartic(co) != 0:
-        return 2
-    return 3
+    return 2 if divisors or _tr2_value(wedge3_tr2_poly(), ints) else 3
 
 
 def wedge3_transform(co, mat):

@@ -1,31 +1,36 @@
 """Scalar references for the oracle's array kernels.
 
 These are the earlier one-vector-at-a-time implementations of each
-family's membership check, closed-form rank and cone-point generator, of
-the odd-prime digit-add rows and of the layer counts, kept here only to
-check the array versions in `secant.oracle` against: the predicates take
-one coordinate vector (a tuple of ints) and eliminate with `modp_rank` or
-`modp_nullspace`, and the generators yield one point at a time.  Nothing
-in `secant` imports this module.
+family's membership check, closed-form rank, cone-point generator and
+Lie-algebra generators, of the odd-prime digit-add rows and of the layer
+counts, kept here only to check the array versions in `secant.oracle`
+against: the predicates take one coordinate vector (a tuple of ints) and
+eliminate with `modp_rank` or `modp_nullspace`, the point generators yield
+one point at a time, and the Lie-algebra generators apply their action to
+one unit vector at a time.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from secant.linalg import modp_nullspace, modp_rank
+from secant.linalg import modp_nullspace, modp_rank, split_symmetric_form
 from secant.oracle import (
     _SL3_CELLS,
     _isotropic_codec,
+    _spinor_generators,
     f2_pure_spinor_set,
     mirror_symplectic_form,
 )
 from secant.ranks import (
     _divisor_matrix,
     _flattening,
+    _perm_sign,
+    _subset_index,
     _wedge_rows,
     purity_quadric_table,
 )
@@ -225,6 +230,154 @@ POINTS = {
     "lambda20": _wedge_points(2, True), "lambda30": _wedge_points(3, True),
     "quadric": _quadric_points, "spinor10": _spinor_points,
     "sl3adj": _sl3_points,
+}
+
+
+def _matrix_units(n):
+    units = []
+    for a in range(n):
+        for b in range(n):
+            m = [[0] * n for _ in range(n)]
+            m[a][b] = 1
+            units.append(m)
+    return units
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _matrix_of(act, d, p):
+    """Matrix mod p of a linear map on coordinate vectors of length d,
+    built column by column from the images of the unit vectors."""
+    cols = [act([int(r == c) for r in range(d)]) for c in range(d)]
+    return [[col[r] % p for col in cols] for r in range(d)]
+
+
+def _model_generators(d, p, n, unfold, fold, act):
+    """Generators of gl_n on a matrix model: for each matrix unit E, the
+    coordinate map x -> fold(act(E, unfold(x)))."""
+    return [_matrix_of(lambda x, e=e: fold(act(e, unfold(x))), d, p)
+            for e in _matrix_units(n)]
+
+
+def _form_algebra_basis(form, p):
+    """Basis of {S : S^T F + F S = 0} mod p (symplectic/orthogonal type)."""
+    n = len(form)
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = [0] * (n * n)
+            # (S^T F + F S)[a][b] = sum_k S[k][a] F[k][b] + F[a][k] S[k][b]
+            for k in range(n):
+                row[k * n + a] = (row[k * n + a] + form[k][b]) % p
+                row[k * n + b] = (row[k * n + b] + form[a][k]) % p
+            rows.append(row)
+    basis = []
+    for vec in modp_nullspace(rows, p):
+        basis.append([[int(vec[i * n + j]) % p for j in range(n)]
+                      for i in range(n)])
+    return basis
+
+
+def _factor_action(sizes, axis, e, vec):
+    """A matrix acting on one factor of a flat row-major tensor."""
+    stride, size = math.prod(sizes[axis + 1:]), sizes[axis]
+    out = []
+    for f in range(len(vec)):
+        c = f // stride % size
+        out.append(sum(e[c][t] * vec[f + (t - c) * stride]
+                       for t in range(size)))
+    return out
+
+
+def _segre_generators(fam, p):
+    sizes = fam["sizes"]
+    return [_matrix_of(functools.partial(_factor_action, sizes, axis, e),
+                       math.prod(sizes), p)
+            for axis, size in enumerate(sizes) for e in _matrix_units(size)]
+
+
+def _veronese_generators(fam, p):
+    n = fam["n"]
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def unfold(vec):
+        full = [[0] * n for _ in range(n)]
+        for (i, j), val in zip(cells, vec):
+            full[i][j] = full[j][i] = val
+        return full
+
+    def act(e, a):
+        ea, ae = _mul(e, a), _mul(a, list(zip(*e)))
+        return [[x + y for x, y in zip(r, s)] for r, s in zip(ea, ae)]
+    return _model_generators(len(cells), p, n, unfold,
+                             lambda b: [b[i][j] for i, j in cells], act)
+
+
+def _sl3_generators(fam, p):
+    def unfold(vec):
+        mat = [[0] * 3 for _ in range(3)]
+        for (i, j), val in zip(_SL3_CELLS, vec):
+            mat[i][j] = val
+        mat[2][2] = -mat[0][0] - mat[1][1]
+        return mat
+
+    def bracket(e, x):
+        return [[a - b for a, b in zip(r, s)]
+                for r, s in zip(_mul(e, x), _mul(x, e))]
+    return _model_generators(8, p, 3, unfold,
+                             lambda mat: [mat[i][j] for i, j in _SL3_CELLS],
+                             bracket)
+
+
+def _derive(e, n, k, vec):
+    """A matrix acting on k-vectors as a derivation:
+    x_1 ^ ... ^ x_k -> sum over i of x_1 ^ ... ^ E x_i ^ ... ^ x_k."""
+    index = _subset_index(n, k)
+    out = [0] * len(index)
+    for s, c in zip(index, vec):
+        if not c:
+            continue
+        for pos, i in enumerate(s):
+            for m in range(n):
+                if e[m][i] and (m == i or m not in s):
+                    seq = s[:pos] + (m,) + s[pos + 1:]
+                    out[index[tuple(sorted(seq))]] += (
+                        _perm_sign(seq) * e[m][i] * c)
+    return out
+
+
+def _wedge_generators(k, isotropic):
+    def generators(fam, p):
+        n = fam["n"]
+        if not isotropic:
+            return [_matrix_of(functools.partial(_derive, e, n, k),
+                               math.comb(n, k), p) for e in _matrix_units(n)]
+        codec = _isotropic_codec(n, k, p)
+        return [_matrix_of(lambda x, s=s: _to_sub(
+                    codec, _derive(s, n, k, _to_full(codec, x))), codec.dim, p)
+                for s in _form_algebra_basis(mirror_symplectic_form(n), p)]
+    return generators
+
+
+def _quadric_generators(fam, p):
+    form = [[v % p for v in row] for row in split_symmetric_form(fam["n"])]
+    return _form_algebra_basis(form, p)
+
+
+#: kind -> (fam, p) -> the Lie-algebra action matrices, as nested lists in
+#: the order of the array builders; the spinor moves were never array-built,
+#: so that kind reads the oracle's own builder
+GENERATORS = {
+    "segre": _segre_generators, "segre3": _segre_generators,
+    "veronese2": _veronese_generators,
+    "gr2": _wedge_generators(2, False), "gr3": _wedge_generators(3, False),
+    "lambda20": _wedge_generators(2, True),
+    "lambda30": _wedge_generators(3, True),
+    "quadric": _quadric_generators, "spinor10": _spinor_generators,
+    "sl3adj": _sl3_generators,
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from chopping_reference import reference_chop
 from secant.chopping import (
     BASE_CASES,
+    TABLE_RANK_CAP,
     Chopping,
     _marked_components,
     certificate_from_json,
@@ -216,6 +217,15 @@ def test_state_cap_matches_reference(monkeypatch):
             with pytest.raises(CapExceeded):
                 find_wild_certificate(g, max_states=k - 1)
         find_wild_certificate(g, max_states=k)
+
+
+@pytest.mark.parametrize("family,vertex", [
+    ("A", 17), ("B", 2), ("C", 3), ("D", 2)])
+def test_rank_cap_comes_before_the_base_cases(family, vertex):
+    # B and D at vertex 2 are adjoint modules, whose base-case rule would
+    # build the whole root system
+    with pytest.raises(CapExceeded):
+        find_wild_certificate(fund(family, TABLE_RANK_CAP + 1, vertex))
 
 
 def test_dense_position():

@@ -193,6 +193,20 @@ class TestChopTree:
         assert doc["status"] == "wild"
         assert doc["certificate"]["chain"]
 
+    @pytest.mark.parametrize("command", ["chop-tree", "classify"])
+    def test_rank_over_cap_exit_2_at_once(self, command, capsys):
+        # a middle mark is wild with no registered base case, so only the
+        # chopping search could certify it
+        rank = TABLE_RANK_CAP + 1
+        marks = ["0"] * rank
+        marks[rank // 2] = "1"
+        start = time.perf_counter()
+        code, out = run_cli(command, "A%d[%s]" % (rank, ",".join(marks)))
+        assert code == 2
+        assert out == ""
+        assert "cap" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1
+
 
 class TestWitness:
     def test_sp6(self):
@@ -282,6 +296,16 @@ class TestOrbitDim:
         code, _ = run_cli("orbit-dim", "G2", "--element", "pair:9")
         assert code == 1
         assert "available" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1/0", "x", ""])
+    def test_bad_pair_value_exit_1(self, value):
+        proc = subprocess.run(
+            [sys.executable, "-m", "secant.cli", "orbit-dim", "E8",
+             "--element", "pair:" + value], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "bad --element" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_3a1_requires_e8(self, capsys):
         code, _ = run_cli("orbit-dim", "G2", "--element", "3a1")

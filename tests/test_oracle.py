@@ -57,7 +57,7 @@ from secant.ranks import (
 from secant.rootsys import CapExceeded
 
 import oracle_reference
-from oracle_reference import CLOSED_FORM, MEMBER, POINTS
+from oracle_reference import CLOSED_FORM, GENERATORS, MEMBER, POINTS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "wedge3_f2_fixture.json")
@@ -225,6 +225,17 @@ class TestRegistry:
         codes = range(1, p ** d)
         got = _closed_form(family, p)[1](decode_array(codes, p, d))
         assert got.tolist() == [ref(decode_vec(code, p, d)) for code in codes]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("family", [
+        "segre-2x2", "segre-2x3", "segre-3x3", "segre-2x2x2", "veronese2-2",
+        "veronese2-3", "veronese2-4", "gr2-4", "gr2-5", "gr3-6", "lambda20-4",
+        "lambda20-6", "lambda30-6", "quadric-5", "quadric-6", "spinor10",
+        "sl3-adjoint"])
+    def test_generators_match_scalar_reference(self, family, p):
+        assert set(GENERATORS) == set(self.INSTANCES)
+        rec, fam = _family(family)
+        assert rec.generators(fam, p) == GENERATORS[rec.kind](fam, p)
 
 
 class TestEncoding:
