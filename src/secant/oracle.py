@@ -63,7 +63,6 @@ from .ranks import (
     _tr2_value,
     _wedge_rows,
     _wedge_template,
-    pure_even_spinor,
     purity_quadric_table,
     wedge3_c6_rank,
     wedge3_tr2_poly,
@@ -568,36 +567,44 @@ def _quadric_generators(fam, p):
 
 
 def f2_pure_spinor_set():
-    """Pure even spinors over F_2, enumerated constructively: the
-    exponential parametrization over the vacuum plus closure under the
-    double Clifford flips e_I -> e_{I xor {i,j}} (products of two unit
-    reflections, preserving the even half and the purity cone)."""
+    """Pure even spinors over F_2, as a set of 16-bit codes, enumerated
+    constructively: the exponential parametrization over the vacuum plus
+    closure under the double Clifford flips e_I -> e_{I xor {i,j}}
+    (products of two unit reflections, preserving the even half and the
+    purity cone).
+
+    The exponential cells are one (1024, 16) bit array, a row per skew
+    omega over F_2 with coordinates 1, omega_ij and the Pfaffians of its
+    4x4 minors (mod 2).  A flip is an involution of the basis labels, so
+    it acts on a bit array as that permutation of its columns."""
+    index = {s: t for t, s in enumerate(EVEN_SUBSETS)}
     pairs = tuple(itertools.combinations(range(5), 2))
-    # exponential cell: coords 1, w_ij, pfaffian of 4x4 minors (mod 2)
-    cell = set()
-    for bits in range(1 << len(pairs)):
-        omega = [[0] * 5 for _ in range(5)]
-        for t, (i, j) in enumerate(pairs):
-            omega[i][j] = bits >> t & 1
-            omega[j][i] = -omega[i][j]
-        cell.add(sum(int(c) % 2 << t
-                     for t, c in enumerate(pure_even_spinor(omega))))
-    # double flips act on basis labels: I -> I xor {i, j}
-    index = {frozenset(s): t for t, s in enumerate(EVEN_SUBSETS)}
-    flips = [[index[frozenset(s) ^ {i, j}] for s in EVEN_SUBSETS]
-             for i, j in pairs]
-    seen = frontier = cell
-    while frontier:
-        frontier = {sum(1 << perm[t] for t in range(16) if code >> t & 1)
-                    for code in frontier for perm in flips} - seen
-        seen = seen | frontier
-    return seen
+    bits = np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs)) & 1
+    w = dict(zip(pairs, bits.T))
+    cells = np.zeros((len(bits), 16), dtype=np.int64)
+    cells[:, index[()]] = 1
+    for ij in pairs:
+        cells[:, index[ij]] = w[ij]
+    for a, b, c, d in itertools.combinations(range(5), 4):
+        cells[:, index[a, b, c, d]] = (w[a, b] * w[c, d] + w[a, c] * w[b, d]
+                                       + w[a, d] * w[b, c]) & 1
+    flips = np.array([[index[tuple(sorted(set(s) ^ {i, j}))]
+                       for s in EVEN_SUBSETS] for i, j in pairs])
+    weights = 1 << np.arange(16)
+    seen = np.zeros(1 << 16, dtype=bool)
+    frontier = np.unique(cells @ weights)
+    while len(frontier):
+        seen[frontier] = True
+        rows = frontier[:, None] >> np.arange(16) & 1
+        moved = np.unique(rows[:, flips] @ weights)
+        frontier = moved[~seen[moved]]
+    return set(np.flatnonzero(seen).tolist())
 
 
 def _spinor_points(fam, p):
     if p != 2:
         raise ValueError("spinor10 enumeration is supported over F_2 only")
-    codes = np.fromiter(f2_pure_spinor_set(), dtype=np.int64)
+    codes = np.array(sorted(f2_pure_spinor_set()), dtype=np.int64)
     return codes[:, None] >> np.arange(16) & 1
 
 
@@ -868,8 +875,10 @@ class RankTable:
     @classmethod
     def load(cls, stem: str) -> "RankTable":
         """Read a table written by ``save``; ValueError if the header is
-        not an object with the fields ``save`` writes, or if its version,
-        length or sha256 does not match the rank bytes."""
+        not an object with the fields ``save`` writes, if its version,
+        length, sha256 or layer counts do not match the rank bytes, or if
+        its point count or a representative is not that of a point set
+        over the header's space."""
         with open(stem + ".json", "r", encoding="utf-8") as fh:
             head = json.load(fh)
         if not isinstance(head, dict):
@@ -882,26 +891,36 @@ class RankTable:
                                  "of type %s" % (key, kind.__name__))
         if any(type(code) is not int for code in head["reps"]):
             raise ValueError("cache header reps are not all integers")
+        # read straight into the rank array: no bytes object beside it
         with open(stem + ".bin", "rb") as fh:
-            data = fh.read()
+            ranks = np.fromfile(fh, dtype=np.uint8)
         p, d = head["prime"], head["dim"]
-        if d > AMBIENT_CAP.bit_length() or len(data) != p ** d:
+        if d > AMBIENT_CAP.bit_length() or len(ranks) != p ** d:
             raise ValueError("cache length mismatch")
-        if _sha256(data) != head.get("sha256"):
+        if head["points"] != len(head["reps"]):
+            raise ValueError("cache point count mismatch")
+        if not all(0 < code < len(ranks) for code in head["reps"]):
+            raise ValueError("cache header rep outside range(1, p**d)")
+        if _sha256(ranks) != head.get("sha256"):
             raise ValueError("cache checksum mismatch")
         pts = PointSet(family=head["family"], prime=head["prime"],
                        dim=head["dim"], reps=tuple(head["reps"]))
-        return cls(family=head["family"], prime=head["prime"],
-                   dim=head["dim"], ranks=np.frombuffer(data, np.uint8).copy(),
-                   points=pts)
+        table = cls(family=head["family"], prime=head["prime"],
+                    dim=head["dim"], ranks=ranks, points=pts)
+        counts = {str(r): c for r, c in table.layer_counts().items()}
+        if head["counts"] != counts:
+            raise ValueError("cache layer counts mismatch")
+        return table
 
 
 #: (key, type) of every header field that ``load`` reads.
 _HEADER_FIELDS = (("family", str), ("prime", int), ("dim", int),
-                  ("reps", list), ("sha256", str))
+                  ("points", int), ("reps", list), ("counts", dict),
+                  ("sha256", str))
 
 
-def _sha256(data: bytes) -> str:
+def _sha256(data) -> str:
+    """Hex sha256 of a bytes-like object (bytes or a contiguous array)."""
     # imported here: hashlib loads OpenSSL, about 3 MiB resident, which
     # only the table cache needs
     import hashlib
@@ -927,8 +946,8 @@ _UNSEEN = 255
 # of its thread split.
 #: A layer pulls once |frontier| * _PULL_RATIO exceeds the unseen count.
 _PULL_RATIO = 14
-#: A pull drops the codes it has placed from its block every this many
-#: cone points.
+#: A pull drops the codes it has placed from its block once this many
+#: cone points have run since it last looked.
 _COMPACT_EVERY = 8
 
 
@@ -963,19 +982,24 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     number of unseen codes it pulls: an unseen code u gets rank r if u - s
     has rank r-1 for some cone point s.  The cone is closed under scalars,
     so -s runs over the cone as s does and a pull adds the same cone codes
-    as a push.  A pull gathers the unseen codes of one window of 2^16
-    entries of ``ranks`` at a time and drops the codes it has placed every
-    8 cone points.
+    as a push.
+
+    Blocks of at most 2^16 codes (frontier chunks when pushing, the unseen
+    codes of one window of 2^16 entries of ``ranks`` when pulling) are the
+    unit of work: each makes its buffers once, and ``threads`` workers
+    share the blocks of a layer.  A block sums its m live codes with a
+    group of g = max(1, 2^16 // m) cone points per numpy call, a (g, m)
+    array, so a small frontier, or the few codes a pull window has left,
+    costs one call per group and not one per cone point.  A pull drops the
+    codes it has placed once 8 or more cone points have run since it last
+    looked.
 
     Over F_2, f + s is f ^ s.  Over an odd prime, digitwise addition of s
     is two lookups in half-word rows: with h = d // 2, row lo maps the low
     h base-p digits of f to those of f + s, row hi the high d - h digits
     (times p**h), so f + s = hi[f // p**h] + lo[f % p**h].  There is one
-    row per distinct half of a cone point.
-
-    Blocks of at most 2^16 codes (frontier chunks when pushing, windows of
-    ``ranks`` when pulling) are the unit of work: each makes its buffers
-    once, and ``threads`` workers share the blocks of a layer.
+    row per distinct half of a cone point; a group reads its rows as flat
+    takes at the row offsets of its cone points plus the halves of f.
     """
     _check_threads(threads)
     p, d = points.prime, points.dim
@@ -988,7 +1012,7 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     ranks[0] = 0
     ranks[cone] = 1
     if p == 2:
-        steps = [int(s) for s in cone]
+        steps = cone[:, None]
     else:
         half = p ** (d // 2)
         lo_keys, lo_of = np.unique(cone % half, return_inverse=True)
@@ -996,6 +1020,10 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
         lo_rows = _digit_add_rows(lo_keys, p, d // 2, 1)
         hi_rows = _digit_add_rows(hi_keys, p, d - d // 2, half)
         steps = [(lo_rows[i], hi_rows[j]) for i, j in zip(lo_of, hi_of)]
+        # flat tables and the offset of each cone point's row in them
+        flat = (hi_rows.ravel(), lo_rows.ravel())
+        offsets = (hi_of.astype(np.intp)[:, None] * hi_rows.shape[1],
+                   lo_of.astype(np.intp)[:, None] * half)
 
     def expand(r, pull, block):
         # a sum is read from keys: the codes over F_2, their high and low
@@ -1006,29 +1034,46 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
         if not n:
             return
         keys = [block] if p == 2 else list(np.divmod(block, half))
-        cand = np.empty(n, dtype=np.intp)
-        parts = np.empty((2, n), dtype=np.int32)
-        seen = np.empty(n, dtype=np.uint8)
-        hit = np.empty(n, dtype=bool)
+        room = min(_BLOCK, len(cone) * n)
+        cand = np.empty(room, dtype=np.intp)
+        parts = np.empty((2, room), dtype=np.int32)
+        seen = np.empty(room, dtype=np.uint8)
+        hit = np.empty(room, dtype=bool)
         found = np.zeros(n, dtype=bool)
         want = r - 1 if pull else _UNSEEN
-        for k, s in enumerate(steps, 1):
+        k = since = 0
+        while k < len(cone):
             m = len(keys[0])
-            c, ht = cand[:m], hit[:m]
+            g = min(max(1, _BLOCK // m), len(cone) - k)
+            c, a, b, sn, ht = (buf[:g * m].reshape(g, m) for buf in (
+                cand, parts[0], parts[1], seen, hit))
             if p == 2:
-                np.bitwise_xor(keys[0], s, out=c)
+                np.bitwise_xor(steps[k:k + g], keys[0], out=c)
+            elif g == 1:
+                lo, hi = steps[k]
+                np.take(hi, keys[0], out=a[0], mode="clip")
+                np.take(lo, keys[1], out=b[0], mode="clip")
+                np.add(a, b, out=c)
             else:
-                np.take(s[1], keys[0], out=parts[0, :m], mode="clip")
-                np.take(s[0], keys[1], out=parts[1, :m], mode="clip")
-                np.add(parts[0, :m], parts[1, :m], out=c)
-            np.take(ranks, c, out=seen[:m], mode="clip")
-            np.equal(seen[:m], want, out=ht)
+                # c holds each flat index until the sum overwrites it
+                for out, table, offset, key in zip((a, b), flat, offsets,
+                                                   keys):
+                    np.add(offset[k:k + g], key, out=c)
+                    np.take(table, c, out=out, mode="clip")
+                np.add(a, b, out=c)
+            np.take(ranks, c, out=sn, mode="clip")
+            np.equal(sn, want, out=ht)
+            k += g
             if not pull:
                 ranks[c[ht]] = r
                 continue
             done = found[:m]
-            done |= ht
-            if k % _COMPACT_EVERY and k < len(steps) or not done.any():
+            done |= ht[0] if g == 1 else ht.any(axis=0)
+            since += g
+            if since < _COMPACT_EVERY and k < len(cone):
+                continue
+            since = 0
+            if not done.any():
                 continue
             codes = keys[0] if p == 2 else keys[0] * half + keys[1]
             ranks[codes[done]] = r

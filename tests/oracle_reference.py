@@ -2,12 +2,14 @@
 
 These are the earlier one-vector-at-a-time implementations of each
 family's membership check, closed-form rank, cone-point generator and
-Lie-algebra generators, of the odd-prime digit-add rows and of the layer
-counts, kept here only to check the array versions in `secant.oracle`
-against: the predicates take one coordinate vector (a tuple of ints) and
-eliminate with `modp_rank` or `modp_nullspace`, the point generators yield
-one point at a time, and the Lie-algebra generators apply their action to
-one unit vector at a time.  Nothing in `secant` imports this module.
+Lie-algebra generators, of the odd-prime digit-add rows, of the layer
+counts, of the pure-spinor closure and of the BFS rank table, kept here
+only to check the array versions in `secant.oracle` against: the
+predicates take one coordinate vector (a tuple of ints) and eliminate with
+`modp_rank` or `modp_nullspace`, the point generators yield one point at a
+time, the Lie-algebra generators apply their action to one unit vector at
+a time, the spinor closure flips one code at a time, and the BFS adds one
+cone point per numpy call.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
@@ -15,23 +17,34 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from secant.linalg import modp_nullspace, modp_rank, split_symmetric_form
+from secant.linalg import (
+    _BLOCK,
+    modp_nullspace,
+    modp_rank,
+    split_symmetric_form,
+)
 from secant.oracle import (
+    _COMPACT_EVERY,
+    _PULL_RATIO,
     _SL3_CELLS,
+    _UNSEEN,
+    _digit_add_rows,
     _isotropic_codec,
     _spinor_generators,
-    f2_pure_spinor_set,
     mirror_symplectic_form,
 )
 from secant.ranks import (
+    EVEN_SUBSETS,
     _divisor_matrix,
     _flattening,
     _perm_sign,
     _subset_index,
     _wedge_rows,
+    pure_even_spinor,
     purity_quadric_table,
 )
 
@@ -217,7 +230,7 @@ def _quadric_points(fam, p):
 def _spinor_points(fam, p):
     if p != 2:
         raise ValueError("spinor10 enumeration is supported over F_2 only")
-    for code in f2_pure_spinor_set():
+    for code in sorted(f2_pure_spinor_set()):
         yield [(code >> i) & 1 for i in range(16)]
 
 
@@ -401,3 +414,119 @@ def layer_counts(ranks):
     """{rank: count} of a rank array, by sorting it."""
     vals, counts = np.unique(ranks, return_counts=True)
     return {int(v): int(c) for v, c in zip(vals, counts)}
+
+
+def f2_pure_spinor_set():
+    """Pure even spinors over F_2 as a set of 16-bit codes: the exponential
+    cells exp(omega) . vacuum, one `pure_even_spinor` call per 5x5 skew
+    matrix over F_2, closed under the double Clifford flips
+    e_I -> e_{I xor {i,j}}, one code and one flip at a time."""
+    pairs = tuple(itertools.combinations(range(5), 2))
+    cell = set()
+    for bits in range(1 << len(pairs)):
+        omega = [[0] * 5 for _ in range(5)]
+        for t, (i, j) in enumerate(pairs):
+            omega[i][j] = bits >> t & 1
+            omega[j][i] = -omega[i][j]
+        cell.add(sum(int(c) % 2 << t
+                     for t, c in enumerate(pure_even_spinor(omega))))
+    index = {frozenset(s): t for t, s in enumerate(EVEN_SUBSETS)}
+    flips = [[index[frozenset(s) ^ {i, j}] for s in EVEN_SUBSETS]
+             for i, j in pairs]
+    seen = frontier = cell
+    while frontier:
+        frontier = {sum(1 << perm[t] for t in range(16) if code >> t & 1)
+                    for code in frontier for perm in flips} - seen
+        seen = seen | frontier
+    return seen
+
+
+def bfs_rank_table(points, threads=1):
+    """The rank bytes of `secant.oracle.bfs_rank_table`, one cone point per
+    numpy call: the same direction rule, blocks of 2^16 codes and thread
+    split, but every step sums one cone point with every live key of a
+    block (over an odd prime by two takes from that point's digit-add
+    rows), and a pull drops its placed codes every `_COMPACT_EVERY` cone
+    points.  Returns the (p**d,) uint8 rank array."""
+    p, d = points.prime, points.dim
+    size = p ** d
+    cone = points.cone_codes()
+    ranks = np.full(size, _UNSEEN, dtype=np.uint8)
+    ranks[0] = 0
+    ranks[cone] = 1
+    if p == 2:
+        steps = [int(s) for s in cone]
+    else:
+        half = p ** (d // 2)
+        lo_keys, lo_of = np.unique(cone % half, return_inverse=True)
+        hi_keys, hi_of = np.unique(cone // half, return_inverse=True)
+        lo_rows = _digit_add_rows(lo_keys, p, d // 2, 1)
+        hi_rows = _digit_add_rows(hi_keys, p, d - d // 2, half)
+        steps = [(lo_rows[i], hi_rows[j]) for i, j in zip(lo_of, hi_of)]
+
+    def expand(r, pull, block):
+        n = len(block)
+        if not n:
+            return
+        keys = [block] if p == 2 else list(np.divmod(block, half))
+        cand = np.empty(n, dtype=np.intp)
+        parts = np.empty((2, n), dtype=np.int32)
+        seen = np.empty(n, dtype=np.uint8)
+        hit = np.empty(n, dtype=bool)
+        found = np.zeros(n, dtype=bool)
+        want = r - 1 if pull else _UNSEEN
+        for k, s in enumerate(steps, 1):
+            m = len(keys[0])
+            c, ht = cand[:m], hit[:m]
+            if p == 2:
+                np.bitwise_xor(keys[0], s, out=c)
+            else:
+                np.take(s[1], keys[0], out=parts[0, :m], mode="clip")
+                np.take(s[0], keys[1], out=parts[1, :m], mode="clip")
+                np.add(parts[0, :m], parts[1, :m], out=c)
+            np.take(ranks, c, out=seen[:m], mode="clip")
+            np.equal(seen[:m], want, out=ht)
+            if not pull:
+                ranks[c[ht]] = r
+                continue
+            done = found[:m]
+            done |= ht
+            if k % _COMPACT_EVERY and k < len(steps) or not done.any():
+                continue
+            codes = keys[0] if p == 2 else keys[0] * half + keys[1]
+            ranks[codes[done]] = r
+            keep = ~done
+            keys = [key[keep] for key in keys]
+            if not len(keys[0]):
+                return
+            found[:len(keys[0])] = False
+
+    unseen = size - 1 - len(cone)
+    placed = len(cone)
+    r = 1
+    while unseen:
+        r += 1
+        pull = placed * _PULL_RATIO > unseen
+        if pull:
+            starts = range(0, size, _BLOCK)
+
+            def run(start):
+                block = np.flatnonzero(ranks[start:start + _BLOCK] == _UNSEEN)
+                block += start
+                expand(r, pull, block)
+        else:
+            frontier = np.flatnonzero(ranks == r - 1)
+            starts = range(0, len(frontier), _BLOCK)
+
+            def run(start):
+                expand(r, pull, frontier[start:start + _BLOCK])
+
+        if threads > 1 and len(starts) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(run, starts))
+        else:
+            for start in starts:
+                run(start)
+        placed = int(np.count_nonzero(ranks == r))
+        unseen -= placed
+    return ranks

@@ -354,17 +354,20 @@ class TestOracle:
     ])
     def test_check_reports_flipped_rank_byte(self, tmp_path, monkeypatch,
                                              segre_4x5_table, code, message):
-        # a cached table with one rank byte flipped and a matching sha256
+        # a cached table with one rank byte flipped, and a header whose
+        # sha256 and layer counts match the flipped bytes
         import hashlib
         head, data = segre_4x5_table
         data = bytearray(data)
         assert (data[code] == 1) == (message == "rank-1 layer")
         data[code] ^= 1
+        counts = {str(r): data.count(r) for r in range(256) if r in data}
         stem = str(tmp_path / "oracle_segre-4x5_p2_v2")
         with open(stem + ".bin", "wb") as fh:
             fh.write(data)
         with open(stem + ".json", "w") as fh:
-            json.dump(dict(head, sha256=hashlib.sha256(data).hexdigest()), fh)
+            json.dump(dict(head, sha256=hashlib.sha256(data).hexdigest(),
+                           counts=counts), fh)
         monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
         with pytest.raises(AssertionError, match=message):
             run_cli("oracle", "segre-4x5", "--prime", "2", "--check", "--json")

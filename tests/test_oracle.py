@@ -1,5 +1,6 @@
 """Tests for the finite-field exhaustive oracle."""
 
+import functools
 import itertools
 import json
 import math
@@ -57,6 +58,7 @@ from secant.ranks import (
 from secant.rootsys import CapExceeded
 
 import oracle_reference
+import secant.oracle as orc
 from oracle_reference import CLOSED_FORM, GENERATORS, MEMBER, POINTS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
@@ -104,6 +106,21 @@ def reference_ranks(reps, p, d):
                     nxt.append(w)
         layer = nxt
     return [rank[digits(code)] for code in range(p ** d)]
+
+
+#: Families whose grouped BFS is compared byte for byte with the
+#: step-at-a-time reference: pushes of one and of many groups, pulls whose
+#: windows finish early and late, F_2 and odd primes.
+STEPWISE_FAMILIES = [("segre-3x4", 3), ("segre-3x3", 3), ("quadric-8", 3),
+                     ("quadric-8", 5), ("gr3-6", 2), ("spinor10", 2),
+                     ("segre-2x2x2", 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def stepwise_table(family, p):
+    """The cone points of a family and their step-at-a-time rank bytes."""
+    pts = enumerate_cone_points(family, p)
+    return pts, oracle_reference.bfs_rank_table(pts)
 
 
 class TestFamilies:
@@ -459,14 +476,27 @@ class TestBFS:
 
     @pytest.mark.parametrize("p,d", [(2, 5), (3, 3), (5, 2)])
     def test_coordinate_points_rank_is_support_size(self, p, d):
-        # with fewer than 8 cone points every pull places its codes only
-        # after the last cone point
+        # every pull here runs all of its cone points as one group of
+        # sums, so it places its codes only after the last cone point
         pts = PointSet(family="coordinates", prime=p, dim=d,
                        reps=tuple(p ** i for i in range(d)))
         table = bfs_rank_table(pts)
         for code in range(p ** d):
             assert table.rank_of_code(code) == sum(
                 1 for v in decode_vec(code, p, d) if v)
+
+    @pytest.mark.parametrize("block", [_BLOCK, 1 << 8])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("family,p", STEPWISE_FAMILIES)
+    def test_matches_step_at_a_time_bfs(self, family, p, threads, block,
+                                        monkeypatch):
+        # a block of 2^8 codes makes the groups of cone points, the
+        # compaction points and the pull windows cross their boundaries
+        # many times
+        pts, want = stepwise_table(family, p)
+        monkeypatch.setattr(orc, "_BLOCK", block)
+        assert np.array_equal(bfs_rank_table(pts, threads=threads).ranks,
+                              want)
 
     def test_push_then_pull(self):
         # layer 2 pushes from the 128 cone codes (128 * 14 <= 6432 unseen)
@@ -545,6 +575,31 @@ class TestCaching:
         t2 = rank_table("segre-2x2", 2)
         assert np.array_equal(t1.ranks, t2.ranks)
         assert np.array_equal(RankTable.load(stem).ranks, t1.ranks)
+        # a header that disagrees with the bytes it vouches for: a rep
+        # outside range(1, p**d), a point count that is not len(reps), or a
+        # rank byte of 200 under a rewritten sha256, so that only the
+        # layer counts disagree
+        with open(stem + ".json") as fh:
+            good = json.load(fh)
+        data = t1.ranks.tobytes()
+        forged = data[:5] + bytes([200]) + data[6:]
+        reps = good["reps"]
+        for bad, raw, why in (
+                (dict(good, reps=reps + [10 ** 30], points=len(reps) + 1),
+                 data, "rep outside"),
+                (dict(good, reps=[0] + reps[1:]), data, "rep outside"),
+                (dict(good, points=len(reps) + 1), data, "point count"),
+                (dict(good, sha256=orc._sha256(forged)), forged,
+                 "layer counts")):
+            with open(stem + ".json", "w") as fh:
+                json.dump(bad, fh)
+            with open(stem + ".bin", "wb") as fh:
+                fh.write(raw)
+            with pytest.raises(ValueError, match=why):
+                RankTable.load(stem)
+            t5 = rank_table("segre-2x2", 2)
+            assert np.array_equal(t1.ranks, t5.ranks)
+            assert np.array_equal(RankTable.load(stem).ranks, t1.ranks)
         with open(stem + ".json", "w") as fh:
             fh.write("{not json")
         t3 = rank_table("segre-2x2", 2)
@@ -722,7 +777,6 @@ class TestWedge3Lift:
     def test_report_violation_branch(self, monkeypatch):
         # a divisor rank of 6 on a quartic-zero rank-2 lift would refute the
         # criterion; the report names the first such code
-        import secant.oracle as orc
         monkeypatch.setattr(orc, "_divisor_ranks",
                             lambda vecs: np.arange(len(vecs)) % 7)
         rep = wedge3_f2_report(cache=False)
@@ -756,6 +810,9 @@ class TestSpinorOracle:
                    for q in quads):
                 zero_locus.add(code)
         assert zero_locus == set(f2_pure_spinor_set())
+
+    def test_f2_pure_spinors_match_scalar_reference(self):
+        assert f2_pure_spinor_set() == oracle_reference.f2_pure_spinor_set()
 
     def test_spinor_table_max_rank_two(self):
         table = rank_table("spinor10", 2, cache=False)
