@@ -36,7 +36,6 @@ from .linalg import (
     transpose,
 )
 from .rootsys import (
-    DEFAULT_ORBIT_CAP,
     RootSystem,
     SimpleType,
     build_root_system,
@@ -312,11 +311,12 @@ def orbit_dim(alg: ChevalleyAlgebra, x: dict) -> int:
     return ech.rank
 
 
-def exp_ad_apply(alg: ChevalleyAlgebra, n: dict, x: dict, max_terms: int = 30) -> dict:
-    """exp(ad n) applied to x, for ad-nilpotent n (e.g. a root vector)."""
+def exp_ad_apply(alg: ChevalleyAlgebra, n: dict, x: dict) -> dict:
+    """exp(ad n) applied to x, for ad-nilpotent n (e.g. a root vector),
+    summed up to the 30th power of ad n."""
     out = dict(x)
     term = dict(x)
-    for m in range(1, max_terms + 1):
+    for m in range(1, 31):
         term = alg.bracket(n, term)
         if not term:
             return out
@@ -506,11 +506,12 @@ def coform_of_operator(A, G):
     return W
 
 
-def random_so_conjugate(A, G, rng: random.Random, passes: int = 2) -> tuple:
-    """Transport (A, G) along a random integer change of basis."""
+def random_so_conjugate(A, G, rng: random.Random) -> tuple:
+    """Transport (A, G) along a random integer change of basis: two passes
+    of random row additions."""
     n = len(A)
     P = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(passes):
+    for _ in range(2):
         for i in range(n):
             j = rng.randrange(n)
             if i == j:
@@ -605,15 +606,15 @@ def isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
     return _CASE_TABLE[stats]
 
 
-def sample_isotropic_plane(n: int, rng: random.Random, bound: int = 9) -> tuple:
+def sample_isotropic_plane(n: int, rng: random.Random) -> tuple:
     """Two rational vectors spanning an isotropic plane for the split form.
 
-    Sampling works in the hyperbolic chart: free integer coordinates with
-    one (for the first vector) or two (for the second) linear equations
-    solved exactly for leftover hyperbolic coordinates.  Everything is
-    computed in integers: each solved coordinate is one quotient of
-    integers (an int when it divides), and the rank check runs on the
-    vectors scaled by their denominators.
+    Sampling works in the hyperbolic chart: free integer coordinates in
+    [-9, 9] with one (for the first vector) or two (for the second) linear
+    equations solved exactly for leftover hyperbolic coordinates.
+    Everything is computed in integers: each solved coordinate is one
+    quotient of integers (an int when it divides), and the rank check runs
+    on the vectors scaled by their denominators.
     """
     m = n // 2
     extra = n % 2
@@ -627,20 +628,20 @@ def sample_isotropic_plane(n: int, rng: random.Random, bound: int = 9) -> tuple:
         v.extend(w)
         return v
 
+    def draw(k):
+        return [rng.randint(-9, 9) for _ in range(k)]
+
     while True:
-        p = [rng.randint(-bound, bound) for _ in range(m)]
+        p = draw(m)
         if not p[0]:
             continue
-        w = [rng.randint(-bound, bound) for _ in range(extra)]
-        q = [rng.randint(-bound, bound) for _ in range(m)]
+        w, q = draw(extra), draw(m)
         # (u,u) = 2 sum p_i q_i + sum w_j^2 = 0, solved for q_0 = nq / dq
         dq = 2 * p[0]
         nq = -(2 * sum(p[i] * q[i] for i in range(1, m))
                + sum(x * x for x in w))
 
-        r = [rng.randint(-bound, bound) for _ in range(m)]
-        z = [rng.randint(-bound, bound) for _ in range(extra)]
-        s = [rng.randint(-bound, bound) for _ in range(m)]
+        r, z, s = draw(m), draw(extra), draw(m)
         det = r[0] * p[1] - r[1] * p[0]
         if not det:
             continue
@@ -683,8 +684,7 @@ class SecantOrbitRep:
     partner: tuple
 
 
-def secant_orbit_reps(marks, sys: RootSystem,
-                      cap: int = DEFAULT_ORBIT_CAP) -> list:
+def secant_orbit_reps(marks, sys: RootSystem) -> list:
     """One representative per inner-product class of pairs (lambda, w lambda).
 
     w ranges over non-identity Weyl elements, so the degenerate class with
@@ -692,7 +692,7 @@ def secant_orbit_reps(marks, sys: RootSystem,
     nontrivial.  Sorted by decreasing inner product.
     """
     marks = tuple(int(m) for m in marks)
-    orbit = weyl_orbit(marks, sys, cap)
+    orbit = weyl_orbit(marks, sys)
     lam = sys.weight_vec(marks)
     stab_nontrivial = len(orbit) < weyl_group_order(sys.type)
     best: dict = {}

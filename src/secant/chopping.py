@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 from .rootsys import (
     _RANK_BOUNDS,
@@ -227,49 +228,35 @@ class Chopping:
 # ---------------------------------------------------------------------------
 # wild base cases
 #
-# The registry is declarative data.  Each entry has a matching rule (kind +
-# parameters) and a self-contained mathematical justification; the search
-# below reduces everything else to these by chopping.
+# The registry is declarative data.  Each entry pairs a matching rule (a
+# predicate on the canonical descriptor) with a self-contained mathematical
+# justification; the search below reduces everything else to these by
+# chopping.
 
 
 @dataclass(frozen=True)
 class BaseCase:
     id: str
-    kind: str            # exact | c-pi3 | adjoint | height3 | h2fail
     citation: str
-    family: str = ""
-    rank: int = 0
-    min_rank: int = 0
-    marks_options: tuple[tuple[int, ...], ...] = ()
+    matches: Callable[[GroupDescriptor], bool]
 
-    def matches(self, g: GroupDescriptor) -> bool:
-        if self.kind == "height3":
-            return height(g) >= 3
-        if self.kind == "h2fail":
-            return height(g) == 2 and not height2_tame(g)
+
+def _single(family, rule):
+    """Matching rule of the single-factor descriptors of one family:
+    rule(type, marks), asked only once the family agrees."""
+    def matches(g: GroupDescriptor) -> bool:
         if len(g.factors) != 1:
             return False
         st, marks = g.factors[0]
-        if self.kind == "exact":
-            return (st.family == self.family and st.rank == self.rank
-                    and marks in self.marks_options)
-        if self.kind == "c-pi3":
-            return (st.family == "C" and st.rank >= 3
-                    and marks == tuple(1 if i == 2 else 0 for i in range(st.rank)))
-        if self.kind == "adjoint":
-            if st.family != self.family:
-                return False
-            if self.rank and st.rank != self.rank:
-                return False
-            if st.rank < self.min_rank:
-                return False
-            return marks == build_root_system(st).highest_root_marks
-        raise AssertionError("unknown base-case kind %r" % self.kind)
+        return st.family == family and rule(st, marks)
+    return matches
 
 
 def _exact(id_, family, rank, marks_options, citation):
-    return BaseCase(id=id_, kind="exact", family=family, rank=rank,
-                    marks_options=tuple(marks_options), citation=citation)
+    """One simple type carrying one of the listed mark vectors."""
+    options = tuple(marks_options)
+    return BaseCase(id_, citation, _single(
+        family, lambda st, marks: st.rank == rank and marks in options))
 
 
 _ADJOINT_CITATION = (
@@ -277,6 +264,18 @@ _ADJOINT_CITATION = (
     "the second secant variety of the adjoint variety (the projectivized "
     "minimal nilpotent orbit) contains nilpotent elements of rank 3, so rank "
     "and border rank differ and the module is wild")
+
+
+def _adjoint(family, rank=None, min_rank=0):
+    """The adjoint module of one type, or of a family from min_rank on."""
+    name = family if rank is None else "%s%d" % (family, rank)
+
+    def rule(st, marks):
+        return ((rank is None or st.rank == rank) and st.rank >= min_rank
+                and marks == build_root_system(st).highest_root_marks)
+    return BaseCase("adjoint-" + name.lower(), _ADJOINT_CITATION % name,
+                    _single(family, rule))
+
 
 BASE_CASES: tuple[BaseCase, ...] = (
     _exact(
@@ -286,15 +285,16 @@ BASE_CASES: tuple[BaseCase, ...] = (
         "rank 2) but has rank 3, so the second secant variety of Gr(3,6) "
         "contains exceptional vectors and the module is 2-wild"),
     BaseCase(
-        id="wedge3-sp-family", kind="c-pi3",
-        citation=(
-            "primitive alternating 3-tensors on F^(2n), n >= 3, under the "
-            "symplectic group: the vector z1^z2^z4 + z1^z5^z3 + z6^z2^z3, "
-            "built from a standard symplectic basis of a 6-dimensional "
-            "symplectic subspace, pairs to zero with the symplectic form, "
-            "is a sum of three isotropic decomposables of border rank 2 and "
-            "rank 3, so the second secant variety contains exceptional "
-            "vectors for every n >= 3")),
+        "wedge3-sp-family",
+        "primitive alternating 3-tensors on F^(2n), n >= 3, under the "
+        "symplectic group: the vector z1^z2^z4 + z1^z5^z3 + z6^z2^z3, "
+        "built from a standard symplectic basis of a 6-dimensional "
+        "symplectic subspace, pairs to zero with the symplectic form, "
+        "is a sum of three isotropic decomposables of border rank 2 and "
+        "rank 3, so the second secant variety contains exceptional "
+        "vectors for every n >= 3",
+        _single("C", lambda st, marks: (st.rank >= 3 and marks[2] == 1
+                                        and sum(marks) == 1))),
     _exact(
         "halfspin-d6", "D", 6, [(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)],
         "the 32-dimensional half-spin module of Spin12: the second secant "
@@ -306,20 +306,13 @@ BASE_CASES: tuple[BaseCase, ...] = (
         "same 15-dimensional spinor variety as for Spin12, so the rank-3 "
         "tangent vectors in the second secant variety persist and the "
         "module is wild"),
-    BaseCase(id="adjoint-b", kind="adjoint", family="B", min_rank=3,
-             citation=_ADJOINT_CITATION % "B"),
-    BaseCase(id="adjoint-d", kind="adjoint", family="D", min_rank=4,
-             citation=_ADJOINT_CITATION % "D"),
-    BaseCase(id="adjoint-e6", kind="adjoint", family="E", rank=6,
-             citation=_ADJOINT_CITATION % "E6"),
-    BaseCase(id="adjoint-e7", kind="adjoint", family="E", rank=7,
-             citation=_ADJOINT_CITATION % "E7"),
-    BaseCase(id="adjoint-e8", kind="adjoint", family="E", rank=8,
-             citation=_ADJOINT_CITATION % "E8"),
-    BaseCase(id="adjoint-f4", kind="adjoint", family="F", rank=4,
-             citation=_ADJOINT_CITATION % "F4"),
-    BaseCase(id="adjoint-g2", kind="adjoint", family="G", rank=2,
-             citation=_ADJOINT_CITATION % "G2"),
+    _adjoint("B", min_rank=3),
+    _adjoint("D", min_rank=4),
+    _adjoint("E", 6),
+    _adjoint("E", 7),
+    _adjoint("E", 8),
+    _adjoint("F", 4),
+    _adjoint("G", 2),
     _exact(
         "f4-second-fundamental", "F", 4, [(0, 1, 0, 0)],
         "the 273-dimensional second fundamental module of F4 (primitive "
@@ -336,17 +329,17 @@ BASE_CASES: tuple[BaseCase, ...] = (
         "dimension 58, 92 or 114; the module contains a vector of orbit "
         "dimension 112, which therefore has border rank 2 but rank 3"),
     BaseCase(
-        id="height3", kind="height3",
-        citation=(
-            "the highest weight has mark-sum at least 3; every tame pair "
-            "has mark-sum at most 2, so the pair is wild")),
+        "height3",
+        "the highest weight has mark-sum at least 3; every tame pair "
+        "has mark-sum at most 2, so the pair is wild",
+        lambda g: height(g) >= 3),
     BaseCase(
-        id="height2-dense-failure", kind="h2fail",
-        citation=(
-            "the highest weight has mark-sum 2 but is not a sum of two "
-            "fundamental weights of projectively-dense modules (the natural "
-            "modules of SL and Sp factors); every tame height-2 pair is "
-            "such a sum, so the pair is wild")),
+        "height2-dense-failure",
+        "the highest weight has mark-sum 2 but is not a sum of two "
+        "fundamental weights of projectively-dense modules (the natural "
+        "modules of SL and Sp factors); every tame height-2 pair is "
+        "such a sum, so the pair is wild",
+        lambda g: height(g) == 2 and not height2_tame(g)),
 )
 
 _BASE_BY_ID = {bc.id: bc for bc in BASE_CASES}
@@ -398,14 +391,14 @@ def _removal_subsets(rank: int):
 
 
 def find_wild_certificate(
-        g: GroupDescriptor, max_depth: int = 3,
-        max_states: int = 1 << 16) -> Certificate | None:
+        g: GroupDescriptor, max_states: int = 1 << 16) -> Certificate | None:
     """Search for a wildness certificate for a canonical effective descriptor.
 
     Height >= 3 and failing height-2 weights certify directly from the
     height rules.  Fundamental (height-1) weights are matched against the
     registry and otherwise reduced by breadth-first search over chopping
-    steps (shortest chain first, deterministic tie-breaking).  Returns None
+    steps (shortest chain first, at most three steps, deterministic
+    tie-breaking).  Returns None
     when no certificate exists, which is the expected outcome for tame pairs.
     Raises CapExceeded for a height-1 factor of rank above TABLE_RANK_CAP
     and for a search past `max_states` states.
@@ -435,7 +428,7 @@ def find_wild_certificate(
 
     seen = {g}
     frontier: list[tuple[GroupDescriptor, tuple[Chopping, ...]]] = [(g, ())]
-    for _ in range(max_depth):
+    for _ in range(3):
         nxt: list[tuple[GroupDescriptor, tuple[Chopping, ...]]] = []
         for state, chain in frontier:
             assert len(state.factors) == 1  # fundamental chops stay fundamental

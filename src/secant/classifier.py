@@ -67,17 +67,6 @@ class RankProfile:
 # height-1 tame table (data; one justification per row)
 
 
-def hw_dense(t: SimpleType, marks) -> bool:
-    """Whether a fundamental module is projectively dense (group transitive
-    on the projective space): exactly the natural modules of SL (first or
-    last vertex) and Sp (first vertex)."""
-    marks = tuple(marks)
-    if len(marks) != t.rank or sum(marks) != 1 or any(m < 0 for m in marks):
-        raise ValueError("hw_dense needs a fundamental weight, got %s" % (marks,))
-    pos = marks.index(1) + 1
-    return dense_position(t.family, t.rank, pos)
-
-
 def _fundamental_tame_citation(st: SimpleType, pos: int) -> str | None:
     """Justification string if (st, pi_pos) is a tame fundamental, else None."""
     fam, n = st.family, st.rank

@@ -44,9 +44,10 @@ from .chopping import (
     replay_certificate,
 )
 from .classifier import classify, generate_table
-from .jordan import albert_from_json, f4_pi2_witness_search, jordan_rank
+from .jordan import f4_pi2_witness_search
 from .oracle import family_dim, rank_table
 from .ranks import (
+    SHAPES,
     rank_of_tensor,
     sp6_wedge3_witness,
     tensor_from_json,
@@ -61,9 +62,6 @@ from .rootsys import (
 )
 
 SCHEMA_VERSION = "v1"
-
-_TENSOR_SHAPES = ("matrix", "symmetric", "skew", "coform", "wedge3",
-                  "spinor16", "quadric", "jordan")
 
 
 def _schema(sub: str) -> str:
@@ -152,17 +150,12 @@ def _cmd_rank(args, out) -> int:
     except json.JSONDecodeError as exc:
         raise ValueError("%s is not valid JSON: %s" % (args.file, exc))
 
-    if args.shape == "jordan":
-        elem = albert_from_json(doc)
-        rank, cert = jordan_rank(elem), None
-        dims = [27]
-    else:
-        tensor = tensor_from_json(doc)
-        if tensor.shape != args.shape:
-            raise ValueError("shape mismatch: file says %r, argument says %r"
-                             % (tensor.shape, args.shape))
-        rank, cert = rank_of_tensor(tensor)
-        dims = list(tensor.dims)
+    tensor = tensor_from_json(doc)
+    if tensor.shape != args.shape:
+        raise ValueError("shape mismatch: file says %r, argument says %r"
+                         % (tensor.shape, args.shape))
+    rank, cert = rank_of_tensor(tensor)
+    dims = list(tensor.dims)
     report = {
         "schema": _schema("rank"),
         "shape": args.shape,
@@ -460,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("rank", help="exact rank of a tensor from a JSON file")
-    p.add_argument("shape", choices=_TENSOR_SHAPES)
+    p.add_argument("shape", choices=SHAPES)
     p.add_argument("file", help="JSON tensor document")
     add_json(p)
     p.set_defaults(func=_cmd_rank)

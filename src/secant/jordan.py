@@ -36,7 +36,6 @@ from .linalg import (
     _exact_div,
     _exact_scalar,
     _integer_row,
-    exact_rationals,
     int_row_basis,
     modp_nullspace,
     modp_rank,
@@ -64,8 +63,6 @@ __all__ = [
     "f4_derivations",
     "apply_matrix",
     "f4_pi2_witness_search",
-    "albert_to_json",
-    "albert_from_json",
     "random_albert",
     "random_rank1",
     "random_rank2_tracefree",
@@ -525,13 +522,14 @@ def rank1_from_chart(a, y, z, lines=FANO_LINES) -> AlbertElement:
     return out
 
 
-def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
+def rank3_split(x: AlbertElement, rng=None) -> Rank3Split:
     """Peel a rank-1 summand off a full-rank element.
 
-    Samples rank-1 directions v until the pairing <x#, v> is nonzero; then
-    det3(x - t v) is linear in t (the quadratic and cubic terms vanish since
-    v# = 0), so t* = det3(x) / <x#, v> kills the determinant exactly and
-    x = t* v + (x - t* v) with a rank-1 piece and a rank <= 2 residual.
+    Samples up to 64 rank-1 directions v until the pairing <x#, v> is
+    nonzero; then det3(x - t v) is linear in t (the quadratic and cubic
+    terms vanish since v# = 0), so t* = det3(x) / <x#, v> kills the
+    determinant exactly and x = t* v + (x - t* v) with a rank-1 piece and
+    a rank <= 2 residual.
     x# and det3(x) are taken once, on X = den x, and the postconditions are
     checked on the integer multiples V = vden v of the piece and
     R = <X#, V> X - det3(X) V of the residual.
@@ -543,7 +541,7 @@ def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
         raise ValueError("rank3_split needs a full-rank element (det3 != 0)")
     if rng is None:
         rng = random.Random(0)
-    for attempt in range(1, budget + 1):
+    for attempt in range(1, 65):
         a0 = rng.randint(1, 5) * (1 if rng.random() < 0.5 else -1)
         yo = tuple(rng.randint(-3, 3) for _ in range(8))
         zo = tuple(rng.randint(-3, 3) for _ in range(8))
@@ -567,7 +565,7 @@ def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
                                       lines=x.lines)
             for part in (piece_part, residual))
         return Rank3Split(piece=piece, residual=residual, attempts=attempt)
-    raise ValueError("no transversal rank-1 direction found in %d samples" % budget)
+    raise ValueError("no transversal rank-1 direction found in 64 samples")
 
 
 # ---------------------------------------------------------------------------
@@ -1015,28 +1013,3 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
             return result
     result.fail_reason = "budget exhausted without a (4, 1) root"
     return result
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def albert_to_json(x: AlbertElement) -> dict:
-    """JSON object with 27 rational coordinates as exact 'p/q' strings,
-    ordered a, b, c, x0..x7, y0..y7, z0..z7."""
-    co = x.coords()
-    for v in co:
-        if not isinstance(v, (int, Q)):
-            raise ValueError("cannot serialize coordinates outside the rationals")
-    return {"shape": "jordan", "dims": [27], "coords": [str(v) for v in co]}
-
-
-def albert_from_json(obj) -> AlbertElement:
-    if not isinstance(obj, dict):
-        raise ValueError("expected a JSON object for a Jordan element")
-    if obj.get("shape") != "jordan":
-        raise ValueError("expected shape 'jordan', got %r" % (obj.get("shape"),))
-    coords = obj.get("coords")
-    if not isinstance(coords, list) or len(coords) != 27:
-        raise ValueError("jordan element needs exactly 27 coords")
-    return AlbertElement.from_coords(exact_rationals(coords))

@@ -1163,8 +1163,7 @@ class LeviReport:
     projection_contained: bool
 
 
-def levi_projection_test(big: str, sub: str, p: int,
-                         threads: int = 1) -> LeviReport:
+def levi_projection_test(big: str, sub: str, p: int) -> LeviReport:
     """Exhaustively verify that additive rank computed against the big cone
     equals rank against the small cone on the coordinate subspace, and that
     projecting any big cone point lands in the small cone or at zero."""
@@ -1173,8 +1172,8 @@ def levi_projection_test(big: str, sub: str, p: int,
         raise ValueError("unsupported projection pair %s -> %s" % (big, sub))
     # sub coordinate t sits at big coordinate emb[t]
     emb = big_rec.embed(big_fam, sub_fam)
-    big_table = rank_table(big, p, threads=threads)
-    sub_table = rank_table(sub, p, threads=threads)
+    big_table = rank_table(big, p)
+    sub_table = rank_table(sub, p)
     bd, sd = big_table.dim, sub_table.dim
 
     # big code of each sub code: its digits at the big place values
@@ -1211,8 +1210,8 @@ class TangentReport:
     label: str
 
 
-def _composite_batch(units, p, family, count=24):
-    """Deterministic dense algebra elements: seeded mod-p combinations of
+def _composite_batch(units, p, family):
+    """24 deterministic dense algebra elements: seeded mod-p combinations of
     the basis generators.  Rank-1 basis elements alone probe degenerately
     (x + t.x stays a point for wedge families because the quadratic terms
     of (1+t) vanish), so dense elements are needed to expose tangent
@@ -1221,17 +1220,17 @@ def _composite_batch(units, p, family, count=24):
     rng = _random.Random("tangent:%s:%d" % (family, p))
     if not units:
         return []
-    coeffs = np.array([[rng.randrange(p) for _ in units] for _ in range(count)],
+    coeffs = np.array([[rng.randrange(p) for _ in units] for _ in range(24)],
                       dtype=np.int64)
     units = np.array(units, dtype=np.int64)
     return (np.tensordot(coeffs, units, axes=1) % p).tolist()
 
 
-def tangent_probe(family: str, p: int, threads: int = 1) -> TangentReport:
+def tangent_probe(family: str, p: int) -> TangentReport:
     """BFS rank of x + t.x over all cone representatives x and algebra
     generators t.  Asserts rank <= 2 for matrix/skew families where the
     bound is field-independent; reports (without asserting) elsewhere."""
-    table = rank_table(family, p, threads=threads)
+    table = rank_table(family, p)
     rec, fam = _family(family)
     gens = rec.generators(fam, p)
     gens = np.array(gens + _composite_batch(gens, p, family), dtype=np.int32)
@@ -1262,13 +1261,13 @@ def tangent_probe(family: str, p: int, threads: int = 1) -> TangentReport:
                          label=label)
 
 
-def tensor222_check(p: int, threads: int = 1) -> bool:
+def tensor222_check(p: int) -> bool:
     """BFS rank over F_p of the three-factor lower-bound tensor (the sum of
     the three products one step off a corner) equals 3 on the 2x2x2 family;
     also sanity-checks a decomposable control at rank 1."""
     if p > 5:
         raise ValueError("tensor222_check supports p <= 5")
-    table = rank_table("segre-2x2x2", p, threads=threads)
+    table = rank_table("segre-2x2x2", p)
     coords = [0] * 8
     for (i, j, k) in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
         coords[(i * 2 + j) * 2 + k] = 1
@@ -1340,7 +1339,7 @@ def _gr3_point_lifts(table: "RankTable") -> tuple:
     return codes, lifts
 
 
-def wedge3_f2_report(threads: int = 1, cache: bool = True) -> dict:
+def wedge3_f2_report(cache: bool = True) -> dict:
     """Full comparison of the characteristic-0 rank criterion against the
     exhaustive F_2 BFS table on all 2^20 - 1 vectors.
 
@@ -1366,7 +1365,7 @@ def wedge3_f2_report(threads: int = 1, cache: bool = True) -> dict:
     search: a rational divisor space of dimension 3 reduces mod 2 to an F_2
     divisor space of dimension >= 3, which forces F_2-decomposability.
     """
-    table = rank_table("gr3-6", 2, threads=threads, cache=cache)
+    table = rank_table("gr3-6", 2, cache=cache)
     counts = table.layer_counts()
     report = {
         "layer_counts": {int(k): int(v) for k, v in counts.items()},

@@ -9,8 +9,9 @@ alternating 3-tensor rank test on a 6-dimensional space driven by a quartic
 invariant, and the symplectic rank-3 witness element.
 
 Tensor payloads serialize as JSON objects {"shape", "dims", "coords"} with
-exact "p/q" rational strings; wedge coordinates use lexicographic
-multi-index order.
+exact "p/q" rational strings; `SHAPES` lists the shapes, the exceptional
+Jordan algebra's included, and the `Tensor` docstring their coordinate
+layouts.
 
 Scalars are int first: every input goes through `secant.linalg._exact_scalar`
 (ints stay ints, a Fraction with denominator 1 becomes an int, a float
@@ -27,7 +28,9 @@ import math
 import random
 from dataclasses import dataclass
 
+from .jordan import AlbertElement, jordan_rank
 from .linalg import (
+    QuadExt,
     _exact_div,
     _exact_scalar,
     _integer_matrix,
@@ -44,10 +47,13 @@ from .linalg import (
 
 __all__ = [
     "Tensor",
+    "SHAPES",
     "CoformDecomposition",
     "Sp6WitnessReport",
     "tensor_to_json",
     "tensor_from_json",
+    "albert_to_json",
+    "albert_from_json",
     "segre_rank",
     "veronese2_rank",
     "gr2_rank",
@@ -234,6 +240,14 @@ def _contract_one(i, subset):
     return ((-1) ** pos, new)
 
 
+#: The ten Clifford actions on exterior monomials, each subset -> (sign,
+#: new subset) or None: wedge by the five vectors, then contraction by the
+#: five dual vectors.
+_CLIFFORD_ACTIONS = tuple(
+    functools.partial(act, i) for act in (_wedge_one, _contract_one)
+    for i in range(5))
+
+
 def _chevalley_pair(su, sv):
     """Pairing of exterior monomials: nonzero only on complementary subsets,
     with the sign of reversing the first factor then shuffling to the top."""
@@ -250,29 +264,25 @@ def purity_quadric_table():
     iff all ten vanish.  Coefficients are halved so every monomial appears
     with coefficient +-1."""
     quadrics = []
-    # gamma by wedge (5 vector directions), then gamma by contraction (5 dual)
-    for kind in ("wedge", "contract"):
-        for i in range(5):
-            coeff = {}
-            for pi, su in enumerate(EVEN_SUBSETS):
-                act = _wedge_one(i, su) if kind == "wedge" else _contract_one(i, su)
-                if act is None:
-                    continue
-                sgn, mid = act
-                for qi, sv in enumerate(EVEN_SUBSETS):
-                    pairing = _chevalley_pair(mid, sv)
-                    if pairing:
-                        key = (pi, qi) if pi <= qi else (qi, pi)
-                        coeff[key] = coeff.get(key, 0) + sgn * pairing
-            halved = {}
-            for key, val in coeff.items():
-                if val:
-                    if val % 2:
-                        raise AssertionError("purity quadric has odd coefficient")
-                    halved[key] = val // 2
-            quadrics.append(halved)
-    if len(quadrics) != 10:
-        raise AssertionError("expected 10 purity quadrics")
+    for gamma in _CLIFFORD_ACTIONS:
+        coeff = {}
+        for pi, su in enumerate(EVEN_SUBSETS):
+            act = gamma(su)
+            if act is None:
+                continue
+            sgn, mid = act
+            for qi, sv in enumerate(EVEN_SUBSETS):
+                pairing = _chevalley_pair(mid, sv)
+                if pairing:
+                    key = (pi, qi) if pi <= qi else (qi, pi)
+                    coeff[key] = coeff.get(key, 0) + sgn * pairing
+        halved = {}
+        for key, val in coeff.items():
+            if val:
+                if val % 2:
+                    raise AssertionError("purity quadric has odd coefficient")
+                halved[key] = val // 2
+        quadrics.append(halved)
     return quadrics
 
 
@@ -306,18 +316,14 @@ def spinor_annihilator_dim(s) -> int:
     Equals 5 exactly on pure spinors; used as an independent cross-check."""
     co = [_exact_scalar(v) for v in s]
     cols = []
-    for kind in ("wedge", "contract"):
-        for i in range(5):
-            col = [0] * len(_ODD_SUBSETS)
-            for pi, su in enumerate(EVEN_SUBSETS):
-                if co[pi] == 0:
-                    continue
-                act = _wedge_one(i, su) if kind == "wedge" else _contract_one(i, su)
-                if act is None:
-                    continue
+    for gamma in _CLIFFORD_ACTIONS:
+        col = [0] * len(_ODD_SUBSETS)
+        for pi, su in enumerate(EVEN_SUBSETS):
+            act = gamma(su) if co[pi] else None
+            if act is not None:
                 sgn, mid = act
                 col[_ODD_INDEX[mid]] += sgn * co[pi]
-            cols.append(col)
+        cols.append(col)
     mat = [[cols[j][r] for j in range(10)] for r in range(len(_ODD_SUBSETS))]
     return 10 - mat_rank(mat)
 
@@ -819,7 +825,7 @@ def sp6_wedge3_witness():
 class Tensor:
     """Typed exact tensor: shape tag, dimension list, flat coordinates.
 
-    Shapes and coordinate layouts:
+    Shapes and coordinate layouts (the keys of `SHAPES`, in this order):
       matrix    dims [m, n], m*n coords row-major
       symmetric dims [n], n*n coords row-major (symmetry validated)
       skew      dims [n], n*n coords row-major (skewness validated)
@@ -827,13 +833,59 @@ class Tensor:
       wedge3    dims [6], 20 coords in lexicographic triple order
       spinor16  dims [16], 16 coords over even subsets ordered (size, lex)
       quadric   dims [n], n coords (a vector; ambient split symmetric form)
+      jordan    dims [27], 27 coords a, b, c, x0..x7, y0..y7, z0..z7 of an
+                Albert element (`secant.jordan.AlbertElement.coords`)
     """
     shape: str
     dims: list
     coords: list
 
 
-_SHAPES = ("matrix", "symmetric", "skew", "coform", "wedge3", "spinor16", "quadric")
+def _rows(t: Tensor) -> list:
+    """The row-major coordinates as rows of length dims[-1]."""
+    n = t.dims[-1]
+    return [t.coords[i:i + n] for i in range(0, len(t.coords), n)]
+
+
+def _coform_rank(t: Tensor):
+    dec = coform_rank_decompose(_rows(t))
+    return dec.rank, {"pairs": [[[str(v) for v in x], [str(v) for v in y]]
+                                for x, y in dec.pairs]}
+
+
+def _quadric_rank(t: Tensor):
+    gram = split_symmetric_form(t.dims[0])
+    r = quadric_rank(t.coords, gram)
+    pieces = quadric_split(t.coords, gram)
+    return r, {"isotropic_pieces": [[str(v) for v in piece] for piece in pieces]}
+
+
+def _one(d) -> bool:
+    return len(d) == 1
+
+
+def _n_squared(d) -> int:
+    return d[0] * d[0]
+
+
+#: shape -> (dims rule, coordinate count of the dims, rank and certificate
+#: of a Tensor).  A rank entry calls its public rank function by its module
+#: name at call time, so a wrapper patched onto that name sees the call.
+SHAPES = {
+    "matrix": (lambda d: len(d) == 2, lambda d: d[0] * d[1],
+               lambda t: (segre_rank(_rows(t)), None)),
+    "symmetric": (_one, _n_squared, lambda t: (veronese2_rank(_rows(t)), None)),
+    "skew": (_one, _n_squared, lambda t: (gr2_rank(_rows(t)), None)),
+    "coform": (lambda d: len(d) == 1 and d[0] % 2 == 0, _n_squared,
+               _coform_rank),
+    "wedge3": (lambda d: d == [6], lambda d: 20,
+               lambda t: (wedge3_c6_rank(t.coords), None)),
+    "spinor16": (lambda d: d == [16], lambda d: 16,
+                 lambda t: (spinor10_rank(t.coords), None)),
+    "quadric": (_one, lambda d: d[0], _quadric_rank),
+    "jordan": (lambda d: d == [27], lambda d: 27,
+               lambda t: (jordan_rank(AlbertElement.from_coords(t.coords)), None)),
+}
 
 
 def tensor_to_json(t: Tensor) -> dict:
@@ -845,9 +897,9 @@ def tensor_from_json(obj) -> Tensor:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object with shape/dims/coords")
     shape = obj.get("shape")
-    if shape not in _SHAPES:
+    if shape not in SHAPES:
         raise ValueError("unknown tensor shape %r (expected one of %s)"
-                         % (shape, ", ".join(_SHAPES)))
+                         % (shape, ", ".join(SHAPES)))
     dims = obj.get("dims")
     if not isinstance(dims, list) or not all(
             type(d) is int and d > 0 for d in dims):
@@ -856,16 +908,7 @@ def tensor_from_json(obj) -> Tensor:
     if not isinstance(raw, list):
         raise ValueError("coords must be a list of rational strings")
     coords = exact_rationals(raw)
-    expected = {
-        "matrix": (lambda d: len(d) == 2 and True, lambda d: d[0] * d[1]),
-        "symmetric": (lambda d: len(d) == 1, lambda d: d[0] * d[0]),
-        "skew": (lambda d: len(d) == 1, lambda d: d[0] * d[0]),
-        "coform": (lambda d: len(d) == 1 and d[0] % 2 == 0, lambda d: d[0] * d[0]),
-        "wedge3": (lambda d: d == [6], lambda d: 20),
-        "spinor16": (lambda d: d == [16], lambda d: 16),
-        "quadric": (lambda d: len(d) == 1, lambda d: d[0]),
-    }[shape]
-    ok_dims, count = expected
+    ok_dims, count, _ = SHAPES[shape]
     if not ok_dims(dims):
         raise ValueError("invalid dims %s for shape %s" % (dims, shape))
     if len(coords) != count(dims):
@@ -874,34 +917,25 @@ def tensor_from_json(obj) -> Tensor:
     return Tensor(shape=shape, dims=dims, coords=coords)
 
 
-def _unflatten(coords, n):
-    return [coords[i * n:(i + 1) * n] for i in range(n)]
-
-
 def rank_of_tensor(t: Tensor):
     """Dispatch a Tensor to its rank function.  Returns (rank, certificate)
     where the certificate is a JSON-able object or None."""
-    if t.shape == "matrix":
-        m, n = t.dims
-        mat = [t.coords[i * n:(i + 1) * n] for i in range(m)]
-        return segre_rank(mat), None
-    if t.shape == "symmetric":
-        return veronese2_rank(_unflatten(t.coords, t.dims[0])), None
-    if t.shape == "skew":
-        return gr2_rank(_unflatten(t.coords, t.dims[0])), None
-    if t.shape == "coform":
-        dec = coform_rank_decompose(_unflatten(t.coords, t.dims[0]))
-        cert = {"pairs": [[[str(v) for v in x], [str(v) for v in y]]
-                          for x, y in dec.pairs]}
-        return dec.rank, cert
-    if t.shape == "wedge3":
-        return wedge3_c6_rank(t.coords), None
-    if t.shape == "spinor16":
-        return spinor10_rank(t.coords), None
-    if t.shape == "quadric":
-        gram = split_symmetric_form(t.dims[0])
-        r = quadric_rank(t.coords, gram)
-        pieces = quadric_split(t.coords, gram)
-        cert = {"isotropic_pieces": [[str(v) for v in piece] for piece in pieces]}
-        return r, cert
-    raise ValueError("unknown tensor shape %r" % (t.shape,))
+    if t.shape not in SHAPES:
+        raise ValueError("unknown tensor shape %r" % (t.shape,))
+    return SHAPES[t.shape][2](t)
+
+
+def albert_to_json(x: AlbertElement) -> dict:
+    """The jordan tensor document of an element with rational coordinates."""
+    co = x.coords()
+    if any(type(v) is QuadExt for v in co):
+        raise ValueError("cannot serialize coordinates outside the rationals")
+    return tensor_to_json(Tensor("jordan", [27], co))
+
+
+def albert_from_json(obj) -> AlbertElement:
+    """The element of a jordan tensor document."""
+    t = tensor_from_json(obj)
+    if t.shape != "jordan":
+        raise ValueError("expected shape 'jordan', got %r" % (t.shape,))
+    return AlbertElement.from_coords(t.coords)

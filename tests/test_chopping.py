@@ -233,6 +233,7 @@ def test_dense_position():
     assert not dense_position("A", 3, 2)
     assert dense_position("C", 4, 1) and not dense_position("C", 4, 2)
     assert not dense_position("B", 3, 1)
+    assert not dense_position("D", 4, 1)
     assert dense_position("A", 1, 1)
 
 

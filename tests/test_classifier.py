@@ -21,7 +21,6 @@ from secant.classifier import (
     TABLE_RANK_CAP,
     classify,
     generate_table,
-    hw_dense,
     max_typical_rank,
 )
 from secant.rootsys import (
@@ -102,21 +101,6 @@ def test_duality_symmetry():
             v1 = classify(fund("A", n, k))
             v2 = classify(fund("A", n, n + 1 - k))
             assert v1.status == v2.status, (n, k)
-
-
-def test_hw_dense():
-    assert hw_dense(SimpleType("A", 3), (1, 0, 0))
-    assert hw_dense(SimpleType("A", 3), (0, 0, 1))
-    assert hw_dense(SimpleType("C", 3), (1, 0, 0))
-    assert not hw_dense(SimpleType("B", 3), (1, 0, 0))
-    assert not hw_dense(SimpleType("A", 3), (0, 1, 0))
-    assert not hw_dense(SimpleType("C", 3), (0, 1, 0))
-    assert not hw_dense(SimpleType("D", 4), (1, 0, 0, 0))
-    assert hw_dense(SimpleType("A", 1), (1,))
-    with pytest.raises(ValueError):
-        hw_dense(SimpleType("A", 3), (1, 1, 0))
-    with pytest.raises(ValueError):
-        hw_dense(SimpleType("A", 3), (2, 0, 0))
 
 
 RANK_PINS = [

@@ -11,6 +11,7 @@ import pytest
 
 from secant.classifier import TABLE_RANK_CAP
 from secant.cli import main
+from secant.ranks import SHAPES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "table_rank8_golden.json")
@@ -110,6 +111,18 @@ class TestRank:
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_jordan_shape_mismatch_exit_1(self, tmp_path, capsys):
+        # jordan takes the message of every other shape
+        path = self.write(tmp_path, {
+            "shape": "matrix", "dims": [2, 2],
+            "coords": ["1", "0", "0", "1"]})
+        code, out = run_cli("rank", "jordan", path)
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == ("error: shape mismatch: file says 'matrix', "
+                       "argument says 'jordan'\n")
+
     def test_coordinate_count_mismatch_exit_1(self, tmp_path, capsys):
         path = self.write(tmp_path, {
             "shape": "matrix", "dims": [2, 3],
@@ -156,22 +169,65 @@ class TestRank:
 
 with open(RANK_GOLDEN) as _fh:
     _RANK_OUTPUTS = json.load(_fh)["outputs"]
+#: input document by file name; a plain-text entry reuses the --json one's
+_RANK_DOCS = {e["argv"][2]: e["doc"] for e in _RANK_OUTPUTS if "doc" in e}
 
 
-@pytest.mark.parametrize("entry", _RANK_OUTPUTS, ids=lambda e: e["argv"][2])
+def _golden_id(words, argv):
+    return " ".join(words) + ("" if "--json" in argv else " text")
+
+
+@pytest.mark.parametrize("entry", _RANK_OUTPUTS,
+                         ids=lambda e: _golden_id(e["argv"][2:3], e["argv"]))
 def test_rank_cli_golden(entry, tmp_path, monkeypatch):
     # the report names the file as given, so it is read from the working
     # directory under its recorded name
     monkeypatch.chdir(tmp_path)
-    (tmp_path / entry["argv"][2]).write_text(json.dumps(entry["doc"]))
+    name = entry["argv"][2]
+    (tmp_path / name).write_text(json.dumps(_RANK_DOCS[name]))
     code, out = run_cli(*entry["argv"])
     assert code == 0
     assert out == entry["stdout"]
 
 
 def test_rank_cli_golden_covers_every_shape():
-    from secant.ranks import _SHAPES
-    assert {e["argv"][1] for e in _RANK_OUTPUTS} == {"jordan", *_SHAPES}
+    for text in (False, True):
+        assert {e["argv"][1] for e in _RANK_OUTPUTS
+                if ("--json" not in e["argv"]) == text} == set(SHAPES)
+
+
+def _bad_dims(shape):
+    """Dims of the right length that the shape's dims rule refuses."""
+    ok_dims = SHAPES[shape][0]
+    for dims in ([5], [3], [2, 2]):
+        if not ok_dims(dims):
+            return dims
+    raise AssertionError("no refused dims for %s" % shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("fault", ["dims", "count"])
+def test_rank_rejects_each_shape_exit_1(shape, fault, tmp_path, capsys):
+    # every shape refuses dims its rule does not take (jordan, which once
+    # ignored its dims, included), and a coordinate count one short of
+    # what its dims need
+    good = next(e["doc"] for e in _RANK_OUTPUTS
+                if e["argv"][1] == shape and "doc" in e)
+    if fault == "dims":
+        doc = dict(good, dims=_bad_dims(shape))
+        message = "invalid dims %s for shape %s" % (doc["dims"], shape)
+    else:
+        doc = dict(good, coords=good["coords"][:-1])
+        message = "needs %d coords, got %d" % (len(good["coords"]),
+                                               len(doc["coords"]))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("rank", shape, str(path))
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 class TestChopTree:
@@ -268,8 +324,8 @@ with open(LIE_GOLDEN) as _fh:
     _LIE_OUTPUTS = json.load(_fh)["outputs"]
 
 
-@pytest.mark.parametrize("entry", _LIE_OUTPUTS,
-                         ids=lambda e: " ".join(e["argv"][:-1]))
+@pytest.mark.parametrize("entry", _LIE_OUTPUTS, ids=lambda e: _golden_id(
+    [a for a in e["argv"] if a != "--json"], e["argv"]))
 def test_lie_cli_golden(entry):
     code, out = run_cli(*entry["argv"])
     assert code == 0

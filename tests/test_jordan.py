@@ -15,8 +15,6 @@ from secant.jordan import (
     FANO_LINES,
     FANO_LINES_ALT,
     AlbertElement,
-    albert_from_json,
-    albert_to_json,
     apply_matrix,
     f4_derivations,
     f4_pi2_witness_search,
@@ -35,6 +33,7 @@ from secant.jordan import (
 )
 from secant.jordan import _mult_table, _oct_kernel
 from secant.linalg import QuadExt
+from secant.ranks import albert_from_json, albert_to_json
 
 
 def rand_oct(rng, bound=5):
@@ -666,16 +665,21 @@ def test_json_fractions():
 
 
 def test_json_validation():
+    # each document has the dims [27], so it fails on the coordinate it names
     with pytest.raises(ValueError):
         albert_from_json([])
     with pytest.raises(ValueError):
-        albert_from_json({"shape": "tensor", "coords": ["1"] * 27})
+        albert_from_json({"shape": "tensor", "dims": [27], "coords": ["1"] * 27})
     with pytest.raises(ValueError):
-        albert_from_json({"shape": "jordan", "coords": ["1"] * 26})
+        albert_from_json({"shape": "jordan", "dims": [27], "coords": ["1"] * 26})
     with pytest.raises(ValueError):
-        albert_from_json({"shape": "jordan", "coords": ["1"] * 26 + ["x/y"]})
+        albert_from_json({"shape": "jordan", "dims": [27],
+                          "coords": ["1"] * 26 + ["x/y"]})
     with pytest.raises(ValueError):  # a JSON float is not an exact rational
-        albert_from_json({"shape": "jordan", "coords": ["1"] * 26 + [0.1]})
+        albert_from_json({"shape": "jordan", "dims": [27],
+                          "coords": ["1"] * 26 + [0.1]})
+    with pytest.raises(ValueError, match="expected shape 'jordan'"):
+        albert_from_json({"shape": "quadric", "dims": [1], "coords": ["1"]})
 
 
 def test_json_rejects_extension_coordinates():
