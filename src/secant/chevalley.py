@@ -528,14 +528,11 @@ def random_so_conjugate(A, G, rng: random.Random) -> tuple:
     return A2, G2
 
 
-def _form_value(sym_rows, u, v) -> int:
-    """u^T S v for an integer form given by its sparse rows [(j, S_ij)]."""
-    return sum(x * s * v[j] for x, row in zip(u, sym_rows) if x
-               for j, s in row)
-
-
-def _sparse_rows(sym) -> list:
-    return [[(j, s) for j, s in enumerate(row) if s] for row in sym]
+def _gram(sym, vecs) -> list:
+    """Gram matrix [u^T S v] of integer vectors under the integer form S."""
+    rows = [[(j, s) for j, s in enumerate(row) if s] for row in sym]
+    images = [[sum([s * v[j] for j, s in row]) for row in rows] for v in vecs]
+    return [[sum(map(operator.mul, u, w)) for w in images] for u in vecs]
 
 
 def skew_im_stats(omega, sym) -> tuple:
@@ -552,22 +549,27 @@ def skew_im_stats(omega, sym) -> tuple:
                               _integer_matrix(sym)[0])
 
 
-def _int_skew_im_stats(omega, sym) -> tuple:
-    """``skew_im_stats`` of integer matrices."""
-    n = len(omega)
+def _check_forms(sym, omega=None) -> None:
+    """Raise ValueError unless `sym` is symmetric and nondegenerate and
+    `omega`, when given, is skew; entries are checked in row-major order,
+    the coform's before the form's at each one."""
+    n = len(sym)
     for i in range(n):
         for j in range(n):
-            if omega[i][j] != -omega[j][i]:
+            if omega is not None and omega[i][j] != -omega[j][i]:
                 raise ValueError("coform matrix is not skew-symmetric")
             if sym[i][j] != sym[j][i]:
                 raise ValueError("ambient form matrix is not symmetric")
     if int_rank(sym) != n:
         raise ValueError("ambient symmetric form is degenerate")
+
+
+def _int_skew_im_stats(omega, sym) -> tuple:
+    """``skew_im_stats`` of integer matrices."""
+    _check_forms(sym, omega)
     cols = [list(col) for col in zip(*omega)]
     basis = [cols[c] for c in int_row_basis(cols)]  # spans the image
-    rows = _sparse_rows(sym)
-    gram = [[_form_value(rows, u, v) for v in basis] for u in basis]
-    return len(basis), int_rank(gram)
+    return len(basis), int_rank(_gram(sym, basis))
 
 
 _CASE_TABLE = {
@@ -586,20 +588,31 @@ def isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
     Classifies by (dim Im, rank of the restricted form); for genuine pairs
     of isotropic 2-planes the statistics always land in the six-row table
     {(4,4),(4,2),(4,0),(2,1),(2,0),(0,0)}.  The four vectors share one
-    cleared denominator D, which scales the coform by D^2.
+    cleared denominator D, which scales the coform by D^2.  Their 4x4 Gram
+    matrix holds the planes' isotropy values.  When the four are
+    independent the coform is V J V^T with V of rank 4 and J invertible, so
+    its image is their span and the statistics are (4, rank of the Gram
+    matrix), and both planes span 2-planes; otherwise the coform is built
+    and its image eliminated.
     """
     sym, _ = _integer_matrix(sym)
-    rows = _sparse_rows(sym)
-    (x1, x2, y1, y2), _ = _integer_matrix([x1, x2, y1, y2])
-    for u, v in ((x1, x2), (y1, y2)):
-        if any(_form_value(rows, a, b) for a in (u, v) for b in (u, v)):
+    vecs, _ = _integer_matrix([x1, x2, y1, y2])
+    gram = _gram(sym, vecs)
+    independent = int_rank(vecs) == 4
+    for k in (0, 2):
+        if any(gram[i][j] for i in (k, k + 1) for j in (k, k + 1)):
             raise ValueError("input plane is not isotropic")
-        if int_rank([u, v]) != 2:
+        if not independent and int_rank(vecs[k:k + 2]) != 2:
             raise ValueError("input vectors do not span a 2-plane")
-    W = [[a1 * b2 - a2 * b1 + c1 * d2 - c2 * d1
-          for b1, b2, d1, d2 in zip(x1, x2, y1, y2)]
-         for a1, a2, c1, c2 in zip(x1, x2, y1, y2)]
-    stats = _int_skew_im_stats(W, sym)
+    if independent:
+        _check_forms(sym)
+        stats = (4, int_rank(gram))
+    else:
+        x1, x2, y1, y2 = vecs
+        W = [[a1 * b2 - a2 * b1 + c1 * d2 - c2 * d1
+              for b1, b2, d1, d2 in zip(x1, x2, y1, y2)]
+             for a1, a2, c1, c2 in zip(x1, x2, y1, y2)]
+        stats = _int_skew_im_stats(W, sym)
     if stats not in _CASE_TABLE:
         raise ValueError(
             "image statistics %s outside the isotropic-pair table" % (stats,))

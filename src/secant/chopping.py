@@ -8,7 +8,7 @@ chain of chopping steps ending in a registered wild base case; replaying
 the chain verifies the wildness claim mechanically.
 
 `chop` validates its removal selection and hands it to one core, `_chop`,
-which the certificate search also calls with the subsets it builds.  The
+which the certificate search also calls with the removals it builds.  The
 core grows only the components that carry a mark (canonicalization would
 drop the others) and identifies each through `_subdiagram`, a table keyed
 on the diagram structure (type, vertex tuple) that holds the recognised
@@ -16,13 +16,22 @@ type and all its vertex bijections.  The table is built lazily and kept,
 like `build_root_system`, and has at most one entry per connected
 subdiagram; the smallest transported mark vector is still chosen among the
 bijections on every chop.
+
+The search chops only boundaries.  Removing S from a diagram whose one mark
+sits at m leaves the component C of m, and the chop depends on C alone.
+Every S that leaves C contains the boundary of C (its neighbours outside
+it), and the boundary is the only such S of that size, so it comes first
+among them in size-then-lex order.  Dynkin diagrams are trees, so distinct
+connected sets have distinct boundaries.  Chopping the boundaries of the
+connected sets that hold m, sorted by size and then lexicographically,
+therefore meets every chop result in the order, and with the removal, that
+a scan of all 2^r - 1 subsets meets it first, in polynomially many chops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable
 
 from .rootsys import (
@@ -383,11 +392,30 @@ def replay_certificate(cert: Certificate) -> bool:
 TABLE_RANK_CAP = 32
 
 
-def _removal_subsets(rank: int):
-    """Nonempty proper-or-full vertex subsets, smallest and lexicographic first."""
-    verts = list(range(1, rank + 1))
-    for size in range(1, rank + 1):
-        yield from combinations(verts, size)
+def _mark_boundaries(st: SimpleType, pos: int) -> list[tuple[int, ...]]:
+    """Boundaries of the connected vertex sets of `st` that hold vertex
+    `pos`, the whole diagram left out, smallest and lexicographic first.
+
+    Each is the removal that chops a weight marked only at `pos` down to its
+    connected set (see the module docstring).
+    """
+    cartan = build_root_system(st).cartan
+    nbrs = [[w for w, a in enumerate(row, start=1) if a and w != v]
+            for v, row in enumerate(cartan, start=1)]
+
+    def grow(v, parent):
+        # boundaries, inside the branch at v away from parent, of the
+        # connected sets that hold v: each neighbour w is either cut off
+        # (w joins the boundary) or kept with a connected set holding it
+        out = [()]
+        for w in nbrs[v - 1]:
+            if w != parent:
+                options = [(w,)] + grow(w, v)
+                out = [b + o for b in out for o in options]
+        return out
+
+    return sorted((tuple(sorted(b)) for b in grow(pos, 0) if b),
+                  key=lambda b: (len(b), b))
 
 
 def find_wild_certificate(
@@ -398,7 +426,10 @@ def find_wild_certificate(
     height rules.  Fundamental (height-1) weights are matched against the
     registry and otherwise reduced by breadth-first search over chopping
     steps (shortest chain first, at most three steps, deterministic
-    tie-breaking).  Returns None
+    tie-breaking).  Each state is chopped only at the boundaries of the
+    connected sets that hold its mark (`_mark_boundaries`), which finds the
+    same chains as a size-then-lex scan of every removal subset in
+    polynomially many chops.  Returns None
     when no certificate exists, which is the expected outcome for tame pairs.
     Raises CapExceeded for a height-1 factor of rank above TABLE_RANK_CAP
     and for a search past `max_states` states.
@@ -432,16 +463,16 @@ def find_wild_certificate(
         nxt: list[tuple[GroupDescriptor, tuple[Chopping, ...]]] = []
         for state, chain in frontier:
             assert len(state.factors) == 1  # fundamental chops stay fundamental
-            st, _marks = state.factors[0]
-            for subset in _removal_subsets(st.rank):
-                result = _chop(state, (subset,))
-                if height(result) == 0 or result in seen:
+            st, marks = state.factors[0]
+            for boundary in _mark_boundaries(st, marks.index(1) + 1):
+                result = _chop(state, (boundary,))
+                if result in seen:
                     continue
                 seen.add(result)
                 if len(seen) > max_states:
                     raise CapExceeded(
                         "certificate search exceeded %d states" % max_states)
-                step = Chopping(parent=state, removed=(subset,), result=result)
+                step = Chopping(parent=state, removed=(boundary,), result=result)
                 new_chain = chain + (step,)
                 hit = match_base_case(result)
                 if hit is not None:

@@ -1,25 +1,37 @@
-"""All-components reference for diagram chopping.
+"""References for diagram chopping and the certificate search.
 
-This is the earlier `chop`, kept here only to check the marked-component
-core of `secant.chopping` against: it grows every connected component of
-the kept subdiagram, marked or not, identifies each one by backtracking
-over diagram bijections against every candidate type, and leaves the
-unmarked ones for canonicalization to drop.  Nothing in `secant` imports
-this module.
+`reference_chop` is the earlier `chop`, kept here only to check the
+marked-component core of `secant.chopping` against: it grows every
+connected component of the kept subdiagram, marked or not, identifies each
+one by backtracking over diagram bijections against every candidate type,
+and leaves the unmarked ones for canonicalization to drop.
+
+`reference_find_wild_certificate` is the earlier height-1 search, which
+chops every state at all of its 2^r removal subsets in size-then-lex order
+(`removal_subsets`); the boundary-first search must find the same
+certificates.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from secant.chopping import (
+    Certificate,
+    Chopping,
     _candidate_types,
+    _chop,
     _diagram_bijections,
     _normalize_removed,
+    match_base_case,
 )
 from secant.rootsys import (
+    CapExceeded,
     GroupDescriptor,
     SimpleType,
     build_root_system,
     canonicalize,
+    height,
 )
 
 
@@ -74,3 +86,45 @@ def reference_chop(g: GroupDescriptor, removed) -> GroupDescriptor:
             comp_marks = [marks[v - 1] for v in comp]
             pieces.append(identify_component(sub, comp_marks))
     return canonicalize(GroupDescriptor(tuple(pieces)))
+
+
+def removal_subsets(rank: int):
+    """Every vertex subset, smallest and lexicographic first (the empty one
+    first: it leaves a state as it is, which the search has already seen)."""
+    verts = list(range(1, rank + 1))
+    for size in range(rank + 1):
+        yield from combinations(verts, size)
+
+
+def reference_find_wild_certificate(
+        g: GroupDescriptor, max_states: int = 1 << 16) -> Certificate | None:
+    """Certificate search for a canonical height-1 descriptor that chops
+    each state at every removal subset: registry first, then breadth-first
+    search over at most three chopping steps."""
+    assert height(g) == 1
+    bc = match_base_case(g)
+    if bc is not None:
+        return Certificate(root=g, chain=(), base_case=bc.id, citation=bc.citation)
+    seen = {g}
+    frontier = [(g, ())]
+    for _ in range(3):
+        nxt = []
+        for state, chain in frontier:
+            st, _marks = state.factors[0]
+            for subset in removal_subsets(st.rank):
+                result = _chop(state, (subset,))
+                if height(result) == 0 or result in seen:
+                    continue
+                seen.add(result)
+                if len(seen) > max_states:
+                    raise CapExceeded(
+                        "certificate search exceeded %d states" % max_states)
+                new_chain = chain + (
+                    Chopping(parent=state, removed=(subset,), result=result),)
+                hit = match_base_case(result)
+                if hit is not None:
+                    return Certificate(root=g, chain=new_chain,
+                                       base_case=hit.id, citation=hit.citation)
+                nxt.append((result, new_chain))
+        frontier = nxt
+    return None

@@ -377,10 +377,10 @@ def test_isotropic_pair_cases_constructed():
     assert isotropic_pair_case(a1, a2, b2, a1, G) == "d"
     assert isotropic_pair_case(a1, a2, a1, a3, G) == "e"
     assert isotropic_pair_case(a1, a2, a2, a1, G) == "f"
-    with pytest.raises(ValueError):
-        isotropic_pair_case(a1, b1, a3, a4, G)  # non-isotropic plane
-    with pytest.raises(ValueError):
-        isotropic_pair_case(a1, a1, a3, a4, G)  # not a plane
+    with pytest.raises(ValueError, match="plane is not isotropic"):
+        isotropic_pair_case(a1, b1, a3, a4, G)
+    with pytest.raises(ValueError, match="do not span a 2-plane"):
+        isotropic_pair_case(a1, a1, a3, a4, G)
     # a rational change of basis, with the form transported along, keeps
     # every label
     rng = random.Random(318)
@@ -457,14 +457,53 @@ def test_isotropic_pair_case_matches_fraction_reference():
         seen[got] += 1
     assert set(seen) == set("abcdef")
     # a plane paired with itself: (x1, x2, x2, x1) cancels, (x1, x2, x1, x2)
-    # doubles
+    # doubles, and a re-spanning (x1 + t x2, s x2) gives (1 + s) x1^x2;
+    # these take the branch that builds the coform, also under a moved form
     rng = random.Random(64)
     for _ in range(20):
         x1, x2 = sample_isotropic_plane(n, rng)
+        t, s = rng.randint(-2, 2), rng.choice([-1, 1, 2])
+        respan = (x1, x2, tuple(u + t * v for u, v in zip(x1, x2)),
+                  tuple(s * v for v in x2))
         for vectors, label in (((x1, x2, x2, x1), "f"),
-                               ((x1, x2, x1, x2), "e")):
-            assert isotropic_pair_case(*vectors, G) == label
-            assert fraction_isotropic_pair_case(*vectors, G) == label
+                               ((x1, x2, x1, x2), "e"),
+                               (respan, "f" if s == -1 else "e")):
+            for moved, form in ((vectors, G), _transport(vectors, G, rng)):
+                assert isotropic_pair_case(*moved, form) == label
+                assert fraction_isotropic_pair_case(*moved, form) == label
+
+
+def test_isotropic_pair_case_errors():
+    # the planes' checks come before the form's, on both branches
+    n = 12
+    a1, a2, a3, a4 = (hyperbolic_vec(n, **{"a%d" % i: 1}) for i in range(1, 5))
+    b1, b3 = hyperbolic_vec(n, b1=1), hyperbolic_vec(n, b3=1)
+    b2 = hyperbolic_vec(n, b2=1)
+    G = split_symmetric_form(n)
+    skewed = [row[:] for row in G]  # not symmetric, away from the planes
+    skewed[10][11] += 1
+    degenerate = [row[:] for row in G]  # the sixth hyperbolic pair dropped
+    degenerate[10][11] = degenerate[11][10] = 0
+    not_isotropic = "input plane is not isotropic"
+    not_a_plane = "input vectors do not span a 2-plane"
+    with pytest.raises(ValueError, match=not_isotropic):
+        isotropic_pair_case(a1, a2, a3, b3, G)
+    with pytest.raises(ValueError, match=not_a_plane):
+        isotropic_pair_case(a1, a2, a3, a3, G)
+    # four independent vectors, then three
+    for vectors, label in (((a1, a2, b1, b2), "a"), ((a1, a2, a1, a3), "e")):
+        assert isotropic_pair_case(*vectors, G) == label
+        with pytest.raises(ValueError, match="form matrix is not symmetric"):
+            isotropic_pair_case(*vectors, skewed)
+        with pytest.raises(ValueError, match="symmetric form is degenerate"):
+            isotropic_pair_case(*vectors, degenerate)
+    for form in (skewed, degenerate):
+        for vectors, message in (((a1, b1, a3, a4), not_isotropic),
+                                 ((a1, a2, b3, a3), not_isotropic),
+                                 ((a1, b1, a1, a3), not_isotropic),
+                                 ((a1, a1, a3, a4), not_a_plane)):
+            with pytest.raises(ValueError, match=message):
+                isotropic_pair_case(*vectors, form)
 
 
 def test_isotropic_pair_sampling_stays_in_table():

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
-import itertools
 import json
 import pathlib
 import random
 
 import pytest
 
-from chopping_reference import reference_chop
+from chopping_reference import (
+    reference_chop,
+    reference_find_wild_certificate,
+    removal_subsets,
+)
 from secant.chopping import (
     BASE_CASES,
     TABLE_RANK_CAP,
     Chopping,
+    _mark_boundaries,
     _marked_components,
     certificate_from_json,
     certificate_to_json,
@@ -129,12 +133,6 @@ def test_chop_functorial_on_vertex_sets():
             assert sorted(comps_once) == sorted(comps_twice)
 
 
-def _removal_selections(rank):
-    verts = range(1, rank + 1)
-    for size in range(rank + 1):
-        yield from itertools.combinations(verts, size)
-
-
 def test_chop_matches_all_components_reference_on_fundamentals():
     # every fundamental of every type of rank <= 8 (the low-rank aliases
     # B2 and D3 included), under every removal subset
@@ -142,7 +140,7 @@ def test_chop_matches_all_components_reference_on_fundamentals():
     for fam, n, k in all_fundamentals(8):
         marks = tuple(int(i + 1 == k) for i in range(n))
         g = GroupDescriptor(((SimpleType(fam, n), marks),))
-        for removed in _removal_selections(n):
+        for removed in removal_subsets(n):
             assert chop(g, removed) == reference_chop(g, removed), (g, removed)
             checked += 1
     assert checked == 17730  # sum over the types of rank * 2^rank
@@ -169,15 +167,19 @@ def test_chop_matches_all_components_reference_seeded():
         assert chop(g, removed) == reference_chop(g, removed), (g, removed)
 
 
-def _certificate_document():
-    rows = {}
-    for st in _canonical_single_types(8):
+def _fundamentals(max_rank):
+    for st in _canonical_single_types(max_rank):
         for pos in range(st.rank):
             marks = tuple(int(t == pos) for t in range(st.rank))
-            g = canonicalize(GroupDescriptor(((st, marks),)))
-            cert = find_wild_certificate(g)
-            rows[format_descriptor(g)] = (None if cert is None
-                                          else certificate_to_json(cert))
+            yield canonicalize(GroupDescriptor(((st, marks),)))
+
+
+def _certificate_document():
+    rows = {}
+    for g in _fundamentals(8):
+        cert = find_wild_certificate(g)
+        rows[format_descriptor(g)] = (None if cert is None
+                                      else certificate_to_json(cert))
     return {"max_rank": 8, "certificates": rows}
 
 
@@ -217,6 +219,57 @@ def test_state_cap_matches_reference(monkeypatch):
             with pytest.raises(CapExceeded):
                 find_wild_certificate(g, max_states=k - 1)
         find_wild_certificate(g, max_states=k)
+
+
+def test_certificates_match_subset_scan_reference():
+    # the boundary-first search finds the certificate that the scan of
+    # every removal subset finds, for all 329 fundamentals of rank <= 12
+    checked = 0
+    for g in _fundamentals(12):
+        got, want = find_wild_certificate(g), reference_find_wild_certificate(g)
+        assert (got is None) == (want is None), g
+        if got is not None:
+            assert certificate_to_json(got) == certificate_to_json(want), g
+        checked += 1
+    assert checked == 329
+
+
+def test_mark_boundaries_are_first_removal_subsets():
+    # in the size-then-lex scan, the first subset that leaves each marked
+    # component is that component's boundary, and the components come in
+    # the order of their boundaries
+    for st in _canonical_single_types(8):
+        for pos in range(1, st.rank + 1):
+            marks = tuple(int(t == pos) for t in range(1, st.rank + 1))
+            first = {}
+            for subset in removal_subsets(st.rank):
+                if subset and pos not in subset:
+                    (comp,) = _marked_components(st, marks, subset)
+                    first.setdefault(comp, subset)
+            assert _mark_boundaries(st, pos) == list(first.values()), (st, pos)
+            if st.family == "A":
+                # intervals [i, j] with i <= pos <= j, the whole one left out
+                n = st.rank
+                assert len(first) == pos * (n - pos + 1) - 1
+
+
+def test_tame_search_chops_polynomially(monkeypatch):
+    # the tame second fundamental of A20 runs the whole three-step search
+    # and fails; a scan of every removal subset would chop 2^20 - 1 times
+    # per state, the boundaries of A_n at vertex 2 number 2n - 3
+    import secant.chopping as chopping
+    calls = 0
+    real_chop = chopping._chop
+
+    def counting_chop(g, removed):
+        nonlocal calls
+        calls += 1
+        return real_chop(g, removed)
+
+    monkeypatch.setattr(chopping, "_chop", counting_chop)
+    g = parse_descriptor("A20[0,1%s]" % (",0" * 18))
+    assert find_wild_certificate(g) is None
+    assert 0 < calls <= 20 ** 3
 
 
 @pytest.mark.parametrize("family,vertex", [
