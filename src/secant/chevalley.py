@@ -73,24 +73,21 @@ class ChevalleyAlgebra:
     """Simple Lie algebra over Q with an integral root-vector basis.
 
     Basis indices: 0..l-1 are the simple coroot generators h_1..h_l;
-    l + k is the root vector e_alpha for alpha = self.root_list[k]
-    (positive roots in height-lex order, then their negatives in the
-    same order).  Elements are sparse dicts {basis index: coefficient}.
-    The structure constants N(a, b) live only in the bracket table.
+    l + k is the root vector e_alpha for alpha = self.root_list[k], a
+    simple-root coefficient tuple (positive roots in height-lex order, then
+    their negatives in the same order).  Elements are sparse dicts
+    {basis index: coefficient}.  The structure constants N(a, b) live only
+    in the bracket table.
     """
 
     def __init__(self, system: RootSystem, sign_fn=None):
         self.system = system
         self.type = system.type
         l = self.type.rank
-        pos = list(system.positive_roots)
-        neg = [tuple(-c for c in r) for r in pos]
-        self.root_list: tuple = tuple(pos + neg)
-        self.root_index = {r: i for i, r in enumerate(self.root_list)}
+        pos = list(system.positive_coeffs)
+        self.root_list: tuple = tuple(pos + [tuple(-c for c in r) for r in pos])
+        self.root_index = {r: k for k, r in enumerate(self.root_list)}
         self.dim = l + len(self.root_list)
-        coeffs = list(system.positive_coeffs)
-        coeffs += [tuple(-c for c in r) for r in coeffs]
-        self._coeffs = tuple(coeffs)
         # nonzero brackets of basis vectors as (basis index, coefficient)
         # terms: [h_i, e_a] = <a, a_i^v> e_a, [e_a, e_b] = N(a, b) e_{a+b},
         # and [e_a, e_-a] = sum_i m_i (a_i,a_i)/(a,a) h_i for a = sum m_i a_i
@@ -100,8 +97,8 @@ class ChevalleyAlgebra:
         def put(i, j, terms):
             self._table[i][j] = shared.setdefault(terms, terms)
 
-        index = {r: k for k, r in enumerate(coeffs, l)}
-        for k, r in enumerate(coeffs, l):
+        index = {r: k for k, r in enumerate(self.root_list, l)}
+        for r, k in index.items():
             for i, m in enumerate(system.coroot_marks(r)):
                 if m:
                     put(i, k, ((k, m),))
@@ -119,10 +116,11 @@ class ChevalleyAlgebra:
         l = self.type.rank
         if k < l:
             raise ValueError("basis index %d is a Cartan generator" % k)
-        return self._coeffs[k - l]
+        return self.root_list[k - l]
 
     def root_basis_index(self, root) -> int:
-        """Basis index of e_alpha for a root given as an epsilon-vector."""
+        """Basis index of e_alpha for a root given by its simple-root
+        coefficients."""
         return self.type.rank + self.root_index[root]
 
     # -- bracket
@@ -288,7 +286,7 @@ def grade_by_fundamental(alg: ChevalleyAlgebra, vertex: int) -> GradedDecomposit
     if not 1 <= vertex <= l:
         raise ValueError("vertex %d out of range 1..%d" % (vertex, l))
     comps: dict = {0: list(range(l))}
-    for k, r in enumerate(alg._coeffs):
+    for k, r in enumerate(alg.root_list):
         comps.setdefault(r[vertex - 1], []).append(l + k)
     return GradedDecomposition({d: tuple(sorted(v)) for d, v in comps.items()})
 
@@ -689,11 +687,11 @@ def sample_isotropic_plane(n: int, rng: random.Random) -> tuple:
 class SecantOrbitRep:
     """Representative v^lambda + v^mu of a pair class of extreme vectors.
 
-    `value` is the invariant inner product (lambda, mu); `partner` holds the
-    marks of mu = w lambda.
+    `value` is the invariant inner product (lambda, mu), an int or a
+    Fraction; `partner` holds the marks of mu = w lambda.
     """
 
-    value: Q
+    value: int | Q
     partner: tuple
 
 
@@ -706,13 +704,12 @@ def secant_orbit_reps(marks, sys: RootSystem) -> list:
     """
     marks = tuple(int(m) for m in marks)
     orbit = weyl_orbit(marks, sys)
-    lam = sys.weight_vec(marks)
     stab_nontrivial = len(orbit) < weyl_group_order(sys.type)
     best: dict = {}
     for mu in sorted(orbit, reverse=True):
         if mu == marks and not stab_nontrivial:
             continue
-        val = sys.inner(lam, sys.weight_vec(mu))
+        val = sys.weight_inner(marks, mu)
         if val not in best:
             best[val] = mu
     return [SecantOrbitRep(value=v, partner=best[v])

@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -68,28 +67,8 @@ def _schema(sub: str) -> str:
     return "secant/%s/%s" % (sub, SCHEMA_VERSION)
 
 
-def _jsonable(obj):
-    """Recursively convert report values to JSON-safe types (fractions to
-    strings, tuples to lists, non-string keys to strings)."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, Q):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, bool)) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
-    return str(obj)
-
-
 def _emit_json(report: dict, out) -> None:
-    out.write(json.dumps(_jsonable(report), indent=1, sort_keys=True))
+    out.write(json.dumps(report, indent=1, sort_keys=True))
     out.write("\n")
 
 
@@ -170,7 +149,7 @@ def _cmd_rank(args, out) -> int:
         out.write("shape %s, dims %s: rank %d\n"
                   % (args.shape, "x".join(str(d) for d in dims), rank))
         if cert:
-            out.write("certificate: %s\n" % json.dumps(_jsonable(cert)))
+            out.write("certificate: %s\n" % json.dumps(cert))
     return 0
 
 
@@ -297,8 +276,7 @@ def _cmd_orbit_dim(args, out) -> int:
     st = _parse_simple_type(args.type)
     alg = build_chevalley(st)
     sysm = alg.system
-    theta = sysm.highest_root
-    theta_idx = alg.root_basis_index(theta)
+    theta_idx = alg.root_basis_index(sysm.positive_coeffs[-1])
     expr = args.element
 
     if expr == "root":
@@ -316,7 +294,8 @@ def _cmd_orbit_dim(args, out) -> int:
             raise ValueError(
                 "no pair class with inner product %s; available: %s"
                 % (want, sorted(str(r.value) for r in reps)))
-        partner = sysm.weight_vec(match[0].partner)
+        partner = next(r for r in alg.root_list
+                       if sysm.coroot_marks(r) == match[0].partner)
         x = {theta_idx: 1}
         pid = alg.root_basis_index(partner)
         x[pid] = x.get(pid, 0) + 1

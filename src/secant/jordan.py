@@ -755,7 +755,7 @@ def _closed_orbit_cone_dim() -> int:
     rank-4 exceptional type: counted as the positive roots whose expansion
     uses the second simple root, plus one for the cone direction."""
     rs = build_root_system(SimpleType("F", 4))
-    moved = sum(1 for r in rs.positive_roots if rs.root_coeffs(r)[1] > 0)
+    moved = sum(1 for c in rs.positive_coeffs if c[1] > 0)
     return moved + 1
 
 

@@ -88,6 +88,8 @@ def _integer_row(values) -> tuple[list[int], int]:
     """(ints, den): den is the lcm of the denominators of the rational
     values (ints or Fractions) and ints[i] == values[i] * den."""
     values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 

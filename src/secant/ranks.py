@@ -854,10 +854,9 @@ def _coform_rank(t: Tensor):
 
 
 def _quadric_rank(t: Tensor):
-    gram = split_symmetric_form(t.dims[0])
-    r = quadric_rank(t.coords, gram)
-    pieces = quadric_split(t.coords, gram)
-    return r, {"isotropic_pieces": [[str(v) for v in piece] for piece in pieces]}
+    # the rank is the number of isotropic pieces
+    pieces = quadric_split(t.coords, split_symmetric_form(t.dims[0]))
+    return len(pieces), {"isotropic_pieces": [[str(v) for v in piece] for piece in pieces]}
 
 
 def _one(d) -> bool:

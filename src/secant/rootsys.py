@@ -1,11 +1,12 @@
-"""Root systems, weights, and Weyl-orbit combinatorics in exact arithmetic.
+"""Root systems, weights, and Weyl-orbit combinatorics in integer arithmetic.
 
-Simple roots are given in explicit rational coordinates ("ε-coordinates"),
-one table per family, normalized so long roots have squared length 2; all
-other roots are generated in integer simple-root coordinates.  The
-simple-root numbering follows the Onishchik–Vinberg textbook convention
-throughout the package (a conversion table to Bourbaki numbering is in the
-README); tests pin each label through the Weyl dimension formula.
+Each family's simple roots are given once in explicit rational coordinates
+("ε-coordinates"), normalized so long roots have squared length 2; they are
+read only to clear the integer Gram matrix.  Every root is then an integer
+simple-root coefficient tuple.  The simple-root numbering follows the
+Onishchik–Vinberg textbook convention throughout the package (a conversion
+table to Bourbaki numbering is in the README); tests pin each label through
+the Weyl dimension formula.
 
 Weights are plain integer tuples of marks: entry i is the pairing of the
 weight with the i-th simple coroot.
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
-from .linalg import Vec, _integer_matrix, dot, inverse
+from .linalg import Vec, _exact_div, _integer_matrix, dot, inverse
 
 FAMILIES = "ABCDEFG"
 
@@ -208,15 +209,15 @@ _ROOT_COUNTS = {
 
 
 class RootSystem:
-    """Root system of one simple type, with its invariant bilinear form.
+    """Root system of one simple type, in integer coordinates.
 
-    Roots are generated as integer simple-root coefficient tuples by simple
-    reflections read off the Cartan matrix; the public ε-coordinate roots
-    are derived from them once, over one common denominator.  Positive
-    roots are those with nonnegative coefficients, ordered by height and
-    then lexicographically by coefficients.  The form on coefficients is
-    the integer Gram matrix `gram`: (Σ c_i α_i, Σ d_j α_j) =
-    c^T gram d / gram_den.
+    Roots are simple-root coefficient tuples, generated by simple
+    reflections read off the Cartan matrix.  Positive roots are those with
+    nonnegative coefficients, ordered by height and then lexicographically
+    by coefficients.  The invariant form on coefficients is the integer Gram
+    matrix `gram`, cleared once from the simple roots of
+    `_simple_root_table`: (Σ c_i α_i, Σ d_j α_j) = c^T gram d / gram_den.
+    Weights are mark tuples, and `weight_inner` is the form on them.
     """
 
     def __init__(self, st: SimpleType):
@@ -227,12 +228,10 @@ class RootSystem:
                 % (st, "%d..%s" % (lo, hi if hi is not None else "∞")))
         self.type = st
         simple, scale = _simple_root_table(st)
-        self.simple_roots: tuple[Vec, ...] = tuple(simple)
-        self.scale: Q = scale
-        self.ndim = len(simple[0])
         n = st.rank
+        rows, den = _integer_matrix(simple)
         gram, self.gram_den = _integer_matrix(
-            [self.inner(a, b) for b in simple] for a in simple)
+            [scale * dot(a, b) / (den * den) for b in rows] for a in rows)
         self.gram: tuple[tuple[int, ...], ...] = tuple(map(tuple, gram))
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
             tuple(2 * g // row[i] for g in row)
@@ -258,26 +257,6 @@ class RootSystem:
             (c for c in found if sum(c) > 0), key=lambda c: (sum(c), c)))
         self.highest_root_marks: tuple[int, ...] = self.coroot_marks(
             self.positive_coeffs[-1])
-        srows, den = _integer_matrix(simple)
-        self.positive_roots: tuple[Vec, ...] = tuple(
-            tuple(Q(sum(c * row[t] for c, row in zip(cs, srows) if c), den)
-                  for t in range(self.ndim))
-            for cs in self.positive_coeffs)
-        self._coeffs = dict(zip(self.positive_roots, self.positive_coeffs))
-        self._coeffs.update((tuple(-x for x in r), tuple(-c for c in cs))
-                            for r, cs in list(self._coeffs.items()))
-        self.roots: frozenset[Vec] = frozenset(self._coeffs)
-        self._fw: tuple[Vec, ...] | None = None
-
-    # -- form and pairings
-
-    def inner(self, u, v) -> Q:
-        return self.scale * dot(u, v)
-
-    def coroot_pairing(self, v, i: int) -> Q:
-        """⟨v, αᵢ∨⟩ = 2(v,αᵢ)/(αᵢ,αᵢ) for the i-th simple root (0-based i)."""
-        a = self.simple_roots[i]
-        return 2 * self.inner(v, a) / self.inner(a, a)
 
     def coroot_marks(self, coeffs) -> tuple[int, ...]:
         """⟨β, αᵢ∨⟩ for every simple coroot, β = Σ coeffs_j α_j."""
@@ -289,43 +268,24 @@ class RootSystem:
         return sum(x * g * y for x, row in zip(c, self.gram) if x
                    for g, y in zip(row, d) if g and y)
 
-    # -- derived data
+    @cached_property
+    def _weight_gram(self) -> tuple[list[list[int]], int]:
+        """(rows, den) with rows[i][j] == den * (ω_i, ω_j).
 
-    def root_coeffs(self, root: Vec) -> tuple[int, ...]:
-        return self._coeffs[root]
+        ω_i = Σ_k C_ik α_k with C the inverse transposed Cartan matrix, so
+        (ω_i, ω_j) = C_ij (α_j, α_j) / 2.
+        """
+        inv = inverse([list(col) for col in zip(*self.cartan)])
+        return _integer_matrix(
+            [x * Q(self.gram[j][j], 2 * self.gram_den)
+             for j, x in enumerate(row)] for row in inv)
 
-    def root_height(self, root: Vec) -> int:
-        return sum(self._coeffs[root])
-
-    @property
-    def highest_root(self) -> Vec:
-        return self.positive_roots[-1]
-
-    @property
-    def fundamental_weights(self) -> tuple[Vec, ...]:
-        if self._fw is None:
-            # π_i = Σ_k C[i][k] α_k  with  C = (cartan matrix)^{-T}
-            a = [[Q(x) for x in row] for row in self.cartan]
-            c = inverse([list(col) for col in zip(*a)])
-            fws = []
-            for i in range(self.type.rank):
-                v = [Q(0)] * self.ndim
-                for k, ak in enumerate(self.simple_roots):
-                    for t in range(self.ndim):
-                        v[t] += c[i][k] * ak[t]
-                fws.append(tuple(v))
-            self._fw = tuple(fws)
-        return self._fw
-
-    def weight_vec(self, marks) -> Vec:
-        """ε-coordinates of the weight with the given marks."""
-        fw = self.fundamental_weights
-        v = [Q(0)] * self.ndim
-        for m, w in zip(marks, fw):
-            if m:
-                for t in range(self.ndim):
-                    v[t] += m * w[t]
-        return tuple(v)
+    def weight_inner(self, m, n):
+        """(λ, μ) for the weights with marks m and n: an int, or a Fraction
+        where the form does not divide."""
+        rows, den = self._weight_gram
+        return _exact_div(sum(x * w * y for x, row in zip(m, rows) if x
+                              for w, y in zip(row, n) if y), den)
 
 
 @lru_cache(maxsize=None)
@@ -371,18 +331,21 @@ def weyl_orbit(marks, sys: RootSystem, cap: int = DEFAULT_ORBIT_CAP):
 
 
 def weyl_dim(st: SimpleType, marks) -> int:
-    """Dimension of the irreducible module with the given highest weight."""
+    """Dimension of the irreducible module with the given highest weight.
+
+    Weyl's formula in coroot form, ∏ (λ+ρ, β∨) / (ρ, β∨) over the positive
+    roots β = Σ c_j α_j; with (ω_j, β) = c_j (α_j, α_j) / 2 each factor is
+    Σ c_j (m_j + 1) g_jj / Σ c_j g_jj, g the Gram matrix.
+    """
     sys = build_root_system(st)
-    lam = sys.weight_vec(marks)
-    rho = sys.weight_vec((1,) * st.rank)
-    num = Q(1)
-    den = Q(1)
-    for b in sys.positive_roots:
-        num *= sys.inner(tuple(x + y for x, y in zip(lam, rho)), b)
-        den *= sys.inner(rho, b)
-    d = num / den
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    norms = [row[j] for j, row in enumerate(sys.gram)]
+    num = den = 1
+    for c in sys.positive_coeffs:
+        num *= sum(x * (m + 1) * g for x, m, g in zip(c, marks, norms) if x)
+        den *= sum(x * g for x, g in zip(c, norms) if x)
+    d, rem = divmod(num, den)
+    assert rem == 0 and d > 0
+    return d
 
 
 def weyl_group_order(st: SimpleType) -> int:

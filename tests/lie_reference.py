@@ -2,14 +2,17 @@
 
 These are the earlier implementations, kept here only to check the
 integer code against: root generation by reflections of rational
-ε-coordinate vectors, structure constants computed on ε-vectors with
-Fraction ratios of squared lengths, image statistics by rational
-elimination, and isotropic planes sampled in Fraction coordinates.  Nothing in `secant` imports this module.
+ε-coordinate vectors, fundamental weights and the invariant form in
+ε-coordinates, structure constants computed on ε-vectors with Fraction
+ratios of squared lengths, image statistics by rational elimination, and
+isotropic planes sampled in Fraction coordinates.  Nothing in `secant`
+imports this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from secant.linalg import (
     dot,
@@ -18,7 +21,7 @@ from secant.linalg import (
     row_reduce,
     transpose,
 )
-from secant.rootsys import SimpleType, _simple_root_table
+from secant.rootsys import SimpleType, _simple_root_table, weyl_group_order
 
 #: every simple type of rank at most 8
 ALL_TYPES = ([SimpleType("A", n) for n in range(1, 9)]
@@ -32,14 +35,28 @@ def matvec(mat, v):
     return tuple(dot(row, v) for row in mat)
 
 
-def fraction_root_data(st):
-    """(positive roots in height-lex order, {root: coefficients}, Cartan
-    matrix, highest-root marks) from reflections of ε-vectors."""
+def fraction_form(st):
+    """(simple roots in ε-coordinates, the invariant form on ε-vectors),
+    normalized so long roots have squared length 2."""
     simple, scale = _simple_root_table(st)
 
     def inner(u, v):
         return scale * dot(u, v)
+    return simple, inner
 
+
+def fraction_coroot_pairing(st, v, i) -> Q:
+    """⟨v, αᵢ∨⟩ = 2(v, αᵢ)/(αᵢ, αᵢ) for the i-th simple root (0-based i)."""
+    simple, inner = fraction_form(st)
+    a = simple[i]
+    return 2 * inner(v, a) / inner(a, a)
+
+
+@lru_cache(maxsize=None)
+def fraction_root_data(st):
+    """(positive roots in height-lex order, {root: coefficients}, Cartan
+    matrix, highest-root marks) from reflections of ε-vectors."""
+    simple, inner = fraction_form(st)
     seen = set(simple)
     frontier = list(seen)
     norms = [dot(a, a) for a in simple]
@@ -70,13 +87,67 @@ def fraction_root_data(st):
     return tuple(pos), coeffs, cartan, tuple(int(m) for m in marks)
 
 
-def fraction_structure_constants(system, sign_fn=None) -> dict:
+@lru_cache(maxsize=None)
+def fraction_fundamental_weights(st) -> tuple:
+    """ε-coordinates of the fundamental weights: π_i = Σ_k C[i][k] α_k with
+    C the inverse of the transposed Cartan matrix."""
+    simple, inner = fraction_form(st)
+    a = [[2 * inner(x, y) / inner(x, x) for y in simple] for x in simple]
+    c = inverse(transpose(a))
+    return tuple(
+        tuple(sum((c[i][k] * ak[t] for k, ak in enumerate(simple)), Q(0))
+              for t in range(len(simple[0])))
+        for i in range(len(simple)))
+
+
+def fraction_weight_vec(st, marks) -> tuple:
+    """ε-coordinates of the weight with the given marks."""
+    fw = fraction_fundamental_weights(st)
+    return tuple(sum((m * w[t] for m, w in zip(marks, fw) if m), Q(0))
+                 for t in range(len(fw[0])))
+
+
+def fraction_weyl_dim(st, marks) -> Q:
+    """Weyl's dimension formula ∏ (λ+ρ, β)/(ρ, β) on ε-vectors."""
+    _, inner = fraction_form(st)
+    lam_rho = fraction_weight_vec(st, [m + 1 for m in marks])
+    rho = fraction_weight_vec(st, (1,) * st.rank)
+    num = den = Q(1)
+    for b in fraction_root_data(st)[0]:
+        num *= inner(lam_rho, b)
+        den *= inner(rho, b)
+    return num / den
+
+
+def fraction_secant_orbit_reps(marks, st, orbit) -> list:
+    """[(inner product, partner marks)] per class of pairs (λ, wλ), w not
+    the identity, with the form taken on ε-vectors; sorted by decreasing
+    inner product, the partner the largest marks in its class.  `orbit` is
+    the Weyl orbit of the marks, as mark tuples."""
+    _, inner = fraction_form(st)
+    marks = tuple(marks)
+    lam = fraction_weight_vec(st, marks)
+    # (λ, μ) = Σ_j μ_j (λ, π_j)
+    lam_fw = [inner(lam, w) for w in fraction_fundamental_weights(st)]
+    best: dict = {}
+    for mu in sorted(orbit, reverse=True):
+        if mu == marks and len(orbit) == weyl_group_order(st):
+            continue
+        best.setdefault(sum((m * x for m, x in zip(mu, lam_fw) if m), Q(0)),
+                        mu)
+    return [(v, best[v]) for v in sorted(best, reverse=True)]
+
+
+def fraction_structure_constants(st, sign_fn=None) -> dict:
     """N(a, b) keyed by pairs of ε-vectors, with Fraction ratios of
     squared lengths."""
-    pos = list(system.positive_roots)
+    pos, coeffs, _, _ = fraction_root_data(st)
     pidx = {r: i for i, r in enumerate(pos)}
-    roots = system.roots
-    inner = system.inner
+    roots = coeffs.keys()
+    _, inner = fraction_form(st)
+
+    def height(r) -> int:
+        return sum(coeffs[r])
 
     def string_down(a, b) -> int:
         k = 0
@@ -94,8 +165,8 @@ def fraction_structure_constants(system, sign_fn=None) -> dict:
         return -table[(b, a)]
 
     def nval(a, b) -> Q:
-        ha = system.root_height(a)
-        hb = system.root_height(b)
+        ha = height(a)
+        hb = height(b)
         if ha > 0 and hb > 0:
             return Q(npos(a, b))
         if ha < 0 and hb < 0:
@@ -104,14 +175,14 @@ def fraction_structure_constants(system, sign_fn=None) -> dict:
             return -nval(b, a)
         xi, mu = a, tuple(-x for x in b)
         nu = tuple(p + q for p, q in zip(a, b))
-        if system.root_height(nu) > 0:
+        if height(nu) > 0:
             return -inner(nu, nu) / inner(xi, xi) * npos(mu, nu)
         rho = tuple(-x for x in nu)
         return -inner(rho, rho) / inner(mu, mu) * npos(xi, rho)
 
     by_height: dict = {}
     for g in pos:
-        by_height.setdefault(system.root_height(g), []).append(g)
+        by_height.setdefault(height(g), []).append(g)
     for h in sorted(by_height):
         if h < 2:
             continue
@@ -121,12 +192,11 @@ def fraction_structure_constants(system, sign_fn=None) -> dict:
                 if pidx[a] >= pidx[g]:
                     break
                 b = tuple(x - y for x, y in zip(g, a))
-                if b in roots and system.root_height(b) > 0 \
-                        and pidx[a] < pidx[b]:
+                if b in roots and height(b) > 0 and pidx[a] < pidx[b]:
                     specials.append((a, b))
             specials.sort(key=lambda p: pidx[p[0]])
             a1, b1 = specials[0]
-            sign = 1 if sign_fn is None else sign_fn(system.root_coeffs(g))
+            sign = 1 if sign_fn is None else sign_fn(coeffs[g])
             n11 = sign * (string_down(a1, b1) + 1)
             table[(a1, b1)] = n11
             for a, b in specials[1:]:

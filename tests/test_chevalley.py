@@ -27,7 +27,10 @@ from secant.chevalley import (
 )
 from lie_reference import (
     ALL_TYPES,
+    fraction_coroot_pairing,
+    fraction_form,
     fraction_isotropic_pair_case,
+    fraction_root_data,
     fraction_sample_isotropic_plane,
     fraction_structure_constants,
 )
@@ -103,52 +106,53 @@ def test_structure_constant_magnitudes(fam, n):
     # every constant has magnitude p+1, the descending root-string length
     sysm = build_root_system(SimpleType(fam, n))
     constants = _structure_constants(sysm)
-    for a in sysm.roots:
-        for b in sysm.roots:
+    roots = set(sysm.positive_coeffs) | {
+        tuple(-x for x in r) for r in sysm.positive_coeffs}
+    for a in roots:
+        for b in roots:
             s = tuple(p + q for p, q in zip(a, b))
-            if s in sysm.roots:
+            if s in roots:
                 k = 0
                 cur = tuple(x - y for x, y in zip(b, a))
-                while cur in sysm.roots:
+                while cur in roots:
                     k += 1
                     cur = tuple(x - y for x, y in zip(cur, a))
-                key = (sysm.root_coeffs(a), sysm.root_coeffs(b))
-                assert abs(constants[key]) == k + 1, (a, b)
+                assert abs(constants[(a, b)]) == k + 1, (a, b)
 
 
-def _by_coeffs(sysm, constants):
-    return {(sysm.root_coeffs(a), sysm.root_coeffs(b)): v
-            for (a, b), v in constants.items()}
+def _by_coeffs(coeffs, constants):
+    return {(coeffs[a], coeffs[b]): v for (a, b), v in constants.items()}
 
 
 @pytest.mark.parametrize("st_", ALL_TYPES, ids=str)
 def test_structure_constants_match_fraction_reference(st_):
     sysm = build_root_system(st_)
-    ref = fraction_structure_constants(sysm)
+    _, coeffs, _, _ = fraction_root_data(st_)
+    ref = fraction_structure_constants(st_)
     alg = build_chevalley(st_)
-    assert _structure_constants(sysm) == _by_coeffs(sysm, ref)
+    assert _structure_constants(sysm) == _by_coeffs(coeffs, ref)
     if st_ not in (SimpleType("E", 7), SimpleType("E", 8)):
         # the reference takes 5 s on these two with the default signs alone
         sign = lambda coeffs: -1 if sum(coeffs) % 2 == 0 else 1  # noqa: E731
         assert _structure_constants(sysm, sign) == _by_coeffs(
-            sysm, fraction_structure_constants(sysm, sign))
+            coeffs, fraction_structure_constants(st_, sign))
     # the bracket of two basis vectors, from the reference constants and
-    # the rational form
+    # the rational form on ε-vectors
+    simple, inner = fraction_form(st_)
+    eps = {c: r for r, c in coeffs.items()}
     l = st_.rank
     for k, r in enumerate(alg.root_list):
         for i in range(l):
-            c = sysm.coroot_pairing(r, i)
+            c = fraction_coroot_pairing(st_, eps[r], i)
             assert alg.bracket({i: 1}, {l + k: 1}) == ({l + k: c} if c else {})
     for i, a in enumerate(alg.root_list):
-        coroot = {}
-        for t, m in enumerate(sysm.root_coeffs(a)):
-            if m:
-                simple = sysm.simple_roots[t]
-                coroot[t] = m * sysm.inner(simple, simple) / sysm.inner(a, a)
+        ea = eps[a]
+        coroot = {t: m * inner(simple[t], simple[t]) / inner(ea, ea)
+                  for t, m in enumerate(a) if m}
         for j, b in enumerate(alg.root_list):
-            s = tuple(p + q for p, q in zip(a, b))
-            if s in sysm.roots:
-                want = {alg.root_basis_index(s): ref[(a, b)]}
+            s = tuple(p + q for p, q in zip(ea, eps[b]))
+            if s in coeffs:
+                want = {alg.root_basis_index(coeffs[s]): ref[(ea, eps[b])]}
             else:
                 want = {} if any(s) else coroot
             assert alg.bracket({l + i: 1}, {l + j: 1}) == want
@@ -164,13 +168,14 @@ def test_antisymmetry_of_constants():
 
 
 def test_cartan_acts_diagonally():
-    alg = build_chevalley(SimpleType("B", 3))
-    sysm = alg.system
+    st_ = SimpleType("B", 3)
+    alg = build_chevalley(st_)
+    eps = {c: r for r, c in fraction_root_data(st_)[1].items()}
     l = alg.type.rank
     for k, r in enumerate(alg.root_list):
         for i in range(l):
             got = alg.bracket({i: 1}, {l + k: 1})
-            expect = int(sysm.coroot_pairing(r, i))
+            expect = int(fraction_coroot_pairing(st_, eps[r], i))
             assert got == ({l + k: expect} if expect else {})
 
 
@@ -196,11 +201,12 @@ def test_sign_convention_independence():
 def test_grading_partitions_basis():
     alg = build_chevalley(SimpleType("A", 2))
     g = grade_by_fundamental(alg, 1)
-    # independent count: degree = first simple-root coefficient
+    # independent count: degree = first simple-root coefficient of each
+    # root of the ε-coordinate reference
     expect = Counter()
     expect[0] = alg.type.rank
-    for r in alg.root_list:
-        expect[alg.system.root_coeffs(r)[0]] += 1
+    for c in fraction_root_data(alg.type)[1].values():
+        expect[c[0]] += 1
     assert g.dims == dict(expect)
     assert g.dims == {-1: 2, 0: 4, 1: 2}
     assert g.total_dim == alg.dim
@@ -246,21 +252,17 @@ def test_witness_report():
     assert rep.witness_dim == 112
     # the quadruple forms a D4 diagram: norms 2, center pairing -1, arms
     # orthogonal
-    sysm = build_root_system(SimpleType("E", 8))
-    vecs = []
-    for coeffs in rep.quadruple:
-        v = [Q(0)] * sysm.ndim
-        for c, a in zip(coeffs, sysm.simple_roots):
-            for t in range(sysm.ndim):
-                v[t] += c * a[t]
-        vecs.append(tuple(v))
+    simple, inner = fraction_form(SimpleType("E", 8))
+    vecs = [tuple(sum((c * a[t] for c, a in zip(coeffs, simple)), Q(0))
+                  for t in range(len(simple[0])))
+            for coeffs in rep.quadruple]
     center, arms = vecs[0], vecs[1:]
-    assert sysm.inner(center, center) == 2
+    assert inner(center, center) == 2
     for a in arms:
-        assert sysm.inner(a, a) == 2
-        assert sysm.inner(center, a) == -1
+        assert inner(a, a) == 2
+        assert inner(center, a) == -1
     for a, b in itertools.combinations(arms, 2):
-        assert sysm.inner(a, b) == 0
+        assert inner(a, b) == 0
     # report is JSON-shaped
     d = rep.as_dict()
     assert d["witness_dim"] == 112 and len(d["quadruple"]) == 4

@@ -326,10 +326,12 @@ with open(LIE_GOLDEN) as _fh:
 
 @pytest.mark.parametrize("entry", _LIE_OUTPUTS, ids=lambda e: _golden_id(
     [a for a in e["argv"] if a != "--json"], e["argv"]))
-def test_lie_cli_golden(entry):
+def test_lie_cli_golden(entry, capsys):
     code, out = run_cli(*entry["argv"])
-    assert code == 0
+    assert code == entry.get("exit", 0)
     assert out == entry["stdout"]
+    if "stderr" in entry:
+        assert capsys.readouterr().err == entry["stderr"]
 
 
 class TestOrbitDim:

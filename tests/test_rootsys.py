@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie_reference import ALL_TYPES, fraction_root_data
+from lie_reference import (
+    ALL_TYPES,
+    fraction_coroot_pairing,
+    fraction_form,
+    fraction_fundamental_weights,
+    fraction_root_data,
+    fraction_secant_orbit_reps,
+    fraction_weyl_dim,
+)
+from secant.chevalley import secant_orbit_reps
 from secant.rootsys import (
     CapExceeded,
     GroupDescriptor,
@@ -37,67 +46,117 @@ ROOT_COUNTS = {
 }
 
 
+def _all_roots(sys):
+    """Every root as a coefficient tuple: the positive ones and their
+    negatives."""
+    return set(sys.positive_coeffs) | {
+        tuple(-c for c in r) for r in sys.positive_coeffs}
+
+
 @pytest.mark.parametrize("st_", TYPES, ids=str)
 def test_root_counts(st_):
     sys = build_root_system(st_)
-    assert len(sys.roots) == ROOT_COUNTS[str(st_)]
-    assert 2 * len(sys.positive_roots) == len(sys.roots)
+    assert len(_all_roots(sys)) == ROOT_COUNTS[str(st_)]
+    assert 2 * len(sys.positive_coeffs) == len(_all_roots(sys))
 
 
 @pytest.mark.parametrize("st_", ALL_TYPES, ids=str)
 def test_roots_match_fraction_reference(st_):
     # integer reflections of coefficient tuples give the same roots, order,
     # coefficients, Cartan matrix and highest-root marks as reflections of
-    # rational ε-vectors
+    # rational ε-vectors, and the integer Gram matrix gives their form
     pos, coeffs, cartan, marks = fraction_root_data(st_)
     sys = build_root_system(st_)
-    assert sys.positive_roots == pos
-    assert sys.roots == frozenset(coeffs)
-    assert all(sys.root_coeffs(r) == c for r, c in coeffs.items())
     assert sys.positive_coeffs == tuple(coeffs[r] for r in pos)
+    assert _all_roots(sys) == set(coeffs.values())
     assert sys.cartan == cartan
     assert sys.highest_root_marks == marks
-    assert all(type(x) is Q for r in sys.roots for x in r)
+    assert all(type(x) is int for c in sys.positive_coeffs for x in c)
+    assert all(type(x) is int for row in sys.gram for x in row)
 
-    def eps(c):
-        return tuple(sum(x * a[t] for x, a in zip(c, sys.simple_roots))
-                     for t in range(sys.ndim))
+    _, inner = fraction_form(st_)
+    eps = {c: r for r, c in coeffs.items()}
     for a in sys.positive_coeffs[:12]:
         for b in sys.positive_coeffs[-12:]:
-            assert sys.form(a, b) == sys.gram_den * sys.inner(eps(a), eps(b))
+            assert sys.form(a, b) == sys.gram_den * inner(eps[a], eps[b])
 
 
 @pytest.mark.parametrize("st_", TYPES, ids=str)
 def test_roots_closed_under_negation_and_integral(st_):
+    # the root set is closed under every simple reflection (so under
+    # negation: s_i α_i = -α_i), and each root has all coefficients of
+    # one sign
     sys = build_root_system(st_)
-    for r in sys.roots:
-        neg = tuple(-x for x in r)
-        assert neg in sys.roots
-        coeffs = sys.root_coeffs(r)
-        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+    roots = _all_roots(sys)
+    for r in roots:
+        assert tuple(-x for x in r) in roots
+        for i, m in enumerate(sys.coroot_marks(r)):
+            assert r[:i] + (r[i] - m,) + r[i + 1:] in roots
+    for c in sys.positive_coeffs:
+        assert all(type(x) is int and x >= 0 for x in c)
 
 
 @pytest.mark.parametrize("st_", TYPES, ids=str)
 def test_long_roots_have_squared_length_two(st_):
     sys = build_root_system(st_)
-    norms = {sys.inner(r, r) for r in sys.roots}
+    norms = {Q(sys.form(r, r), sys.gram_den) for r in _all_roots(sys)}
     assert max(norms) == 2
 
 
 @pytest.mark.parametrize("st_", TYPES, ids=str)
 def test_sum_of_positive_roots_is_strictly_dominant(st_):
     sys = build_root_system(st_)
-    tworho = [sum(col) for col in zip(*sys.positive_roots)]
-    for i in range(st_.rank):
-        assert sys.coroot_pairing(tuple(tworho), i) == 2
+    tworho = [sum(col) for col in zip(*sys.positive_coeffs)]
+    assert sys.coroot_marks(tworho) == (2,) * st_.rank
+
+
+def _unit(n, i):
+    return tuple(int(i == j) for j in range(n))
 
 
 @pytest.mark.parametrize("st_", TYPES, ids=str)
 def test_fundamental_weights_dual_to_coroots(st_):
+    # ⟨ω_i, α_j∨⟩ = 2(ω_i, α_j)/(α_j, α_j) = δ_ij, through the form on
+    # marks (α_j has the marks coroot_marks(e_j)) and, for the reference,
+    # on ε-vectors
     sys = build_root_system(st_)
-    for i, w in enumerate(sys.fundamental_weights):
-        for j in range(st_.rank):
-            assert sys.coroot_pairing(w, j) == (1 if i == j else 0)
+    n = st_.rank
+    for i in range(n):
+        for j in range(n):
+            pairing = 2 * sys.weight_inner(
+                _unit(n, i), sys.coroot_marks(_unit(n, j)))
+            assert pairing == (Q(sys.gram[j][j], sys.gram_den) if i == j
+                               else 0)
+    for i, w in enumerate(fraction_fundamental_weights(st_)):
+        for j in range(n):
+            assert fraction_coroot_pairing(st_, w, j) == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("st_", ALL_TYPES, ids=str)
+def test_weight_data_match_fraction_reference(st_):
+    # the form on marks, the Weyl dimension and the pair classes of
+    # secant_orbit_reps agree with the ε-coordinate reference at every
+    # fundamental weight and at the adjoint weight.  The pair classes are
+    # compared where the Weyl orbit has at most 20000 weights: E8's
+    # ω3..ω6 orbits (60480..483840 weights) take seconds in the library
+    # and minutes in the Fraction reference; weight_inner is compared on
+    # every pair of fundamental weights, which fixes it everywhere.
+    sys = build_root_system(st_)
+    _, inner = fraction_form(st_)
+    fws = fraction_fundamental_weights(st_)
+    n = st_.rank
+    for i in range(n):
+        for j in range(n):
+            assert sys.weight_inner(_unit(n, i), _unit(n, j)) == inner(
+                fws[i], fws[j])
+    for marks in [_unit(n, i) for i in range(n)] + [sys.highest_root_marks]:
+        assert weyl_dim(st_, marks) == fraction_weyl_dim(st_, marks)
+        try:
+            orbit = weyl_orbit(marks, sys, cap=20000)
+        except CapExceeded:
+            continue
+        assert [(r.value, r.partner) for r in secant_orbit_reps(marks, sys)] \
+            == fraction_secant_orbit_reps(marks, st_, orbit)
 
 
 # Weyl-dimension pins for every label the package's tables rely on.
