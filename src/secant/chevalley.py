@@ -496,12 +496,24 @@ def so_nilpotent_realization(parts) -> tuple:
 
 
 def coform_of_operator(A, G):
-    """The skew coform W = A G^{-1} of a G-skew operator A."""
-    W = matmul(A, inverse(G))
-    for i in range(len(W)):
-        for j in range(len(W)):
-            assert W[i][j] == -W[j][i], "operator is not skew for this form"
-    return W
+    """The skew coform W = A G^{-1} of a G-skew operator A; ValueError when
+    W is not skew.
+
+    A and G^{-1} are each cleared to integers over one denominator, so the
+    product and the skew check run in ints and each entry is divided once:
+    an int where it divides, a Fraction otherwise.
+    """
+    a, da = _integer_matrix(A)
+    g, dg = _integer_matrix(inverse(G))
+    cols = list(zip(*g))
+    W = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    n = len(W)
+    for i in range(n):
+        for j in range(n):
+            if W[i][j] != -W[j][i]:
+                raise ValueError("operator is not skew for this form")
+    den = da * dg
+    return [[_exact_div(x, den) for x in row] for row in W]
 
 
 def random_so_conjugate(A, G, rng: random.Random) -> tuple:
@@ -558,7 +570,8 @@ def _check_forms(sym, omega=None) -> None:
                 raise ValueError("coform matrix is not skew-symmetric")
             if sym[i][j] != sym[j][i]:
                 raise ValueError("ambient form matrix is not symmetric")
-    if int_rank(sym) != n:
+    # IntEchelon: faster than the dense loop on these mostly-zero forms
+    if len(int_row_basis(sym)) != n:
         raise ValueError("ambient symmetric form is degenerate")
 
 
@@ -567,7 +580,9 @@ def _int_skew_im_stats(omega, sym) -> tuple:
     _check_forms(sym, omega)
     cols = [list(col) for col in zip(*omega)]
     basis = [cols[c] for c in int_row_basis(cols)]  # spans the image
-    return len(basis), int_rank(_gram(sym, basis))
+    # the Gram rank by IntEchelon too: faster here on these small sparse
+    # matrices than the dense loop
+    return len(basis), len(int_row_basis(_gram(sym, basis)))
 
 
 _CASE_TABLE = {

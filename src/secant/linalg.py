@@ -5,13 +5,14 @@ int first, a Fraction only where a division forces one (`_exact_div`), and
 a float is refused; `exact_rationals` reads JSON coordinates into it.  The
 rational routines (`row_reduce`, `nullspace`, `inverse`) take ints and
 Fractions, run on one fraction-free integer engine (denominators cleared
-once, then Bareiss elimination) and return Fractions; `rank` is the
-integer rank of the cleared matrix.  Integer routines stay in Z with
-per-row gcd normalization so entries do not blow up; prime-field routines
-work on plain ints reduced mod p, and `modp_rank_batch` on numpy integer
-arrays of many matrices at once.  The standard forms (`split_symmetric_form`,
-`split_symplectic_form`, `mirror_symplectic_form`) are integer matrices
-shared by every module.  No floats.
+once, then Bareiss elimination) and return Fractions; `rank` and `int_rank`
+run the same engine forward only and count pivots.  `IntEchelon` keeps
+sparse integer rows with per-row gcd normalization, for rows that arrive
+one at a time; prime-field routines work on plain ints reduced mod p, and
+`modp_rank_batch` on numpy integer arrays of many matrices at once.  The
+standard forms (`split_symmetric_form`, `split_symplectic_form`,
+`mirror_symplectic_form`) are integer matrices shared by every module.  No
+floats.
 """
 
 from __future__ import annotations
@@ -94,42 +95,49 @@ def _integer_row(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _check_rectangular(rows) -> None:
+    """ValueError unless every row has the length of the first."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix: rows of lengths %s"
+                         % sorted({len(row) for row in rows}))
+
+
 def _integer_matrix(mat) -> tuple[list[list[int]], int]:
     """(rows, den): den is the lcm of the denominators of all entries and
-    rows[i][j] == mat[i][j] * den; ValueError on rows of unequal length."""
+    rows[i][j] == mat[i][j] * den; ValueError on rows of unequal length.
+    A matrix of ints comes back as fresh rows over den 1 at once."""
     mat = [list(row) for row in mat]
-    if any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("ragged matrix: rows of lengths %s"
-                         % sorted({len(row) for row in mat}))
+    _check_rectangular(mat)
+    if all(type(x) is int for row in mat for x in row):
+        return mat, 1
     flat, den = _integer_row(x for row in mat for x in row)
     it = iter(flat)
     return [[next(it) for _ in row] for row in mat], den
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# fraction-free elimination
 #
-# One fraction-free engine: the rational routines clear denominators and run
-# Gauss-Jordan elimination in Z (Bareiss, Math. Comp. 22, 1968), then divide
-# once per output entry.
+# One dense engine, `_bareiss`: Bareiss elimination in Z (Math. Comp. 22,
+# 1968).  `row_reduce` runs it as full Gauss-Jordan on the denominator-
+# cleared matrix and divides once per output entry; `int_rank` and `rank`
+# run it as forward elimination only and count pivots.
 
 
-def row_reduce(mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form over the rationals.
+def _bareiss(rows: list[list[int]], full: bool) -> tuple[list[int], int]:
+    """Eliminate the integer rows in place; returns (pivot columns, last
+    pivot).
 
-    Returns (rref rows, pivot column indices).  Accepts any nested iterable
-    of Fraction/int rows of one length; rows of the result are lists of
-    Fractions.  Eliminates on the denominator-cleared integer matrix: with
-    pivot piv at (r, c), every other row becomes
-    (piv * row_i - a_ic * row_r) // prev, prev the previous pivot.  Each
-    division is exact, since every entry is then a minor of the matrix
-    (Sylvester's identity), and at the end each pivot row is the last pivot
-    times its reduced row.
+    With pivot piv at (r, c), every later row (and with `full`, every other
+    row) becomes (piv * row_i - a_ic * row_r) // prev, prev the previous
+    pivot.  Each division is exact, since every entry is then a minor of
+    the matrix (Sylvester's identity).  With `full` the result is the
+    reduced row echelon form times the last pivot; without, the rows below
+    the pivot rows are zero.
     """
-    rows, _ = _integer_matrix(mat)
     pivots: list[int] = []
     if not rows:
-        return rows, pivots
+        return pivots, 1
     nrows, ncols = len(rows), len(rows[0])
     prev = 1
     r = 0
@@ -140,9 +148,10 @@ def row_reduce(mat) -> tuple[Mat, list[int]]:
         rows[r], rows[found] = rows[found], rows[r]
         ref = rows[r]
         piv = ref[c]
-        for i, row in enumerate(rows):
+        for i in range(0 if full else r + 1, nrows):
             if i == r:
                 continue
+            row = rows[i]
             f = row[c]
             if f:
                 rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, ref)]
@@ -153,13 +162,27 @@ def row_reduce(mat) -> tuple[Mat, list[int]]:
         r += 1
         if r == nrows:
             break
+    return pivots, prev
+
+
+def row_reduce(mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form over the rationals.
+
+    Returns (rref rows, pivot column indices).  Accepts any nested iterable
+    of Fraction/int rows of one length; rows of the result are lists of
+    Fractions.  Runs `_bareiss` to full Gauss-Jordan form on the
+    denominator-cleared integer matrix, after which each pivot row is the
+    last pivot times its reduced row.
+    """
+    rows, _ = _integer_matrix(mat)
+    pivots, last = _bareiss(rows, full=True)
     zero = Q(0)
-    return [[Q(a, prev) if a else zero for a in row] for row in rows], pivots
+    return [[Q(a, last) if a else zero for a in row] for row in rows], pivots
 
 
 def rank(mat) -> int:
-    """Rank of a matrix of ints and Fractions, by integer elimination on
-    its denominator-cleared multiple."""
+    """Rank of a matrix of ints and Fractions: `int_rank` of its
+    denominator-cleared multiple."""
     return int_rank(_integer_matrix(mat)[0])
 
 
@@ -260,11 +283,13 @@ def mirror_symplectic_form(n: int):
 
 
 # ---------------------------------------------------------------------------
-# integer fraction-free elimination
+# sparse integer elimination
 #
-# Incremental echelon form with dict-of-column sparse rows.  Each reduction
-# step is a cross-multiplication (keeps everything in Z) followed by a gcd
-# division, so entries stay small on the structured matrices we feed it.
+# Incremental echelon form with dict-of-column sparse rows, for rows that
+# arrive one at a time or are mostly zero (`int_row_basis`, the adjoint
+# rows of `chevalley.orbit_dim`).  Each reduction step is a cross-
+# multiplication (keeps everything in Z) followed by a gcd division, so
+# entries stay small on the structured matrices we feed it.
 
 
 class IntEchelon:
@@ -316,11 +341,19 @@ class IntEchelon:
 
 
 def int_rank(mat) -> int:
-    """Rank of an integer matrix (rows = iterables of ints or sparse dicts)."""
-    ech = IntEchelon()
-    for row in mat:
-        ech.insert(row)
-    return ech.rank
+    """Rank of a matrix of Python ints.
+
+    Rows given as iterables of ints, all of one length, go through forward
+    Bareiss elimination (`_bareiss`), the dense engine of `row_reduce`; a
+    matrix with sparse dict rows {column: value} goes through `IntEchelon`.
+    ValueError on ragged rows.
+    """
+    rows = list(mat)
+    if any(isinstance(row, dict) for row in rows):
+        return len(int_row_basis(rows))
+    rows = [list(row) for row in rows]
+    _check_rectangular(rows)
+    return len(_bareiss(rows, full=False)[0])
 
 
 def int_row_basis(mat) -> list[int]:

@@ -5,7 +5,8 @@ integer code against: root generation by reflections of rational
 ε-coordinate vectors, fundamental weights and the invariant form in
 ε-coordinates, structure constants computed on ε-vectors with Fraction
 ratios of squared lengths, image statistics by rational elimination, and
-isotropic planes sampled in Fraction coordinates.  Nothing in `secant`
+isotropic planes sampled in Fraction coordinates, and the coform of an
+operator as a Fraction matrix product.  Nothing in `secant`
 imports this module.
 """
 
@@ -225,6 +226,11 @@ def fraction_structure_constants(st, sign_fn=None) -> dict:
 
 _CASES = {(4, 4): "a", (4, 2): "b", (4, 0): "c", (2, 1): "d", (2, 0): "e",
           (0, 0): "f"}
+
+
+def fraction_coform_of_operator(A, G) -> list:
+    """The coform W = A G^{-1} as a Fraction matrix product."""
+    return matmul(A, inverse(G))
 
 
 def fraction_skew_im_stats(omega, sym) -> tuple:

@@ -27,6 +27,7 @@ from secant.chevalley import (
 )
 from lie_reference import (
     ALL_TYPES,
+    fraction_coform_of_operator,
     fraction_coroot_pairing,
     fraction_form,
     fraction_isotropic_pair_case,
@@ -343,6 +344,34 @@ def test_randomized_realizations_keep_stats():
             A2, G2 = random_so_conjugate(A, G, rng)
             W2 = coform_of_operator(A2, G2)
             assert skew_im_stats(W2, G2) == expected
+
+
+@pytest.mark.parametrize("parts,expected", PARTITIONS_13)
+def test_coform_of_operator_matches_fraction_reference(parts, expected):
+    A, G = so_nilpotent_realization(parts)
+    W = coform_of_operator(A, G)
+    assert all(type(x) is int for row in W for x in row)
+    assert W == fraction_coform_of_operator(A, G)
+    # rational inputs: a transported pair and a rescaled form, where some
+    # entries stay Fractions; each entry is in the exact-scalar normal form
+    rng = random.Random(sum(parts) * 100 + len(parts))
+    A2, G2 = random_so_conjugate(A, G, rng)
+    half = [[Q(x, 2) for x in row] for row in G]
+    third = [[x / 3 for x in row] for row in A2]
+    for a, g in ((A2, G2), (A, half), (third, G2)):
+        W = coform_of_operator(a, g)
+        assert W == fraction_coform_of_operator(a, g)
+        assert all(type(x) is int or (type(x) is Q and x.denominator > 1)
+                   for row in W for x in row)
+
+
+def test_coform_of_operator_rejects_non_skew_operator():
+    A, _ = so_nilpotent_realization((3,) + (1,) * 10)
+    identity = [[int(i == j) for j in range(13)] for i in range(13)]
+    with pytest.raises(ValueError, match="operator is not skew for this form"):
+        coform_of_operator(A, identity)
+    with pytest.raises(ValueError, match="operator is not skew for this form"):
+        coform_of_operator([[Q(1, 2), 0], [0, 0]], [[0, 1], [1, 0]])
 
 
 def test_skew_im_stats_validation():

@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import linalg_reference as ref
 from secant.linalg import (
@@ -18,6 +20,7 @@ from secant.linalg import (
     int_row_basis,
     inverse,
     matmul,
+    mirror_symplectic_form,
     modp_nullspace,
     modp_rank,
     modp_rank_batch,
@@ -25,6 +28,8 @@ from secant.linalg import (
     rank,
     rational_sqrt,
     row_reduce,
+    split_symmetric_form,
+    split_symplectic_form,
 )
 from secant.oracle import _SMALL_PRIMES  # noqa: the oracle's primes
 
@@ -151,6 +156,55 @@ def test_row_reduce_rejects_ragged_rows():
 def test_rank_rejects_ragged_rows():
     with pytest.raises(ValueError):
         rank([[1, 2, 3], [4, 5]])
+
+
+_HUGE = 10 ** 200
+
+
+@st.composite
+def _dense_int_matrices(draw):
+    """Integer matrices of 1..7 rows and columns: small or 200-digit
+    entries, sometimes all zero, with up to three extra rows that repeat or
+    combine earlier ones."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([0, 3, _HUGE]))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                           st.integers(0, nrows - 1),
+                                           st.integers(-2, 2)), max_size=3)):
+        rows.append([a + c * b for a, b in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense_int_matrices())
+@example([[0] * 5] * 3)                              # zero
+@example([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])  # tall
+@example([[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12]])  # wide, repeated
+@example([[_HUGE, 1 - _HUGE, 7]])                    # 1 x n
+@example([[_HUGE], [-_HUGE], [0], [3]])              # n x 1
+# 200-digit rows with a minor of -1, one repeated
+@example([[_HUGE + 1, _HUGE], [_HUGE, _HUGE - 1], [_HUGE + 1, _HUGE]])
+def test_int_rank_matches_fraction_pivot_count(mat):
+    want = len(ref.row_reduce(mat)[1])
+    assert int_rank(mat) == rank(mat) == want
+    assert int_rank(tuple(map(tuple, mat))) == want
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_int_rank_of_split_forms(n):
+    forms = [split_symmetric_form(n)]
+    if n % 2 == 0:
+        forms += [split_symplectic_form(n), mirror_symplectic_form(n)]
+    for form in forms:
+        assert int_rank(form) == len(ref.row_reduce(form)[1]) == n
+
+
+def test_int_rank_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        int_rank([[1, 2, 3], [4, 5]])
 
 
 def test_int_rank_sparse_rows():
