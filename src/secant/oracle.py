@@ -971,35 +971,53 @@ def _digit_add_rows(halves, p, k, scale):
     return (hi[:, :, None] + lo[:, None, :]).reshape(len(halves), p ** k)
 
 
+def _digit_scale_rows(p, k, scale):
+    """One int32 row per scalar l in 2..p-1: row[x] is scale times the
+    k-digit base-p code of l * x mod p, digitwise, for x in range(p**k)."""
+    digits = decode_array(np.arange(p ** k), p, k).astype(np.int64)
+    return np.array([encode_array(digits * l % p, p) * scale
+                     for l in range(2, p)], dtype=np.int32)
+
+
 def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     """Layered breadth-first rank table: layer r is (layer r-1 + cone)
     minus everything already assigned; partitions the whole space.
 
+    The cone is closed under scalars, so rank(l * v) = rank(v): the BFS
+    expands one code per F_p^* orbit, its representative, and writes the
+    rank of each code it places to the other p - 2 multiples as well.  The
+    representatives are the codes whose leading base-p digit is 1, the
+    intervals [p**k, 2 * p**k) for k < d; over F_2 that is every nonzero
+    code.
+
     Each layer runs in one of two directions (direction-optimising BFS,
     Beamer, Asanovic and Patterson, SC 2012).  While the frontier (layer
-    r-1) is small it pushes: f + s gets rank r for every frontier code f
-    and cone point s with f + s unseen.  Once |frontier| * 14 exceeds the
-    number of unseen codes it pulls: an unseen code u gets rank r if u - s
-    has rank r-1 for some cone point s.  The cone is closed under scalars,
-    so -s runs over the cone as s does and a pull adds the same cone codes
+    r-1) is small it pushes: f + s gets rank r for every representative f
+    of the frontier and cone point s with f + s unseen.  That reaches every
+    orbit of layer r: u = l * f + s gives u / l = f + s / l.  Once
+    |frontier| * 14 exceeds the number of unseen codes it pulls: an unseen
+    representative u gets rank r if u - s has rank r-1 for some cone point
+    s.  As -s runs over the cone as s does, a pull adds the same cone codes
     as a push.
 
     Blocks of at most 2^16 codes (frontier chunks when pushing, the unseen
-    codes of one window of 2^16 entries of ``ranks`` when pulling) are the
-    unit of work: each makes its buffers once, and ``threads`` workers
-    share the blocks of a layer.  A block sums its m live codes with a
-    group of g = max(1, 2^16 // m) cone points per numpy call, a (g, m)
-    array, so a small frontier, or the few codes a pull window has left,
-    costs one call per group and not one per cone point.  A pull drops the
-    codes it has placed once 8 or more cone points have run since it last
-    looked.
+    representatives of one window of 2^16 entries of ``ranks`` when
+    pulling) are the unit of work: each makes its buffers once, and
+    ``threads`` workers share the blocks of a layer.  A block sums its m
+    live codes with a group of g = max(1, 2^16 // m) cone points per numpy
+    call, a (g, m) array, so a small frontier, or the few codes a pull
+    window has left, costs one call per group and not one per cone point.
+    A pull drops the codes it has placed once 8 or more cone points have
+    run since it last looked.
 
     Over F_2, f + s is f ^ s.  Over an odd prime, digitwise addition of s
     is two lookups in half-word rows: with h = d // 2, row lo maps the low
     h base-p digits of f to those of f + s, row hi the high d - h digits
     (times p**h), so f + s = hi[f // p**h] + lo[f % p**h].  There is one
     row per distinct half of a cone point; a group reads its rows as flat
-    takes at the row offsets of its cone points plus the halves of f.
+    takes at the row offsets of its cone points plus the halves of f.  The
+    multiples of a placed code c are read the same way, from one pair of
+    digit-scaling rows per scalar l: l * c = hi_l[c // p**h] + lo_l[c % p**h].
     """
     _check_threads(threads)
     p, d = points.prime, points.dim
@@ -1011,19 +1029,31 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
     ranks = np.full(size, _UNSEEN, dtype=np.uint8)
     ranks[0] = 0
     ranks[cone] = 1
-    if p == 2:
-        steps = cone[:, None]
-    else:
+    # the orbit representatives, as code intervals; over F_2 they are the
+    # adjacent intervals that make up [1, 2**d)
+    spans = [(1, size)] if p == 2 else [(p ** k, 2 * p ** k)
+                                        for k in range(d)]
+    scalers = []
+    if p != 2:
         half = p ** (d // 2)
         lo_keys, lo_of = np.unique(cone % half, return_inverse=True)
         hi_keys, hi_of = np.unique(cone // half, return_inverse=True)
         lo_rows = _digit_add_rows(lo_keys, p, d // 2, 1)
         hi_rows = _digit_add_rows(hi_keys, p, d - d // 2, half)
-        steps = [(lo_rows[i], hi_rows[j]) for i, j in zip(lo_of, hi_of)]
         # flat tables and the offset of each cone point's row in them
         flat = (hi_rows.ravel(), lo_rows.ravel())
         offsets = (hi_of.astype(np.intp)[:, None] * hi_rows.shape[1],
                    lo_of.astype(np.intp)[:, None] * half)
+        scalers = list(zip(_digit_scale_rows(p, d - d // 2, half),
+                           _digit_scale_rows(p, d // 2, 1)))
+
+    def place_multiples(r, hi, lo):
+        # rank r for the other multiples of the codes with halves hi (not
+        # scaled) and lo
+        for hi_l, lo_l in scalers:
+            mult = hi_l[hi]
+            mult += lo_l[lo]
+            ranks[mult] = r
 
     def expand(r, pull, block):
         # a sum is read from keys: the codes over F_2, their high and low
@@ -1048,11 +1078,10 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
             c, a, b, sn, ht = (buf[:g * m].reshape(g, m) for buf in (
                 cand, parts[0], parts[1], seen, hit))
             if p == 2:
-                np.bitwise_xor(steps[k:k + g], keys[0], out=c)
+                np.bitwise_xor(cone[k:k + g, None], keys[0], out=c)
             elif g == 1:
-                lo, hi = steps[k]
-                np.take(hi, keys[0], out=a[0], mode="clip")
-                np.take(lo, keys[1], out=b[0], mode="clip")
+                np.take(hi_rows[hi_of[k]], keys[0], out=a[0], mode="clip")
+                np.take(lo_rows[lo_of[k]], keys[1], out=b[0], mode="clip")
                 np.add(a, b, out=c)
             else:
                 # c holds each flat index until the sum overwrites it
@@ -1066,6 +1095,10 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
             k += g
             if not pull:
                 ranks[c[ht]] = r
+                if scalers:
+                    hi = a[ht]
+                    hi //= half
+                    place_multiples(r, hi, b[ht])
                 continue
             done = found[:m]
             done |= ht[0] if g == 1 else ht.any(axis=0)
@@ -1075,13 +1108,27 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
             since = 0
             if not done.any():
                 continue
-            codes = keys[0] if p == 2 else keys[0] * half + keys[1]
-            ranks[codes[done]] = r
+            if p == 2:
+                ranks[keys[0][done]] = r
+            else:
+                hi, lo = (key[done] for key in keys)
+                ranks[hi * half + lo] = r
+                place_multiples(r, hi, lo)
             keep = ~done
             keys = [key[keep] for key in keys]
             if not len(keys[0]):
                 return
             found[:len(keys[0])] = False
+
+    def scan(value, start=0, stop=size):
+        # the representatives in [start, stop) whose rank byte is value
+        pieces = []
+        for lo, hi in spans:
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                pieces.append(np.flatnonzero(ranks[lo:hi] == value))
+                pieces[-1] += lo
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     unseen = size - 1 - len(cone)
     placed = len(cone)
@@ -1092,14 +1139,14 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
             raise AssertionError("rank layering failed to terminate")
         pull = placed * _PULL_RATIO > unseen
         if pull:
-            starts = range(0, size, _BLOCK)
+            # the windows of _BLOCK codes that hold representatives
+            starts = sorted({w for lo, hi in spans
+                             for w in range(lo - lo % _BLOCK, hi, _BLOCK)})
 
             def run(start):
-                block = np.flatnonzero(ranks[start:start + _BLOCK] == _UNSEEN)
-                block += start
-                expand(r, pull, block)
+                expand(r, pull, scan(_UNSEEN, start, start + _BLOCK))
         else:
-            frontier = np.flatnonzero(ranks == r - 1)
+            frontier = scan(r - 1)
             starts = range(0, len(frontier), _BLOCK)
 
             def run(start):

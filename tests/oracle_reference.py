@@ -446,8 +446,9 @@ def bfs_rank_table(points, threads=1):
     numpy call: the same direction rule, blocks of 2^16 codes and thread
     split, but every step sums one cone point with every live key of a
     block (over an odd prime by two takes from that point's digit-add
-    rows), and a pull drops its placed codes every `_COMPACT_EVERY` cone
-    points.  Returns the (p**d,) uint8 rank array."""
+    rows), a pull drops its placed codes every `_COMPACT_EVERY` cone
+    points, and every code is expanded, not one per F_p^* orbit.  Returns
+    the (p**d,) uint8 rank array."""
     p, d = points.prime, points.dim
     size = p ** d
     cone = points.cone_codes()

@@ -113,7 +113,8 @@ def reference_ranks(reps, p, d):
 #: windows finish early and late, F_2 and odd primes.
 STEPWISE_FAMILIES = [("segre-3x4", 3), ("segre-3x3", 3), ("quadric-8", 3),
                      ("quadric-8", 5), ("gr3-6", 2), ("spinor10", 2),
-                     ("segre-2x2x2", 3)]
+                     ("segre-2x2x2", 3), ("veronese2-3", 7),
+                     ("segre-2x2x2", 5)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,20 +436,34 @@ class TestBFS:
                 mat[j][i] = v
             assert table.rank_of_code(code) == modp_rank(mat, 2) // 2
 
-    def test_threads_agree(self):
-        # the 635376 codes left unseen for layer 3 spread over all 16
-        # windows of 2^16 codes, so the pulled layer splits into 16 blocks
-        pts = enumerate_cone_points("gr3-6", 2)
-        seq = bfs_rank_table(pts, threads=1)
+    @staticmethod
+    def racing_table(pts):
         # more workers than cores, switching often, so that lost or
         # misplaced writes to the shared rank array would show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            par = bfs_rank_table(pts, threads=4)
+            return bfs_rank_table(pts, threads=4)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_agree(self):
+        # the 635376 codes left unseen for layer 3 spread over all 16
+        # windows of 2^16 codes, so the pulled layer splits into 16 blocks
+        pts = enumerate_cone_points("gr3-6", 2)
+        seq = bfs_rank_table(pts, threads=1)
+        par = self.racing_table(pts)
         assert seq.layer_counts()[3] == 635376
+        assert np.array_equal(seq.ranks, par.ranks)
+
+    def test_threads_agree_odd_prime(self):
+        # layer 3 pulls into the representatives of six windows; the
+        # doubles of the codes it places there land in windows 5 to 8, so
+        # the writes of one block cross the window another block scans
+        pts = enumerate_cone_points("segre-3x4", 3)
+        seq = bfs_rank_table(pts, threads=1)
+        par = self.racing_table(pts)
+        assert seq.layer_counts()[3] == 449280
         assert np.array_equal(seq.ranks, par.ranks)
 
     @pytest.mark.parametrize("threads", [0, -3])
@@ -497,6 +512,17 @@ class TestBFS:
         monkeypatch.setattr(orc, "_BLOCK", block)
         assert np.array_equal(bfs_rank_table(pts, threads=threads).ranks,
                               want)
+
+    @pytest.mark.parametrize("family,p", [
+        (family, p) for family, p in STEPWISE_FAMILIES if p > 2])
+    def test_ranks_are_scalar_invariant(self, family, p):
+        # over F_2 there is no scalar besides 1
+        pts, _ = stepwise_table(family, p)
+        ranks = bfs_rank_table(pts).ranks
+        digits = decode_array(np.arange(len(ranks)), p, pts.dim)
+        for scalar in range(2, p):
+            multiples = encode_array(digits * scalar % p, p)
+            assert np.array_equal(ranks[multiples], ranks), scalar
 
     def test_push_then_pull(self):
         # layer 2 pushes from the 128 cone codes (128 * 14 <= 6432 unseen)
