@@ -26,6 +26,7 @@ from math import factorial
 from .linalg import (
     IntEchelon,
     _exact_div,
+    _int_inverse,
     _integer_matrix,
     _integer_row,
     int_rank,
@@ -80,7 +81,7 @@ class ChevalleyAlgebra:
     in the bracket table.
     """
 
-    def __init__(self, system: RootSystem, sign_fn=None):
+    def __init__(self, system: RootSystem):
         self.system = system
         self.type = system.type
         l = self.type.rank
@@ -107,7 +108,7 @@ class ChevalleyAlgebra:
             put(k, index[tuple(-c for c in r)],
                 tuple((i, _exact(m * system.gram[i][i], rr))
                       for i, m in enumerate(r) if m))
-        for (ra, rb), v in _structure_constants(system, sign_fn).items():
+        for (ra, rb), v in _structure_constants(system).items():
             put(index[ra], index[rb],
                 ((index[tuple(map(operator.add, ra, rb))], v),))
 
@@ -140,13 +141,14 @@ class ChevalleyAlgebra:
 
 
 def _exact(num: int, den: int) -> int:
-    """num / den, asserting that it divides."""
+    """num / den; AssertionError unless it divides."""
     q, rem = divmod(num, den)
-    assert rem == 0, (num, den)
+    if rem:
+        raise AssertionError("%d does not divide %d" % (den, num))
     return q
 
 
-def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
+def _structure_constants(system: RootSystem) -> dict:
     """Integer constants N(a,b) for all root pairs with a+b a root, keyed by
     simple-root coefficient tuples.
 
@@ -156,8 +158,6 @@ def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
     length of the descending root string.  All other constants follow from
     the Jacobi identity (Carter, Simple Groups of Lie Type, 4.1); ratios of
     squared lengths come from the integer Gram matrix and divide exactly.
-    `sign_fn` (coeff tuple -> +-1) overrides the extraspecial sign per
-    root, for convention-independence tests.
     """
     pos = system.positive_coeffs
     pidx = {r: i for i, r in enumerate(pos)}
@@ -212,10 +212,7 @@ def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
             if b in pidx and pidx[a] < pidx[b]:
                 specials.append((a, b))
         a1, b1 = specials[0]
-        sign = 1 if sign_fn is None else sign_fn(g)
-        if sign not in (1, -1):
-            raise ValueError("sign function must return +1 or -1")
-        n11 = sign * (string_down(a1, b1) + 1)
+        n11 = string_down(a1, b1) + 1
         table[(a1, b1)] = n11
         for a, b in specials[1:]:
             na = neg(a)
@@ -227,7 +224,8 @@ def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
             if d2 in roots:
                 t += nval(na, a1) * nval(d2, b1)
             val = _exact(norm[g] * t, norm[b] * n11)
-            assert val != 0, (a, b, g)
+            if not val:
+                raise AssertionError("zero constant N%s" % ((a, b),))
             table[(a, b)] = val
 
     # a root as one integer in signed base 32: coefficients of a sum of
@@ -239,7 +237,8 @@ def _structure_constants(system: RootSystem, sign_fn=None) -> dict:
         for b, cb in code.items():
             if ca + cb in sums:
                 v = nval(a, b)
-                assert v != 0
+                if not v:
+                    raise AssertionError("zero constant N%s" % ((a, b),))
                 full[(a, b)] = v
     return full
 
@@ -377,13 +376,14 @@ def e7_wild_witness() -> E7WitnessReport:
     """
     alg = build_chevalley(SimpleType("E", 8))
     sysm = alg.system
-    assert sysm.gram_den == 1  # so form is the invariant inner product
+    if sysm.gram_den != 1:  # so form is the invariant inner product
+        raise AssertionError("E8 Gram matrix is not integral")
     inner = sysm.form
     delta1_idx = list(grade_by_fundamental(alg, 1).components[1])
     delta1 = [alg.root_of_basis(k) for k in delta1_idx]
     theta = sysm.positive_coeffs[-1]
-    for r in delta1:
-        assert inner(r, theta) == 1
+    if any(inner(r, theta) != 1 for r in delta1):
+        raise AssertionError("a degree-1 root does not pair to 1 with theta")
 
     single_dim = orbit_dim(alg, {delta1_idx[0]: 1})
 
@@ -391,7 +391,8 @@ def e7_wild_witness() -> E7WitnessReport:
     pair_reps: dict = {2: (delta1[0], delta1[0])}
     for i, j in itertools.combinations(range(len(delta1)), 2):
         v = inner(delta1[i], delta1[j])
-        assert v in (1, 0, -1)
+        if v not in (1, 0, -1):
+            raise AssertionError("degree-1 roots pair to %d" % v)
         if v in pair_dims:
             continue
         pair_dims[v] = orbit_dim(alg, {delta1_idx[i]: 1, delta1_idx[j]: 1})
@@ -411,8 +412,8 @@ def e7_wild_witness() -> E7WitnessReport:
             "no pairwise orthogonal degree-1 root triple: root table bug")
     i, j, k = triple
     minus_theta = tuple(-c for c in theta)
-    for t in (i, j, k):  # the quadruple with -theta forms a D4 diagram
-        assert inner(minus_theta, delta1[t]) == -1
+    if any(inner(minus_theta, delta1[t]) != -1 for t in triple):
+        raise AssertionError("the witness roots and -theta are not a D4")
     element = {delta1_idx[i]: 1, delta1_idx[j]: 1, delta1_idx[k]: 1}
     witness_dim = orbit_dim(alg, element)
 
@@ -491,7 +492,8 @@ def so_nilpotent_realization(parts) -> tuple:
                     G[u + i][v + d - 1 - i] = (-1) ** i
                     G[v + d - 1 - i][u + i] = (-1) ** i
                 off += 2 * d
-    assert off == n
+    if off != n:
+        raise AssertionError("blocks fill %d of %d coordinates" % (off, n))
     return A, G
 
 
@@ -499,12 +501,13 @@ def coform_of_operator(A, G):
     """The skew coform W = A G^{-1} of a G-skew operator A; ValueError when
     W is not skew.
 
-    A and G^{-1} are each cleared to integers over one denominator, so the
-    product and the skew check run in ints and each entry is divided once:
-    an int where it divides, a Fraction otherwise.
+    A is cleared to integers over one denominator and G^{-1} is taken as
+    integers over one (`_int_inverse`), so the product and the skew check
+    run in ints and each entry is divided once: an int where it divides, a
+    Fraction otherwise.
     """
     a, da = _integer_matrix(A)
-    g, dg = _integer_matrix(inverse(G))
+    g, dg = _int_inverse(G)
     cols = list(zip(*g))
     W = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
     n = len(W)

@@ -72,9 +72,12 @@ def _unit_marks(g: GroupDescriptor) -> list[tuple[int, int, str, int]]:
 
 
 def height2_tame(g: GroupDescriptor) -> bool:
-    """Height-2 rule: tame iff the weight is a sum of two dense fundamentals."""
+    """Height-2 rule: tame iff the weight is a sum of two dense fundamentals.
+    ValueError unless the descriptor has height 2."""
     units = _unit_marks(g)
-    assert len(units) == 2
+    if len(units) != 2:
+        raise ValueError("height-2 rule applied to %s of height %d"
+                         % (format_descriptor(g), len(units)))
     return all(dense_position(fam, rk, pos) for _, pos, fam, rk in units)
 
 
@@ -462,7 +465,8 @@ def find_wild_certificate(
     for _ in range(3):
         nxt: list[tuple[GroupDescriptor, tuple[Chopping, ...]]] = []
         for state, chain in frontier:
-            assert len(state.factors) == 1  # fundamental chops stay fundamental
+            if len(state.factors) != 1:  # fundamental chops stay fundamental
+                raise AssertionError("chop left %s" % format_descriptor(state))
             st, marks = state.factors[0]
             for boundary in _mark_boundaries(st, marks.index(1) + 1):
                 result = _chop(state, (boundary,))

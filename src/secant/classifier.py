@@ -152,8 +152,7 @@ def classify(g: GroupDescriptor) -> TamenessVerdict:
         raise ValueError("trivial one-dimensional module: no verdict "
                          "(effective pairs need height >= 1)")
     if h >= 3:
-        cert = find_wild_certificate(g)
-        assert cert is not None
+        cert = _wild_certificate(g)
         return TamenessVerdict("wild", REASON_H3, cert.citation, cert)
     if h == 2:
         if height2_tame(g):
@@ -171,8 +170,7 @@ def classify(g: GroupDescriptor) -> TamenessVerdict:
                 "height-2 weight equal to a sum of two projectively-dense "
                 "fundamental weights (%s); these sums are exactly the tame "
                 "height-2 pairs" % shape)
-        cert = find_wild_certificate(g)
-        assert cert is not None
+        cert = _wild_certificate(g)
         failing = height2_failing_factors(g)
         names = ", ".join(str(g.factors[fi][0]) for fi in failing)
         return TamenessVerdict(
@@ -185,12 +183,17 @@ def classify(g: GroupDescriptor) -> TamenessVerdict:
     citation = _fundamental_tame_citation(st, pos)
     if citation is not None:
         return TamenessVerdict("tame", REASON_TABLE, citation)
+    cert = _wild_certificate(g)
+    return TamenessVerdict("wild", REASON_CERTIFICATE, cert.citation, cert)
+
+
+def _wild_certificate(g: GroupDescriptor) -> Certificate:
+    """The certificate of a wild module; AssertionError if none is found."""
     cert = find_wild_certificate(g)
     if cert is None:
-        raise AssertionError(
-            "inconsistency: %s is absent from the tame fundamental table "
-            "but no wildness certificate was found" % format_descriptor(g))
-    return TamenessVerdict("wild", REASON_CERTIFICATE, cert.citation, cert)
+        raise AssertionError("no wildness certificate was found for %s, "
+                             "which is not tame" % format_descriptor(g))
+    return cert
 
 
 # ---------------------------------------------------------------------------

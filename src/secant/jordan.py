@@ -17,11 +17,11 @@ All arithmetic is exact.  Coordinates are int first, in the normal form of
 `secant.linalg._exact_scalar`: a coordinate stays a Python int until a true
 division forces a Fraction, and a Fraction that comes back to denominator
 1 is stored as an int again; an octonion whose coordinates are all ints is
-kept as it is.  The octonion product is one straight-line function per
-multiplication table, generated on first use.  Rank-2 splits that need
-sqrt(d) use QuadExt, which keeps integer numerators over one common
-denominator.  Floats are rejected.  The mod-p witness search works on
-machine integers mod p.
+kept as it is.  Octonions multiply by one table, `FANO_LINES`, through
+one straight-line function generated from it at import.  Rank-2 splits
+that need sqrt(d) use QuadExt, which keeps integer numerators over one
+common denominator.  Floats are rejected.  The mod-p witness search works
+on machine integers mod p.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .rootsys import CapExceeded, SimpleType, build_root_system
 
 __all__ = [
     "FANO_LINES",
-    "FANO_LINES_ALT",
     "AlbertElement",
     "Rank2Split",
     "Rank3Split",
@@ -77,18 +76,13 @@ __all__ = [
 #: (i, j, k) encodes ei*ej = ek (and cyclic rotations), ej*ei = -ek, with
 #: ei*ei = -1.  Not every orientation of a line set yields a composition
 #: algebra (the norm must be multiplicative); this one does, and any two
-#: valid tables give isomorphic algebras.
+#: valid tables give isomorphic algebras, so every product uses this one.
 FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 7, 6),
               (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5))
-
-#: A second orientation convention (lines i -> i+1 -> i+3 cyclically, indices
-#: mod 7) used by tests to confirm rank computations are convention-free.
-FANO_LINES_ALT = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
 
 ZERO_OCT = (0,) * 8
 
 
-@lru_cache(maxsize=None)
 def _mult_table(lines):
     """8x8 table: entry [i][j] = (k, sign) meaning e_i e_j = sign * e_k."""
     tab = [[None] * 8 for _ in range(8)]
@@ -110,16 +104,14 @@ def _mult_table(lines):
     return tuple(tuple(row) for row in tab)
 
 
-@lru_cache(maxsize=None)
 def _flat_table(lines):
     """The 64 products e_i e_j = sign * e_k as flat (i, j, k, sign) tuples."""
     tab = _mult_table(lines)
     return tuple((i, j) + tab[i][j] for i in range(8) for j in range(8))
 
 
-@lru_cache(maxsize=None)
 def _oct_kernel(lines):
-    """Straight-line octonion product for one multiplication table: each
+    """Straight-line octonion product for a multiplication table: each
     of the 8 output coordinates is one signed sum of 8 products over the
     unpacked coordinates u0..u7 and v0..v7.  The source is generated from
     the validated integer table `_flat_table(lines)` only, so every valid
@@ -134,6 +126,9 @@ def _oct_kernel(lines):
     namespace = {}
     exec(compile(src, "<octonion product %r>" % (lines,), "exec"), namespace)
     return namespace["kernel"]
+
+
+_OCT_PRODUCT = _oct_kernel(FANO_LINES)
 
 
 def _coerce_num(v):
@@ -164,13 +159,14 @@ def _coerce_oct(v):
     return _normal_oct(co)
 
 
-def oct_mul(u, v, lines=FANO_LINES):
+def oct_mul(u, v):
     """Product of two octonions given by 8-coordinate tuples."""
-    return _normal_oct(_oct_kernel(lines)(u, v))
+    return _normal_oct(_OCT_PRODUCT(u, v))
 
 
 def oct_conj(u):
-    return (u[0],) + tuple(-c for c in u[1:])
+    u0, u1, u2, u3, u4, u5, u6, u7 = u
+    return (u0, -u1, -u2, -u3, -u4, -u5, -u6, -u7)
 
 
 def oct_dot(u, v):
@@ -207,43 +203,42 @@ class AlbertElement:
     Q(sqrt(d)); all operations are exact.
     """
 
-    __slots__ = ("a", "b", "c", "x", "y", "z", "lines")
+    __slots__ = ("a", "b", "c", "x", "y", "z")
 
-    def __init__(self, a=0, b=0, c=0, x=None, y=None, z=None, lines=FANO_LINES):
+    def __init__(self, a=0, b=0, c=0, x=None, y=None, z=None):
         self.a = _coerce_num(a)
         self.b = _coerce_num(b)
         self.c = _coerce_num(c)
         self.x = _coerce_oct(x)
         self.y = _coerce_oct(y)
         self.z = _coerce_oct(z)
-        self.lines = lines
 
     # -- constructors
 
     @classmethod
-    def zero(cls, lines=FANO_LINES):
-        return cls(lines=lines)
+    def zero(cls):
+        return cls()
 
     @classmethod
-    def identity(cls, lines=FANO_LINES):
-        return cls(1, 1, 1, lines=lines)
+    def identity(cls):
+        return cls(1, 1, 1)
 
     @classmethod
-    def diag(cls, a, b, c, lines=FANO_LINES):
-        return cls(a, b, c, lines=lines)
+    def diag(cls, a, b, c):
+        return cls(a, b, c)
 
     @classmethod
-    def from_coords(cls, coords, lines=FANO_LINES):
+    def from_coords(cls, coords):
         co = list(coords)
         if len(co) != 27:
             raise ValueError("need 27 coordinates, got %d" % len(co))
-        return cls(co[0], co[1], co[2], co[3:11], co[11:19], co[19:27], lines=lines)
+        return cls(co[0], co[1], co[2], co[3:11], co[11:19], co[19:27])
 
     @classmethod
-    def basis_element(cls, i, lines=FANO_LINES):
+    def basis_element(cls, i):
         co = [0] * 27
         co[i] = 1
-        return cls.from_coords(co, lines=lines)
+        return cls.from_coords(co)
 
     # -- plumbing
 
@@ -254,13 +249,11 @@ class AlbertElement:
     def _check_compatible(self, other):
         if not isinstance(other, AlbertElement):
             raise TypeError("expected an AlbertElement")
-        if self.lines != other.lines:
-            raise ValueError("mixed octonion multiplication conventions")
 
     def __eq__(self, other):
         if not isinstance(other, AlbertElement):
             return NotImplemented
-        return self.lines == other.lines and self.coords() == other.coords()
+        return self.coords() == other.coords()
 
     def __hash__(self):
         return hash(tuple(self.coords()))
@@ -275,7 +268,7 @@ class AlbertElement:
         ints, den = _integer_row(co)
         if den == 1:
             return self, 1
-        return AlbertElement.from_coords(ints, lines=self.lines), den
+        return AlbertElement.from_coords(ints), den
 
     def is_zero(self):
         return not any(self.coords())
@@ -292,8 +285,7 @@ class AlbertElement:
             self.a + other.a, self.b + other.b, self.c + other.c,
             tuple(p + q for p, q in zip(self.x, other.x)),
             tuple(p + q for p, q in zip(self.y, other.y)),
-            tuple(p + q for p, q in zip(self.z, other.z)),
-            lines=self.lines)
+            tuple(p + q for p, q in zip(self.z, other.z)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -305,8 +297,7 @@ class AlbertElement:
         s = _coerce_num(s)
         return AlbertElement(
             s * self.a, s * self.b, s * self.c,
-            oct_scale(self.x, s), oct_scale(self.y, s), oct_scale(self.z, s),
-            lines=self.lines)
+            oct_scale(self.x, s), oct_scale(self.y, s), oct_scale(self.z, s))
 
     def __mul__(self, s):
         return self.scale(s)
@@ -329,33 +320,31 @@ class AlbertElement:
     def jordan(self, other):
         """Symmetrized matrix product (XY + YX) / 2, again Hermitian."""
         self._check_compatible(other)
-        ln = self.lines
         a1, b1, c1, x1, y1, z1 = self.a, self.b, self.c, self.x, self.y, self.z
         a2, b2, c2, x2, y2, z2 = other.a, other.b, other.c, other.x, other.y, other.z
         na = a1 * a2 + oct_dot(z1, z2) + oct_dot(y1, y2)
         nb = b1 * b2 + oct_dot(z1, z2) + oct_dot(x1, x2)
         nc = c1 * c2 + oct_dot(y1, y2) + oct_dot(x1, x2)
-        tx = oct_mul(oct_conj(z1), oct_conj(y2), ln)
-        tx2 = oct_mul(oct_conj(z2), oct_conj(y1), ln)
+        tx = oct_mul(oct_conj(z1), oct_conj(y2))
+        tx2 = oct_mul(oct_conj(z2), oct_conj(y1))
         nx = tuple(_exact_div(p + q + (b1 + c1) * r + (b2 + c2) * s, 2)
                    for p, q, r, s in zip(tx, tx2, x2, x1))
-        ty = oct_mul(oct_conj(x1), oct_conj(z2), ln)
-        ty2 = oct_mul(oct_conj(x2), oct_conj(z1), ln)
+        ty = oct_mul(oct_conj(x1), oct_conj(z2))
+        ty2 = oct_mul(oct_conj(x2), oct_conj(z1))
         ny = tuple(_exact_div(p + q + (a2 + c2) * r + (a1 + c1) * s, 2)
                    for p, q, r, s in zip(ty, ty2, self.y, other.y))
-        tz = oct_mul(oct_conj(y1), oct_conj(x2), ln)
-        tz2 = oct_mul(oct_conj(y2), oct_conj(x1), ln)
+        tz = oct_mul(oct_conj(y1), oct_conj(x2))
+        tz2 = oct_mul(oct_conj(y2), oct_conj(x1))
         nz = tuple(_exact_div(p + q + (a1 + b1) * r + (a2 + b2) * s, 2)
                    for p, q, r, s in zip(tz, tz2, z2, z1))
-        return AlbertElement(na, nb, nc, nx, ny, nz, lines=ln)
+        return AlbertElement(na, nb, nc, nx, ny, nz)
 
     def det3(self):
         """Cubic norm: a b c - a N(x) - b N(y) - c N(z) + 2 Re((x y) z)."""
         whole, den = self._cleared()
         if den != 1:
             return _exact_div(whole.det3(), den ** 3)
-        ln = self.lines
-        xy = oct_mul(self.x, self.y, ln)
+        xy = oct_mul(self.x, self.y)
         re_xyz = oct_dot(xy, oct_conj(self.z))
         return (self.a * self.b * self.c
                 - self.a * oct_norm(self.x)
@@ -368,17 +357,16 @@ class AlbertElement:
         whole, den = self._cleared()
         if den != 1:
             return whole.adjugate().scale(Q(1, den * den))
-        ln = self.lines
         na = self.b * self.c - oct_norm(self.x)
         nb = self.c * self.a - oct_norm(self.y)
         nc = self.a * self.b - oct_norm(self.z)
         nx = tuple(p - self.a * r for p, r in
-                   zip(oct_mul(oct_conj(self.z), oct_conj(self.y), ln), self.x))
+                   zip(oct_mul(oct_conj(self.z), oct_conj(self.y)), self.x))
         ny = tuple(p - self.b * r for p, r in
-                   zip(oct_mul(oct_conj(self.x), oct_conj(self.z), ln), self.y))
+                   zip(oct_mul(oct_conj(self.x), oct_conj(self.z)), self.y))
         nz = tuple(p - self.c * r for p, r in
-                   zip(oct_mul(oct_conj(self.y), oct_conj(self.x), ln), self.z))
-        return AlbertElement(na, nb, nc, nx, ny, nz, lines=ln)
+                   zip(oct_mul(oct_conj(self.y), oct_conj(self.x)), self.z))
+        return AlbertElement(na, nb, nc, nx, ny, nz)
 
     def cross(self, other):
         """Bilinear polarization of the adjugate: (u+v)# - u# - v#."""
@@ -481,8 +469,8 @@ def rank2_split(x: AlbertElement) -> Rank2Split:
         mn, md = mu.numerator, mu.denominator
         plus = [_exact_div(md * p + mn * q, md * m) for p, q in pairs]
         minus = [_exact_div(md * p - mn * q, md * m) for p, q in pairs]
-    plus = AlbertElement.from_coords(plus, lines=x.lines)
-    minus = AlbertElement.from_coords(minus, lines=x.lines)
+    plus = AlbertElement.from_coords(plus)
+    minus = AlbertElement.from_coords(minus)
     if plus.is_zero() or minus.is_zero():
         raise AssertionError("rank-2 split produced pieces of wrong rank")
     if plus + minus != x:
@@ -504,7 +492,7 @@ class Rank3Split:
     attempts: int
 
 
-def rank1_from_chart(a, y, z, lines=FANO_LINES) -> AlbertElement:
+def rank1_from_chart(a, y, z) -> AlbertElement:
     """Rank-1 element with prescribed first diagonal entry a != 0 and
     octonion slots y, z; the remaining slots are forced by rank-1 identities:
     b = N(z)/a, c = N(y)/a, x = conj(z) conj(y) / a."""
@@ -515,8 +503,8 @@ def rank1_from_chart(a, y, z, lines=FANO_LINES) -> AlbertElement:
     z = _coerce_oct(z)
     b = _exact_div(oct_norm(z), a)
     c = _exact_div(oct_norm(y), a)
-    x = oct_scale(oct_mul(oct_conj(z), oct_conj(y), lines), _exact_div(1, a))
-    out = AlbertElement(a, b, c, x, y, z, lines=lines)
+    x = oct_scale(oct_mul(oct_conj(z), oct_conj(y)), _exact_div(1, a))
+    out = AlbertElement(a, b, c, x, y, z)
     if jordan_rank(out) != 1:
         raise AssertionError("chart element is not rank 1")
     return out
@@ -545,7 +533,7 @@ def rank3_split(x: AlbertElement, rng=None) -> Rank3Split:
         a0 = rng.randint(1, 5) * (1 if rng.random() < 0.5 else -1)
         yo = tuple(rng.randint(-3, 3) for _ in range(8))
         zo = tuple(rng.randint(-3, 3) for _ in range(8))
-        v = rank1_from_chart(a0, yo, zo, lines=x.lines)
+        v = rank1_from_chart(a0, yo, zo)
         vwhole, vden = v._cleared()
         pair = sharp.inner(vwhole)
         if pair == 0:
@@ -561,8 +549,7 @@ def rank3_split(x: AlbertElement, rng=None) -> Rank3Split:
             raise AssertionError("rank-3 split does not resum")
         q = den * pair
         piece, residual = (
-            AlbertElement.from_coords([_exact_div(c, q) for c in part.coords()],
-                                      lines=x.lines)
+            AlbertElement.from_coords([_exact_div(c, q) for c in part.coords()])
             for part in (piece_part, residual))
         return Rank3Split(piece=piece, residual=residual, attempts=attempt)
     raise ValueError("no transversal rank-1 direction found in 64 samples")
@@ -572,13 +559,13 @@ def rank3_split(x: AlbertElement, rng=None) -> Rank3Split:
 # Random sampling helpers (exact, seeded)
 # ---------------------------------------------------------------------------
 
-def random_albert(rng, bound: int = 9, lines=FANO_LINES) -> AlbertElement:
+def random_albert(rng, bound: int = 9) -> AlbertElement:
     """Uniform random integer coordinates in [-bound, bound]."""
     return AlbertElement.from_coords(
-        [rng.randint(-bound, bound) for _ in range(27)], lines=lines)
+        [rng.randint(-bound, bound) for _ in range(27)])
 
 
-def random_rank1(rng, bound: int = 6, lines=FANO_LINES) -> AlbertElement:
+def random_rank1(rng, bound: int = 6) -> AlbertElement:
     """Random rank-1 element via the chart with nonzero leading entry."""
     while True:
         a0 = rng.randint(-bound, bound)
@@ -586,16 +573,16 @@ def random_rank1(rng, bound: int = 6, lines=FANO_LINES) -> AlbertElement:
             continue
         yo = tuple(rng.randint(-bound, bound) for _ in range(8))
         zo = tuple(rng.randint(-bound, bound) for _ in range(8))
-        return rank1_from_chart(a0, yo, zo, lines=lines)
+        return rank1_from_chart(a0, yo, zo)
 
 
-def random_rank2_tracefree(rng, bound: int = 4, lines=FANO_LINES) -> AlbertElement:
+def random_rank2_tracefree(rng, bound: int = 4) -> AlbertElement:
     """Random trace-free rank-2 element: a trace-balanced combination of two
     rank-1 elements (rank-1 elements over Q always have nonzero trace, since
     the norm form is positive definite)."""
     while True:
-        p1 = random_rank1(rng, bound, lines)
-        p2 = random_rank1(rng, bound, lines)
+        p1 = random_rank1(rng, bound)
+        p2 = random_rank1(rng, bound)
         cand = p1.scale(p2.trace()) - p2.scale(p1.trace())
         if not cand.is_zero() and jordan_rank(cand) == 2:
             return cand
@@ -623,21 +610,17 @@ def _imatmul(a, b):
     return out
 
 
-def f4_derivations(lines=FANO_LINES):
+@lru_cache(maxsize=None)
+def f4_derivations():
     """Integer-matrix basis of the 52-dimensional derivation algebra.
 
     Multiplication operators L_u (u over the 27 coordinate basis elements)
     are assembled exactly; each returned 27x27 integer matrix is 4 [L_u, L_v]
     for one basis pair, and the 52 selected commutators span all derivations.
     Every basis matrix kills the identity element and is skew for the trace
-    form.  The result is cached per multiplication convention.
+    form.  The result is computed once and cached.
     """
-    return _f4_derivations(lines)
-
-
-@lru_cache(maxsize=None)
-def _f4_derivations(lines):
-    basis = [AlbertElement.basis_element(i, lines) for i in range(27)]
+    basis = [AlbertElement.basis_element(i) for i in range(27)]
     prods = [[None] * 27 for _ in range(27)]
     for i in range(27):
         for j in range(i, 27):
@@ -679,7 +662,7 @@ def apply_matrix(mat, elem: AlbertElement) -> AlbertElement:
             if m:
                 s = s + m * v
         out.append(s)
-    return AlbertElement.from_coords(out, lines=elem.lines)
+    return AlbertElement.from_coords(out)
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +822,7 @@ def _poly_eval_modp(coeffs, t, p):
 
 
 def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
-                          budget: int = 200, lines=FANO_LINES) -> F4WitnessResult:
+                          budget: int = 200) -> F4WitnessResult:
     """Search mod p for the wildness witness two-plane with statistics (4, 1).
 
     Construction: an isotropic octonion u gives a rank-1 trace-free x in the
@@ -875,7 +858,7 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
     units = [tuple(1 if k == j else 0 for k in range(8)) for j in range(8)]
     lmat = [[0] * 8 for _ in range(8)]
     for j in range(8):
-        col = oct_mul(u, units[j], lines)
+        col = oct_mul(u, units[j])
         for r in range(8):
             lmat[r][j] = int(col[r]) % p
     kernel = modp_nullspace(lmat, p)
@@ -883,7 +866,7 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
         result.fail_reason = "left-multiplication kernel has dimension %d" % len(kernel)
         return result
 
-    derivs = f4_derivations(lines)
+    derivs = f4_derivations()
     dmods = [[[e % p for e in row] for row in d] for d in derivs]
 
     def coords_z_slot(oc):
@@ -899,7 +882,7 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
         return co
 
     x0 = coords_z_slot(u)
-    x0_elem = AlbertElement.from_coords(x0, lines=lines)
+    x0_elem = AlbertElement.from_coords(x0)
     if any(int(q) % p for q in x0_elem.adjugate().coords()):
         result.fail_reason = "x is not rank 1 mod p"
         return result
@@ -923,7 +906,7 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
         if oct_norm(w) % p != 0:
             continue
         cand = coords_x_slot(w)
-        cand_elem = AlbertElement.from_coords(cand, lines=lines)
+        cand_elem = AlbertElement.from_coords(cand)
         if any(int(q) % p for q in cand_elem.adjugate().coords()):
             continue
         if any(int(q) % p for q in x0_elem.cross(cand_elem).coords()):

@@ -205,20 +205,30 @@ def nullspace(mat) -> list[Vec]:
     return basis
 
 
-def inverse(mat) -> Mat:
-    """Exact inverse of a square rational matrix; ValueError on a singular
-    or non-square one."""
-    mat = [list(row) for row in mat]
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+def _int_inverse(mat) -> tuple[list[list[int]], int]:
+    """(rows, den), integers with den > 0 and rows / den the inverse of a
+    square rational matrix A / d: full `_bareiss` turns [A | d I] into
+    last * [I | d A^-1].  ValueError on a singular or non-square one."""
+    a, d = _integer_matrix(mat)
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix, got rows of "
                          "lengths %s for %d rows"
-                         % (sorted({len(row) for row in mat}), n))
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    rref, pivots = row_reduce(aug)
+                         % (sorted({len(row) for row in a}), n))
+    aug = [row + [d if i == j else 0 for j in range(n)]
+           for i, row in enumerate(a)]
+    pivots, last = _bareiss(aug, full=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rref[:n]]
+    sign = -1 if last < 0 else 1
+    return [[sign * x for x in row[n:]] for row in aug], sign * last
+
+
+def inverse(mat) -> Mat:
+    """Exact inverse of a square rational matrix, as Fractions; ValueError
+    on a singular or non-square one."""
+    rows, den = _int_inverse(mat)
+    return [[Q(x, den) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------

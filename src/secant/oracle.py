@@ -43,7 +43,7 @@ import re
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import (
     _BLOCK,
@@ -190,7 +190,6 @@ class PointSet:
     prime: int
     dim: int
     reps: tuple
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.reps)
@@ -675,7 +674,6 @@ class _Family:
     asserted: bool = False
     #: (big fam, sub fam) -> big coordinate of each sub coordinate
     embed: Callable | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _dimension(low, even=False):
@@ -725,11 +723,8 @@ _FAMILIES = (
                   asserted=True, embed=_gr2_embedding),
     _wedge_family("gr3", "gr3-6", lambda: {"n": 6}, 3, False),
     _wedge_family("lambda20", r"lambda20-(\d+)", _dimension(4, even=True),
-                  2, True, meta={"codec": "free wedge coordinates after "
-                                          "removing the form trace"}),
-    _wedge_family("lambda30", "lambda30-6", lambda: {"n": 6}, 3, True,
-                  meta={"codec": "free wedge coordinates inside the "
-                                 "zero-contraction space"}),
+                  2, True),
+    _wedge_family("lambda30", "lambda30-6", lambda: {"n": 6}, 3, True),
     _Family("quadric", r"quadric-(\d+)", _dimension(2),
             dim=lambda fam: fam["n"],
             points=_quadric_points,
@@ -813,8 +808,7 @@ def enumerate_cone_points(family: str, p: int) -> PointSet:
     if not ok.all():
         raise AssertionError("%s point %r fails the membership check"
                              % (family, tuple(reps[np.argmin(ok)].tolist())))
-    return PointSet(family=family, prime=p, dim=d,
-                    reps=tuple(codes.tolist()), meta=dict(rec.meta))
+    return PointSet(family=family, prime=p, dim=d, reps=tuple(codes.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -1174,11 +1168,10 @@ def _cache_stem(family, p):
     return os.path.join(root, "oracle_%s_p%d_v%d" % (family, p, TABLE_VERSION))
 
 
-def rank_table(family: str, p: int, threads: int = 1,
-               cache: bool = True) -> RankTable:
-    """Enumerate + BFS with optional disk caching keyed by SECANT_CACHE_DIR."""
+def rank_table(family: str, p: int, threads: int = 1) -> RankTable:
+    """Enumerate + BFS, cached on disk when SECANT_CACHE_DIR is set."""
     _check_threads(threads)
-    stem = _cache_stem(family, p) if cache else None
+    stem = _cache_stem(family, p)
     if stem is not None and os.path.exists(stem + ".json"):
         try:
             table = RankTable.load(stem)
@@ -1320,7 +1313,8 @@ def tensor222_check(p: int) -> bool:
         coords[(i * 2 + j) * 2 + k] = 1
     control = [0] * 8
     control[0] = 1  # e0 x e0 x e0
-    assert table.rank_of_vec(control) == 1
+    if table.rank_of_vec(control) != 1:
+        raise AssertionError("decomposable control is not rank 1")
     return table.rank_of_vec(coords) == 3
 
 
@@ -1328,11 +1322,18 @@ def tensor222_check(p: int) -> bool:
 # Alternating 3-tensor lift comparison over F_2
 # ---------------------------------------------------------------------------
 
+#: The largest B with S * B**4 < 2**63, S = 1320 the sum of the absolute
+#: coefficients of ``wedge3_tr2_poly()``: entries up to B keep int64 exact.
+_TR2_ENTRY_CAP = 9142
+
+
 def wedge3_tr2_values(coords) -> np.ndarray:
     """Exact values of the unnormalized quartic on an (N, 20) integer
-    coordinate array, vectorized.  Entries must be small (|c| <= 100 or so)
-    for the int64 accumulation to stay exact."""
+    coordinate array, vectorized in int64; ValueError on an entry above
+    ``_TR2_ENTRY_CAP`` in absolute value, where int64 could overflow."""
     coords = np.asarray(coords, dtype=np.int64)
+    if np.abs(coords).max(initial=0) > _TR2_ENTRY_CAP:
+        raise ValueError("entries above %d in absolute value" % _TR2_ENTRY_CAP)
     poly = wedge3_tr2_poly()
     out = np.zeros(len(coords), dtype=np.int64)
     step = 1 << 16
@@ -1386,7 +1387,7 @@ def _gr3_point_lifts(table: "RankTable") -> tuple:
     return codes, lifts
 
 
-def wedge3_f2_report(cache: bool = True) -> dict:
+def wedge3_f2_report() -> dict:
     """Full comparison of the characteristic-0 rank criterion against the
     exhaustive F_2 BFS table on all 2^20 - 1 vectors.
 
@@ -1412,7 +1413,7 @@ def wedge3_f2_report(cache: bool = True) -> dict:
     search: a rational divisor space of dimension 3 reduces mod 2 to an F_2
     divisor space of dimension >= 3, which forces F_2-decomposability.
     """
-    table = rank_table("gr3-6", 2, cache=cache)
+    table = rank_table("gr3-6", 2)
     counts = table.layer_counts()
     report = {
         "layer_counts": {int(k): int(v) for k, v in counts.items()},

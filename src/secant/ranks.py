@@ -41,7 +41,6 @@ from .linalg import (
     nullspace,
     rank as mat_rank,
     row_reduce,
-    split_symmetric_form,
     split_symplectic_form,
 )
 
@@ -139,65 +138,69 @@ def gr2_rank(mat) -> int:
 # Quadric hypersurface
 # ---------------------------------------------------------------------------
 
-def _quadric_value(v, gram):
-    return _bil(v, v, gram)
+def _pairing(a, v, n):
+    """B(a, v) for the split symmetric form on n coordinates
+    (`split_symmetric_form`), nondegenerate by construction, so no Gram
+    matrix is built: coordinate k pairs with k ^ 1, and the last one with
+    itself when n is odd.  a is an iterable of (coordinate, coefficient)
+    pairs and v a dict of them."""
+    odd = n - 1 if n % 2 else -1
+    return _exact_scalar(sum(c * v.get(k if k == odd else k ^ 1, 0)
+                             for k, c in a))
 
 
-def _bil(u, v, gram):
-    return _exact_scalar(sum(a * g * b for a, row in zip(u, gram)
-                            for g, b in zip(row, v) if g))
+def _value(vec):
+    """q(vec) = B(vec, vec) of a dense vector."""
+    coords = dict(enumerate(vec))
+    return _pairing(coords.items(), coords, len(vec))
 
 
-def quadric_rank(v, gram) -> int:
-    """1 if the vector is isotropic for the nondegenerate symmetric form,
-    2 otherwise (every point off the quadric is a sum of two on it)."""
-    g = _check_matrix(gram, square=True)
-    if mat_rank(g) != len(g):
-        raise ValueError("quadratic form is degenerate")
+def quadric_rank(v) -> int:
+    """1 if the vector is isotropic for the split symmetric form, 2
+    otherwise (every point off the quadric is a sum of two on it)."""
     vec = [_exact_scalar(x) for x in v]
-    if len(vec) != len(g):
-        raise ValueError("vector length %d does not match form size %d"
-                         % (len(vec), len(g)))
     if all(x == 0 for x in vec):
         raise ValueError("zero vector has no rank")
-    return 1 if _quadric_value(vec, g) == 0 else 2
+    return 1 if _value(vec) == 0 else 2
 
 
-def quadric_split(v, gram):
-    """Certificate for quadric rank: a list of 1 or 2 isotropic vectors
-    summing to v exactly.  Requires the form to admit rational isotropic
-    directions transversal to v (true for split forms)."""
-    g = _check_matrix(gram, square=True)
+def quadric_split(v):
+    """Certificate for quadric rank: a list of 1 or 2 vectors, isotropic
+    for the split symmetric form, summing to v exactly.  The direction a
+    of the second piece is the first with q(a) = 0 and B(a, v) != 0 among
+    the coordinate vectors, then e_i +- e_j for i < j, then 500 seeded
+    vectors; each is tested on its support only."""
     vec = [_exact_scalar(x) for x in v]
-    r = quadric_rank(vec, g)
-    if r == 1:
+    if quadric_rank(vec) == 1:
         return [vec]
-    n = len(g)
-    qv = _quadric_value(vec, g)
+    n, coords = len(vec), dict(enumerate(vec))
 
     def finish(a):
         # v = t*a + (v - t*a) with q(a) = 0 and B(a, v) != 0
-        t = _exact_div(qv, 2 * _bil(a, vec, g))
-        p1 = [_exact_scalar(t * x) for x in a]
+        t = _exact_div(_value(vec), 2 * _pairing(a, coords, n))
+        coeff = dict(a)
+        p1 = [_exact_scalar(t * coeff.get(k, 0)) for k in range(n)]
         p2 = [_exact_scalar(x - y) for x, y in zip(vec, p1)]
-        assert _quadric_value(p1, g) == 0 and _quadric_value(p2, g) == 0
-        assert [x + y for x, y in zip(p1, p2)] == vec
+        if _value(p1) or _value(p2):
+            raise AssertionError("quadric split piece is not isotropic")
+        if [x + y for x, y in zip(p1, p2)] != vec:
+            raise AssertionError("quadric split does not resum")
         return [p1, p2]
 
     def candidates():
-        basis = [[1 if k == i else 0 for k in range(n)] for i in range(n)]
-        for a in basis:
-            yield a
+        for i in range(n):
+            yield ((i, 1),)
         for i in range(n):
             for j in range(i + 1, n):
                 for s in (1, -1):
-                    yield [basis[i][k] + s * basis[j][k] for k in range(n)]
+                    yield ((i, 1), (j, s))
         rng = random.Random(0)
         for _ in range(500):
-            yield [rng.randint(-4, 4) for _ in range(n)]
+            a = [rng.randint(-4, 4) for _ in range(n)]
+            yield tuple((k, c) for k, c in enumerate(a) if c)
 
     for a in candidates():
-        if any(a) and _quadric_value(a, g) == 0 and _bil(a, vec, g) != 0:
+        if a and _pairing(a, dict(a), n) == 0 and _pairing(a, coords, n) != 0:
             return finish(a)
     raise ValueError("no rational isotropic direction transversal to the "
                      "input was found; the form may be anisotropic")
@@ -358,22 +361,22 @@ def pure_even_spinor(omega):
 @dataclass
 class CoformDecomposition:
     """Peeled two-form: pairs (x_i, y_i) with sum of x_i ^ y_i equal to the
-    input and every pair isotropic for the ambient symplectic form."""
+    input and every pair isotropic for the split symplectic form."""
     pairs: list
-    form: list
 
     @property
     def rank(self) -> int:
         return len(self.pairs)
 
 
-def _form_contraction(w, form):
-    n = len(w)
-    return sum(form[i][j] * w[i][j] for i in range(n) for j in range(i + 1, n))
+def _symplectic_pairing(x, y):
+    """x^T J y for the split symplectic form J (`split_symplectic_form`):
+    the sum over pairs (2i, 2i+1) of x_2i y_2i+1 - x_2i+1 y_2i."""
+    return sum(x[k] * y[k + 1] - x[k + 1] * y[k] for k in range(0, len(x), 2))
 
 
-def coform_rank_decompose(w, form=None) -> CoformDecomposition:
-    """Decompose a two-form annihilated by the symplectic form into
+def coform_rank_decompose(w) -> CoformDecomposition:
+    """Decompose a two-form annihilated by the split symplectic form into
     rank(w)/2 isotropic planes; self-verifies reassembly and isotropy.
 
     Peeling step: choose covectors phi, psi with c = phi^T W psi != 0 whose
@@ -386,36 +389,24 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
 
     The loop runs on an integer rescaling of the input with one tracked
     denominator (peeling multiplies through by the pivot instead of
-    dividing), so the hot path is pure integer arithmetic; the emitted
-    pairs are exact rationals and the result is re-verified against the
-    original input.
+    dividing), so the hot path, the input checks included, is pure integer
+    arithmetic; the emitted pairs are exact rationals and the result is
+    re-verified against the original input.
     """
-    m = _check_matrix(w, square=True)
-    n = len(m)
+    # integer rescaling: A / den == current remainder, den > 0
+    a, den = _integer_matrix(_check_matrix(w, square=True))
+    cleared = (a, den)
+    n = len(a)
     for i in range(n):
-        if m[i][i] != 0:
+        if a[i][i] != 0:
             raise ValueError("two-form matrix has nonzero diagonal")
         for j in range(i + 1, n):
-            if m[i][j] != -m[j][i]:
+            if a[i][j] != -a[j][i]:
                 raise ValueError("two-form matrix is not skew")
-    if form is None:
-        form = split_symplectic_form(n)
-    f = _check_matrix(form, square=True)
-    if len(f) != n:
-        raise ValueError("form size %d does not match input size %d" % (len(f), n))
-    if _form_contraction(m, f) != 0:
+    if n % 2:
+        raise ValueError("symplectic space needs even dimension, got %d" % n)
+    if sum(a[k][k + 1] for k in range(0, n, 2)) != 0:
         raise ValueError("input two-form is not annihilated by the symplectic form")
-
-    # integer rescaling: A / den == current remainder, den > 0
-    a, den = _integer_matrix(m)
-    cleared = (a, den)
-    # the form only enters through zero tests, so any integer rescaling works
-    fi, _ = _integer_matrix(f)
-    fnz = [(i, j, g) for i, row in enumerate(fi) for j, g in enumerate(row)
-           if g]
-
-    def bil_int(x, y):
-        return sum(g * x[i] * y[j] for i, j, g in fnz)
 
     initial_rank = int_rank(a)
     ibasis = [[1 if k == i else 0 for k in range(n)] for i in range(n)]
@@ -434,7 +425,7 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
                 continue
             x = [row[p] for row in a]
             y = [row[q] for row in a]
-            if bil_int(x, y) == 0:
+            if _symplectic_pairing(x, y) == 0:
                 found = (x, y, a[p][q])
                 break
         if found is None:
@@ -447,10 +438,9 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
                      for row in a]
                 if not any(x):
                     return None
-                xf = [0] * n
-                for i, j, g in fnz:
-                    if x[i]:
-                        xf[j] += x[i] * g
+                xf = [0] * n  # x^T J
+                for k in range(0, n, 2):
+                    xf[k], xf[k + 1] = -x[k + 1], x[k]
                 r = [sum(xf[j] * a[j][k] for j in range(n) if xf[j])
                      for k in range(n)]
                 if not any(r):
@@ -509,8 +499,8 @@ def coform_rank_decompose(w, form=None) -> CoformDecomposition:
 
     if 2 * len(pairs) != initial_rank:
         raise AssertionError("peel did not drop the rank by 2")
-    _verify_pairs(pairs, *cleared, bil_int)
-    return CoformDecomposition(pairs=pairs, form=f)
+    _verify_pairs(pairs, *cleared, _symplectic_pairing)
+    return CoformDecomposition(pairs=pairs)
 
 
 def _verify_pairs(pairs, a, den, bil):
@@ -855,7 +845,7 @@ def _coform_rank(t: Tensor):
 
 def _quadric_rank(t: Tensor):
     # the rank is the number of isotropic pieces
-    pieces = quadric_split(t.coords, split_symmetric_form(t.dims[0]))
+    pieces = quadric_split(t.coords)
     return len(pieces), {"isotropic_pieces": [[str(v) for v in piece] for piece in pieces]}
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import factorial
 
-from .linalg import Vec, _exact_div, _integer_matrix, dot, inverse
+from .linalg import Vec, _exact_div, _int_inverse, _integer_matrix, dot
 
 FAMILIES = "ABCDEFG"
 
@@ -273,12 +273,12 @@ class RootSystem:
         """(rows, den) with rows[i][j] == den * (ω_i, ω_j).
 
         ω_i = Σ_k C_ik α_k with C the inverse transposed Cartan matrix, so
-        (ω_i, ω_j) = C_ij (α_j, α_j) / 2.
+        (ω_i, ω_j) = C_ij (α_j, α_j) / 2 = R_ij g_jj / (2 d gram_den) with
+        C = R / d.
         """
-        inv = inverse([list(col) for col in zip(*self.cartan)])
-        return _integer_matrix(
-            [x * Q(self.gram[j][j], 2 * self.gram_den)
-             for j, x in enumerate(row)] for row in inv)
+        inv, d = _int_inverse([list(col) for col in zip(*self.cartan)])
+        return ([[x * self.gram[j][j] for j, x in enumerate(row)]
+                 for row in inv], 2 * d * self.gram_den)
 
     def weight_inner(self, m, n):
         """(λ, μ) for the weights with marks m and n: an int, or a Fraction
@@ -335,8 +335,10 @@ def weyl_dim(st: SimpleType, marks) -> int:
 
     Weyl's formula in coroot form, ∏ (λ+ρ, β∨) / (ρ, β∨) over the positive
     roots β = Σ c_j α_j; with (ω_j, β) = c_j (α_j, α_j) / 2 each factor is
-    Σ c_j (m_j + 1) g_jj / Σ c_j g_jj, g the Gram matrix.
+    Σ c_j (m_j + 1) g_jj / Σ c_j g_jj, g the Gram matrix.  ValueError
+    unless there are st.rank nonnegative marks, as for `GroupDescriptor`.
     """
+    GroupDescriptor(((st, tuple(marks)),))
     sys = build_root_system(st)
     norms = [row[j] for j, row in enumerate(sys.gram)]
     num = den = 1
@@ -344,7 +346,8 @@ def weyl_dim(st: SimpleType, marks) -> int:
         num *= sum(x * (m + 1) * g for x, m, g in zip(c, marks, norms) if x)
         den *= sum(x * g for x, g in zip(c, norms) if x)
     d, rem = divmod(num, den)
-    assert rem == 0 and d > 0
+    if rem or d <= 0:
+        raise AssertionError("Weyl product %d / %d is not positive" % (num, den))
     return d
 
 

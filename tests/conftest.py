@@ -1,7 +1,20 @@
-"""Shared pytest plumbing: echo the acceptance criterion lines in the
-terminal summary so they are visible without -s."""
+"""Shared pytest plumbing: no test reads a developer's oracle table cache,
+and the acceptance criterion lines are echoed in the terminal summary so
+they are visible without -s."""
 
 import sys
+
+import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _no_table_cache():
+    # SECANT_CACHE_DIR is the one cache switch; unset before any fixture of
+    # a narrower scope builds a table.  A test that exercises the cache
+    # sets it to its own temporary directory with monkeypatch.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SECANT_CACHE_DIR", raising=False)
+        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -87,7 +87,7 @@ def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
         a0 = rng.randint(1, 5) * (1 if rng.random() < 0.5 else -1)
         yo = tuple(rng.randint(-3, 3) for _ in range(8))
         zo = tuple(rng.randint(-3, 3) for _ in range(8))
-        v = rank1_from_chart(a0, yo, zo, lines=x.lines)
+        v = rank1_from_chart(a0, yo, zo)
         pair = sharp.inner(v)
         if pair == 0:
             continue

@@ -139,7 +139,7 @@ def fraction_secant_orbit_reps(marks, st, orbit) -> list:
     return [(v, best[v]) for v in sorted(best, reverse=True)]
 
 
-def fraction_structure_constants(st, sign_fn=None) -> dict:
+def fraction_structure_constants(st) -> dict:
     """N(a, b) keyed by pairs of ε-vectors, with Fraction ratios of
     squared lengths."""
     pos, coeffs, _, _ = fraction_root_data(st)
@@ -197,8 +197,7 @@ def fraction_structure_constants(st, sign_fn=None) -> dict:
                     specials.append((a, b))
             specials.sort(key=lambda p: pidx[p[0]])
             a1, b1 = specials[0]
-            sign = 1 if sign_fn is None else sign_fn(coeffs[g])
-            n11 = sign * (string_down(a1, b1) + 1)
+            n11 = string_down(a1, b1) + 1
             table[(a1, b1)] = n11
             for a, b in specials[1:]:
                 na = tuple(-x for x in a)

@@ -298,6 +298,12 @@ def test_height2_tame_rule():
     assert not height2_tame(parse_descriptor("B3[2,0,0]"))
 
 
+@pytest.mark.parametrize("text", ["A3[1,0,0]", "A3[1,1,1]", "C3[3,0,0]"])
+def test_height2_tame_rejects_other_heights(text):
+    with pytest.raises(ValueError, match="height-2 rule"):
+        height2_tame(parse_descriptor(text))
+
+
 BASE_CASE_PINS = [
     ("A", 5, 3, "wedge3-sl6"),
     ("C", 3, 3, "wedge3-sp-family"),

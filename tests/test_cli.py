@@ -400,7 +400,7 @@ class TestOracle:
         the check), as (header, rank bytes)."""
         from secant.oracle import rank_table
         stem = str(tmp_path_factory.mktemp("cache") / "t")
-        rank_table("segre-4x5", 2, cache=False).save(stem)
+        rank_table("segre-4x5", 2).save(stem)
         with open(stem + ".json") as fh, open(stem + ".bin", "rb") as fb:
             return json.load(fh), fb.read()
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import jordan_reference as ref
 from secant.jordan import (
     FANO_LINES,
-    FANO_LINES_ALT,
     AlbertElement,
     apply_matrix,
     f4_derivations,
@@ -44,20 +43,18 @@ def rand_oct(rng, bound=5):
 # Octonion layer
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("lines", [FANO_LINES, FANO_LINES_ALT])
-def test_norm_multiplicative(lines):
+def test_norm_multiplicative():
     rng = random.Random(11)
     for _ in range(80):
         u, v = rand_oct(rng), rand_oct(rng)
-        assert oct_norm(oct_mul(u, v, lines)) == oct_norm(u) * oct_norm(v)
+        assert oct_norm(oct_mul(u, v)) == oct_norm(u) * oct_norm(v)
 
 
-@pytest.mark.parametrize("lines", [FANO_LINES, FANO_LINES_ALT])
-def test_conjugation_anti_automorphism(lines):
+def test_conjugation_anti_automorphism():
     rng = random.Random(12)
     for _ in range(40):
         u, v = rand_oct(rng), rand_oct(rng)
-        assert oct_conj(oct_mul(u, v, lines)) == oct_mul(oct_conj(v), oct_conj(u), lines)
+        assert oct_conj(oct_mul(u, v)) == oct_mul(oct_conj(v), oct_conj(u))
 
 
 def test_alternative_laws():
@@ -90,8 +87,6 @@ def test_bad_line_sets_rejected():
         # no product kernel is generated for a rejected table
         with pytest.raises(ValueError):
             _oct_kernel(lines)
-        with pytest.raises(ValueError):
-            oct_mul((1,) * 8, (1,) * 8, lines)
 
 
 _INTS = st.integers(-10 ** 12, 10 ** 12)
@@ -105,14 +100,15 @@ _SCALARS = {
 }
 
 
-@pytest.mark.parametrize("lines", [FANO_LINES, FANO_LINES_ALT])
+# the reference loops over the entries of the table `lines`
+@pytest.mark.parametrize("lines", [FANO_LINES])
 @pytest.mark.parametrize("kind", sorted(_SCALARS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_oct_kernel_matches_loop_reference(lines, kind, data):
     octonion = st.tuples(*[_SCALARS[kind]] * 8)
     u, v = data.draw(octonion), data.draw(octonion)
-    got, want = oct_mul(u, v, lines), ref.oct_mul(u, v, lines)
+    got, want = oct_mul(u, v), ref.oct_mul(u, v, lines)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
     _assert_exact(got)
@@ -201,15 +197,6 @@ def test_coordinates_stay_exact():
             _assert_exact(part.coords())
             _assert_exact(part.adjugate().coords())
         assert sp.residual.det3() == 0 and type(sp.residual.det3()) is int
-
-
-def test_mixed_conventions_rejected():
-    a = AlbertElement.identity()
-    b = AlbertElement.identity(lines=FANO_LINES_ALT)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a.jordan(b)
 
 
 def test_trace_form_is_trace_of_product():
@@ -432,7 +419,7 @@ def test_rank3_split_validation_and_determinism():
     assert s1.piece == s2.piece and s1.residual == s2.residual
 
 
-def _square_disc_rank2(rng, lines):
+def _square_disc_rank2(rng):
     """Trace-free rank-2 element whose discriminant is a square: (b + c)
     times a diagonal idempotent minus a rank-1 element of the complementary
     2x2 block (its diagonal b, c with bc = N(w) and off-diagonal slot w), so
@@ -449,16 +436,15 @@ def _square_disc_rank2(rng, lines):
     diag.insert(pos, b + c)
     slots = [None, None, None]
     slots[pos] = tuple(-v for v in w)
-    return AlbertElement(*diag, *slots, lines=lines)
+    return AlbertElement(*diag, *slots)
 
 
 def _rank2_inputs(rng, count):
     for t in range(count):
-        lines = FANO_LINES_ALT if t % 3 == 2 else FANO_LINES
         if t % 5 == 0:
-            e = _square_disc_rank2(rng, lines)
+            e = _square_disc_rank2(rng)
         else:
-            e = random_rank2_tracefree(rng, 2 + t % 3, lines)
+            e = random_rank2_tracefree(rng, 2 + t % 3)
         if t % 4 == 1:
             e = e.scale(rng.choice((1, -1))
                         * Q(rng.randint(1, 12), rng.randint(2, 12)))
@@ -466,7 +452,6 @@ def _rank2_inputs(rng, count):
 
 
 def _assert_same_element(got, want):
-    assert got.lines == want.lines
     assert [(type(v), repr(v)) for v in got.coords()] == \
         [(type(v), repr(v)) for v in want.coords()]
 
@@ -489,13 +474,12 @@ def test_rank3_split_matches_fraction_reference():
     made = 0
     attempts = set()
     while made < 400:
-        lines = FANO_LINES_ALT if made % 3 == 2 else FANO_LINES
         if made % 4 == 3:
             # x# = k^2 diag(-1, -1, 1) pairs to zero with some rank-1 samples
             k = rng.randint(1, 4)
-            e = AlbertElement.diag(k, k, -k, lines=lines)
+            e = AlbertElement.diag(k, k, -k)
         else:
-            e = random_albert(rng, 1 + made % 6, lines)
+            e = random_albert(rng, 1 + made % 6)
         if made % 4 == 1:
             e = e.scale(Q(rng.randint(1, 12), rng.randint(2, 12)))
         if jordan_rank(e) != 3:
@@ -512,36 +496,6 @@ def test_rank3_split_matches_fraction_reference():
 
 
 # ---------------------------------------------------------------------------
-# Convention independence
-# ---------------------------------------------------------------------------
-
-def test_alt_convention_full_pipeline():
-    """The alternative multiplication table supports the same stratification:
-    diagonal ranks agree, charts produce rank 1, splits verify."""
-    rng = random.Random(34)
-    for diag in ((1, 1, 0), (1, 0, 0), (2, 3, 5), (1, -1, 0)):
-        a = AlbertElement.diag(*diag)
-        b = AlbertElement.diag(*diag, lines=FANO_LINES_ALT)
-        assert jordan_rank(a) == jordan_rank(b)
-        assert a.det3() == b.det3()
-    for _ in range(10):
-        e = random_rank1(rng, lines=FANO_LINES_ALT)
-        assert jordan_rank(e) == 1
-    for _ in range(5):
-        e = random_rank2_tracefree(rng, lines=FANO_LINES_ALT)
-        sp = rank2_split(e)
-        assert jordan_rank(sp.plus) == 1 and jordan_rank(sp.minus) == 1
-    ident = AlbertElement.identity(lines=FANO_LINES_ALT)
-    for _ in range(10):
-        e = random_albert(rng, 4, lines=FANO_LINES_ALT)
-        assert e.jordan(e.adjugate()) == ident.scale(e.det3())
-
-
-def test_alt_convention_derivations():
-    assert len(f4_derivations(FANO_LINES_ALT)) == 52
-
-
-# ---------------------------------------------------------------------------
 # Derivation algebra
 # ---------------------------------------------------------------------------
 
@@ -549,8 +503,7 @@ def test_derivation_count_and_cache():
     d1 = f4_derivations()
     d2 = f4_derivations()
     assert len(d1) == 52
-    assert d1 is d2  # cached per convention
-    assert f4_derivations(FANO_LINES) is d1  # the default shares the entry
+    assert d1 is d2  # computed once
 
 
 def test_derivations_are_integer_matrices():

@@ -14,6 +14,7 @@ from secant.linalg import (
     IntEchelon,
     QuadExt,
     _exact_scalar,
+    _int_inverse,
     dot,
     exact_rationals,
     int_rank,
@@ -141,6 +142,25 @@ def test_engine_matches_fraction_reference():
                 assert inverse(mat) == want_inv
         seen_shapes.add((len(mat), len(mat[0]) if mat else 0))
     assert len(seen_shapes) == 8 * 9 - 8  # no 0 x n matrix has n columns
+
+
+def test_int_inverse_is_the_cleared_inverse():
+    # integer rows over one positive denominator, and inverse divides them
+    # into Fractions only
+    rng = random.Random(2025)
+    checked = 0
+    for mat in _rational_matrices(rng, 2400):
+        if not mat or len(mat) != len(mat[0]) or rank(mat) < len(mat):
+            continue
+        rows, den = _int_inverse(mat)
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[Q(x, den) for x in row] for row in rows] == ref.inverse(mat)
+        assert all(type(v) is Q for row in inverse(mat) for v in row)
+        checked += 1
+    assert checked > 40
+    with pytest.raises(ValueError, match="singular"):
+        _int_inverse([[1, 2], [2, 4]])
 
 
 def test_inverse_rejects_non_square():

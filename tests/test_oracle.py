@@ -369,7 +369,6 @@ class TestEnumeration:
         pidx = {pq: t for t, pq in enumerate(pairs)}
         form = mirror_symplectic_form(6)
         pts = enumerate_cone_points("lambda20-6", p)
-        assert "codec" in pts.meta
         for code in pts.reps:
             sub = decode_vec(code, p, 14)
             full = codec.to_full(sub)
@@ -387,7 +386,7 @@ class TestEnumeration:
 
 class TestBFS:
     def test_gr2_4_layers(self):
-        table = rank_table("gr2-4", 2, cache=False)
+        table = rank_table("gr2-4", 2)
         counts = table.layer_counts()
         assert counts[0] == 1
         assert counts[1] == 35
@@ -395,19 +394,19 @@ class TestBFS:
         assert sum(counts.values()) == 1 << 6
 
     def test_rank1_layer_is_cone(self):
-        table = rank_table("segre-2x3", 2, cache=False)
+        table = rank_table("segre-2x3", 2)
         ones = set(int(c) for c in np.flatnonzero(table.ranks == 1))
         cone = set(int(c) for c in table.points.cone_codes())
         assert ones == cone
 
     def test_zero_code_is_rank_zero(self):
-        table = rank_table("quadric-4", 3, cache=False)
+        table = rank_table("quadric-4", 3)
         assert table.rank_of_code(0) == 0
         assert table.rank_of_vec([0, 0, 0, 0]) == 0
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_segre_2x2_matches_matrix_rank(self, p):
-        table = rank_table("segre-2x2", p, cache=False)
+        table = rank_table("segre-2x2", p)
         for code in range(1, p ** 4):
             vec = decode_vec(code, p, 4)
             mat = [[vec[0], vec[1]], [vec[2], vec[3]]]
@@ -415,7 +414,7 @@ class TestBFS:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_gr2_4_matches_skew_rank(self, p):
-        table = rank_table("gr2-4", p, cache=False)
+        table = rank_table("gr2-4", p)
         pairs = list(itertools.combinations(range(4), 2))
         for code in range(1, p ** 6):
             vec = decode_vec(code, p, 6)
@@ -426,7 +425,7 @@ class TestBFS:
             assert table.rank_of_code(code) == modp_rank(mat, p) // 2
 
     def test_gr2_6_matches_skew_rank_f2(self):
-        table = rank_table("gr2-6", 2, cache=False)
+        table = rank_table("gr2-6", 2)
         pairs = list(itertools.combinations(range(6), 2))
         for code in range(1, 1 << 15):
             vec = decode_vec(code, 2, 15)
@@ -528,14 +527,14 @@ class TestBFS:
         # layer 2 pushes from the 128 cone codes (128 * 14 <= 6432 unseen)
         # and layer 3 pulls (4032 * 14 > 2400 unseen);
         # test_matches_reference_bfs checks this family code for code
-        counts = rank_table("segre-2x2x2", 3, cache=False).layer_counts()
+        counts = rank_table("segre-2x2x2", 3).layer_counts()
         assert counts == {0: 1, 1: 128, 2: 4032, 3: 2400}
         assert counts[1] * 14 <= 3 ** 8 - 1 - counts[1]
         assert counts[2] * 14 > counts[3]
 
     @pytest.mark.parametrize("m,n,p", [(3, 4, 3), (3, 3, 5)])
     def test_matrix_layers_closed_form(self, m, n, p):
-        table = rank_table("segre-%dx%d" % (m, n), p, cache=False)
+        table = rank_table("segre-%dx%d" % (m, n), p)
         counts = table.layer_counts()
         assert counts == {r: matrix_rank_count(m, n, r, p)
                           for r in range(min(m, n) + 1)}
@@ -558,7 +557,7 @@ class TestBFS:
         for ranks in (np.array([0, 1, 1, 3, 3, 3], dtype=np.uint8),
                       rng.choice(np.array([0, 1, 2, 4], dtype=np.uint8),
                                  size=3 * _BLOCK + 7),
-                      rank_table("gr2-4", 3, cache=False).ranks):
+                      rank_table("gr2-4", 3).ranks):
             table = RankTable(family="x", prime=2, dim=0, ranks=ranks,
                               points=None)
             counts = table.layer_counts()
@@ -568,7 +567,7 @@ class TestBFS:
 
 class TestCaching:
     def test_save_load_roundtrip(self, tmp_path):
-        table = rank_table("segre-2x2", 2, cache=False)
+        table = rank_table("segre-2x2", 2)
         stem = str(tmp_path / "t")
         table.save(stem)
         back = table.load(stem)
@@ -640,7 +639,7 @@ class TestCaching:
             assert np.array_equal(t1.ranks, t4.ranks)
 
     def test_save_leaves_no_temporaries(self, tmp_path):
-        table = rank_table("segre-2x2", 3, cache=False)
+        table = rank_table("segre-2x2", 3)
         table.save(str(tmp_path / "t"))
         table.save(str(tmp_path / "t"))
         assert sorted(os.listdir(tmp_path)) == ["t.bin", "t.json"]
@@ -757,6 +756,23 @@ class TestWedge3Lift:
             scaled = [Q(c, den) for c in co]
             assert Q(raw, 6 * den ** 4) == wedge3_quartic(scaled)
 
+    def test_tr2_values_entry_cap(self):
+        # the cap B is the largest entry with S * B**4 < 2**63, S the sum of
+        # the absolute coefficients: exact at B, refused just over it
+        # rather than wrapped in int64
+        from secant.oracle import _TR2_ENTRY_CAP as cap
+        from secant.ranks import _tr2_value
+        poly = wedge3_tr2_poly()
+        total = sum(abs(c) for c in poly.values())
+        assert total * cap ** 4 < 2 ** 63 <= total * (cap + 1) ** 4
+        rng = random.Random(cap)
+        at = [rng.choice((-cap, cap)) for _ in range(20)]
+        over = [cap + 1] + at[1:]
+        assert int(wedge3_tr2_values(np.array([at]))[0]) == _tr2_value(poly, at)
+        assert _tr2_value(poly, over) != _tr2_value(poly, at)
+        with pytest.raises(ValueError, match="absolute value"):
+            wedge3_tr2_values(np.array([over]))
+
     def test_tr2_poly_is_quartic(self):
         poly = wedge3_tr2_poly()
         assert all(len(mono) == 4 for mono in poly)
@@ -805,9 +821,9 @@ class TestWedge3Lift:
         # criterion; the report names the first such code
         monkeypatch.setattr(orc, "_divisor_ranks",
                             lambda vecs: np.arange(len(vecs)) % 7)
-        rep = wedge3_f2_report(cache=False)
+        rep = wedge3_f2_report()
         assert rep["criterion_le_bfs"] is False
-        table = rank_table("gr3-6", 2, cache=False)
+        table = rank_table("gr3-6", 2)
         assert table.rank_of_code(rep["first_violation"]) == 2
         assert "rank3_count" not in rep
 
@@ -841,6 +857,6 @@ class TestSpinorOracle:
         assert f2_pure_spinor_set() == oracle_reference.f2_pure_spinor_set()
 
     def test_spinor_table_max_rank_two(self):
-        table = rank_table("spinor10", 2, cache=False)
+        table = rank_table("spinor10", 2)
         assert table.max_rank == 2
         assert table.layer_counts()[1] == 2295

@@ -192,6 +192,13 @@ def test_weyl_dimension_pins(name, marks, dim):
     assert weyl_dim(st_, marks) == dim
 
 
+@pytest.mark.parametrize("marks", [(1, 0, 0), (1,), (), (-3, 0), (1, -1)])
+def test_weyl_dimension_rejects_bad_marks(marks):
+    # one nonnegative integer mark per vertex, as GroupDescriptor asks
+    with pytest.raises(ValueError):
+        weyl_dim(SimpleType("A", 2), marks)
+
+
 ADJOINT_PINS = [
     ("A5", (1, 0, 0, 0, 1)),
     ("B4", (0, 1, 0, 0)),
