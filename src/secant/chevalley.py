@@ -36,13 +36,7 @@ from .linalg import (
     split_symmetric_form,
     transpose,
 )
-from .rootsys import (
-    RootSystem,
-    SimpleType,
-    build_root_system,
-    weyl_group_order,
-    weyl_orbit,
-)
+from .rootsys import RootSystem, SimpleType, build_root_system
 
 __all__ = [
     "ChevalleyAlgebra",
@@ -61,8 +55,7 @@ __all__ = [
     "isotropic_pair_case",
     "split_symmetric_form",
     "sample_isotropic_plane",
-    "SecantOrbitRep",
-    "secant_orbit_reps",
+    "adjoint_pair_classes",
 ]
 
 
@@ -698,37 +691,26 @@ def sample_isotropic_plane(n: int, rng: random.Random) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Weyl-orbit pair representatives
+# pair classes of highest-root vectors
 
 
-@dataclass(frozen=True)
-class SecantOrbitRep:
-    """Representative v^lambda + v^mu of a pair class of extreme vectors.
+def adjoint_pair_classes(alg: ChevalleyAlgebra) -> dict:
+    """{(θ, β): β}, one root β per value, for the pairs e_θ + e_β of the
+    highest root θ with a root β of its length.
 
-    `value` is the invariant inner product (lambda, mu), an int or a
-    Fraction; `partner` holds the marks of mu = w lambda.
+    W is transitive on the roots of one length, so these are the classes of
+    pairs (θ, wθ).  Each class keeps its β with the largest marks.  θ pairs
+    with itself only when its stabilizer in W is nontrivial, that is when
+    some mark of θ is 0 (it is generated by the simple reflections fixing
+    θ).
     """
-
-    value: int | Q
-    partner: tuple
-
-
-def secant_orbit_reps(marks, sys: RootSystem) -> list:
-    """One representative per inner-product class of pairs (lambda, w lambda).
-
-    w ranges over non-identity Weyl elements, so the degenerate class with
-    w lambda = lambda appears exactly when the stabilizer of lambda is
-    nontrivial.  Sorted by decreasing inner product.
-    """
-    marks = tuple(int(m) for m in marks)
-    orbit = weyl_orbit(marks, sys)
-    stab_nontrivial = len(orbit) < weyl_group_order(sys.type)
+    sys = alg.system
+    theta = sys.positive_coeffs[-1]
+    long = sys.form(theta, theta)
+    with_self = 0 in sys.highest_root_marks
     best: dict = {}
-    for mu in sorted(orbit, reverse=True):
-        if mu == marks and not stab_nontrivial:
-            continue
-        val = sys.weight_inner(marks, mu)
-        if val not in best:
-            best[val] = mu
-    return [SecantOrbitRep(value=v, partner=best[v])
-            for v in sorted(best, reverse=True)]
+    for beta in sorted(alg.root_list, key=sys.coroot_marks, reverse=True):
+        if sys.form(beta, beta) == long and (with_self or beta != theta):
+            best.setdefault(_exact_div(sys.form(theta, beta), sys.gram_den),
+                            beta)
+    return best

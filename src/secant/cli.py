@@ -30,11 +30,11 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .chevalley import (
+    adjoint_pair_classes,
     build_chevalley,
     e7_wild_witness,
     grade_by_fundamental,
     orbit_dim,
-    secant_orbit_reps,
 )
 from .chopping import (
     certificate_to_json,
@@ -288,16 +288,13 @@ def _cmd_orbit_dim(args, out) -> int:
         except (ValueError, ZeroDivisionError):
             raise ValueError("bad --element %r: %r is not a rational number"
                              % (expr, expr[5:])) from None
-        reps = secant_orbit_reps(sysm.highest_root_marks, sysm)
-        match = [r for r in reps if r.value == want]
-        if not match:
+        classes = adjoint_pair_classes(alg)
+        if want not in classes:
             raise ValueError(
                 "no pair class with inner product %s; available: %s"
-                % (want, sorted(str(r.value) for r in reps)))
-        partner = next(r for r in alg.root_list
-                       if sysm.coroot_marks(r) == match[0].partner)
+                % (want, sorted(str(v) for v in classes)))
         x = {theta_idx: 1}
-        pid = alg.root_basis_index(partner)
+        pid = alg.root_basis_index(classes[want])
         x[pid] = x.get(pid, 0) + 1
         dim = orbit_dim(alg, x)
         detail = {"element": "sum of two root vectors",

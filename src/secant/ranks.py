@@ -157,8 +157,13 @@ def _value(vec):
 
 def quadric_rank(v) -> int:
     """1 if the vector is isotropic for the split symmetric form, 2
-    otherwise (every point off the quadric is a sum of two on it)."""
+    otherwise (every point off the quadric is a sum of two on it).
+    ValueError on fewer than 2 coordinates, where the form x^2 has no
+    nonzero isotropic vector."""
     vec = [_exact_scalar(x) for x in v]
+    if len(vec) < 2:
+        raise ValueError("a quadric needs at least 2 coordinates, got %d"
+                         % len(vec))
     if all(x == 0 for x in vec):
         raise ValueError("zero vector has no rank")
     return 1 if _value(vec) == 0 else 2
@@ -167,43 +172,26 @@ def quadric_rank(v) -> int:
 def quadric_split(v):
     """Certificate for quadric rank: a list of 1 or 2 vectors, isotropic
     for the split symmetric form, summing to v exactly.  The direction a
-    of the second piece is the first with q(a) = 0 and B(a, v) != 0 among
-    the coordinate vectors, then e_i +- e_j for i < j, then 500 seeded
-    vectors; each is tested on its support only."""
+    of the second piece has q(a) = 0 and B(a, v) != 0: the first coordinate
+    vector e_i, off the odd last coordinate, with v[i ^ 1] != 0; if there
+    is none, v = c*e_last with n odd, and a = e_0 - 2e_1 + 2e_last pairs
+    to 2c with it."""
     vec = [_exact_scalar(x) for x in v]
     if quadric_rank(vec) == 1:
         return [vec]
     n, coords = len(vec), dict(enumerate(vec))
-
-    def finish(a):
-        # v = t*a + (v - t*a) with q(a) = 0 and B(a, v) != 0
-        t = _exact_div(_value(vec), 2 * _pairing(a, coords, n))
-        coeff = dict(a)
-        p1 = [_exact_scalar(t * coeff.get(k, 0)) for k in range(n)]
-        p2 = [_exact_scalar(x - y) for x, y in zip(vec, p1)]
-        if _value(p1) or _value(p2):
-            raise AssertionError("quadric split piece is not isotropic")
-        if [x + y for x, y in zip(p1, p2)] != vec:
-            raise AssertionError("quadric split does not resum")
-        return [p1, p2]
-
-    def candidates():
-        for i in range(n):
-            yield ((i, 1),)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s in (1, -1):
-                    yield ((i, 1), (j, s))
-        rng = random.Random(0)
-        for _ in range(500):
-            a = [rng.randint(-4, 4) for _ in range(n)]
-            yield tuple((k, c) for k, c in enumerate(a) if c)
-
-    for a in candidates():
-        if a and _pairing(a, dict(a), n) == 0 and _pairing(a, coords, n) != 0:
-            return finish(a)
-    raise ValueError("no rational isotropic direction transversal to the "
-                     "input was found; the form may be anisotropic")
+    a = next((((i, 1),) for i in range(n - n % 2) if vec[i ^ 1]),
+             ((0, 1), (1, -2), (n - 1, 2)))
+    # v = t*a + (v - t*a) with q(a) = 0 and B(a, v) != 0
+    t = _exact_div(_value(vec), 2 * _pairing(a, coords, n))
+    coeff = dict(a)
+    p1 = [_exact_scalar(t * coeff.get(k, 0)) for k in range(n)]
+    p2 = [_exact_scalar(x - y) for x, y in zip(vec, p1)]
+    if _value(p1) or _value(p2):
+        raise AssertionError("quadric split piece is not isotropic")
+    if [x + y for x, y in zip(p1, p2)] != vec:
+        raise AssertionError("quadric split does not resum")
+    return [p1, p2]
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +810,8 @@ class Tensor:
       coform    dims [n], n*n coords row-major, n even (skewness validated)
       wedge3    dims [6], 20 coords in lexicographic triple order
       spinor16  dims [16], 16 coords over even subsets ordered (size, lex)
-      quadric   dims [n], n coords (a vector; ambient split symmetric form)
+      quadric   dims [n], n >= 2 coords (a vector; ambient split symmetric
+                form)
       jordan    dims [27], 27 coords a, b, c, x0..x7, y0..y7, z0..z7 of an
                 Albert element (`secant.jordan.AlbertElement.coords`)
     """
@@ -871,7 +860,8 @@ SHAPES = {
                lambda t: (wedge3_c6_rank(t.coords), None)),
     "spinor16": (lambda d: d == [16], lambda d: 16,
                  lambda t: (spinor10_rank(t.coords), None)),
-    "quadric": (_one, lambda d: d[0], _quadric_rank),
+    "quadric": (lambda d: len(d) == 1 and d[0] >= 2, lambda d: d[0],
+                _quadric_rank),
     "jordan": (lambda d: d == [27], lambda d: 27,
                lambda t: (jordan_rank(AlbertElement.from_coords(t.coords)), None)),
 }

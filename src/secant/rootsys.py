@@ -1,4 +1,4 @@
-"""Root systems, weights, and Weyl-orbit combinatorics in integer arithmetic.
+"""Root systems, weights, and Weyl dimensions in integer arithmetic.
 
 Each family's simple roots are given once in explicit rational coordinates
 ("ε-coordinates"), normalized so long roots have squared length 2; they are
@@ -16,18 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
-from math import factorial
+from functools import lru_cache
 
-from .linalg import Vec, _exact_div, _int_inverse, _integer_matrix, dot
+from .linalg import Vec, _integer_matrix, dot
 
 FAMILIES = "ABCDEFG"
 
-DEFAULT_ORBIT_CAP = 10 ** 6
-
 
 class CapExceeded(RuntimeError):
-    """A configured resource cap (orbit size, subset enumeration) was hit."""
+    """A configured resource cap (rank, prime, table size) was hit."""
 
 
 @dataclass(frozen=True, order=True)
@@ -217,7 +214,6 @@ class RootSystem:
     by coefficients.  The invariant form on coefficients is the integer Gram
     matrix `gram`, cleared once from the simple roots of
     `_simple_root_table`: (Σ c_i α_i, Σ d_j α_j) = c^T gram d / gram_den.
-    Weights are mark tuples, and `weight_inner` is the form on them.
     """
 
     def __init__(self, st: SimpleType):
@@ -268,25 +264,6 @@ class RootSystem:
         return sum(x * g * y for x, row in zip(c, self.gram) if x
                    for g, y in zip(row, d) if g and y)
 
-    @cached_property
-    def _weight_gram(self) -> tuple[list[list[int]], int]:
-        """(rows, den) with rows[i][j] == den * (ω_i, ω_j).
-
-        ω_i = Σ_k C_ik α_k with C the inverse transposed Cartan matrix, so
-        (ω_i, ω_j) = C_ij (α_j, α_j) / 2 = R_ij g_jj / (2 d gram_den) with
-        C = R / d.
-        """
-        inv, d = _int_inverse([list(col) for col in zip(*self.cartan)])
-        return ([[x * self.gram[j][j] for j, x in enumerate(row)]
-                 for row in inv], 2 * d * self.gram_den)
-
-    def weight_inner(self, m, n):
-        """(λ, μ) for the weights with marks m and n: an int, or a Fraction
-        where the form does not divide."""
-        rows, den = self._weight_gram
-        return _exact_div(sum(x * w * y for x, row in zip(m, rows) if x
-                              for w, y in zip(row, n) if y), den)
-
 
 @lru_cache(maxsize=None)
 def build_root_system(st: SimpleType) -> RootSystem:
@@ -295,39 +272,7 @@ def build_root_system(st: SimpleType) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# Weyl orbit and dimension
-
-
-def weyl_orbit(marks, sys: RootSystem, cap: int = DEFAULT_ORBIT_CAP):
-    """All distinct images of a weight under the Weyl group, as mark tuples.
-
-    Breadth-first closure under simple reflections acting on marks:
-    s_i(m) = m - m[i] * (column i of the Cartan matrix).
-    Raises CapExceeded if the orbit grows past `cap`.
-    """
-    n = sys.type.rank
-    cartan = sys.cartan
-    cols = [tuple(cartan[j][i] for j in range(n)) for i in range(n)]
-    start = tuple(marks)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for i in range(n):
-                mi = m[i]
-                if mi == 0:
-                    continue
-                img = tuple(x - mi * c for x, c in zip(m, cols[i]))
-                if img not in seen:
-                    seen.add(img)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            "Weyl orbit of %s in %s exceeds cap %d"
-                            % (marks, sys.type, cap))
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
+# Weyl dimension
 
 
 def weyl_dim(st: SimpleType, marks) -> int:
@@ -349,18 +294,6 @@ def weyl_dim(st: SimpleType, marks) -> int:
     if rem or d <= 0:
         raise AssertionError("Weyl product %d / %d is not positive" % (num, den))
     return d
-
-
-def weyl_group_order(st: SimpleType) -> int:
-    fam, n = st.family, st.rank
-    if fam == "A":
-        return factorial(n + 1)
-    if fam in "BC":
-        return (2 ** n) * factorial(n)
-    if fam == "D":
-        return (2 ** (n - 1)) * factorial(n)
-    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-            ("F", 4): 1152, ("G", 2): 12}[(fam, n)]
 
 
 # ---------------------------------------------------------------------------

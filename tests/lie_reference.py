@@ -3,7 +3,8 @@
 These are the earlier implementations, kept here only to check the
 integer code against: root generation by reflections of rational
 ε-coordinate vectors, fundamental weights and the invariant form in
-ε-coordinates, structure constants computed on ε-vectors with Fraction
+ε-coordinates, Weyl orbits of weights and pair classes on them,
+structure constants computed on ε-vectors with Fraction
 ratios of squared lengths, image statistics by rational elimination, and
 isotropic planes sampled in Fraction coordinates, and the coform of an
 operator as a Fraction matrix product.  Nothing in `secant`
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import factorial
 
 from secant.linalg import (
     dot,
@@ -22,7 +24,7 @@ from secant.linalg import (
     row_reduce,
     transpose,
 )
-from secant.rootsys import SimpleType, _simple_root_table, weyl_group_order
+from secant.rootsys import SimpleType, _simple_root_table
 
 #: every simple type of rank at most 8
 ALL_TYPES = ([SimpleType("A", n) for n in range(1, 9)]
@@ -118,6 +120,46 @@ def fraction_weyl_dim(st, marks) -> Q:
         num *= inner(lam_rho, b)
         den *= inner(rho, b)
     return num / den
+
+
+def weyl_orbit(marks, sys) -> frozenset:
+    """All distinct images of a weight under the Weyl group, as mark tuples.
+
+    Breadth-first closure under simple reflections acting on marks:
+    s_i(m) = m - m[i] * (column i of the Cartan matrix).
+    """
+    n = sys.type.rank
+    cols = [tuple(sys.cartan[j][i] for j in range(n)) for i in range(n)]
+    start = tuple(marks)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(n):
+                mi = m[i]
+                if mi == 0:
+                    continue
+                img = tuple(x - mi * c for x, c in zip(m, cols[i]))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def weyl_group_order(st) -> int:
+    """|W| from the closed forms of the classical families and the table of
+    the exceptional ones."""
+    fam, n = st.family, st.rank
+    if fam == "A":
+        return factorial(n + 1)
+    if fam in "BC":
+        return (2 ** n) * factorial(n)
+    if fam == "D":
+        return (2 ** (n - 1)) * factorial(n)
+    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+            ("F", 4): 1152, ("G", 2): 12}[(fam, n)]
 
 
 def fraction_secant_orbit_reps(marks, st, orbit) -> list:

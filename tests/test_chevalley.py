@@ -9,6 +9,7 @@ import pytest
 
 from secant.chevalley import (
     _structure_constants,
+    adjoint_pair_classes,
     build_chevalley,
     coform_of_operator,
     e7_wild_witness,
@@ -19,7 +20,6 @@ from secant.chevalley import (
     partition_im_stats,
     random_so_conjugate,
     sample_isotropic_plane,
-    secant_orbit_reps,
     skew_im_stats,
     so_nilpotent_realization,
     split_symmetric_form,
@@ -32,7 +32,9 @@ from lie_reference import (
     fraction_isotropic_pair_case,
     fraction_root_data,
     fraction_sample_isotropic_plane,
+    fraction_secant_orbit_reps,
     fraction_structure_constants,
+    weyl_orbit,
 )
 from secant.linalg import rank, transpose
 from secant.rootsys import SimpleType, build_root_system
@@ -555,19 +557,21 @@ def test_sample_isotropic_plane_matches_fraction_reference():
 
 
 def test_secant_orbit_reps():
-    a1 = build_root_system(SimpleType("A", 1))
-    reps = secant_orbit_reps((1,), a1)
-    assert [(r.value, r.partner) for r in reps] == [(Q(-1, 2), (-1,))]
+    # the ε-coordinate reference on fundamental weights, which the library
+    # no longer handles, and the library's adjoint classes on E8
+    def reps(st_, marks):
+        sys = build_root_system(st_)
+        return fraction_secant_orbit_reps(marks, st_, weyl_orbit(marks, sys))
 
-    b2 = build_root_system(SimpleType("B", 2))
-    reps = secant_orbit_reps((1, 0), b2)
-    assert [r.value for r in reps] == [1, 0, -1]
-    assert reps[0].partner == (1, 0)
-    assert reps[-1].partner == (-1, 0)
+    assert reps(SimpleType("A", 1), (1,)) == [(Q(-1, 2), (-1,))]
 
-    e8 = build_root_system(SimpleType("E", 8))
-    reps = secant_orbit_reps(e8.highest_root_marks, e8)
-    assert [r.value for r in reps] == [2, 1, 0, -1, -2]
+    b2 = reps(SimpleType("B", 2), (1, 0))
+    assert [v for v, _ in b2] == [1, 0, -1]
+    assert b2[0][1] == (1, 0)
+    assert b2[-1][1] == (-1, 0)
+
+    e8 = build_chevalley(SimpleType("E", 8))
+    classes = adjoint_pair_classes(e8)
+    assert sorted(classes, reverse=True) == [2, 1, 0, -1, -2]
     # deterministic
-    again = secant_orbit_reps(e8.highest_root_marks, e8)
-    assert reps == again
+    assert adjoint_pair_classes(e8) == classes

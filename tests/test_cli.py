@@ -230,6 +230,20 @@ def test_rank_rejects_each_shape_exit_1(shape, fault, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_rank_quadric_refuses_one_coordinate(tmp_path, capsys):
+    # x^2 on one coordinate has no nonzero isotropic vector: the dims rule
+    # refuses it before any split is tried
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": "quadric", "dims": [1],
+                                "coords": ["3"]}))
+    code, out = run_cli("rank", "quadric", str(path))
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "invalid dims [1] for shape quadric" in err
+    assert "Traceback" not in err
+
+
 class TestChopTree:
     def test_wild_chain(self):
         code, out = run_cli("chop-tree", "E8[0,0,0,0,0,0,1,0]")

@@ -632,7 +632,7 @@ def test_json_validation():
         albert_from_json({"shape": "jordan", "dims": [27],
                           "coords": ["1"] * 26 + [0.1]})
     with pytest.raises(ValueError, match="expected shape 'jordan'"):
-        albert_from_json({"shape": "quadric", "dims": [1], "coords": ["1"]})
+        albert_from_json({"shape": "quadric", "dims": [2], "coords": ["1", "0"]})
 
 
 def test_json_rejects_extension_coordinates():

@@ -139,15 +139,37 @@ class TestQuadric:
                     total = [a + b for a, b in zip(total, p)]
                 assert total == [Q(x) for x in v]
 
-    def test_split_needs_fallback_direction(self):
-        # the odd unit direction pairs to zero with every coordinate vector
+    def test_odd_unit_direction_splits_in_closed_form(self):
+        # the odd unit direction pairs to zero with every coordinate vector;
+        # a = e_0 - 2e_1 + 2e_4 is isotropic and pairs to 2 with it
         v = [0, 0, 0, 0, 1]
-        pieces = quadric_split(v)
-        assert len(pieces) == 2
+        assert quadric_split(v) == [[Q(1, 4), Q(-1, 2), 0, 0, Q(1, 2)],
+                                    [Q(-1, 4), Q(1, 2), 0, 0, Q(1, 2)]]
+
+    def test_odd_last_coordinate_splits_at_every_size(self):
+        # c*e_last for odd n up to 2001: no coordinate vector pairs with
+        # it, so every size takes the closed-form direction
+        def value(p):  # the split form: pairs (2i, 2i+1), the last alone
+            n = len(p)
+            return (2 * sum(p[k] * p[k + 1] for k in range(0, n - 1, 2))
+                    + p[-1] * p[-1])
+
+        for n in sorted({*range(3, 2002, 100), 601, 801, 2001}):
+            v = [0] * (n - 1) + [Q(n, 7)]
+            pieces = quadric_split(v)
+            assert len(pieces) == quadric_rank(v) == 2
+            assert all(value(p) == 0 for p in pieces)
+            assert [a + b for a, b in zip(*pieces)] == v
 
     def test_validation(self):
         with pytest.raises(ValueError):
             quadric_rank([0, 0, 0, 0])
+        # on one coordinate the form x^2 has no nonzero isotropic vector
+        for bad in ([3], [Q(1, 2)], []):
+            with pytest.raises(ValueError, match="at least 2 coordinates"):
+                quadric_rank(bad)
+            with pytest.raises(ValueError, match="at least 2 coordinates"):
+                quadric_split(bad)
 
     def test_large_vector_takes_no_elimination(self, monkeypatch):
         # the form is fixed, so nothing is ranked: a 2000-coordinate vector
