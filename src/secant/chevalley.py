@@ -36,7 +36,13 @@ from .linalg import (
     split_symmetric_form,
     transpose,
 )
-from .rootsys import RootSystem, SimpleType, build_root_system
+from .rootsys import (
+    CapExceeded,
+    RootSystem,
+    SimpleType,
+    build_root_system,
+    check_rank,
+)
 
 __all__ = [
     "ChevalleyAlgebra",
@@ -238,9 +244,13 @@ def _structure_constants(system: RootSystem) -> dict:
 
 @lru_cache(maxsize=None)
 def build_chevalley(t: SimpleType) -> ChevalleyAlgebra:
-    """Construct (and memoize) the Chevalley-basis Lie algebra of type t."""
+    """Construct (and memoize) the Chevalley-basis Lie algebra of type t.
+
+    ValueError for a type with no root system; CapExceeded above rank 8.
+    """
+    check_rank(t)
     if t.rank > 8:
-        raise ValueError("chevalley construction capped at rank 8, got %s" % (t,))
+        raise CapExceeded("chevalley construction capped at rank 8, got %s" % (t,))
     return ChevalleyAlgebra(build_root_system(t))
 
 

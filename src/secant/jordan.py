@@ -39,7 +39,6 @@ from .linalg import (
     int_row_basis,
     modp_nullspace,
     modp_rank,
-    modp_row_reduce,
     rational_sqrt,
 )
 from .rootsys import CapExceeded, SimpleType, build_root_system
@@ -714,25 +713,6 @@ def _bil_modp(u, v, p):
     return s % p
 
 
-def _skew_outer(u, v, p):
-    """27x27 matrix of the two-form u wedge v, reduced mod p."""
-    return [[(u[i] * v[j] - v[i] * u[j]) % p for j in range(27)] for i in range(27)]
-
-
-def _mat_add_modp(a, b, p):
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _skew_stats_modp(w, p):
-    """(dim Im, rank of restricted trace form) for a skew coordinate matrix."""
-    cols = [list(col) for col in zip(*w)]
-    red, piv = modp_row_reduce(cols, p)
-    basis = red[:len(piv)]
-    dim_im = len(basis)
-    gram = [[_bil_modp(u, v, p) for v in basis] for u in basis]
-    return (dim_im, modp_rank(gram, p) if dim_im else 0)
-
-
 def _closed_orbit_cone_dim() -> int:
     """1 + dim of the flag variety for the second fundamental weight of the
     rank-4 exceptional type: counted as the positive roots whose expansion
@@ -791,27 +771,11 @@ class F4WitnessResult:
         }
 
 
-def _lagrange_quartic_modp(values, p):
-    """Coefficients (degree 0..4) of the quartic through (m, values[m]),
-    m = 0..4, over F_p."""
-    coeffs = [0] * 5
-    for m in range(5):
-        num = [1]
-        denom = 1
-        for n in range(5):
-            if n == m:
-                continue
-            # multiply num by (X - n)
-            nxt = [0] * (len(num) + 1)
-            for k, ck in enumerate(num):
-                nxt[k] = (nxt[k] - ck * n) % p
-                nxt[k + 1] = (nxt[k + 1] + ck) % p
-            num = nxt
-            denom = (denom * (m - n)) % p
-        scale = (values[m] * pow(denom, -1, p)) % p
-        for k, ck in enumerate(num):
-            coeffs[k] = (coeffs[k] + ck * scale) % p
-    return coeffs
+def _pencil_form_modp(u1, u0, v1, v0, p):
+    """Coefficients (degree 0..2) of <u1 + lambda u0, v1 + lambda v0> over
+    F_p, for the trace form."""
+    return [_bil_modp(u1, v1, p), (_bil_modp(u1, v0, p) + _bil_modp(u0, v1, p)) % p,
+            _bil_modp(u0, v0, p)]
 
 
 def _poly_eval_modp(coeffs, t, p):
@@ -830,15 +794,22 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
     necessarily isotropic) gives a rank-1 trace-free y in the first
     off-diagonal slot.  The pair is isotropic, orthogonal, satisfies
     x cross y = 0, and its wedge pairs to zero with all 52 derivation-basis
-    elements (membership in the second fundamental representation).  The search then scans pencils t1 + lambda t0 of
-    derivations for roots of the quartic P = <tx,tx><ty,ty> - <tx,ty>^2; a
-    root with nondegenerate four-dimensional image yields statistics (4, 1).
+    elements (membership in the second fundamental representation).  The
+    search then scans pencils t = t1 + lambda t0 of derivations for roots of
+    the quartic P = <tx,tx><ty,ty> - <tx,ty>^2; a root with nondegenerate
+    four-dimensional image yields statistics (4, 1).
+
+    A derivation enters only through its images of x and y, taken once for
+    each basis derivation, so the search works on the vectors x, y, tx and
+    ty: tx = t1 x + lambda t0 x makes each pairing a quadratic in lambda and
+    P their product, and the statistics of x^y + tx^y + x^ty are read from
+    the 4x4 Gram matrix of x, y, tx and ty.
 
     Deterministic for fixed (prime, seed, budget).  Requires an odd prime
-    greater than 50 so the mod-p geometry matches characteristic zero.
-    Raises CapExceeded, before the primality test, for a prime above
-    F4_PRIME_CAP or a prime x budget above F4_SEARCH_CAP: each trial scans
-    every residue for roots.
+    greater than 50 so the mod-p geometry matches characteristic zero, and
+    a budget of at least one trial.  Raises CapExceeded, before the
+    primality test, for a prime above F4_PRIME_CAP or a prime x budget
+    above F4_SEARCH_CAP: each trial scans every residue for roots.
     """
     if isinstance(prime, int) and prime > F4_PRIME_CAP:
         raise CapExceeded("prime %d exceeds the f4 search cap %d"
@@ -850,6 +821,8 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
         raise ValueError("prime must be a prime integer, got %r" % (prime,))
     if prime <= 50:
         raise ValueError("prime must exceed 50 (got %d)" % prime)
+    if budget < 1:
+        raise ValueError("budget must be at least 1, got %d" % budget)
     p = prime
     result = F4WitnessResult(prime=p, seed=seed, budget=budget, found=False)
 
@@ -867,25 +840,12 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
         return result
 
     derivs = f4_derivations()
-    dmods = [[[e % p for e in row] for row in d] for d in derivs]
-
-    def coords_z_slot(oc):
-        co = [0] * 27
-        for i in range(8):
-            co[19 + i] = oc[i] % p
-        return co
-
-    def coords_x_slot(oc):
-        co = [0] * 27
-        for i in range(8):
-            co[3 + i] = oc[i] % p
-        return co
-
-    x0 = coords_z_slot(u)
+    x0 = [0] * 19 + [c % p for c in u]  # u in the third off-diagonal slot
     x0_elem = AlbertElement.from_coords(x0)
     if any(int(q) % p for q in x0_elem.adjugate().coords()):
         result.fail_reason = "x is not rank 1 mod p"
         return result
+    dx = [_matvec_modp(d, x0, p) for d in derivs]
 
     candidates = [tuple(int(v) % p for v in k) for k in kernel]
     for i in range(len(kernel)):
@@ -899,13 +859,12 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
         candidates.append(mix)
 
     y0 = None
-    y0_elem = None
     for w in candidates:
         if not any(w):
             continue
         if oct_norm(w) % p != 0:
             continue
-        cand = coords_x_slot(w)
+        cand = [0] * 3 + [c % p for c in w] + [0] * 16  # w in the first slot
         cand_elem = AlbertElement.from_coords(cand)
         if any(int(q) % p for q in cand_elem.adjugate().coords()):
             continue
@@ -913,9 +872,8 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
             continue
         if _bil_modp(x0, cand, p) != 0:
             continue
-        if all(_bil_modp(_matvec_modp(d, x0, p), cand, p) == 0 for d in dmods):
+        if all(_bil_modp(xd, cand, p) == 0 for xd in dx):
             y0 = cand
-            y0_elem = cand_elem
             break
     if y0 is None:
         result.fail_reason = "no kernel vector passed the membership checks"
@@ -924,73 +882,57 @@ def f4_pi2_witness_search(prime: int = 101, seed: int = 0,
     result.x_coords = tuple(x0)
     result.y_coords = tuple(y0)
     result.membership_ok = True
+    dy = [_matvec_modp(d, y0, p) for d in derivs]
 
-    # --- tangent dimension of the derivation orbit at the base two-form
-    tangent_rows = []
-    for d in dmods:
-        xd = _matvec_modp(d, x0, p)
-        yd = _matvec_modp(d, y0, p)
-        v = _mat_add_modp(_skew_outer(xd, y0, p), _skew_outer(x0, yd, p), p)
-        tangent_rows.append([e for row in v for e in row])
-    result.tangent_rank = modp_rank(tangent_rows, p)
+    # --- tangent dimension of the derivation orbit at the base two-form:
+    # the i < j coordinates of dx^y + x^dy fix each skew form
+    result.tangent_rank = modp_rank(
+        [[(xd[i] * y0[j] - y0[i] * xd[j] + x0[i] * yd[j] - yd[i] * x0[j]) % p
+          for i in range(27) for j in range(i + 1, 27)]
+         for xd, yd in zip(dx, dy)], p)
     result.expected_tangent_rank = _closed_orbit_cone_dim()
 
     # --- pencil search for the degenerate deformation
-    nder = len(dmods)
+    def image(coeffs, images):
+        return [sum(c * v[r] for c, v in zip(coeffs, images)) % p
+                for r in range(27)]
 
-    def build_t(coeffs):
-        t = [[0] * 27 for _ in range(27)]
-        for c, d in zip(coeffs, dmods):
-            if c == 0:
-                continue
-            for r in range(27):
-                tr = t[r]
-                dr = d[r]
-                for s in range(27):
-                    if dr[s]:
-                        tr[s] = (tr[s] + c * dr[s]) % p
-        return t
-
-    def pencil_value(t1, t0, lam):
-        t = [[(a + lam * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(t1, t0)]
-        xt = _matvec_modp(t, x0, p)
-        yt = _matvec_modp(t, y0, p)
-        av = _bil_modp(xt, xt, p)
-        bv = _bil_modp(yt, yt, p)
-        cv = _bil_modp(xt, yt, p)
-        return t, xt, yt, av, bv, cv
-
-    base_w = _skew_outer(x0, y0, p)
     for trial in range(1, budget + 1):
         result.line_trials = trial
-        c1 = [rng.randrange(p) for _ in range(nder)]
-        c0 = [rng.randrange(p) for _ in range(nder)]
-        t1 = build_t(c1)
-        t0 = build_t(c0)
-        samples = []
-        for m in range(5):
-            _, _, _, av, bv, cv = pencil_value(t1, t0, m)
-            samples.append((av * bv - cv * cv) % p)
-        coeffs = _lagrange_quartic_modp(samples, p)
-        if all(c == 0 for c in coeffs):
+        c1 = [rng.randrange(p) for _ in range(len(derivs))]
+        c0 = [rng.randrange(p) for _ in range(len(derivs))]
+        t1x, t0x, t1y, t0y = (image(c1, dx), image(c0, dx),
+                              image(c1, dy), image(c0, dy))
+        a = _pencil_form_modp(t1x, t0x, t1x, t0x, p)
+        b = _pencil_form_modp(t1y, t0y, t1y, t0y, p)
+        c = _pencil_form_modp(t1x, t0x, t1y, t0y, p)
+        # coefficients (degree 0..4) of P = ab - c^2
+        coeffs = [sum(a[i] * b[k - i] - c[i] * c[k - i]
+                      for i in range(max(0, k - 2), min(k, 2) + 1)) % p
+                  for k in range(5)]
+        if not any(coeffs):
             continue
         for lam in range(p):
             if _poly_eval_modp(coeffs, lam, p) != 0:
                 continue
             result.roots_tested += 1
-            t, xt, yt, av, bv, cv = pencil_value(t1, t0, lam)
-            if av == 0 and bv == 0 and cv == 0:
+            if not any(_poly_eval_modp(f, lam, p) for f in (a, b, c)):
                 continue
+            xt = [(v + lam * w) % p for v, w in zip(t1x, t0x)]
+            yt = [(v + lam * w) % p for v, w in zip(t1y, t0y)]
             span = [x0, y0, xt, yt]
             if modp_rank(span, p) != 4:
                 continue
-            w = _mat_add_modp(base_w, _skew_outer(xt, y0, p), p)
-            w = _mat_add_modp(w, _skew_outer(x0, yt, p), p)
-            stats = _skew_stats_modp(w, p)
+            # x^y + tx^y + x^ty = V M V^T with V = [x + tx, y, x, ty] of rank
+            # 4 and M invertible, so its image is span(V) and the statistics
+            # are (4, rank of the Gram matrix), as in
+            # chevalley.isotropic_pair_case
+            stats = (4, modp_rank([[_bil_modp(v, w, p) for w in span]
+                                   for v in span], p))
             if stats != (4, 1):
                 continue
             result.found = True
-            result.t_coeffs = tuple((a + lam * b) % p for a, b in zip(c1, c0))
+            result.t_coeffs = tuple((v + lam * w) % p for v, w in zip(c1, c0))
             result.root_param = lam
             result.stats = stats
             return result

@@ -205,6 +205,15 @@ _ROOT_COUNTS = {
 }
 
 
+def check_rank(st: SimpleType) -> None:
+    """ValueError unless the family of st has a root system of its rank."""
+    lo, hi = _RANK_BOUNDS[st.family]
+    if st.rank < lo or (hi is not None and st.rank > hi):
+        raise ValueError(
+            "no root system for %s: rank out of range (%s)"
+            % (st, "%d..%s" % (lo, hi if hi is not None else "∞")))
+
+
 class RootSystem:
     """Root system of one simple type, in integer coordinates.
 
@@ -217,11 +226,7 @@ class RootSystem:
     """
 
     def __init__(self, st: SimpleType):
-        lo, hi = _RANK_BOUNDS[st.family]
-        if st.rank < lo or (hi is not None and st.rank > hi):
-            raise ValueError(
-                "no root system for %s: rank out of range (%s)"
-                % (st, "%d..%s" % (lo, hi if hi is not None else "∞")))
+        check_rank(st)
         self.type = st
         simple, scale = _simple_root_table(st)
         n = st.rank

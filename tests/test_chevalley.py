@@ -37,7 +37,7 @@ from lie_reference import (
     weyl_orbit,
 )
 from secant.linalg import rank, transpose
-from secant.rootsys import SimpleType, build_root_system
+from secant.rootsys import CapExceeded, SimpleType, build_root_system
 
 
 def jacobi_defect(alg, i, j, k):
@@ -70,8 +70,10 @@ def test_dimensions(fam, n, dim):
 
 
 def test_rank_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded):
         build_chevalley(SimpleType("A", 9))
+    with pytest.raises(ValueError, match="no root system"):
+        build_chevalley(SimpleType("E", 9))
 
 
 @pytest.mark.parametrize("fam,n", [

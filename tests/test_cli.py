@@ -333,6 +333,16 @@ class TestWitness:
         assert "cap" in capsys.readouterr().err
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_f4_budget_below_one_exit_1(self, budget):
+        proc = subprocess.run(
+            [sys.executable, "-m", "secant.cli", "witness", "f4",
+             "--budget=" + budget, "--seed", "0"], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "budget must be at least 1, got %s" % budget in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 with open(LIE_GOLDEN) as _fh:
     _LIE_OUTPUTS = json.load(_fh)["outputs"]
@@ -386,6 +396,21 @@ class TestOrbitDim:
     def test_bad_type_exit_1(self, capsys):
         code, _ = run_cli("orbit-dim", "Q5", "--element", "root")
         assert code == 1
+
+    @pytest.mark.parametrize("type_", ["A9", "A100000"])
+    def test_rank_over_cap_exit_2(self, capsys, type_):
+        start = time.perf_counter()
+        code, out = run_cli("orbit-dim", type_, "--element", "root")
+        assert code == 2
+        assert out == ""
+        assert "cap" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1
+
+    def test_type_without_root_system_exit_1(self, capsys):
+        code, out = run_cli("orbit-dim", "E9", "--element", "root")
+        assert code == 1
+        assert out == ""
+        assert "no root system" in capsys.readouterr().err
 
 
 class TestOracle:

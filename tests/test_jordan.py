@@ -3,6 +3,7 @@ determinant/adjugate identities, rank stratification, constructive splits,
 the derivation algebra, and the mod-p two-plane witness search."""
 
 import json
+import pathlib
 import random
 from fractions import Fraction as Q
 
@@ -557,6 +558,21 @@ def test_witness_search_validation():
         f4_pi2_witness_search(prime=7)
     with pytest.raises(ValueError):
         f4_pi2_witness_search(prime=49)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            f4_pi2_witness_search(prime=101, budget=budget)
+
+
+with open(pathlib.Path(__file__).parent / "data" / "f4_witness_grid.json") as _fh:
+    _F4_GRID = json.load(_fh)["results"]
+
+
+@pytest.mark.parametrize("recorded", _F4_GRID, ids=lambda r: "p%d-seed%d-budget%d"
+                         % (r["prime"], r["seed"], r["budget"]))
+def test_witness_search_grid(recorded):
+    res = f4_pi2_witness_search(prime=recorded["prime"], seed=recorded["seed"],
+                                budget=recorded["budget"])
+    assert res.as_dict() == recorded
 
 
 def test_witness_search_p101():
