@@ -31,10 +31,6 @@ from .linalg import (
     _integer_row,
     int_rank,
     int_row_basis,
-    inverse,
-    matmul,
-    split_symmetric_form,
-    transpose,
 )
 from .rootsys import (
     CapExceeded,
@@ -56,10 +52,8 @@ __all__ = [
     "partition_im_stats",
     "so_nilpotent_realization",
     "coform_of_operator",
-    "random_so_conjugate",
     "skew_im_stats",
     "isotropic_pair_case",
-    "split_symmetric_form",
     "sample_isotropic_plane",
     "adjoint_pair_classes",
 ]
@@ -520,28 +514,6 @@ def coform_of_operator(A, G):
                 raise ValueError("operator is not skew for this form")
     den = da * dg
     return [[_exact_div(x, den) for x in row] for row in W]
-
-
-def random_so_conjugate(A, G, rng: random.Random) -> tuple:
-    """Transport (A, G) along a random integer change of basis: two passes
-    of random row additions."""
-    n = len(A)
-    P = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(2):
-        for i in range(n):
-            j = rng.randrange(n)
-            if i == j:
-                continue
-            c = rng.randint(-2, 2)
-            if not c:
-                continue
-            for k in range(n):
-                P[i][k] += c * P[j][k]
-    Pinv = inverse(P)
-    A2 = matmul(matmul(P, [[Q(x) for x in row] for row in A]), Pinv)
-    Pit = transpose(Pinv)
-    G2 = matmul(matmul(Pit, [[Q(x) for x in row] for row in G]), Pinv)
-    return A2, G2
 
 
 def _gram(sym, vecs) -> list:

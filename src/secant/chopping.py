@@ -43,7 +43,6 @@ from .rootsys import (
     canonicalize,
     format_descriptor,
     height,
-    parse_descriptor,
 )
 
 # ---------------------------------------------------------------------------
@@ -505,23 +504,6 @@ def certificate_to_json(cert: Certificate) -> dict:
         "base_case": cert.base_case,
         "citation": cert.citation,
     }
-
-
-def certificate_from_json(doc: dict) -> Certificate:
-    chain = tuple(
-        Chopping(
-            parent=parse_descriptor(step["parent"]),
-            removed=tuple(tuple(int(v) for v in verts) for verts in step["removed"]),
-            result=parse_descriptor(step["result"]),
-        )
-        for step in doc["chain"]
-    )
-    return Certificate(
-        root=parse_descriptor(doc["root"]),
-        chain=chain,
-        base_case=doc["base_case"],
-        citation=doc["citation"],
-    )
 
 
 def certificate_to_text(cert: Certificate) -> str:

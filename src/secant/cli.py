@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction as Q
 from functools import lru_cache
 
 from .chevalley import (
@@ -44,6 +43,7 @@ from .chopping import (
 )
 from .classifier import classify, generate_table
 from .jordan import f4_pi2_witness_search
+from .linalg import exact_rationals
 from .oracle import family_dim, rank_table
 from .ranks import (
     SHAPES,
@@ -284,8 +284,8 @@ def _cmd_orbit_dim(args, out) -> int:
         detail = {"element": "highest-root vector"}
     elif expr.startswith("pair:"):
         try:
-            want = Q(expr[5:])
-        except (ValueError, ZeroDivisionError):
+            want, = exact_rationals([expr[5:]])
+        except ValueError:
             raise ValueError("bad --element %r: %r is not a rational number"
                              % (expr, expr[5:])) from None
         classes = adjoint_pair_classes(alg)

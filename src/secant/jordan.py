@@ -54,12 +54,10 @@ __all__ = [
     "oct_norm",
     "oct_dot",
     "jordan_rank",
-    "f4_rank",
     "rank2_split",
     "rank3_split",
     "rank1_from_chart",
     "f4_derivations",
-    "apply_matrix",
     "f4_pi2_witness_search",
     "random_albert",
     "random_rank1",
@@ -398,14 +396,6 @@ def _check_tracefree(x: AlbertElement) -> None:
         raise ValueError("element must be trace-free (trace is %s)" % (x.trace(),))
 
 
-def f4_rank(x: AlbertElement) -> int:
-    """Rank stratum of a nonzero trace-free element (the three strata 1..3
-    index the nontrivial orbits of the automorphism group on trace-free
-    elements)."""
-    _check_tracefree(x)
-    return jordan_rank(x)
-
-
 @dataclass
 class Rank2Split:
     """Result of splitting a trace-free rank-2 element into rank-1 pieces.
@@ -649,19 +639,6 @@ def f4_derivations():
     if len(idx) != 52:
         raise AssertionError("derivation span has dimension %d, expected 52" % len(idx))
     return [comms[k] for k in idx]
-
-
-def apply_matrix(mat, elem: AlbertElement) -> AlbertElement:
-    """Apply a 27x27 coordinate matrix to an element."""
-    co = elem.coords()
-    out = []
-    for row in mat:
-        s = 0
-        for m, v in zip(row, co):
-            if m:
-                s = s + m * v
-        out.append(s)
-    return AlbertElement.from_coords(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,16 @@
 
 Everything here is exact.  Scalars follow one normal form, `_exact_scalar`:
 int first, a Fraction only where a division forces one (`_exact_div`), and
-a float is refused; `exact_rationals` reads JSON coordinates into it.  The
-rational routines (`row_reduce`, `nullspace`, `inverse`) take ints and
-Fractions, run on one fraction-free integer engine (denominators cleared
-once, then Bareiss elimination) and return Fractions; `rank` and `int_rank`
-run the same engine forward only and count pivots.  `IntEchelon` keeps
-sparse integer rows with per-row gcd normalization, for rows that arrive
-one at a time; prime-field routines work on plain ints reduced mod p, and
-`modp_rank_batch` on numpy integer arrays of many matrices at once.  The
-standard forms (`split_symmetric_form`, `split_symplectic_form`,
-`mirror_symplectic_form`) are integer matrices shared by every module.  No
-floats.
+a float is refused; `exact_rationals` reads JSON coordinates into it.
+Rational matrices run on one fraction-free integer engine, `_bareiss` on
+the denominator-cleared matrix: forward only in `rank` and `int_rank`, to
+Gauss-Jordan form in `_int_inverse`, which returns integers over one
+denominator.  `IntEchelon` keeps sparse integer rows with per-row gcd
+normalization, for rows that arrive one at a time; prime-field routines
+work on plain ints reduced mod p, and `modp_rank_batch` on numpy integer
+arrays of many matrices at once.  The standard forms (`split_symmetric_form`,
+`split_symplectic_form`, `mirror_symplectic_form`) are integer matrices
+shared by every module.  No floats.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 
 Vec = tuple[Q, ...]
-Mat = list[list[Q]]
 
 
 def _exact_scalar(v):
@@ -60,11 +58,30 @@ def _is_decimal_int(s) -> bool:
     return body.isascii() and body.isdigit()
 
 
+#: Largest decimal exponent of a coordinate string, in absolute value: the
+#: interpreter's default cap on the digits of an int string.
+_EXPONENT_CAP = 4300
+
+
+def _check_exponent(s: str) -> None:
+    """ValueError on a decimal exponent past `_EXPONENT_CAP`, before
+    Fraction builds its power of ten; Fraction reads any other string."""
+    exp = s.lower().partition("e")[2]
+    try:
+        big = abs(int(exp)) > _EXPONENT_CAP
+    except ValueError:  # no exponent, or a malformed one
+        return
+    if big:
+        raise ValueError("decimal exponent %s is past %d"
+                         % (exp.strip(), _EXPONENT_CAP))
+
+
 def exact_rationals(raw) -> list:
     """JSON coordinates (ints or 'p/q' strings) in the normal form of
     `_exact_scalar`; ValueError on a float, which is inexact, on a boolean,
-    which is not a number, and on a malformed string.  A plain decimal
-    integer string is parsed by int, anything else by Fraction."""
+    which is not a number, and on a malformed string or a huge exponent.  A
+    plain decimal integer string is parsed by int, anything else by
+    Fraction."""
     out = []
     for s in raw:
         t = type(s)
@@ -79,6 +96,8 @@ def exact_rationals(raw) -> list:
                              "'p/q' string" % (s,))
         else:
             try:
+                if t is str:
+                    _check_exponent(s)
                 out.append(_exact_scalar(Q(s)))
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise ValueError("bad rational coordinate: %s" % exc) from None
@@ -119,9 +138,9 @@ def _integer_matrix(mat) -> tuple[list[list[int]], int]:
 # fraction-free elimination
 #
 # One dense engine, `_bareiss`: Bareiss elimination in Z (Math. Comp. 22,
-# 1968).  `row_reduce` runs it as full Gauss-Jordan on the denominator-
-# cleared matrix and divides once per output entry; `int_rank` and `rank`
-# run it as forward elimination only and count pivots.
+# 1968).  `_int_inverse` runs it as full Gauss-Jordan on an augmented
+# matrix; `int_rank` and `rank` run it as forward elimination only and
+# count pivots.
 
 
 def _bareiss(rows: list[list[int]], full: bool) -> tuple[list[int], int]:
@@ -165,44 +184,10 @@ def _bareiss(rows: list[list[int]], full: bool) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def row_reduce(mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form over the rationals.
-
-    Returns (rref rows, pivot column indices).  Accepts any nested iterable
-    of Fraction/int rows of one length; rows of the result are lists of
-    Fractions.  Runs `_bareiss` to full Gauss-Jordan form on the
-    denominator-cleared integer matrix, after which each pivot row is the
-    last pivot times its reduced row.
-    """
-    rows, _ = _integer_matrix(mat)
-    pivots, last = _bareiss(rows, full=True)
-    zero = Q(0)
-    return [[Q(a, last) if a else zero for a in row] for row in rows], pivots
-
-
 def rank(mat) -> int:
     """Rank of a matrix of ints and Fractions: `int_rank` of its
     denominator-cleared multiple."""
     return int_rank(_integer_matrix(mat)[0])
-
-
-def nullspace(mat) -> list[Vec]:
-    """Basis of the right kernel {v : mat @ v = 0}, as tuples of Fractions."""
-    rref, pivots = row_reduce(mat)
-    if not rref:
-        return []
-    ncols = len(rref[0])
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def _int_inverse(mat) -> tuple[list[list[int]], int]:
@@ -224,28 +209,12 @@ def _int_inverse(mat) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[n:]] for row in aug], sign * last
 
 
-def inverse(mat) -> Mat:
-    """Exact inverse of a square rational matrix, as Fractions; ValueError
-    on a singular or non-square one."""
-    rows, den = _int_inverse(mat)
-    return [[Q(x, den) for x in row] for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # small vector/matrix helpers
 
 
 def dot(u, v) -> Q:
     return sum((a * b for a, b in zip(u, v)), Q(0))
-
-
-def matmul(a, b):
-    bt = list(zip(*b))
-    return [[dot(row, col) for col in bt] for row in a]
-
-
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +323,7 @@ def int_rank(mat) -> int:
     """Rank of a matrix of Python ints.
 
     Rows given as iterables of ints, all of one length, go through forward
-    Bareiss elimination (`_bareiss`), the dense engine of `row_reduce`; a
+    Bareiss elimination (`_bareiss`), the dense engine of `rank`; a
     matrix with sparse dict rows {column: value} goes through `IntEchelon`.
     ValueError on ragged rows.
     """

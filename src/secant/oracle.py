@@ -91,18 +91,14 @@ __all__ = [
     "RankTable",
     "LeviReport",
     "TangentReport",
-    "parse_family",
     "family_dim",
     "enumerate_cone_points",
     "bfs_rank_table",
     "rank_table",
     "levi_projection_test",
     "tangent_probe",
-    "tensor222_check",
-    "wedge3_tr2_poly",
     "wedge3_tr2_values",
     "wedge3_f2_report",
-    "mirror_symplectic_form",
     "f2_pure_spinor_set",
     "encode_vec",
     "decode_vec",
@@ -754,15 +750,6 @@ def _family(name):
     raise ValueError("unknown family %r" % name)
 
 
-def parse_family(name: str) -> dict:
-    """Parse a family tag into its kind and parameters.
-
-    Supported: segre-MxN, segre-2x2x2, veronese2-N, gr2-N, gr3-6,
-    lambda20-2N, lambda30-6, quadric-N, spinor10, sl3-adjoint.
-    """
-    return _family(name)[1]
-
-
 def family_dim(name: str) -> int:
     """Ambient coordinate dimension of a family."""
     rec, fam = _family(name)
@@ -1161,10 +1148,15 @@ def bfs_rank_table(points: PointSet, threads: int = 1) -> RankTable:
 
 
 def _cache_stem(family, p):
+    """Path stem of the cached table, or None: nothing is cached without
+    SECANT_CACHE_DIR or when it cannot be made a directory (a file)."""
     root = os.environ.get("SECANT_CACHE_DIR")
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError:
+        return None
     return os.path.join(root, "oracle_%s_p%d_v%d" % (family, p, TABLE_VERSION))
 
 
@@ -1299,23 +1291,6 @@ def tangent_probe(family: str, p: int) -> TangentReport:
     return TangentReport(family=family, prime=p, probes=probes,
                          histogram=hist, max_rank=mx, asserted=rec.asserted,
                          label=label)
-
-
-def tensor222_check(p: int) -> bool:
-    """BFS rank over F_p of the three-factor lower-bound tensor (the sum of
-    the three products one step off a corner) equals 3 on the 2x2x2 family;
-    also sanity-checks a decomposable control at rank 1."""
-    if p > 5:
-        raise ValueError("tensor222_check supports p <= 5")
-    table = rank_table("segre-2x2x2", p)
-    coords = [0] * 8
-    for (i, j, k) in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-        coords[(i * 2 + j) * 2 + k] = 1
-    control = [0] * 8
-    control[0] = 1  # e0 x e0 x e0
-    if table.rank_of_vec(control) != 1:
-        raise AssertionError("decomposable control is not rank 1")
-    return table.rank_of_vec(coords) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Covers: classical matrix rank (two-factor products), symmetric-square rank,
 skew two-form rank (half the matrix rank), quadric point rank with an
 explicit two-isotropics certificate, half-spinor purity in dimension 16,
 constructive peeling of trace-free two-forms over a symplectic space into
-form-isotropic planes, flattening images of three-factor tensors, the
-alternating 3-tensor rank test on a 6-dimensional space driven by a quartic
-invariant, and the symplectic rank-3 witness element.
+form-isotropic planes, the alternating 3-tensor rank test on a
+6-dimensional space driven by a quartic invariant, and the symplectic
+rank-3 witness element.
 
 Tensor payloads serialize as JSON objects {"shape", "dims", "coords"} with
 exact "p/q" rational strings; `SHAPES` lists the shapes, the exceptional
@@ -38,10 +38,7 @@ from .linalg import (
     exact_rationals,
     int_rank,
     mirror_symplectic_form,
-    nullspace,
     rank as mat_rank,
-    row_reduce,
-    split_symplectic_form,
 )
 
 __all__ = [
@@ -58,18 +55,13 @@ __all__ = [
     "gr2_rank",
     "quadric_rank",
     "quadric_split",
-    "split_symplectic_form",
     "spinor10_rank",
     "purity_quadrics",
     "purity_quadric_table",
     "pure_even_spinor",
     "EVEN_SUBSETS",
     "coform_rank_decompose",
-    "flattening_images",
     "wedge3_c6_rank",
-    "wedge3_quartic",
-    "wedge3_divisor_space",
-    "wedge3_transform",
     "wedge3_tr2_poly",
     "WEDGE3_TRIPLES",
     "WEDGE3_INDEX",
@@ -206,13 +198,6 @@ EVEN_SUBSETS = tuple(sorted(
 
 _EVEN_INDEX = {s: i for i, s in enumerate(EVEN_SUBSETS)}
 
-#: Odd-cardinality subsets, for intermediate gamma images.
-_ODD_SUBSETS = tuple(sorted(
-    (tuple(s) for k in (1, 3, 5) for s in itertools.combinations(range(5), k)),
-    key=lambda s: (len(s), s)))
-_ODD_INDEX = {s: i for i, s in enumerate(_ODD_SUBSETS)}
-
-
 def _wedge_one(i, subset):
     """e_i wedge e_subset -> (sign, new subset) or None."""
     if i in subset:
@@ -299,24 +284,6 @@ def spinor10_rank(s) -> int:
     if all(v == 0 for v in co):
         raise ValueError("zero spinor has no rank")
     return 1 if all(v == 0 for v in purity_quadrics(co)) else 2
-
-
-def spinor_annihilator_dim(s) -> int:
-    """Dimension of the space of Clifford directions killing s: 10 gamma
-    actions (5 wedges, 5 contractions) into the odd half-spinor space.
-    Equals 5 exactly on pure spinors; used as an independent cross-check."""
-    co = [_exact_scalar(v) for v in s]
-    cols = []
-    for gamma in _CLIFFORD_ACTIONS:
-        col = [0] * len(_ODD_SUBSETS)
-        for pi, su in enumerate(EVEN_SUBSETS):
-            act = gamma(su) if co[pi] else None
-            if act is not None:
-                sgn, mid = act
-                col[_ODD_INDEX[mid]] += sgn * co[pi]
-        cols.append(col)
-    mat = [[cols[j][r] for j in range(10)] for r in range(len(_ODD_SUBSETS))]
-    return 10 - mat_rank(mat)
 
 
 def pure_even_spinor(omega):
@@ -519,34 +486,6 @@ def _verify_pairs(pairs, a, den, bil):
 
 
 # ---------------------------------------------------------------------------
-# Three-factor flattenings
-# ---------------------------------------------------------------------------
-
-def _flattening(vec, sizes, axis):
-    """Matrix of a flat row-major tensor whose rows run along one axis."""
-    stride = math.prod(sizes[axis + 1:])
-    block = stride * sizes[axis]
-    return [[vec[b + c * stride + s] for b in range(0, len(vec), block)
-             for s in range(stride)] for c in range(sizes[axis])]
-
-
-def flattening_images(coords, dims):
-    """Bases (reduced echelon rows) of the three flattening images of a
-    three-factor tensor given by flat coordinates in row-major order."""
-    d1, d2, d3 = dims
-    co = [_exact_scalar(v) for v in coords]
-    if len(co) != d1 * d2 * d3:
-        raise ValueError("tensor needs %d coordinates, got %d"
-                         % (d1 * d2 * d3, len(co)))
-    images = []
-    for axis in range(3):
-        # the image along an axis is spanned by its flattening's columns
-        red, piv = row_reduce(zip(*_flattening(co, dims, axis)))
-        images.append(red[:len(piv)])
-    return tuple(images)
-
-
-# ---------------------------------------------------------------------------
 # Alternating 3-tensors on a 6-dimensional space
 # ---------------------------------------------------------------------------
 
@@ -626,12 +565,6 @@ def wedge3_from_triples(terms):
     return [_exact_scalar(v) for v in co]
 
 
-def wedge3_divisor_space(co):
-    """Basis of the space of vectors v with v wedge psi = 0 (the divisors)."""
-    # the kernel does not change when psi is scaled to integer coordinates
-    return nullspace(_divisor_matrix(_integer_row(co)[0]))
-
-
 @functools.lru_cache(maxsize=None)
 def _tr2_table() -> tuple:
     """The unnormalized quartic invariant tr(phi^2) as a polynomial in the
@@ -697,17 +630,6 @@ def wedge3_tr2_poly() -> dict:
     return _tr2_table()[0]
 
 
-def wedge3_quartic(co):
-    """Quartic invariant normalized so the two-block element
-    e0^e1^e2 + e3^e4^e5 takes value 1; vanishes on decomposable and
-    divisible elements and is nonzero exactly on the open orbit.  It is
-    homogeneous of degree 4, so it is evaluated on the coordinates with
-    their denominators cleared."""
-    poly, norm = _tr2_table()
-    ints, den = _integer_row(_exact_scalar(v) for v in co)
-    return _exact_div(_tr2_value(poly, ints), norm * den ** 4)
-
-
 def wedge3_c6_rank(co) -> int:
     """Rank of a nonzero alternating 3-tensor on a 6-dimensional space:
     1 iff decomposable (3-dimensional divisor space); 2 iff the quartic
@@ -724,23 +646,6 @@ def wedge3_c6_rank(co) -> int:
     if divisors == 3:
         return 1
     return 2 if divisors or _tr2_value(wedge3_tr2_poly(), ints) else 3
-
-
-def wedge3_transform(co, mat):
-    """Push an alternating 3-tensor through an invertible 6x6 matrix:
-    coordinates transform by 3x3 minors."""
-    m = _check_matrix(mat, square=True)
-    if len(m) != 6:
-        raise ValueError("transform needs a 6x6 matrix")
-    co = [_exact_scalar(v) for v in co]
-    cols = list(zip(*m))
-    out = [0] * 20
-    for src, c in zip(WEDGE3_TRIPLES, co):
-        if c:
-            # the image of e_src is the wedge of the three source columns
-            image = _wedge_rows([cols[j] for j in src], 6)
-            out = [acc + minor * c for acc, minor in zip(out, image)]
-    return [_exact_scalar(v) for v in out]
 
 
 # ---------------------------------------------------------------------------

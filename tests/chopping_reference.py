@@ -9,7 +9,9 @@ and leaves the unmarked ones for canonicalization to drop.
 `reference_find_wild_certificate` is the earlier height-1 search, which
 chops every state at all of its 2^r removal subsets in size-then-lex order
 (`removal_subsets`); the boundary-first search must find the same
-certificates.  Nothing in `secant` imports this module.
+certificates.  `certificate_from_json` reads back the JSON of
+`certificate_to_json`, so that tests can tamper with a certificate's
+document and replay it.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from secant.rootsys import (
     build_root_system,
     canonicalize,
     height,
+    parse_descriptor,
 )
 
 
@@ -128,3 +131,20 @@ def reference_find_wild_certificate(
                 nxt.append((result, new_chain))
         frontier = nxt
     return None
+
+
+def certificate_from_json(doc: dict) -> Certificate:
+    chain = tuple(
+        Chopping(
+            parent=parse_descriptor(step["parent"]),
+            removed=tuple(tuple(int(v) for v in verts) for verts in step["removed"]),
+            result=parse_descriptor(step["result"]),
+        )
+        for step in doc["chain"]
+    )
+    return Certificate(
+        root=parse_descriptor(doc["root"]),
+        chain=chain,
+        base_case=doc["base_case"],
+        citation=doc["citation"],
+    )

@@ -5,7 +5,9 @@ of `secant.jordan` against: the octonion product as a loop over the 64
 entries of the multiplication table, the rank-2 split computed as
 (x o x + mu x) / (2 mu) in QuadExt coordinates with its postconditions
 checked on those coordinates, and the rank-3 peel with its own rank test
-and Fraction postconditions.  Nothing in `secant` imports this module.
+and Fraction postconditions.  `apply_matrix` applies a 27x27 coordinate
+matrix, such as a derivation, to an element.  Nothing in `secant` imports
+this module.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from secant.jordan import (
     AlbertElement,
     Rank2Split,
     Rank3Split,
+    _check_tracefree,
     _coerce_num,
     _flat_table,
-    f4_rank,
     jordan_rank,
     rank1_from_chart,
 )
@@ -55,7 +57,8 @@ def rank2_split(x: AlbertElement) -> Rank2Split:
     for co in x.coords():
         if not isinstance(co, (int, Q)):
             raise ValueError("rank2_split needs rational coordinates")
-    if f4_rank(x) != 2:
+    _check_tracefree(x)
+    if jordan_rank(x) != 2:
         raise ValueError("rank2_split needs a trace-free element of rank 2")
     s_val = x.adjugate().trace()
     d = -s_val
@@ -102,3 +105,16 @@ def rank3_split(x: AlbertElement, rng=None, budget: int = 64) -> Rank3Split:
             raise AssertionError("rank-3 split does not resum")
         return Rank3Split(piece=piece, residual=residual, attempts=attempt)
     raise ValueError("no transversal rank-1 direction found in %d samples" % budget)
+
+
+def apply_matrix(mat, elem: AlbertElement) -> AlbertElement:
+    """Apply a 27x27 coordinate matrix to an element."""
+    co = elem.coords()
+    out = []
+    for row in mat:
+        s = 0
+        for m, v in zip(row, co):
+            if m:
+                s = s + m * v
+        out.append(s)
+    return AlbertElement.from_coords(out)

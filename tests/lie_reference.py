@@ -7,8 +7,9 @@ integer code against: root generation by reflections of rational
 structure constants computed on ε-vectors with Fraction
 ratios of squared lengths, image statistics by rational elimination, and
 isotropic planes sampled in Fraction coordinates, and the coform of an
-operator as a Fraction matrix product.  Nothing in `secant`
-imports this module.
+operator as a Fraction matrix product.  `random_so_conjugate` moves an
+operator and its form along a random rational change of basis, in Fraction
+arithmetic.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
@@ -17,13 +18,8 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial
 
-from secant.linalg import (
-    dot,
-    inverse,
-    matmul,
-    row_reduce,
-    transpose,
-)
+from linalg_reference import inverse, matmul, row_reduce, transpose
+from secant.linalg import dot
 from secant.rootsys import SimpleType, _simple_root_table
 
 #: every simple type of rank at most 8
@@ -272,6 +268,28 @@ _CASES = {(4, 4): "a", (4, 2): "b", (4, 0): "c", (2, 1): "d", (2, 0): "e",
 def fraction_coform_of_operator(A, G) -> list:
     """The coform W = A G^{-1} as a Fraction matrix product."""
     return matmul(A, inverse(G))
+
+
+def random_so_conjugate(A, G, rng) -> tuple:
+    """Transport (A, G) along a random integer change of basis: two passes
+    of random row additions."""
+    n = len(A)
+    P = [[Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for _ in range(2):
+        for i in range(n):
+            j = rng.randrange(n)
+            if i == j:
+                continue
+            c = rng.randint(-2, 2)
+            if not c:
+                continue
+            for k in range(n):
+                P[i][k] += c * P[j][k]
+    Pinv = inverse(P)
+    A2 = matmul(matmul(P, [[Q(x) for x in row] for row in A]), Pinv)
+    Pit = transpose(Pinv)
+    G2 = matmul(matmul(Pit, [[Q(x) for x in row] for row in G]), Pinv)
+    return A2, G2
 
 
 def fraction_skew_im_stats(omega, sym) -> tuple:

@@ -1,9 +1,10 @@
-"""Fraction-arithmetic reference for the rational routines of `secant.linalg`.
+"""Fraction-arithmetic linear algebra, the reference for `secant.linalg`.
 
 This is the earlier elimination, kept here only to check the fraction-free
 engine against: Gauss-Jordan elimination on Fraction entries, with
-`nullspace` and `inverse` read off its reduced rows in the same way.
-Nothing in `secant` imports this module.
+`nullspace` and `inverse` read off its reduced rows in the same way, and
+the Fraction matrix product and transpose that the other references build
+on.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
@@ -66,3 +67,13 @@ def inverse(mat):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in rref[:n]]
+
+
+def matmul(a, b):
+    bt = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in bt]
+            for row in a]
+
+
+def transpose(mat):
+    return [list(col) for col in zip(*mat)]

@@ -9,7 +9,9 @@ predicates take one coordinate vector (a tuple of ints) and eliminate with
 `modp_rank` or `modp_nullspace`, the point generators yield one point at a
 time, the Lie-algebra generators apply their action to one unit vector at
 a time, the spinor closure flips one code at a time, and the BFS adds one
-cone point per numpy call.  Nothing in `secant` imports this module.
+cone point per numpy call.  `tensor222_check` reads the rank of the
+three-factor lower-bound tensor off the library's 2x2x2 table.  Nothing
+in `secant` imports this module.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ranks_reference import _flattening
 from secant.linalg import (
     _BLOCK,
+    mirror_symplectic_form,
     modp_nullspace,
     modp_rank,
     split_symmetric_form,
@@ -35,12 +39,11 @@ from secant.oracle import (
     _digit_add_rows,
     _isotropic_codec,
     _spinor_generators,
-    mirror_symplectic_form,
+    rank_table,
 )
 from secant.ranks import (
     EVEN_SUBSETS,
     _divisor_matrix,
-    _flattening,
     _perm_sign,
     _subset_index,
     _wedge_rows,
@@ -531,3 +534,20 @@ def bfs_rank_table(points, threads=1):
         placed = int(np.count_nonzero(ranks == r))
         unseen -= placed
     return ranks
+
+
+def tensor222_check(p: int) -> bool:
+    """BFS rank over F_p of the three-factor lower-bound tensor (the sum of
+    the three products one step off a corner) equals 3 on the 2x2x2 family;
+    also sanity-checks a decomposable control at rank 1."""
+    if p > 5:
+        raise ValueError("tensor222_check supports p <= 5")
+    table = rank_table("segre-2x2x2", p)
+    coords = [0] * 8
+    for (i, j, k) in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+        coords[(i * 2 + j) * 2 + k] = 1
+    control = [0] * 8
+    control[0] = 1  # e0 x e0 x e0
+    if table.rank_of_vec(control) != 1:
+        raise AssertionError("decomposable control is not rank 1")
+    return table.rank_of_vec(coords) == 3

@@ -25,7 +25,6 @@ from secant.chevalley import (
     sample_isotropic_plane,
     skew_im_stats,
     so_nilpotent_realization,
-    split_symmetric_form,
 )
 from secant.chopping import find_wild_certificate, replay_certificate
 from secant.classifier import _canonical_single_types, classify
@@ -41,6 +40,7 @@ from secant.jordan import (
     rank3_split,
 )
 from secant.linalg import rank as mat_rank
+from secant.linalg import split_symmetric_form, split_symplectic_form
 from secant.oracle import (
     f2_pure_spinor_set,
     levi_projection_test,
@@ -52,7 +52,6 @@ from secant.ranks import (
     purity_quadric_table,
     purity_quadrics,
     sp6_wedge3_witness,
-    split_symplectic_form,
     wedge3_c6_rank,
     wedge3_from_triples,
 )

@@ -18,11 +18,9 @@ from secant.chevalley import (
     isotropic_pair_case,
     orbit_dim,
     partition_im_stats,
-    random_so_conjugate,
     sample_isotropic_plane,
     skew_im_stats,
     so_nilpotent_realization,
-    split_symmetric_form,
 )
 from lie_reference import (
     ALL_TYPES,
@@ -34,9 +32,11 @@ from lie_reference import (
     fraction_sample_isotropic_plane,
     fraction_secant_orbit_reps,
     fraction_structure_constants,
+    random_so_conjugate,
     weyl_orbit,
 )
-from secant.linalg import rank, transpose
+from linalg_reference import transpose
+from secant.linalg import rank, split_symmetric_form
 from secant.rootsys import CapExceeded, SimpleType, build_root_system
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from chopping_reference import (
+    certificate_from_json,
     reference_chop,
     reference_find_wild_certificate,
     removal_subsets,
@@ -17,7 +18,6 @@ from secant.chopping import (
     Chopping,
     _mark_boundaries,
     _marked_components,
-    certificate_from_json,
     certificate_to_json,
     chop,
     dense_position,

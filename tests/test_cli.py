@@ -244,6 +244,22 @@ def test_rank_quadric_refuses_one_coordinate(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("coord", ["1e-999999999", "9e9999999"])
+def test_rank_refuses_a_huge_decimal_exponent(coord, tmp_path, capsys):
+    # Fraction(coord) would build 10 ** 999999999 or 9 * 10 ** 9999999
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": "matrix", "dims": [1, 1],
+                                "coords": [coord]}))
+    start = time.perf_counter()
+    code, out = run_cli("rank", "matrix", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "bad rational coordinate" in err
+    assert "Traceback" not in err
+
+
 class TestChopTree:
     def test_wild_chain(self):
         code, out = run_cli("chop-tree", "E8[0,0,0,0,0,0,1,0]")
@@ -389,6 +405,17 @@ class TestOrbitDim:
         assert "bad --element" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_huge_exponent_pair_value_exit_1(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli("orbit-dim", "A2", "--element",
+                            "pair:1e-99999999")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "bad --element 'pair:1e-99999999'" in err
+        assert "Traceback" not in err
+
     def test_3a1_requires_e8(self, capsys):
         code, _ = run_cli("orbit-dim", "G2", "--element", "3a1")
         assert code == 1
@@ -483,6 +510,21 @@ class TestOracle:
         assert code == 2
         assert "cap" in capsys.readouterr().err
         assert time.perf_counter() - start < 5
+
+    def test_cache_dir_that_cannot_be_a_directory(self, tmp_path,
+                                                   monkeypatch):
+        # a file, or a path under one, is no cache: the table is computed
+        # and nothing is written
+        argv = ("oracle", "segre-2x2", "--prime", "2", "--json")
+        want = run_cli(*argv)
+        assert want[0] == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for root in (blocker, blocker / "sub"):
+            monkeypatch.setenv("SECANT_CACHE_DIR", str(root))
+            assert run_cli(*argv) == want
+        assert os.listdir(tmp_path) == ["file"]
+        assert blocker.read_text() == ""
 
     def test_unknown_family_exit_1(self, capsys):
         code, _ = run_cli("oracle", "mystery-9", "--prime", "2")

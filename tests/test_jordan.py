@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jordan_reference as ref
+from jordan_reference import apply_matrix
 from secant.jordan import (
     FANO_LINES,
     AlbertElement,
-    apply_matrix,
     f4_derivations,
     f4_pi2_witness_search,
-    f4_rank,
     jordan_rank,
     oct_conj,
     oct_dot,
@@ -31,7 +30,7 @@ from secant.jordan import (
     random_rank1,
     random_rank2_tracefree,
 )
-from secant.jordan import _mult_table, _oct_kernel
+from secant.jordan import _check_tracefree, _mult_table, _oct_kernel
 from secant.linalg import QuadExt
 from secant.ranks import albert_from_json, albert_to_json
 
@@ -342,15 +341,20 @@ def test_random_elements_are_generically_full_rank():
 
 
 def test_f4_rank_validation():
+    # the rank stratum of a trace-free element: _check_tracefree, then
+    # jordan_rank
     with pytest.raises(ValueError):
-        f4_rank(AlbertElement.zero())
+        _check_tracefree(AlbertElement.zero())
     with pytest.raises(ValueError):
-        f4_rank(AlbertElement.identity())
-    assert f4_rank(AlbertElement.diag(1, -1, 0)) == 2
-    assert f4_rank(AlbertElement.diag(1, 1, -2)) == 3
+        _check_tracefree(AlbertElement.identity())
+    for x, want in ((AlbertElement.diag(1, -1, 0), 2),
+                    (AlbertElement.diag(1, 1, -2), 3)):
+        _check_tracefree(x)
+        assert jordan_rank(x) == want
     rng = random.Random(30)
     e = random_rank2_tracefree(rng)
-    assert f4_rank(e) == jordan_rank(e) == 2
+    _check_tracefree(e)
+    assert jordan_rank(e) == 2
 
 
 # ---------------------------------------------------------------------------

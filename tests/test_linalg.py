@@ -19,16 +19,12 @@ from secant.linalg import (
     exact_rationals,
     int_rank,
     int_row_basis,
-    inverse,
-    matmul,
     mirror_symplectic_form,
     modp_nullspace,
     modp_rank,
     modp_rank_batch,
-    nullspace,
     rank,
     rational_sqrt,
-    row_reduce,
     split_symmetric_form,
     split_symplectic_form,
 )
@@ -48,36 +44,6 @@ def test_rank_basic():
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([]) == 0
-
-
-def test_row_reduce_pivots():
-    rref, piv = row_reduce([[2, 4, 6], [1, 2, 4]])
-    assert piv == [0, 2]
-    assert rref[0][:2] == [Q(1), Q(2)]
-
-
-def test_nullspace_annihilates():
-    rng = random.Random(7)
-    for _ in range(25):
-        m = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        ns = nullspace(m)
-        assert len(ns) == len(m[0]) - rank(m)
-        for v in ns:
-            assert all(dot(row, v) == 0 for row in m)
-
-
-def test_inverse_roundtrip():
-    rng = random.Random(11)
-    count = 0
-    while count < 10:
-        m = random_int_matrix(rng, 4, 4)
-        if rank(m) < 4:
-            continue
-        count += 1
-        assert matmul(m, inverse(m)) == [[int(i == j) for j in range(4)]
-                                         for i in range(4)]
-    with pytest.raises(ValueError):
-        inverse([[1, 1], [1, 1]])
 
 
 def test_int_rank_matches_rational_rank():
@@ -122,31 +88,26 @@ def test_engine_matches_fraction_reference():
     rng = random.Random(2024)
     seen_shapes = set()
     for mat in _rational_matrices(rng, 2400):
-        got, want = row_reduce(mat), ref.row_reduce(mat)
-        assert got == want
-        assert [[type(v) for v in row] for row in got[0]] == \
-            [[type(v) for v in row] for row in want[0]]
-        assert rank(mat) == len(want[1])
-        assert nullspace(mat) == ref.nullspace(mat)
+        assert rank(mat) == len(ref.row_reduce(mat)[1])
         # the augmented matrix of a linear system
         rhs = [Q(rng.randint(-9, 9), rng.randint(1, 12)) for _ in mat]
         aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-        assert row_reduce(aug) == ref.row_reduce(aug)
+        assert rank(aug) == len(ref.row_reduce(aug)[1])
         if mat and len(mat) == len(mat[0]):
             try:
                 want_inv = ref.inverse(mat)
             except ValueError:
                 with pytest.raises(ValueError):
-                    inverse(mat)
+                    _int_inverse(mat)
             else:
-                assert inverse(mat) == want_inv
+                rows, den = _int_inverse(mat)
+                assert [[Q(x, den) for x in row] for row in rows] == want_inv
         seen_shapes.add((len(mat), len(mat[0]) if mat else 0))
     assert len(seen_shapes) == 8 * 9 - 8  # no 0 x n matrix has n columns
 
 
 def test_int_inverse_is_the_cleared_inverse():
-    # integer rows over one positive denominator, and inverse divides them
-    # into Fractions only
+    # integer rows over one positive denominator
     rng = random.Random(2025)
     checked = 0
     for mat in _rational_matrices(rng, 2400):
@@ -156,7 +117,6 @@ def test_int_inverse_is_the_cleared_inverse():
         assert type(den) is int and den > 0
         assert all(type(x) is int for row in rows for x in row)
         assert [[Q(x, den) for x in row] for row in rows] == ref.inverse(mat)
-        assert all(type(v) is Q for row in inverse(mat) for v in row)
         checked += 1
     assert checked > 40
     with pytest.raises(ValueError, match="singular"):
@@ -165,12 +125,7 @@ def test_int_inverse_is_the_cleared_inverse():
 
 def test_inverse_rejects_non_square():
     with pytest.raises(ValueError):
-        inverse([[1, 0, 0], [0, 1, 0]])
-
-
-def test_row_reduce_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        row_reduce([[1, 2, 3], [4, 5]])
+        _int_inverse([[1, 0, 0], [0, 1, 0]])
 
 
 def test_rank_rejects_ragged_rows():
@@ -395,6 +350,18 @@ def test_exact_rationals_accepts_what_fraction_accepts():
     for bad in (["x"], [""], ["-"], ["--5"], ["1/0"], [None], [[1]], ["1.5e"]):
         with pytest.raises(ValueError):
             exact_rationals(bad)
+
+
+def test_exact_rationals_caps_the_decimal_exponent():
+    # Fraction("1e-999999999") would build 10**999999999; the exponent is
+    # refused before any digit of the power is built
+    assert exact_rationals(["1e4300", "-1E-4300"]) == [10 ** 4300,
+                                                      Q(-1, 10 ** 4300)]
+    assert exact_rationals(["-2.5E-3", "1/3"]) == [Q(-1, 400), Q(1, 3)]
+    for bad in ("1e-999999999", "9e9999999", "1e4301", "-2.5E-4301",
+                " 1e+1_000_000 "):
+        with pytest.raises(ValueError, match="exponent"):
+            exact_rationals([bad])
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])

@@ -6,15 +6,8 @@ import pkgutil
 import pytest
 
 import secant
-from secant import linalg
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(secant.__path__))
-
-#: standard forms that live in secant.linalg and stay importable from the
-#: modules that defined them before
-MOVED = {"chevalley": "split_symmetric_form",
-         "ranks": "split_symplectic_form",
-         "oracle": "mirror_symplectic_form"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,7 +15,14 @@ def test_public_names_resolve(name):
     mod = importlib.import_module("secant." + name)
     for attr in getattr(mod, "__all__", ()):
         assert hasattr(mod, attr), (name, attr)
-    if name in MOVED:
-        attr = MOVED[name]
-        assert attr in mod.__all__
-        assert getattr(mod, attr) is getattr(linalg, attr)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_have_one_home(name):
+    # every function or class a module exports is defined in that module:
+    # no name is re-exported from a second one
+    mod = importlib.import_module("secant." + name)
+    for attr in getattr(mod, "__all__", ()):
+        obj = getattr(mod, attr)
+        if callable(obj):
+            assert obj.__module__ == mod.__name__, (name, attr, obj.__module__)

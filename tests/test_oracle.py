@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secant.linalg import _BLOCK, int_rank, modp_rank
+from secant.linalg import _BLOCK, int_rank, mirror_symplectic_form, modp_rank
 from secant.oracle import (
     AMBIENT_CAP,
     PointSet,
@@ -29,14 +29,10 @@ from secant.oracle import (
     f2_pure_spinor_set,
     family_dim,
     levi_projection_test,
-    mirror_symplectic_form,
-    parse_family,
     rank_table,
     split_quadric_value,
     tangent_probe,
-    tensor222_check,
     wedge3_f2_report,
-    wedge3_tr2_poly,
     wedge3_tr2_values,
 )
 from secant.oracle import (  # noqa: internals
@@ -53,13 +49,20 @@ from secant.ranks import (
     _divisor_matrix,
     _wedge_rows,
     purity_quadric_table,
-    wedge3_quartic,
+    wedge3_tr2_poly,
 )
 from secant.rootsys import CapExceeded
 
 import oracle_reference
 import secant.oracle as orc
-from oracle_reference import CLOSED_FORM, GENERATORS, MEMBER, POINTS
+from oracle_reference import (
+    CLOSED_FORM,
+    GENERATORS,
+    MEMBER,
+    POINTS,
+    tensor222_check,
+)
+from ranks_reference import wedge3_quartic
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "wedge3_f2_fixture.json")
@@ -143,7 +146,7 @@ class TestFamilies:
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
-            parse_family(bad)
+            _family(bad)
 
     def test_rejects_bad_prime(self):
         with pytest.raises(ValueError):
@@ -166,7 +169,7 @@ class TestFamilies:
                   r"-[0-9x-]{0,7}", fullmatch=True)))
 def test_parse_family_returns_or_raises_value_error(name):
     try:
-        fam = parse_family(name)
+        fam = _family(name)[1]
     except ValueError:
         return
     assert fam["kind"] in {rec.kind for rec in _FAMILIES}
@@ -191,7 +194,6 @@ class TestRegistry:
     def test_dim_and_membership(self, kind):
         family, p = self.INSTANCES[kind]
         rec, fam = _family(family)
-        assert fam == parse_family(family)
         assert fam["kind"] == kind
         pts = enumerate_cone_points(family, p)
         assert family_dim(family) == pts.dim

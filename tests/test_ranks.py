@@ -7,8 +7,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from secant.chevalley import split_symmetric_form
+from ranks_reference import (
+    flattening_images,
+    spinor_annihilator_dim,
+    wedge3_divisor_space,
+    wedge3_quartic,
+    wedge3_transform,
+)
 from secant.linalg import rank as mat_rank
+from secant.linalg import split_symmetric_form, split_symplectic_form
 from secant.ranks import (
     EVEN_SUBSETS,
     WEDGE3_INDEX,
@@ -16,7 +23,6 @@ from secant.ranks import (
     CoformDecomposition,
     Tensor,
     coform_rank_decompose,
-    flattening_images,
     gr2_rank,
     pure_even_spinor,
     purity_quadric_table,
@@ -27,16 +33,11 @@ from secant.ranks import (
     segre_rank,
     sp6_wedge3_witness,
     spinor10_rank,
-    spinor_annihilator_dim,
-    split_symplectic_form,
     tensor_from_json,
     tensor_to_json,
     veronese2_rank,
     wedge3_c6_rank,
-    wedge3_divisor_space,
     wedge3_from_triples,
-    wedge3_quartic,
-    wedge3_transform,
 )
 
 
