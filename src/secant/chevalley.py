@@ -78,8 +78,8 @@ class ChevalleyAlgebra:
         self.system = system
         self.type = system.type
         l = self.type.rank
-        pos = list(system.positive_coeffs)
-        self.root_list: tuple = tuple(pos + [tuple(-c for c in r) for r in pos])
+        pos = system.positive_coeffs
+        self.root_list: tuple = pos + tuple(tuple(-c for c in r) for r in pos)
         self.root_index = {r: k for k, r in enumerate(self.root_list)}
         self.dim = l + len(self.root_list)
         # nonzero brackets of basis vectors as (basis index, coefficient)
@@ -91,19 +91,21 @@ class ChevalleyAlgebra:
         def put(i, j, terms):
             self._table[i][j] = shared.setdefault(terms, terms)
 
-        index = {r: k for k, r in enumerate(self.root_list, l)}
-        for r, k in index.items():
+        for k, r in enumerate(pos, l):
+            nk = k + len(pos)  # e_-a
             for i, m in enumerate(system.coroot_marks(r)):
                 if m:
                     put(i, k, ((k, m),))
                     put(k, i, ((k, -m),))
+                    put(i, nk, ((nk, -m),))
+                    put(nk, i, ((nk, m),))
             rr = system.form(r, r)
-            put(k, index[tuple(-c for c in r)],
-                tuple((i, _exact(m * system.gram[i][i], rr))
-                      for i, m in enumerate(r) if m))
-        for (ra, rb), v in _structure_constants(system).items():
-            put(index[ra], index[rb],
-                ((index[tuple(map(operator.add, ra, rb))], v),))
+            coroot = tuple((i, _exact(m * system.gram[i][i], rr))
+                           for i, m in enumerate(r) if m)
+            put(k, nk, coroot)
+            put(nk, k, tuple((i, -c) for i, c in coroot))
+        for (a, b), (c, v) in _structure_constants(system).items():
+            put(l + a, l + b, ((l + c, v),))
 
     def root_of_basis(self, k: int):
         """Simple-root coefficient tuple of the root vector at basis index k."""
@@ -142,8 +144,10 @@ def _exact(num: int, den: int) -> int:
 
 
 def _structure_constants(system: RootSystem) -> dict:
-    """Integer constants N(a,b) for all root pairs with a+b a root, keyed by
-    simple-root coefficient tuples.
+    """Integer constants N(a, b) for all root pairs with a+b a root, as
+    {(a, b): (index of a+b, N(a, b))}.  Roots are numbered by their place
+    in `ChevalleyAlgebra.root_list`: k < P is the k-th positive root in
+    height-lex order and k + P its negative.
 
     Signs are pinned on one distinguished ("extraspecial") decomposition of
     each positive non-simple root -- the decomposition whose first summand
@@ -153,86 +157,77 @@ def _structure_constants(system: RootSystem) -> dict:
     squared lengths come from the integer Gram matrix and divide exactly.
     """
     pos = system.positive_coeffs
-    pidx = {r: i for i, r in enumerate(pos)}
-    roots = set(pos) | {tuple(-x for x in r) for r in pos}
-    norm = {r: system.form(r, r) for r in roots}
-
-    def neg(a):
-        return tuple(map(operator.neg, a))
-
-    def sub(a, b):
-        return tuple(map(operator.sub, a, b))
+    P = len(pos)
+    # a root as one integer in signed base 32: coefficients of a sum or
+    # difference of two roots lie in -12..12, so codes add like the tuples
+    code = [sum(x << (5 * i) for i, x in enumerate(r)) for r in pos]
+    code += [-c for c in code]
+    index = {c: k for k, c in enumerate(code)}
+    norm = [system.form(r, r) for r in pos] * 2
 
     def string_down(a, b) -> int:
         # largest k with b - k*a a root
         k = 0
-        cur = sub(b, a)
-        while cur in roots:
+        cur = code[b] - code[a]
+        while cur in index:
             k += 1
-            cur = sub(cur, a)
+            cur -= code[a]
         return k
 
-    table: dict = {}  # (a, b) with pidx[a] < pidx[b] -> N(a,b)
+    table: dict = {}  # (a, b) positive with a < b -> N(a,b)
 
     def npos(a, b) -> int:
-        if pidx[a] < pidx[b]:
-            return table[(a, b)]
-        return -table[(b, a)]
+        if a < b:
+            return table[a, b]
+        return -table[b, a]
 
     def nval(a, b) -> int:
-        ha, hb = sum(a), sum(b)
-        if ha > 0 and hb > 0:
+        if a < P and b < P:
             return npos(a, b)
-        if ha < 0 and hb < 0:
-            return -npos(neg(a), neg(b))
-        if ha < 0:  # normalize to (positive, negative)
+        if a >= P and b >= P:
+            return -npos(a - P, b - P)
+        if a >= P:  # normalize to (positive, negative)
             return -nval(b, a)
-        xi, mu = a, neg(b)
-        nu = tuple(map(operator.add, a, b))
-        if sum(nu) > 0:
-            return _exact(-norm[nu] * npos(mu, nu), norm[xi])
-        rho = neg(nu)
-        return _exact(-norm[rho] * npos(xi, rho), norm[mu])
+        mu = b - P
+        nu = index[code[a] + code[b]]
+        if nu < P:
+            return _exact(-norm[nu] * npos(mu, nu), norm[a])
+        return _exact(-norm[nu] * npos(a, nu - P), norm[mu])
 
-    for g in pos:  # by height, so every constant used is already known
-        if sum(g) < 2:
+    for g in range(P):  # by height, so every constant used is already known
+        if sum(pos[g]) < 2:
             continue
         specials = []
-        for a in pos:
-            if pidx[a] >= pidx[g]:
-                break
-            b = sub(g, a)
-            if b in pidx and pidx[a] < pidx[b]:
+        for a in range(g):
+            b = index.get(code[g] - code[a])
+            if b is not None and a < b < P:
                 specials.append((a, b))
         a1, b1 = specials[0]
         n11 = string_down(a1, b1) + 1
-        table[(a1, b1)] = n11
+        table[a1, b1] = n11
         for a, b in specials[1:]:
-            na = neg(a)
-            d1 = sub(b1, a)
-            d2 = sub(a1, a)
+            na = a + P
+            d1 = index.get(code[b1] - code[a])
+            d2 = index.get(code[a1] - code[a])
             t = 0
-            if d1 in roots:
+            if d1 is not None:
                 t += nval(b1, na) * nval(d1, a1)
-            if d2 in roots:
+            if d2 is not None:
                 t += nval(na, a1) * nval(d2, b1)
             val = _exact(norm[g] * t, norm[b] * n11)
             if not val:
                 raise AssertionError("zero constant N%s" % ((a, b),))
-            table[(a, b)] = val
+            table[a, b] = val
 
-    # a root as one integer in signed base 32: coefficients of a sum of
-    # two roots lie in -12..12, so codes add like the tuples
-    code = {r: sum(x << (5 * i) for i, x in enumerate(r)) for r in roots}
-    sums = set(code.values())
     full: dict = {}
-    for a, ca in code.items():
-        for b, cb in code.items():
-            if ca + cb in sums:
+    for a, ca in enumerate(code):
+        for b, cb in enumerate(code):
+            c = index.get(ca + cb)
+            if c is not None:
                 v = nval(a, b)
                 if not v:
                     raise AssertionError("zero constant N%s" % ((a, b),))
-                full[(a, b)] = v
+                full[a, b] = (c, v)
     return full
 
 
@@ -265,9 +260,6 @@ class GradedDecomposition:
     @property
     def total_dim(self) -> int:
         return sum(len(v) for v in self.components.values())
-
-    def degrees(self) -> tuple:
-        return tuple(sorted(self.components))
 
 
 def grade_by_fundamental(alg: ChevalleyAlgebra, vertex: int) -> GradedDecomposition:

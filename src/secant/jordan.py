@@ -585,20 +585,6 @@ def random_rank2_tracefree(rng, bound: int = 4) -> AlbertElement:
 TRACE_GRAM_DIAG = (1, 1, 1) + (2,) * 24
 
 
-def _imatmul(a, b):
-    """Integer matrix product exploiting sparsity of both factors."""
-    n = len(a)
-    bnz = [tuple((s, v) for s, v in enumerate(row) if v) for row in b]
-    out = [[0] * n for _ in range(n)]
-    for r in range(n):
-        orow = out[r]
-        for k, av in enumerate(a[r]):
-            if av:
-                for s, bv in bnz[k]:
-                    orow[s] += av * bv
-    return out
-
-
 @lru_cache(maxsize=None)
 def f4_derivations():
     """Integer-matrix basis of the 52-dimensional derivation algebra.
@@ -607,38 +593,44 @@ def f4_derivations():
     are assembled exactly; each returned 27x27 integer matrix is 4 [L_u, L_v]
     for one basis pair, and the 52 selected commutators span all derivations.
     Every basis matrix kills the identity element and is skew for the trace
-    form.  The result is computed once and cached.
+    form.  The operators are sparse columns and each commutator a sparse
+    row over the 729 entries; only the 52 selected ones are made dense.
+    The result is computed once and cached.
     """
     basis = [AlbertElement.basis_element(i) for i in range(27)]
-    prods = [[None] * 27 for _ in range(27)]
+    # cols[i][j] = column j of 2 L_i = 2 e_i o e_j, as {row: entry}
+    cols = [[None] * 27 for _ in range(27)]
     for i in range(27):
         for j in range(i, 27):
-            co = basis[i].jordan(basis[j]).coords()
-            icol = []
-            for q in co:
-                q2 = 2 * q
-                if q2.denominator != 1:
-                    raise AssertionError("basis product has denominator > 2")
-                icol.append(int(q2))
-            prods[i][j] = icol
-            prods[j][i] = icol
-    # 2 L_i as integer matrices: row r, column j = (2 e_i o e_j)_r
-    mats = []
-    for i in range(27):
-        mats.append([[prods[i][j][r] for j in range(27)] for r in range(27)])
+            col = {}
+            for r, q in enumerate(basis[i].jordan(basis[j]).coords()):
+                if q:
+                    q2 = 2 * q
+                    if q2.denominator != 1:
+                        raise AssertionError("basis product has denominator > 2")
+                    col[r] = int(q2)
+            cols[i][j] = cols[j][i] = col
+
+    def add_product(out, a, b, sign):
+        # out += sign * (a b), flat entry 27 r + s for row r, column s
+        for s, bcol in enumerate(b):
+            for k, bv in bcol.items():
+                for r, av in a[k].items():
+                    key = 27 * r + s
+                    out[key] = out.get(key, 0) + sign * av * bv
+
     comms = []
-    flat = []
     for i in range(27):
         for j in range(i + 1, 27):
-            ab = _imatmul(mats[i], mats[j])
-            ba = _imatmul(mats[j], mats[i])
-            cm = [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(ab, ba)]
+            cm: dict = {}
+            add_product(cm, cols[i], cols[j], 1)
+            add_product(cm, cols[j], cols[i], -1)
             comms.append(cm)
-            flat.append([e for row in cm for e in row])
-    idx = int_row_basis(flat)
+    idx = int_row_basis(comms)
     if len(idx) != 52:
         raise AssertionError("derivation span has dimension %d, expected 52" % len(idx))
-    return [comms[k] for k in idx]
+    return [[[comms[k].get(27 * r + s, 0) for s in range(27)] for r in range(27)]
+            for k in idx]
 
 
 # ---------------------------------------------------------------------------

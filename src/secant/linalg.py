@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 
-Vec = tuple[Q, ...]
-
 
 def _exact_scalar(v):
     """Normal form of an exact rational scalar: an int stays an int, a
@@ -207,14 +205,6 @@ def _int_inverse(mat) -> tuple[list[list[int]], int]:
         raise ValueError("matrix is singular")
     sign = -1 if last < 0 else 1
     return [[sign * x for x in row[n:]] for row in aug], sign * last
-
-
-# ---------------------------------------------------------------------------
-# small vector/matrix helpers
-
-
-def dot(u, v) -> Q:
-    return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
 # ---------------------------------------------------------------------------

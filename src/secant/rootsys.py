@@ -1,12 +1,11 @@
 """Root systems, weights, and Weyl dimensions in integer arithmetic.
 
-Each family's simple roots are given once in explicit rational coordinates
-("ε-coordinates"), normalized so long roots have squared length 2; they are
-read only to clear the integer Gram matrix.  Every root is then an integer
-simple-root coefficient tuple.  The simple-root numbering follows the
-Onishchik–Vinberg textbook convention throughout the package (a conversion
-table to Bourbaki numbering is in the README); tests pin each label through
-the Weyl dimension formula.
+Each family is given once by its Dynkin diagram: the squared length of each
+simple root and the edges, from which the integer Gram matrix is read.
+Every root is an integer simple-root coefficient tuple.  The simple-root
+numbering follows the Onishchik–Vinberg textbook convention throughout the
+package (a conversion table to Bourbaki numbering is in the README); tests
+pin each label through the Weyl dimension formula.
 
 Weights are plain integer tuples of marks: entry i is the pairing of the
 weight with the i-th simple coroot.
@@ -15,10 +14,8 @@ weight with the i-th simple coroot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
-
-from .linalg import Vec, _integer_matrix, dot
+from math import gcd
 
 FAMILIES = "ABCDEFG"
 
@@ -117,78 +114,28 @@ def format_descriptor(g: GroupDescriptor) -> str:
 
 
 # ---------------------------------------------------------------------------
-# simple-root coordinate tables
+# Dynkin diagrams
 
 
-def _basis(n: int):
-    def e(i: int) -> list[Q]:
-        v = [Q(0)] * n
-        v[i - 1] = Q(1)
-        return v
-    return e
+def _dynkin(st: SimpleType) -> tuple[list[int], list[tuple[int, int]]]:
+    """(squared length of each simple root in Gram units, the diagram's
+    edges as 0-based node pairs).
 
-
-def _diff(n, i, j) -> Vec:
-    e = _basis(n)
-    return tuple(a - b for a, b in zip(e(i), e(j)))
-
-
-def _e8_simple_roots() -> list[Vec]:
-    e = _basis(8)
-    roots = [
-        _diff(8, 7, 6),   # α1
-        _diff(8, 6, 5),   # α2
-        _diff(8, 5, 4),   # α3
-        _diff(8, 4, 3),   # α4
-        _diff(8, 3, 2),   # α5
-        _diff(8, 2, 1),   # α6
-    ]
-    a7 = [Q(1, 2)] * 8
-    for i in range(1, 7):
-        a7[i] = Q(-1, 2)
-    roots.append(tuple(a7))  # α7 = (e1 + e8 - e2 - ... - e7)/2
-    roots.append(tuple(a + b for a, b in zip(e(1), e(2))))  # α8 = e1 + e2
-    return roots
-
-
-def _simple_root_table(st: SimpleType) -> tuple[list[Vec], Q]:
-    """(simple roots in ε-coordinates, form scale).
-
-    The bilinear form on the ambient space is `scale * (standard dot)`,
-    chosen so long roots get squared length 2.
+    The shortest simple roots have squared length 2 (1 in B), so every
+    Gram entry is an integer; dividing by half the longest length gives
+    long roots squared length 2.  A, B, C, F and G are chains; D_n and
+    E_n are a chain of n - 1 nodes with node n on node n - 2 (D) or
+    n - 3 (E).
     """
     fam, n = st.family, st.rank
-    if fam == "A":
-        return [_diff(n + 1, i, i + 1) for i in range(1, n + 1)], Q(1)
-    if fam == "B":
-        e = _basis(n)
-        roots = [_diff(n, i, i + 1) for i in range(1, n)]
-        roots.append(tuple(e(n)))
-        return roots, Q(1)
-    if fam == "C":
-        e = _basis(n)
-        roots = [_diff(n, i, i + 1) for i in range(1, n)]
-        roots.append(tuple(2 * x for x in e(n)))
-        return roots, Q(1, 2)
-    if fam == "D":
-        e = _basis(n)
-        roots = [_diff(n, i, i + 1) for i in range(1, n)]
-        roots.append(tuple(a + b for a, b in zip(e(n - 1), e(n))))
-        return roots, Q(1)
-    if fam == "E":
-        e8 = _e8_simple_roots()
-        return e8[8 - n:], Q(1)
-    if fam == "F":
-        e = _basis(4)
-        a1 = tuple(Q(1, 2) * x for x in
-                   (Q(1), Q(-1), Q(-1), Q(-1)))
-        return [a1, tuple(e(4)), _diff(4, 3, 4), _diff(4, 2, 3)], Q(1)
-    if fam == "G":
-        e = _basis(3)
-        a1 = _diff(3, 1, 2)
-        a2 = tuple(Q(c) for c in (-2, 1, 1))
-        return [a1, a2], Q(1, 3)
-    raise ValueError("unknown family %r" % fam)
+    lengths = {"B": [2] * (n - 1) + [1], "C": [2] * (n - 1) + [4],
+               "F": [2, 2, 4, 4], "G": [2, 6]}.get(fam, [2] * n)
+    branch = {"D": 2, "E": 3}.get(fam)
+    spine = n - 1 if branch else n
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    if branch:
+        edges.append((n - 1 - branch, n - 1))
+    return lengths, edges
 
 
 _RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
@@ -221,43 +168,59 @@ class RootSystem:
     reflections read off the Cartan matrix.  Positive roots are those with
     nonnegative coefficients, ordered by height and then lexicographically
     by coefficients.  The invariant form on coefficients is the integer Gram
-    matrix `gram`, cleared once from the simple roots of
-    `_simple_root_table`: (Σ c_i α_i, Σ d_j α_j) = c^T gram d / gram_den.
+    matrix `gram`, read off the Dynkin diagram (`_dynkin`): the squared
+    lengths d_i on the diagonal, -max(d_i, d_j)/2 on an edge, so that
+    (Σ c_i α_i, Σ d_j α_j) = c^T gram d / gram_den with long roots of
+    squared length 2.
     """
 
     def __init__(self, st: SimpleType):
         check_rank(st)
         self.type = st
-        simple, scale = _simple_root_table(st)
         n = st.rank
-        rows, den = _integer_matrix(simple)
-        gram, self.gram_den = _integer_matrix(
-            [scale * dot(a, b) / (den * den) for b in rows] for a in rows)
-        self.gram: tuple[tuple[int, ...], ...] = tuple(map(tuple, gram))
+        lengths, edges = _dynkin(st)
+        gram = [[0] * n for _ in range(n)]
+        for i, d in enumerate(lengths):
+            gram[i][i] = d
+        for i, j in edges:
+            gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j]) // 2
+        # in lowest terms with gram_den; only C2, all of whose entries are
+        # even, changes
+        common = gcd(max(lengths) // 2, *(x for row in gram for x in row))
+        self.gram: tuple[tuple[int, ...], ...] = tuple(
+            tuple(x // common for x in row) for row in gram)
+        self.gram_den = max(lengths) // 2 // common
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
             tuple(2 * g // row[i] for g in row)
             for i, row in enumerate(self.gram))
-        # the Weyl orbit of the simple roots is the whole root system
-        found = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-        frontier = list(found)
+        # the Weyl orbit of the simple roots is the whole root system; a
+        # reflection s_i moves the coroot marks by column i of the Cartan
+        # matrix, so each new root's marks cost one column
+        cols = tuple(zip(*self.cartan))
+        marks = {tuple(int(i == j) for j in range(n)): col
+                 for i, col in enumerate(cols)}
+        frontier = list(marks)
         while frontier:
             nxt = []
             for r in frontier:
-                for i, m in enumerate(self.coroot_marks(r)):
+                mr = marks[r]
+                for i, m in enumerate(mr):
+                    if not m:
+                        continue
                     img = r[:i] + (r[i] - m,) + r[i + 1:]
-                    if img not in found:
-                        found.add(img)
+                    if img not in marks:
+                        marks[img] = tuple(a - m * c for a, c in zip(mr, cols[i]))
                         nxt.append(img)
             frontier = nxt
         expected = _ROOT_COUNTS[st.family](st.rank)
-        if len(found) != expected:
+        if len(marks) != expected:
             raise AssertionError(
                 "generated %d roots for %s, expected %d"
-                % (len(found), st, expected))
+                % (len(marks), st, expected))
         self.positive_coeffs: tuple[tuple[int, ...], ...] = tuple(sorted(
-            (c for c in found if sum(c) > 0), key=lambda c: (sum(c), c)))
-        self.highest_root_marks: tuple[int, ...] = self.coroot_marks(
-            self.positive_coeffs[-1])
+            (c for c in marks if sum(c) > 0), key=lambda c: (sum(c), c)))
+        self.highest_root_marks: tuple[int, ...] = marks[
+            self.positive_coeffs[-1]]
 
     def coroot_marks(self, coeffs) -> tuple[int, ...]:
         """⟨β, αᵢ∨⟩ for every simple coroot, β = Σ coeffs_j α_j."""

@@ -4,8 +4,9 @@ These are the earlier implementations, kept here only to check the code
 of `secant.jordan` against: the octonion product as a loop over the 64
 entries of the multiplication table, the rank-2 split computed as
 (x o x + mu x) / (2 mu) in QuadExt coordinates with its postconditions
-checked on those coordinates, and the rank-3 peel with its own rank test
-and Fraction postconditions.  `apply_matrix` applies a 27x27 coordinate
+checked on those coordinates, the rank-3 peel with its own rank test
+and Fraction postconditions, and the derivation basis built from dense
+27x27 multiplication matrices (`dense_f4_derivations`).  `apply_matrix` applies a 27x27 coordinate
 matrix, such as a derivation, to an element.  Nothing in `secant` imports
 this module.
 """
@@ -26,7 +27,7 @@ from secant.jordan import (
     jordan_rank,
     rank1_from_chart,
 )
-from secant.linalg import QuadExt, _exact_div, rational_sqrt
+from secant.linalg import QuadExt, _exact_div, int_row_basis, rational_sqrt
 
 
 def sqrt_element(x):
@@ -118,3 +119,52 @@ def apply_matrix(mat, elem: AlbertElement) -> AlbertElement:
                 s = s + m * v
         out.append(s)
     return AlbertElement.from_coords(out)
+
+
+def _imatmul(a, b):
+    """Integer matrix product exploiting sparsity of both factors."""
+    n = len(a)
+    bnz = [tuple((s, v) for s, v in enumerate(row) if v) for row in b]
+    out = [[0] * n for _ in range(n)]
+    for r in range(n):
+        orow = out[r]
+        for k, av in enumerate(a[r]):
+            if av:
+                for s, bv in bnz[k]:
+                    orow[s] += av * bv
+    return out
+
+
+def dense_f4_derivations():
+    """The 52 matrices 4 [L_u, L_v] of `f4_derivations`, from dense 2 L_u
+    matrices and dense commutators of every basis pair."""
+    basis = [AlbertElement.basis_element(i) for i in range(27)]
+    prods = [[None] * 27 for _ in range(27)]
+    for i in range(27):
+        for j in range(i, 27):
+            co = basis[i].jordan(basis[j]).coords()
+            icol = []
+            for q in co:
+                q2 = 2 * q
+                if q2.denominator != 1:
+                    raise AssertionError("basis product has denominator > 2")
+                icol.append(int(q2))
+            prods[i][j] = icol
+            prods[j][i] = icol
+    # 2 L_i as integer matrices: row r, column j = (2 e_i o e_j)_r
+    mats = []
+    for i in range(27):
+        mats.append([[prods[i][j][r] for j in range(27)] for r in range(27)])
+    comms = []
+    flat = []
+    for i in range(27):
+        for j in range(i + 1, 27):
+            ab = _imatmul(mats[i], mats[j])
+            ba = _imatmul(mats[j], mats[i])
+            cm = [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(ab, ba)]
+            comms.append(cm)
+            flat.append([e for row in cm for e in row])
+    idx = int_row_basis(flat)
+    if len(idx) != 52:
+        raise AssertionError("derivation span has dimension %d, expected 52" % len(idx))
+    return [comms[k] for k in idx]

@@ -1,7 +1,9 @@
 """Fraction-arithmetic references for the integer Lie layer.
 
 These are the earlier implementations, kept here only to check the
-integer code against: root generation by reflections of rational
+integer code against: the simple roots of each family in rational
+ε-coordinates (`_simple_root_table`) and the integer Gram matrix cleared
+from them (`cleared_gram`), root generation by reflections of rational
 ε-coordinate vectors, fundamental weights and the invariant form in
 ε-coordinates, Weyl orbits of weights and pair classes on them,
 structure constants computed on ε-vectors with Fraction
@@ -18,9 +20,81 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial
 
-from linalg_reference import inverse, matmul, row_reduce, transpose
-from secant.linalg import dot
-from secant.rootsys import SimpleType, _simple_root_table
+from linalg_reference import dot, inverse, matmul, row_reduce, transpose
+from secant.linalg import _integer_matrix
+from secant.rootsys import SimpleType
+
+
+def _basis(n: int):
+    def e(i: int) -> list[Q]:
+        v = [Q(0)] * n
+        v[i - 1] = Q(1)
+        return v
+    return e
+
+
+def _diff(n, i, j) -> tuple:
+    e = _basis(n)
+    return tuple(a - b for a, b in zip(e(i), e(j)))
+
+
+def _e8_simple_roots() -> list[tuple]:
+    e = _basis(8)
+    roots = [
+        _diff(8, 7, 6),   # α1
+        _diff(8, 6, 5),   # α2
+        _diff(8, 5, 4),   # α3
+        _diff(8, 4, 3),   # α4
+        _diff(8, 3, 2),   # α5
+        _diff(8, 2, 1),   # α6
+    ]
+    a7 = [Q(1, 2)] * 8
+    for i in range(1, 7):
+        a7[i] = Q(-1, 2)
+    roots.append(tuple(a7))  # α7 = (e1 + e8 - e2 - ... - e7)/2
+    roots.append(tuple(a + b for a, b in zip(e(1), e(2))))  # α8 = e1 + e2
+    return roots
+
+
+def _simple_root_table(st: SimpleType) -> tuple[list[tuple], Q]:
+    """(simple roots in ε-coordinates, form scale).
+
+    The bilinear form on the ambient space is `scale * (standard dot)`,
+    chosen so long roots get squared length 2.
+    """
+    fam, n = st.family, st.rank
+    if fam == "A":
+        return [_diff(n + 1, i, i + 1) for i in range(1, n + 1)], Q(1)
+    if fam == "B":
+        e = _basis(n)
+        roots = [_diff(n, i, i + 1) for i in range(1, n)]
+        roots.append(tuple(e(n)))
+        return roots, Q(1)
+    if fam == "C":
+        e = _basis(n)
+        roots = [_diff(n, i, i + 1) for i in range(1, n)]
+        roots.append(tuple(2 * x for x in e(n)))
+        return roots, Q(1, 2)
+    if fam == "D":
+        e = _basis(n)
+        roots = [_diff(n, i, i + 1) for i in range(1, n)]
+        roots.append(tuple(a + b for a, b in zip(e(n - 1), e(n))))
+        return roots, Q(1)
+    if fam == "E":
+        e8 = _e8_simple_roots()
+        return e8[8 - n:], Q(1)
+    if fam == "F":
+        e = _basis(4)
+        a1 = tuple(Q(1, 2) * x for x in
+                   (Q(1), Q(-1), Q(-1), Q(-1)))
+        return [a1, tuple(e(4)), _diff(4, 3, 4), _diff(4, 2, 3)], Q(1)
+    if fam == "G":
+        e = _basis(3)
+        a1 = _diff(3, 1, 2)
+        a2 = tuple(Q(c) for c in (-2, 1, 1))
+        return [a1, a2], Q(1, 3)
+    raise ValueError("unknown family %r" % fam)
+
 
 #: every simple type of rank at most 8
 ALL_TYPES = ([SimpleType("A", n) for n in range(1, 9)]
@@ -28,6 +102,16 @@ ALL_TYPES = ([SimpleType("A", n) for n in range(1, 9)]
              + [SimpleType("D", n) for n in range(3, 9)]
              + [SimpleType("E", n) for n in (6, 7, 8)]
              + [SimpleType("F", 4), SimpleType("G", 2)])
+
+
+def cleared_gram(st) -> tuple:
+    """(Gram matrix, den): the form on the ε-coordinate simple roots
+    cleared to integers over one denominator."""
+    simple, scale = _simple_root_table(st)
+    rows, den = _integer_matrix(simple)
+    gram, gram_den = _integer_matrix(
+        [scale * dot(a, b) / (den * den) for b in rows] for a in rows)
+    return tuple(map(tuple, gram)), gram_den
 
 
 def matvec(mat, v):

@@ -3,13 +3,17 @@
 This is the earlier elimination, kept here only to check the fraction-free
 engine against: Gauss-Jordan elimination on Fraction entries, with
 `nullspace` and `inverse` read off its reduced rows in the same way, and
-the Fraction matrix product and transpose that the other references build
-on.  Nothing in `secant` imports this module.
+the Fraction dot product, matrix product and transpose that the other
+references build on.  Nothing in `secant` imports this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+
+
+def dot(u, v) -> Q:
+    return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
 def row_reduce(mat):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jordan_reference as ref
-from jordan_reference import apply_matrix
+from jordan_reference import apply_matrix, dense_f4_derivations
 from secant.jordan import (
     FANO_LINES,
     AlbertElement,
@@ -509,6 +509,11 @@ def test_derivation_count_and_cache():
     d2 = f4_derivations()
     assert len(d1) == 52
     assert d1 is d2  # computed once
+
+
+def test_derivations_match_dense_reference():
+    # the sparse construction selects the same 52 commutators, in order
+    assert f4_derivations() == dense_f4_derivations()
 
 
 def test_derivations_are_integer_matrices():

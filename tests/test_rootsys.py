@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lie_reference import (
     ALL_TYPES,
+    cleared_gram,
     fraction_coroot_pairing,
     fraction_form,
     fraction_fundamental_weights,
@@ -57,6 +58,15 @@ def test_root_counts(st_):
     sys = build_root_system(st_)
     assert len(_all_roots(sys)) == ROOT_COUNTS[str(st_)]
     assert 2 * len(sys.positive_coeffs) == len(_all_roots(sys))
+
+
+@pytest.mark.parametrize("st_", ALL_TYPES + [
+    SimpleType(f, n) for f in "BCD" for n in (16, 32)], ids=str)
+def test_gram_matches_cleared_epsilon_gram(st_):
+    # the Gram matrix read off the Dynkin diagram is the form on the
+    # ε-coordinate simple roots, cleared to integers over one denominator
+    sys = build_root_system(st_)
+    assert (sys.gram, sys.gram_den) == cleared_gram(st_)
 
 
 @pytest.mark.parametrize("st_", ALL_TYPES, ids=str)
