@@ -7,15 +7,16 @@ chopped pair is wild, so is the original.  A certificate is therefore a
 chain of chopping steps ending in a registered wild base case; replaying
 the chain verifies the wildness claim mechanically.
 
-`chop` validates its removal selection and hands it to one core, `_chop`,
-which the certificate search also calls with the removals it builds.  The
-core grows only the components that carry a mark (canonicalization would
-drop the others) and identifies each through `_subdiagram`, a table keyed
-on the diagram structure (type, vertex tuple) that holds the recognised
-type and all its vertex bijections.  The table is built lazily and kept,
-like `build_root_system`, and has at most one entry per connected
-subdiagram; the smallest transported mark vector is still chosen among the
-bijections on every chop.
+The layer reads one diagram record per type (`rootsys.diagram`) and
+builds no roots.  `chop` validates its removal selection and hands it to
+one core, `_chop`, which the certificate search also calls with the
+removals it builds.  The core grows only the components that carry a mark
+(canonicalization would drop the others) and identifies each through
+`_subdiagram`, a table keyed on the diagram structure (type, vertex tuple)
+that holds the recognised type and all its vertex bijections, found along
+the parent links of the candidate type.  The table is built lazily and
+kept; the smallest transported mark vector is still chosen among the
+bijections on every chop.  No cache is keyed on a descriptor.
 
 The search chops only boundaries.  Removing S from a diagram whose one mark
 sits at m leaves the component C of m, and the chop depends on C alone.
@@ -37,10 +38,11 @@ from typing import Callable
 from .rootsys import (
     _RANK_BOUNDS,
     CapExceeded,
+    Diagram,
     GroupDescriptor,
     SimpleType,
-    build_root_system,
     canonicalize,
+    diagram,
     format_descriptor,
     height,
 )
@@ -80,11 +82,6 @@ def height2_tame(g: GroupDescriptor) -> bool:
     return all(dense_position(fam, rk, pos) for _, pos, fam, rk in units)
 
 
-def height2_failing_factors(g: GroupDescriptor) -> list[int]:
-    return sorted({fi for fi, pos, fam, rk in _unit_marks(g)
-                   if not dense_position(fam, rk, pos)})
-
-
 # ---------------------------------------------------------------------------
 # chopping proper
 
@@ -93,8 +90,7 @@ def _normalize_removed(g: GroupDescriptor, removed) -> tuple[tuple[int, ...], ..
     nf = len(g.factors)
     per_factor: list[set[int]] = [set() for _ in range(nf)]
     if isinstance(removed, dict):
-        items = removed.items()
-        for fi, verts in items:
+        for fi, verts in removed.items():
             if not 0 <= fi < nf:
                 raise ValueError("factor index %r out of range" % (fi,))
             per_factor[fi].update(int(v) for v in verts)
@@ -123,20 +119,20 @@ def _marked_components(st: SimpleType, marks, removed) -> list[tuple[int, ...]]:
     """Connected components of the diagram minus `removed` that carry a
     mark, as sorted 1-based vertex tuples; unmarked components are never
     grown, since canonicalization would drop them."""
-    cartan = build_root_system(st).cartan
-    seen = set(removed)
+    nbrs = diagram(st).neighbours
+    seen = {v - 1 for v in removed}
     comps = []
-    for v, m in enumerate(marks, start=1):
+    for v, m in enumerate(marks):
         if not m or v in seen:
             continue
         seen.add(v)
-        comp = [v]
+        comp = [v + 1]
         stack = [v]
         while stack:
-            for w, a in enumerate(cartan[stack.pop() - 1], start=1):
-                if a and w not in seen:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
                     seen.add(w)
-                    comp.append(w)
+                    comp.append(w + 1)
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
@@ -147,31 +143,26 @@ def _candidate_types(r: int) -> list[SimpleType]:
             if lo <= r and (hi is None or r <= hi)]
 
 
-def _diagram_bijections(sub, target):
-    """All vertex bijections sigma with target[i][j] == sub[sigma[i]][sigma[j]]."""
-    r = len(sub)
-    used = [False] * r
-    sigma = [0] * r
-    def bt(i):
-        if i == r:
-            yield tuple(sigma)
-            return
-        for v in range(r):
-            if used[v]:
-                continue
-            if target[i][i] != sub[v][v]:
-                continue
-            ok = True
-            for j in range(i):
-                if target[i][j] != sub[v][sigma[j]] or target[j][i] != sub[sigma[j]][v]:
-                    ok = False
-                    break
-            if ok:
-                used[v] = True
-                sigma[i] = v
-                yield from bt(i + 1)
-                used[v] = False
-    yield from bt(0)
+def _diagram_bijections(d: Diagram, members: set[int], target: Diagram):
+    """All vertex bijections sigma from `target` onto the connected vertex
+    set `members` (0-based) of diagram `d` with equal Cartan entries.
+
+    Both are trees, so sigma grows along the parent links of `target`:
+    vertex 0 goes to a vertex of its degree, vertex i > 0 to an unused
+    neighbour of its parent's image with the same two Cartan entries on
+    that edge.  The r - 1 parent edges then go onto the r - 1 edges of
+    `members`, so every entry matches (diagonals are all 2).
+    """
+    nbrs, cartan, tcartan = d.neighbours, d.cartan, target.cartan
+    degree = len(target.neighbours[0])
+    partial = [(v,) for v in sorted(members)
+               if sum(w in members for w in nbrs[v]) == degree]
+    for i, p in enumerate(target.parent[1:], start=1):
+        want = (tcartan[i][p], tcartan[p][i])
+        partial = [s + (v,) for s in partial for v in nbrs[s[p]]
+                   if v in members and v not in s
+                   and (cartan[v][s[p]], cartan[s[p]][v]) == want]
+    return partial
 
 
 @lru_cache(maxsize=None)
@@ -185,14 +176,12 @@ def _subdiagram(st: SimpleType, comp: tuple[int, ...]):
     structure only, so the table holds at most one entry per connected
     subdiagram of each type.
     """
-    cartan = build_root_system(st).cartan
-    sub = [[cartan[a - 1][b - 1] for b in comp] for a in comp]
+    members = {v - 1 for v in comp}
     for cand in _candidate_types(len(comp)):
-        sigmas = tuple(tuple(comp[v] - 1 for v in sigma) for sigma in
-                       _diagram_bijections(sub, build_root_system(cand).cartan))
+        sigmas = _diagram_bijections(diagram(st), members, diagram(cand))
         if sigmas:
             return cand, sigmas
-    raise AssertionError("unrecognized connected diagram: %r" % (sub,))
+    raise AssertionError("unrecognized subdiagram %r of %s" % (comp, st))
 
 
 def _chop(g: GroupDescriptor,
@@ -280,7 +269,7 @@ def _adjoint(family, rank=None, min_rank=0):
 
     def rule(st, marks):
         return ((rank is None or st.rank == rank) and st.rank >= min_rank
-                and marks == build_root_system(st).highest_root_marks)
+                and marks == diagram(st).highest_root_marks)
     return BaseCase("adjoint-" + name.lower(), _ADJOINT_CITATION % name,
                     _single(family, rule))
 
@@ -387,35 +376,34 @@ def replay_certificate(cert: Certificate) -> bool:
 
 
 #: Largest simple-factor rank of the height-1 certificate search and of
-#: `classifier.generate_table` (the table takes about 14 s at 32 on a
-#: 2-CPU x86-64 host, most of it in the `_diagram_bijections` search).
+#: `classifier.generate_table` (the table takes about 2 s at 32 on a
+#: 2-CPU x86-64 host, most of it in the wild fundamentals' searches).
 TABLE_RANK_CAP = 32
 
 
-def _mark_boundaries(st: SimpleType, pos: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _mark_boundaries(st: SimpleType, pos: int) -> tuple[tuple[int, ...], ...]:
     """Boundaries of the connected vertex sets of `st` that hold vertex
     `pos`, the whole diagram left out, smallest and lexicographic first.
 
     Each is the removal that chops a weight marked only at `pos` down to its
-    connected set (see the module docstring).
+    connected set (see the module docstring).  Keyed on (type, vertex).
     """
-    cartan = build_root_system(st).cartan
-    nbrs = [[w for w, a in enumerate(row, start=1) if a and w != v]
-            for v, row in enumerate(cartan, start=1)]
+    nbrs = diagram(st).neighbours
 
     def grow(v, parent):
-        # boundaries, inside the branch at v away from parent, of the
-        # connected sets that hold v: each neighbour w is either cut off
-        # (w joins the boundary) or kept with a connected set holding it
+        # 1-based boundaries, inside the branch at v away from parent, of
+        # the connected sets that hold v: each neighbour w is either cut
+        # off (w joins the boundary) or kept with a connected set holding it
         out = [()]
-        for w in nbrs[v - 1]:
+        for w in nbrs[v]:
             if w != parent:
-                options = [(w,)] + grow(w, v)
+                options = [(w + 1,)] + grow(w, v)
                 out = [b + o for b in out for o in options]
         return out
 
-    return sorted((tuple(sorted(b)) for b in grow(pos, 0) if b),
-                  key=lambda b: (len(b), b))
+    return tuple(sorted((tuple(sorted(b)) for b in grow(pos - 1, -1) if b),
+                        key=lambda b: (len(b), b)))
 
 
 def find_wild_certificate(
@@ -429,8 +417,8 @@ def find_wild_certificate(
     tie-breaking).  Each state is chopped only at the boundaries of the
     connected sets that hold its mark (`_mark_boundaries`), which finds the
     same chains as a size-then-lex scan of every removal subset in
-    polynomially many chops.  Returns None
-    when no certificate exists, which is the expected outcome for tame pairs.
+    polynomially many chops.  Returns None when no certificate exists,
+    which is the expected outcome for tame pairs.
     Raises CapExceeded for a height-1 factor of rank above TABLE_RANK_CAP
     and for a search past `max_states` states.
     """
@@ -447,8 +435,7 @@ def find_wild_certificate(
         bc = _BASE_BY_ID["height2-dense-failure"]
         return Certificate(root=g, chain=(), base_case=bc.id, citation=bc.citation)
 
-    # height 1: a single factor carrying one fundamental mark; the cap comes
-    # before the registry, whose adjoint rule builds the whole root system
+    # height 1: a single factor carrying one fundamental mark
     st = g.factors[0][0]
     if st.rank > TABLE_RANK_CAP:
         raise CapExceeded("%s has rank above the certificate search cap %d"

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from .chopping import (
     TABLE_RANK_CAP,
     Certificate,
+    _candidate_types,
     _unit_marks,
     dense_position,
     find_wild_certificate,
-    height2_failing_factors,
     height2_tame,
 )
 from .rootsys import (
@@ -171,7 +171,8 @@ def classify(g: GroupDescriptor) -> TamenessVerdict:
                 "fundamental weights (%s); these sums are exactly the tame "
                 "height-2 pairs" % shape)
         cert = _wild_certificate(g)
-        failing = height2_failing_factors(g)
+        failing = sorted({fi for fi, pos, fam, rk in _unit_marks(g)
+                          if not dense_position(fam, rk, pos)})
         names = ", ".join(str(g.factors[fi][0]) for fi in failing)
         return TamenessVerdict(
             "wild", REASON_H2_FAIL,
@@ -265,30 +266,9 @@ def max_typical_rank(g: GroupDescriptor) -> RankProfile:
 
 
 def _canonical_single_types(max_rank: int) -> list[SimpleType]:
-    out = [SimpleType("A", r) for r in range(1, max_rank + 1)]
-    out += [SimpleType("B", r) for r in range(3, max_rank + 1)]
-    out += [SimpleType("C", r) for r in range(2, max_rank + 1)]
-    out += [SimpleType("D", r) for r in range(4, max_rank + 1)]
-    out += [SimpleType("E", r) for r in (6, 7, 8) if r <= max_rank]
-    if max_rank >= 4:
-        out.append(SimpleType("F", 4))
-    if max_rank >= 2:
-        out.append(SimpleType("G", 2))
-    return out
-
-
-def _all_marks_up_to_height(rank: int, hmax: int):
-    """All nonnegative mark tuples with 1 <= sum <= hmax."""
-    def rec(pos: int, remaining: int):
-        if pos == rank:
-            yield ()
-            return
-        for m in range(remaining + 1):
-            for rest in rec(pos + 1, remaining - m):
-                yield (m,) + rest
-    for marks in rec(0, hmax):
-        if sum(marks) >= 1:
-            yield marks
+    """The simple types of rank <= max_rank but B2 and D3 (C2 and A3)."""
+    return [st for r in range(1, max_rank + 1) for st in _candidate_types(r)
+            if str(st) not in ("B2", "D3")]
 
 
 def _dual_reduce_product_factor(st: SimpleType, marks: tuple[int, ...]):
@@ -310,11 +290,11 @@ def generate_table(max_rank: int = 8):
     height <= 3, plus two-factor products of fundamental weights;
     deterministic order.
 
-    Only possible tame candidates are classified: every weight of height 3
-    is wild by the height rule, and a product of two fundamentals has
-    height 2, so it is tame only if both positions are dense.  So singles
-    of height <= 2 and products of two dense fundamentals are enumerated,
-    and each of them still goes through `classify`.
+    Only possible tame candidates are classified: height 3 is wild, and a
+    height-2 weight, single or a product, is tame only if it is a sum of
+    two dense fundamentals.  So the fundamentals and the single and product
+    sums of two dense fundamentals are enumerated, and each still goes
+    through `classify` (about 2 s at rank 32 on a 2-CPU host).
 
     Product entries are normalized under the per-factor duality twist of SL
     factors (a mark on the last vertex becomes a mark on the first), since
@@ -326,11 +306,13 @@ def generate_table(max_rank: int = 8):
                           % (max_rank, TABLE_RANK_CAP))
     rows: dict[GroupDescriptor, TamenessVerdict] = {}
     singles = _canonical_single_types(max_rank)
-    for st in singles:
-        for marks in _all_marks_up_to_height(st.rank, 2):
-            g = canonicalize(GroupDescriptor(((st, marks),)))
-            if height(g) == 0 or g in rows:
-                continue
+    for st in singles:  # canonical types, so each candidate is canonical
+        dense = list(_dense_fundamentals(st))
+        for marks in [tuple(int(t == pos) for t in range(st.rank))
+                      for pos in range(st.rank)] + [
+                tuple(map(sum, zip(m1, m2)))
+                for i, m1 in enumerate(dense) for m2 in dense[i:]]:
+            g = GroupDescriptor(((st, marks),))
             verdict = classify(g)
             if verdict.tame:
                 rows[g] = verdict

@@ -1,7 +1,8 @@
 """Root systems, weights, and Weyl dimensions in integer arithmetic.
 
-Each family is given once by its Dynkin diagram: the squared length of each
-simple root and the edges, from which the integer Gram matrix is read.
+Each family is given once by its Dynkin diagram (`diagram`): the squared
+length of each simple root and the edges, from which the Cartan and integer
+Gram matrices are read.
 Every root is an integer simple-root coefficient tuple.  The simple-root
 numbering follows the Onishchik–Vinberg textbook convention throughout the
 package (a conversion table to Bourbaki numbering is in the README); tests
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 FAMILIES = "ABCDEFG"
 
@@ -117,27 +119,6 @@ def format_descriptor(g: GroupDescriptor) -> str:
 # Dynkin diagrams
 
 
-def _dynkin(st: SimpleType) -> tuple[list[int], list[tuple[int, int]]]:
-    """(squared length of each simple root in Gram units, the diagram's
-    edges as 0-based node pairs).
-
-    The shortest simple roots have squared length 2 (1 in B), so every
-    Gram entry is an integer; dividing by half the longest length gives
-    long roots squared length 2.  A, B, C, F and G are chains; D_n and
-    E_n are a chain of n - 1 nodes with node n on node n - 2 (D) or
-    n - 3 (E).
-    """
-    fam, n = st.family, st.rank
-    lengths = {"B": [2] * (n - 1) + [1], "C": [2] * (n - 1) + [4],
-               "F": [2, 2, 4, 4], "G": [2, 6]}.get(fam, [2] * n)
-    branch = {"D": 2, "E": 3}.get(fam)
-    spine = n - 1 if branch else n
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    if branch:
-        edges.append((n - 1 - branch, n - 1))
-    return lengths, edges
-
-
 _RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
                 "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
@@ -161,57 +142,105 @@ def check_rank(st: SimpleType) -> None:
             % (st, "%d..%s" % (lo, hi if hi is not None else "∞")))
 
 
+class Diagram(NamedTuple):
+    """The Dynkin diagram of one simple type, with no roots built.
+
+    `lengths` are the squared simple-root lengths, the shortest 2 (1 in B).
+    A, B, C, F and G are chains; D_n and E_n are a chain of n - 1 vertices
+    with vertex n on vertex n - 2 (D) or n - 3 (E).  So each vertex i > 0
+    has one earlier neighbour `parent[i]`, and these links are the edges.
+    """
+
+    lengths: tuple[int, ...]
+    cartan: tuple[tuple[int, ...], ...]
+    neighbours: tuple[tuple[int, ...], ...]
+    parent: tuple[int, ...]
+    highest_root_marks: tuple[int, ...]
+
+
+def _root_marks(cartan) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every root's coefficients mapped to its coroot marks: the Weyl orbit
+    of the simple roots, where s_i moves the marks by Cartan column i."""
+    cols = tuple(zip(*cartan))
+    marks = {tuple(int(i == j) for j in range(len(cols))): col
+             for i, col in enumerate(cols)}
+    frontier = list(marks)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            mr = marks[r]
+            for i, m in enumerate(mr):
+                if not m:
+                    continue
+                img = r[:i] + (r[i] - m,) + r[i + 1:]
+                if img not in marks:
+                    marks[img] = tuple(a - m * c for a, c in zip(mr, cols[i]))
+                    nxt.append(img)
+        frontier = nxt
+    return marks
+
+
+_HIGHEST_ROOT_MARKS = {
+    "A": lambda n: (2,) if n == 1 else (1,) + (0,) * (n - 2) + (1,),
+    "B": lambda n: (0, 2) if n == 2 else (0, 1) + (0,) * (n - 2),
+    "C": lambda n: (2,) + (0,) * (n - 1),
+    "D": lambda n: (0, 1, 1) if n == 3 else (0, 1) + (0,) * (n - 2),
+}
+
+
+@lru_cache(maxsize=None)
+def diagram(st: SimpleType) -> Diagram:
+    """The (memoized) diagram record of one simple type.
+
+    The highest-root marks of A–D come from closed forms (Bourbaki, Lie
+    Groups and Lie Algebras, Ch. VI, Plates I–IV, in the numbering here),
+    those of E, F and G from the generated roots.
+    """
+    check_rank(st)
+    fam, n = st.family, st.rank
+    d = {"B": [2] * (n - 1) + [1], "C": [2] * (n - 1) + [4],
+         "F": [2, 2, 4, 4], "G": [2, 6]}.get(fam, [2] * n)
+    parent = [-1] + list(range(n - 1))
+    parent[-1] -= {"D": 1, "E": 2}.get(fam, 0)  # the branch vertex of D, E
+    nbrs = tuple(tuple(j for j in range(n) if parent[j] == i or parent[i] == j)
+                 for i in range(n))
+    cartan = tuple(tuple(2 if i == j else -max(d[i], d[j]) // d[i]
+                         if j in nbrs[i] else 0 for j in range(n))
+                   for i in range(n))
+    if fam in _HIGHEST_ROOT_MARKS:
+        marks = _HIGHEST_ROOT_MARKS[fam](n)
+    else:
+        roots = _root_marks(cartan)
+        marks = roots[max(roots, key=lambda c: (sum(c), c))]
+    return Diagram(tuple(d), cartan, nbrs, tuple(parent), marks)
+
+
 class RootSystem:
     """Root system of one simple type, in integer coordinates.
 
-    Roots are simple-root coefficient tuples, generated by simple
-    reflections read off the Cartan matrix.  Positive roots are those with
-    nonnegative coefficients, ordered by height and then lexicographically
-    by coefficients.  The invariant form on coefficients is the integer Gram
-    matrix `gram`, read off the Dynkin diagram (`_dynkin`): the squared
-    lengths d_i on the diagonal, -max(d_i, d_j)/2 on an edge, so that
-    (Σ c_i α_i, Σ d_j α_j) = c^T gram d / gram_den with long roots of
-    squared length 2.
+    Roots are simple-root coefficient tuples generated by the simple
+    reflections of the diagram record (`diagram`), whose highest-root marks
+    they must reproduce.  Positive roots have nonnegative coefficients,
+    ordered by height and then lexicographically.  The integer Gram matrix
+    `gram` has the squared lengths d_i on the diagonal and -max(d_i, d_j)/2
+    on an edge: (Σ c_i α_i, Σ d_j α_j) = c^T gram d / gram_den, with long
+    roots of squared length 2.
     """
 
     def __init__(self, st: SimpleType):
-        check_rank(st)
+        record = diagram(st)
         self.type = st
-        n = st.rank
-        lengths, edges = _dynkin(st)
-        gram = [[0] * n for _ in range(n)]
-        for i, d in enumerate(lengths):
-            gram[i][i] = d
-        for i, j in edges:
-            gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j]) // 2
-        # in lowest terms with gram_den; only C2, all of whose entries are
-        # even, changes
-        common = gcd(max(lengths) // 2, *(x for row in gram for x in row))
+        self.cartan: tuple[tuple[int, ...], ...] = record.cartan
+        # g_ij = a_ij d_i / 2, in lowest terms with gram_den; only C2, all
+        # of whose entries are even, changes
+        half = max(record.lengths) // 2
+        gram = [[a * d // 2 for a in row]
+                for row, d in zip(self.cartan, record.lengths)]
+        common = gcd(half, *(x for row in gram for x in row))
         self.gram: tuple[tuple[int, ...], ...] = tuple(
             tuple(x // common for x in row) for row in gram)
-        self.gram_den = max(lengths) // 2 // common
-        self.cartan: tuple[tuple[int, ...], ...] = tuple(
-            tuple(2 * g // row[i] for g in row)
-            for i, row in enumerate(self.gram))
-        # the Weyl orbit of the simple roots is the whole root system; a
-        # reflection s_i moves the coroot marks by column i of the Cartan
-        # matrix, so each new root's marks cost one column
-        cols = tuple(zip(*self.cartan))
-        marks = {tuple(int(i == j) for j in range(n)): col
-                 for i, col in enumerate(cols)}
-        frontier = list(marks)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                mr = marks[r]
-                for i, m in enumerate(mr):
-                    if not m:
-                        continue
-                    img = r[:i] + (r[i] - m,) + r[i + 1:]
-                    if img not in marks:
-                        marks[img] = tuple(a - m * c for a, c in zip(mr, cols[i]))
-                        nxt.append(img)
-            frontier = nxt
+        self.gram_den = half // common
+        marks = _root_marks(self.cartan)
         expected = _ROOT_COUNTS[st.family](st.rank)
         if len(marks) != expected:
             raise AssertionError(
@@ -219,8 +248,10 @@ class RootSystem:
                 % (len(marks), st, expected))
         self.positive_coeffs: tuple[tuple[int, ...], ...] = tuple(sorted(
             (c for c in marks if sum(c) > 0), key=lambda c: (sum(c), c)))
-        self.highest_root_marks: tuple[int, ...] = marks[
-            self.positive_coeffs[-1]]
+        self.highest_root_marks = record.highest_root_marks
+        if marks[self.positive_coeffs[-1]] != self.highest_root_marks:
+            raise AssertionError("%s: the highest generated root's marks "
+                                 "differ from the diagram's" % st)
 
     def coroot_marks(self, coeffs) -> tuple[int, ...]:
         """⟨β, αᵢ∨⟩ for every simple coroot, β = Σ coeffs_j α_j."""

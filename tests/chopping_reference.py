@@ -3,8 +3,12 @@
 `reference_chop` is the earlier `chop`, kept here only to check the
 marked-component core of `secant.chopping` against: it grows every
 connected component of the kept subdiagram, marked or not, identifies each
-one by backtracking over diagram bijections against every candidate type,
-and leaves the unmarked ones for canonicalization to drop.
+one by backtracking over diagram bijections against every candidate type
+(`diagram_bijections`, which tries every vertex at every step and checks
+each Cartan entry against the vertices placed before it, unlike the
+library's parent-tree search), and leaves the unmarked ones for
+canonicalization to drop.  `reference_subdiagram` is the same
+identification in the shape of `secant.chopping._subdiagram`.
 
 `reference_find_wild_certificate` is the earlier height-1 search, which
 chops every state at all of its 2^r removal subsets in size-then-lex order
@@ -23,7 +27,6 @@ from secant.chopping import (
     Chopping,
     _candidate_types,
     _chop,
-    _diagram_bijections,
     _normalize_removed,
     match_base_case,
 )
@@ -60,20 +63,53 @@ def factor_components(cartan, kept: list[int]) -> list[list[int]]:
     return comps
 
 
+def diagram_bijections(sub, target):
+    """All vertex bijections sigma with target[i][j] == sub[sigma[i]][sigma[j]]."""
+    r = len(sub)
+    used = [False] * r
+    sigma = [0] * r
+
+    def bt(i):
+        if i == r:
+            yield tuple(sigma)
+            return
+        for v in range(r):
+            if used[v] or target[i][i] != sub[v][v]:
+                continue
+            if all(target[i][j] == sub[v][sigma[j]]
+                   and target[j][i] == sub[sigma[j]][v] for j in range(i)):
+                used[v] = True
+                sigma[i] = v
+                yield from bt(i + 1)
+                used[v] = False
+    yield from bt(0)
+
+
+def _identify(sub_cartan) -> tuple[SimpleType, list[tuple[int, ...]]]:
+    """First candidate type, in alphabetical order of families, with a
+    bijection onto the connected sub-Cartan matrix, and all its bijections."""
+    for st in _candidate_types(len(sub_cartan)):
+        sigmas = list(diagram_bijections(sub_cartan,
+                                         build_root_system(st).cartan))
+        if sigmas:
+            return st, sigmas
+    raise AssertionError("unrecognized connected diagram: %r" % (sub_cartan,))
+
+
 def identify_component(sub_cartan, comp_marks) -> tuple[SimpleType, tuple[int, ...]]:
     """Recognize a connected sub-Cartan matrix and transport the marks,
     choosing the lexicographically smallest transported mark vector."""
-    r = len(sub_cartan)
-    for st in _candidate_types(r):
-        target = build_root_system(st).cartan
-        best = None
-        for sigma in _diagram_bijections(sub_cartan, target):
-            marks = tuple(comp_marks[v] for v in sigma)
-            if best is None or marks < best:
-                best = marks
-        if best is not None:
-            return st, best
-    raise AssertionError("unrecognized connected diagram: %r" % (sub_cartan,))
+    st, sigmas = _identify(sub_cartan)
+    return st, min(tuple(comp_marks[v] for v in sigma) for sigma in sigmas)
+
+
+def reference_subdiagram(st: SimpleType, comp: tuple[int, ...]):
+    """(recognised type, set of bijections) of the connected 1-based vertex
+    set `comp` of `st`, each bijection as 0-based vertices of `st`."""
+    cartan = build_root_system(st).cartan
+    sub = [[cartan[a - 1][b - 1] for b in comp] for a in comp]
+    cand, sigmas = _identify(sub)
+    return cand, {tuple(comp[v] - 1 for v in sigma) for sigma in sigmas}
 
 
 def reference_chop(g: GroupDescriptor, removed) -> GroupDescriptor:

@@ -10,14 +10,19 @@ from chopping_reference import (
     certificate_from_json,
     reference_chop,
     reference_find_wild_certificate,
+    reference_subdiagram,
     removal_subsets,
 )
+import secant.chopping as chopping
+import secant.rootsys as rootsys
 from secant.chopping import (
     BASE_CASES,
     TABLE_RANK_CAP,
     Chopping,
+    _candidate_types,
     _mark_boundaries,
     _marked_components,
+    _subdiagram,
     certificate_to_json,
     chop,
     dense_position,
@@ -246,11 +251,58 @@ def test_mark_boundaries_are_first_removal_subsets():
                 if subset and pos not in subset:
                     (comp,) = _marked_components(st, marks, subset)
                     first.setdefault(comp, subset)
-            assert _mark_boundaries(st, pos) == list(first.values()), (st, pos)
+            assert list(_mark_boundaries(st, pos)) == list(first.values()), (st, pos)
             if st.family == "A":
                 # intervals [i, j] with i <= pos <= j, the whole one left out
                 n = st.rank
                 assert len(first) == pos * (n - pos + 1) - 1
+
+
+def _connected_subsets(st):
+    """Every connected vertex set of `st`, as sorted 1-based tuples."""
+    nbrs = rootsys.diagram(st).neighbours
+    found = {frozenset([v]) for v in range(st.rank)}
+    layer = set(found)
+    while layer:
+        layer = {s | {w} for s in layer for v in s for w in nbrs[v]} - found
+        found |= layer
+    return sorted(tuple(sorted(v + 1 for v in s)) for s in found)
+
+
+def test_subdiagram_matches_reference_search():
+    # the parent-tree search recognises the same type with the same
+    # bijections as the all-vertex backtracking, for every connected
+    # subdiagram of every type of rank <= 12
+    checked = 0
+    for rank in range(1, 13):
+        for st in _candidate_types(rank):
+            for comp in _connected_subsets(st):
+                cand, sigmas = _subdiagram(st, comp)
+                assert len(set(sigmas)) == len(sigmas), (st, comp)
+                assert (cand, set(sigmas)) == reference_subdiagram(st, comp), (
+                    st, comp)
+                checked += 1
+    # a chain of n vertices has n(n + 1)/2 connected sets: 364 over A1-A12
+    # and 363 over each of B2-B12 and C2-C12; D, E, F and G have 521
+    assert len(_connected_subsets(SimpleType("A", 12))) == 78
+    assert checked == 364 + 2 * 363 + 521
+
+
+def test_certificate_search_builds_no_roots():
+    # chopping reads the diagram record only: the search on every
+    # fundamental of A-D of ranks 9-12, from empty diagram caches, builds
+    # no root system
+    for cache in (rootsys.build_root_system, rootsys.diagram,
+                  chopping._subdiagram, chopping._mark_boundaries):
+        cache.cache_clear()
+    wild = 0
+    for fam in "ABCD":
+        for rank in range(9, 13):
+            for pos in range(1, rank + 1):
+                wild += find_wild_certificate(fund(fam, rank, pos)) is not None
+    assert rootsys.build_root_system.cache_info().currsize == 0
+    assert rootsys.diagram.cache_info().currsize > 0
+    assert wild > 0
 
 
 def test_tame_search_chops_polynomially(monkeypatch):
@@ -275,8 +327,8 @@ def test_tame_search_chops_polynomially(monkeypatch):
 @pytest.mark.parametrize("family,vertex", [
     ("A", 17), ("B", 2), ("C", 3), ("D", 2)])
 def test_rank_cap_comes_before_the_base_cases(family, vertex):
-    # B and D at vertex 2 are adjoint modules, whose base-case rule would
-    # build the whole root system
+    # B and D at vertex 2 are adjoint modules, which the base-case rules
+    # would match below the cap
     with pytest.raises(CapExceeded):
         find_wild_certificate(fund(family, TABLE_RANK_CAP + 1, vertex))
 

@@ -11,7 +11,6 @@ from secant.chopping import (
     replay_certificate,
 )
 from secant.classifier import (
-    _all_marks_up_to_height,
     _canonical_single_types,
     REASON_CERTIFICATE,
     REASON_H2_FAIL,
@@ -194,15 +193,41 @@ def test_table_products_are_dual_reduced():
                 assert marks[0] == 1 and marks[-1] == 0
 
 
+def _all_marks_up_to_height(rank: int, hmax: int):
+    """All nonnegative mark tuples with 1 <= sum <= hmax."""
+    def rec(pos: int, remaining: int):
+        if pos == rank:
+            yield ()
+            return
+        for m in range(remaining + 1):
+            for rest in rec(pos + 1, remaining - m):
+                yield (m,) + rest
+    for marks in rec(0, hmax):
+        if sum(marks) >= 1:
+            yield marks
+
+
+def _is_dense_sum(st, marks):
+    """The height-2 marks are a sum of two dense fundamentals of `st`."""
+    return all(dense_position(st.family, st.rank, pos)
+               for pos, m in enumerate(marks, start=1) if m)
+
+
 def test_skipped_table_candidates_are_wild_rank8():
-    # the table no longer classifies height-3 singles or products with a
+    # the table no longer classifies height-3 singles, height-2 singles
+    # that are not a sum of two dense fundamentals, or products with a
     # non-dense fundamental; each of them classifies wild by the height
     # rules, with a certificate that replays
     skipped = []
+    h2_singles = 0
     for st in _canonical_single_types(8):
         for marks in _all_marks_up_to_height(st.rank, 3):
             if sum(marks) == 3:
                 skipped.append((GroupDescriptor(((st, marks),)), REASON_H3))
+            elif sum(marks) == 2 and not _is_dense_sum(st, marks):
+                skipped.append((GroupDescriptor(((st, marks),)),
+                                REASON_H2_FAIL))
+                h2_singles += 1
     singles = _canonical_single_types(8)
     for i, st1 in enumerate(singles):
         for st2 in singles[i:]:
@@ -215,9 +240,11 @@ def test_skipped_table_candidates_are_wild_rank8():
                     m2 = tuple(int(t == p2 - 1) for t in range(st2.rank))
                     skipped.append((GroupDescriptor(((st1, m1), (st2, m2))),
                                     REASON_H2_FAIL))
-    # 1583 height-3 marks, and 13443 products of two of the 161
-    # fundamentals less the 260 products of two of the 22 dense ones
-    assert len(skipped) == 1583 + 13443 - 260
+    # 1583 height-3 marks, 534 height-2 singles, and 13443 products of
+    # two of the 161 fundamentals less the 260 products of two of the 22
+    # dense ones
+    assert h2_singles == 534
+    assert len(skipped) == 1583 + 534 + 13443 - 260
     for g, reason in skipped:
         verdict = classify(g)
         assert (verdict.status, verdict.reason) == ("wild", reason), g

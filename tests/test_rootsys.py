@@ -25,11 +25,13 @@ from secant.rootsys import (
     SimpleType,
     build_root_system,
     canonicalize,
+    diagram,
     format_descriptor,
     height,
     parse_descriptor,
     weyl_dim,
 )
+from secant.chopping import _candidate_types
 
 TYPES = [
     SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 5),
@@ -234,6 +236,24 @@ def test_highest_root_marks_derived_once(st_):
     sys = build_root_system(st_)
     assert "highest_root_marks" in vars(sys)
     assert sys.highest_root_marks == sys.coroot_marks(sys.positive_coeffs[-1])
+
+
+def test_diagram_record_matches_root_system():
+    # the record's Cartan matrix is the one of the ε-coordinate simple
+    # roots, and its closed-form highest-root marks (A-D) are those of the
+    # highest generated root, for every type of rank 1-32
+    for rank in range(1, 33):
+        for st_ in _candidate_types(rank):
+            rec, sys = diagram(st_), build_root_system(st_)
+            gram, _ = cleared_gram(st_)
+            assert rec.cartan == sys.cartan == tuple(
+                tuple(2 * g // row[i] for g in row)
+                for i, row in enumerate(gram)), st_
+            assert rec.highest_root_marks == sys.coroot_marks(
+                sys.positive_coeffs[-1]), st_
+            assert rec.parent[0] == -1 and all(
+                p < i and p in rec.neighbours[i]
+                for i, p in enumerate(rec.parent[1:], start=1)), st_
 
 
 def test_orbit_sizes():
