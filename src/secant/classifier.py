@@ -144,57 +144,48 @@ def classify(g: GroupDescriptor) -> TamenessVerdict:
     """Tame/wild verdict for a descriptor (canonicalized internally).
 
     Wild verdicts carry a replayable certificate.  Raises ValueError on the
-    trivial (height-0) module.
+    trivial (height-0) module and on a type with no root system.
     """
     g = canonicalize(g)
     h = height(g)
     if h == 0:
         raise ValueError("trivial one-dimensional module: no verdict "
                          "(effective pairs need height >= 1)")
+    if h == 2 and height2_tame(g):
+        (f1, p1, _, _), (f2, p2, _, _) = _unit_marks(g)
+        if f1 == f2 and p1 == p2:
+            shape = "twice the %s" % _describe_unit(g, f1, p1)
+        elif f1 == f2:
+            shape = "%s plus the %s" % (
+                _describe_unit(g, f1, p1), _describe_unit(g, f2, p2))
+        else:
+            shape = "%s tensor the %s" % (
+                _describe_unit(g, f1, p1), _describe_unit(g, f2, p2))
+        return TamenessVerdict(
+            "tame", REASON_H2_LIST,
+            "height-2 weight equal to a sum of two projectively-dense "
+            "fundamental weights (%s); these sums are exactly the tame "
+            "height-2 pairs" % shape)
+    if h == 1:  # single factor, single unit mark
+        st, marks = g.factors[0]
+        citation = _fundamental_tame_citation(st, marks.index(1) + 1)
+        if citation is not None:
+            return TamenessVerdict("tame", REASON_TABLE, citation)
+
+    cert = find_wild_certificate(g)
+    if cert is None:
+        raise AssertionError("no wildness certificate was found for %s, "
+                             "which is not tame" % format_descriptor(g))
     if h >= 3:
-        cert = _wild_certificate(g)
         return TamenessVerdict("wild", REASON_H3, cert.citation, cert)
     if h == 2:
-        if height2_tame(g):
-            (f1, p1, _, _), (f2, p2, _, _) = _unit_marks(g)
-            if f1 == f2 and p1 == p2:
-                shape = "twice the %s" % _describe_unit(g, f1, p1)
-            elif f1 == f2:
-                shape = "%s plus the %s" % (
-                    _describe_unit(g, f1, p1), _describe_unit(g, f2, p2))
-            else:
-                shape = "%s tensor the %s" % (
-                    _describe_unit(g, f1, p1), _describe_unit(g, f2, p2))
-            return TamenessVerdict(
-                "tame", REASON_H2_LIST,
-                "height-2 weight equal to a sum of two projectively-dense "
-                "fundamental weights (%s); these sums are exactly the tame "
-                "height-2 pairs" % shape)
-        cert = _wild_certificate(g)
         failing = sorted({fi for fi, pos, fam, rk in _unit_marks(g)
                           if not dense_position(fam, rk, pos)})
         names = ", ".join(str(g.factors[fi][0]) for fi in failing)
         return TamenessVerdict(
             "wild", REASON_H2_FAIL,
             cert.citation + " (non-dense factor: %s)" % names, cert)
-
-    # height 1: single factor, single unit mark
-    st, marks = g.factors[0]
-    pos = marks.index(1) + 1
-    citation = _fundamental_tame_citation(st, pos)
-    if citation is not None:
-        return TamenessVerdict("tame", REASON_TABLE, citation)
-    cert = _wild_certificate(g)
     return TamenessVerdict("wild", REASON_CERTIFICATE, cert.citation, cert)
-
-
-def _wild_certificate(g: GroupDescriptor) -> Certificate:
-    """The certificate of a wild module; AssertionError if none is found."""
-    cert = find_wild_certificate(g)
-    if cert is None:
-        raise AssertionError("no wildness certificate was found for %s, "
-                             "which is not tame" % format_descriptor(g))
-    return cert
 
 
 # ---------------------------------------------------------------------------

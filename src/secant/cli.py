@@ -38,7 +38,6 @@ from .chevalley import (
 from .chopping import (
     certificate_to_json,
     certificate_to_text,
-    find_wild_certificate,
     replay_certificate,
 )
 from .classifier import classify, generate_table
@@ -157,8 +156,6 @@ def _cmd_chop_tree(args, out) -> int:
     g = parse_descriptor(args.descriptor)
     verdict = classify(g)
     cert = verdict.certificate
-    if cert is None and not verdict.tame:
-        cert = find_wild_certificate(g)
     report = {
         "schema": _schema("chop-tree"),
         "descriptor": format_descriptor(g),

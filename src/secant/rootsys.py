@@ -305,6 +305,7 @@ def canonicalize(g: GroupDescriptor) -> GroupDescriptor:
 
     Relabelings (marks transported along the diagram isomorphism):
       B1, C1 → A1;  D2 → A1 x A1;  D3 → A3 (middle node first);  B2 → C2.
+    ValueError for a factor with no root system left after them (E9, G3).
     """
     out: list[tuple[SimpleType, tuple[int, ...]]] = []
     for st, marks in g.factors:
@@ -322,6 +323,7 @@ def canonicalize(g: GroupDescriptor) -> GroupDescriptor:
             # same diagram read from the other end
             out.append((SimpleType("C", 2), (marks[1], marks[0])))
         else:
+            check_rank(st)  # the relabelled types above all have one
             out.append((st, marks))
     kept = [(st, marks) for st, marks in out if any(marks)]
     kept.sort(key=lambda f: (f[0].family, f[0].rank, f[1]))

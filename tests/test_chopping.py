@@ -196,36 +196,6 @@ def test_certificates_match_rank8_golden():
     assert text == (DATA / "certificates_rank8.json").read_text()
 
 
-def _first_passing_cap(g):
-    """Smallest max_states for which the search does not raise."""
-    lo, hi = 0, 1 << 16
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            find_wild_certificate(g, max_states=mid)
-        except CapExceeded:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def test_state_cap_matches_reference(monkeypatch):
-    # the search over the reference chop raises CapExceeded for exactly the
-    # same caps: one below the threshold found with the marked-component
-    # chop raises, the threshold itself passes
-    import secant.chopping as chopping
-    cases = [fund(fam, n, k) for fam, n, k in all_fundamentals(8)]
-    thresholds = [_first_passing_cap(g) for g in cases]
-    assert max(thresholds) > 1
-    monkeypatch.setattr(chopping, "_chop", reference_chop)
-    for g, k in zip(cases, thresholds):
-        if k:
-            with pytest.raises(CapExceeded):
-                find_wild_certificate(g, max_states=k - 1)
-        find_wild_certificate(g, max_states=k)
-
-
 def test_certificates_match_subset_scan_reference():
     # the boundary-first search finds the certificate that the scan of
     # every removal subset finds, for all 329 fundamentals of rank <= 12
@@ -237,6 +207,23 @@ def test_certificates_match_subset_scan_reference():
             assert certificate_to_json(got) == certificate_to_json(want), g
         checked += 1
     assert checked == 329
+
+
+def test_chop_of_a_chop_is_a_first_chop():
+    # the lemma behind the one-pass search: chopping a first-step result at
+    # any of its own boundaries lands on a first-step result of the root,
+    # for every fundamental of rank <= 12
+    second = 0
+    for g in _fundamentals(12):
+        ((st, marks),) = g.factors
+        first = {chopping._chop(g, (b,))
+                 for b in _mark_boundaries(st, marks.index(1) + 1)}
+        for r in first:
+            ((rst, rmarks),) = r.factors
+            for b in _mark_boundaries(rst, rmarks.index(1) + 1):
+                assert chopping._chop(r, (b,)) in first, (g, r, b)
+                second += 1
+    assert second == 36710
 
 
 def test_mark_boundaries_are_first_removal_subsets():
@@ -306,10 +293,9 @@ def test_certificate_search_builds_no_roots():
 
 
 def test_tame_search_chops_polynomially(monkeypatch):
-    # the tame second fundamental of A20 runs the whole three-step search
-    # and fails; a scan of every removal subset would chop 2^20 - 1 times
-    # per state, the boundaries of A_n at vertex 2 number 2n - 3
-    import secant.chopping as chopping
+    # the tame second fundamental of A20 runs the whole search and fails:
+    # one chop per boundary of A_n at vertex 2, which number 2n - 3, where a
+    # scan of every removal subset would chop 2^20 - 1 times
     calls = 0
     real_chop = chopping._chop
 
@@ -321,7 +307,7 @@ def test_tame_search_chops_polynomially(monkeypatch):
     monkeypatch.setattr(chopping, "_chop", counting_chop)
     g = parse_descriptor("A20[0,1%s]" % (",0" * 18))
     assert find_wild_certificate(g) is None
-    assert 0 < calls <= 20 ** 3
+    assert calls == 2 * 20 - 3
 
 
 @pytest.mark.parametrize("family,vertex", [
@@ -418,17 +404,20 @@ def test_certificate_rule_cases():
     assert find_wild_certificate(parse_descriptor("C3[2,0,0]")) is None
 
 
-def test_wild_iff_certificate_rank6_fundamentals():
-    # double-entry bookkeeping at desk scale; the acceptance suite runs rank 8
+def test_wild_iff_certificate_fundamentals_to_rank_cap():
+    # double-entry bookkeeping: the tame table and the certificate search
+    # agree on every fundamental of every canonical type up to the cap
     from secant.classifier import classify
-    for fam, n, k in all_fundamentals(6):
-        g = fund(fam, n, k)
+    checked = 0
+    for g in _fundamentals(TABLE_RANK_CAP):
         cert = find_wild_certificate(g)
         verdict = classify(g)
-        assert (cert is not None) == (verdict.status == "wild"), (fam, n, k)
+        assert (cert is not None) == (verdict.status == "wild"), g
         if cert is not None:
-            assert replay_certificate(cert), (fam, n, k)
-            assert len(cert.chain) <= 1, (fam, n, k)
+            assert replay_certificate(cert), g
+            assert len(cert.chain) <= 1, g
+        checked += 1
+    assert checked == 2129
 
 
 def test_certificate_json_roundtrip():
@@ -453,6 +442,12 @@ def test_certificate_tampering_detected():
     bad3 = dict(doc)
     bad3["root"] = "C7[0,0,0,1,0,0,0]"
     assert not replay_certificate(certificate_from_json(bad3))
+    # removals that `chop` rejects: a vertex out of range, and two vertex
+    # groups for a single factor
+    for removed in ([[99]], [[1], [2]]):
+        bad4 = dict(doc)
+        bad4["chain"] = [dict(doc["chain"][0], removed=removed)]
+        assert not replay_certificate(certificate_from_json(bad4))
 
 
 def test_chopping_step_replay():

@@ -56,6 +56,20 @@ class TestClassify:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "chop-tree"])
+@pytest.mark.parametrize("text", [
+    "E9[3,0,0,0,0,0,0,0,0]", "G3[1,1,0]", "D1[2]",
+    "A1xE9[1|1,0,0,0,0,0,0,0,0]"])
+def test_type_without_root_system_gets_no_verdict(command, text, capsys):
+    # weights of height 2 and 3 are refused like those of height 1
+    code, out = run_cli(command, text)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert out == ""
+    assert "no root system" in err
+    assert "Traceback" not in err
+
+
 class TestRank:
     def write(self, tmp_path, doc):
         path = tmp_path / "t.json"
