@@ -43,7 +43,7 @@ from .chopping import (
 from .classifier import classify, generate_table
 from .jordan import f4_pi2_witness_search
 from .linalg import exact_rationals
-from .oracle import family_dim, rank_table
+from .oracle import THREADS_CAP, family_dim, rank_table
 from .ranks import (
     SHAPES,
     rank_of_tensor,
@@ -321,9 +321,11 @@ def _cmd_orbit_dim(args, out) -> int:
 
 def _oracle_check(family: str, table) -> dict:
     """Independent verification where a closed form exists; structural
-    invariants otherwise.  The closed form is evaluated on every nonzero
-    vector, a block of codes at a time."""
-    from .oracle import _closed_form, _code_blocks, decode_array
+    invariants otherwise.  Rank is constant on each F_p^* orbit, so the
+    closed form is evaluated on the orbit representatives, a block at a
+    time, and every nonzero code's rank byte is compared with its
+    representative's closed-form rank."""
+    from .oracle import _closed_form, _orbit_blocks
     import numpy as np
 
     p, d = table.prime, table.points.dim
@@ -334,9 +336,11 @@ def _oracle_check(family: str, table) -> dict:
     closed = _closed_form(family, p)
     if closed is not None:
         label, rank_of = closed
-        agree = all(np.array_equal(rank_of(decode_array(codes, p, d)),
-                                   table.ranks[codes])
-                    for codes in _code_blocks(1, p ** d))
+
+        def agrees(digits, codes):
+            ranks = rank_of(digits)
+            return all(np.array_equal(ranks, table.ranks[c]) for c in codes)
+        agree = all(agrees(*block) for block in _orbit_blocks(p, d))
         check["closed_form"] = {"kind": label, "agrees": agree}
     return check
 
@@ -462,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="verify structural invariants and closed forms")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int,
+                   default=min(os.cpu_count() or 1, THREADS_CAP))
     add_json(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -384,17 +384,18 @@ def modp_rank_batch(mats, p: int):
     (N,) int64 array with the values of ``modp_rank``.
 
     All matrices of a block of ``_BLOCK`` are eliminated together, one
-    column at a time along the shorter side: each takes as pivot its first
-    row with a nonzero entry in the column, scales it to 1 and subtracts
-    its multiples from every row, the pivot row included, which leaves the
-    pivot row zero and so never a pivot again.  Entries stay in [0, p)
-    between steps, so a step leaves them above -p**2 and adding p(p - 1)
-    makes them nonnegative.  For p * p <= 2^15 they are int16, pivot
-    inverses come from a table and each step's residues are read from the
-    table of range(p * p) mod p (a lookup about four times faster than an
-    int16 ``%``); a larger prime, below 2^31 so that every product fits,
-    runs in int64 with ``%`` and takes a pivot's inverse as its (p - 2)-th
-    power.
+    column at a time along the shorter side: each takes as pivot a row
+    with a nonzero entry in the column, scales it to 1 and subtracts its
+    multiples from the later columns of every row, the pivot row included,
+    which leaves the pivot row zero there and so never a pivot again.
+    For p <= 13, where p * p fits a byte, a block is held entry-major, as
+    an (m, n, N) uint8 array, so each entry of every matrix is one
+    contiguous N-vector; entries stay in [0, p) between steps, a step
+    adds to each the pivot entry times p minus a row entry, below p * p,
+    and reduces it with x <- min(x, x - c) for c = p * 2**j in descending
+    order (an x below c wraps above it).  A larger prime, below 2^31 so
+    that every product fits, runs in int64 with ``%`` and takes a pivot's
+    inverse as its (p - 2)-th power.
     """
     # imported here: numpy imported by this module, ahead of the other
     # secant modules, raised the resident memory after importing them all
@@ -408,24 +409,102 @@ def modp_rank_batch(mats, p: int):
         raise ValueError("prime %d is too large for int64 elimination" % p)
     if mats.shape[1] < mats.shape[2]:
         mats = mats.transpose(0, 2, 1)
-    count, nrows, ncols = mats.shape
-    small = p * p <= 1 << 15
-    if small:
-        inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
-                            dtype=np.int16)
-        residues = (np.arange(p * p) % p).astype(np.int16)
+    if p * p > 256:
+        return _modp_rank_int64(mats, p)
+    out = np.zeros(len(mats), dtype=np.int64)
+    if mats.size:
+        _modp_rank_bytes(mats, p, out)
+    return out
 
-    def reduce(x):
-        if small:
-            # in place: take reads an intp copy of the int16 indices
-            np.take(residues, x, out=x, mode="clip")
+
+def _modp_rank_bytes(mats, p, out):
+    """``modp_rank_batch`` for p * p <= 256 on an (N, m, n) array with
+    m >= n and no zero size: writes the ranks into ``out``."""
+    import numpy as np
+    count, nrows, ncols = mats.shape
+
+    def steps(top):
+        # the c = p * 2**j that bring [0, top] into [0, p)
+        return [p << j for j in reversed(range((top // p).bit_length()))]
+
+    # an entry is cast to a byte, which keeps it mod 256, and a multiple of
+    # p is added that brings the least entry to [0, p); when the greatest
+    # then passes a byte, each block is reduced by % first
+    low, high = int(mats.min()), int(mats.max())
+    shift = -(low // p) * p
+    wide = high + shift > 255
+    first = steps(p - 1 if wide else high + shift)
+    again = steps(p * p - 1)
+    inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
+                        dtype=np.uint8)
+    # a pivot is the row with the greatest entry in the column: the greatest
+    # of the keys entry << bits | row gives both
+    bits = (nrows - 1).bit_length()
+    key_type = np.min_scalar_type((p - 1) << bits | (nrows - 1))
+    row_ids = np.arange(nrows, dtype=key_type)[:, None]
+    size = min(count, _BLOCK)
+    # one entry-major block, one scratch array of the same size and the keys,
+    # reused by every block
+    a_buf = np.empty(size * nrows * ncols, dtype=np.uint8)
+    t_buf = np.empty_like(a_buf)
+    k_buf = np.empty(size * nrows, dtype=key_type)
+
+    def reduce(x, scratch, cs):
+        for c in cs:
+            np.subtract(x, c, out=scratch)
+            np.minimum(x, scratch, out=x)
+
+    for lo in range(0, count, _BLOCK):
+        block = mats[lo:lo + _BLOCK]
+        size = len(block)
+        if wide:
+            block = np.mod(block, p)
+        a = a_buf[:size * nrows * ncols].reshape(nrows, ncols, size)
+        if block.strides[0] == block.itemsize:
+            # entry-major already
+            np.copyto(a, block.transpose(1, 2, 0), casting="unsafe")
         else:
-            np.mod(x, p, out=x)
+            # cast in the input's layout, then transpose bytes: a cast
+            # that transposes too is slower than the two together
+            cast = t_buf[:a.size].reshape(block.shape)
+            np.copyto(cast, block, casting="unsafe")
+            np.copyto(a, cast.transpose(1, 2, 0))
+        if not wide and shift:
+            a += np.uint8(shift % 256)
+        scratch = t_buf[:a.size].reshape(a.shape)
+        reduce(a, scratch, first)
+        flat = a.reshape(-1)
+        keys = k_buf[:nrows * size].reshape(nrows, size)
+        columns = np.arange(size)
+        for c in range(ncols):
+            col = a[:, c]
+            np.left_shift(col, bits, out=keys, dtype=key_type)
+            keys |= row_ids
+            best = keys.max(axis=0)
+            pivot = (best >> bits).astype(np.uint8)
+            out[lo:lo + size] += pivot != 0
+            rest = ncols - c - 1
+            if not rest:
+                break
+            # the pivot row's later entries, scaled so that its pivot
+            # entry is 1, then negated: x -> p - x
+            where = (best & ((1 << bits) - 1)).astype(np.intp) * a[0].size
+            where = where + columns + np.arange(c + 1, ncols)[:, None] * size
+            row = flat[where]
+            row *= inverses[pivot]
+            reduce(row, scratch[0, :rest], again)
+            np.subtract(p, row, out=row)
+            later, prod = a[:, c + 1:], scratch[:, :rest]
+            np.multiply(col[:, None], row[None], out=prod)
+            later += prod
+            reduce(later, prod, again)
+
+
+def _modp_rank_int64(mats, p):
+    import numpy as np
 
     def inverse(x):
         # the inverse of x, and 0 for 0: x ** (p - 2) mod p
-        if small:
-            return inverses[x]
         result, power, e = np.ones_like(x), x.copy(), p - 2
         while e:
             if e & 1:
@@ -434,23 +513,20 @@ def modp_rank_batch(mats, p: int):
             e >>= 1
         return result
 
+    count, nrows, ncols = mats.shape
     out = np.zeros(count, dtype=np.int64)
     for lo in range(0, count, _BLOCK):
-        block = mats[lo:lo + _BLOCK]
-        a = np.mod(block if small else block.astype(np.int64), p).astype(
-            np.int16 if small else np.int64)
+        a = np.mod(mats[lo:lo + _BLOCK].astype(np.int64), p)
         which = np.arange(len(a))
         for c in range(ncols):
             # the pivot row scaled to 1; zero where the column has no pivot
             row = a[which, (a[:, :, c] != 0).argmax(axis=1)]
             out[lo:lo + _BLOCK] += row[:, c] != 0
-            row *= inverse(row[:, c])[:, None]
-            reduce(row)
+            row = row * inverse(row[:, c])[:, None] % p
             # earlier columns are zero in every row, the pivot row too, so
             # the whole contiguous array is updated
             a -= a[:, :, c, None] * row[:, None, :]
-            a += p * (p - 1)
-            reduce(a)
+            a %= p
     return out
 
 

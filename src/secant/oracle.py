@@ -87,6 +87,7 @@ np = _Numpy()
 
 __all__ = [
     "AMBIENT_CAP",
+    "THREADS_CAP",
     "PointSet",
     "RankTable",
     "LeviReport",
@@ -111,6 +112,9 @@ __all__ = [
 
 #: Hard cap on ambient vector count (p ** dim).
 AMBIENT_CAP = 1 << 24
+
+#: Hard cap on BFS worker threads: a pool starts up to one per block.
+THREADS_CAP = 64
 
 TABLE_VERSION = 2
 
@@ -237,6 +241,48 @@ def _code_blocks(start, stop):
     range(start, stop)."""
     for lo in range(start, stop, _BLOCK):
         yield np.arange(lo, min(lo + _BLOCK, stop), dtype=np.int64)
+
+
+def _orbit_blocks(p, d):
+    """The nonzero codes below p ** d by F_p^* orbit, in blocks of at most
+    _BLOCK orbits.  Yields (digits, codes): the (B, d) uint8 digit array of
+    B orbit representatives, codes in [p**k, 2 * p**k) whose leading digit
+    is 1, and a list of (B,) code arrays: theirs, then those of their
+    multiples by 2, ..., p - 1.  With t the most digits whose tuples fit a
+    block, a piece of level k fixes the digits from s = min(t, k) up and
+    copies its low s digits from one array of every t-tuple, so no digit is
+    divided out of a code array; a block joins consecutive pieces."""
+    t = 0
+    while t < d - 1 and p ** (t + 1) <= _BLOCK:
+        t += 1
+    # every t-tuple, digit 0 fastest, and the low codes of its multiples by
+    # 1, ..., p - 1; the first p**s rows are the s-tuples, then zeros
+    low = np.indices((p,) * t, dtype=np.uint8).reshape(t, p ** t)[::-1].T
+    scaled = [encode_array(low * c % p, p) for c in range(1, p)]
+
+    def piece(s, top):
+        digits = np.zeros((p ** s, d), dtype=np.uint8)
+        digits[:, :s] = low[:p ** s, :s]
+        digits[:, s:] = top
+        return digits, [p ** s * encode_vec([c * x for x in top], p)
+                        + codes[:p ** s]
+                        for c, codes in enumerate(scaled, 1)]
+
+    def join(group):
+        digits, codes = zip(*group)
+        return np.concatenate(digits), [np.concatenate(c) for c in zip(*codes)]
+
+    group, size = [], 0
+    for k in range(d):
+        s = min(t, k)
+        for block in range(p ** (k - s)):
+            if size + p ** s > _BLOCK:
+                yield join(group)
+                group, size = [], 0
+            group.append(piece(s, decode_vec(block, p, k - s) + [1]
+                               + [0] * (d - k - 1)))
+            size += p ** s
+    yield join(group)
 
 
 def _canonical_codes(vecs, p):
@@ -387,13 +433,15 @@ def _veronese_points(fam, p):
 def _cells_unfold(vecs, n, cells, mirror):
     """(N, n, n) int16 array of the matrices whose cells (i, j) hold the
     coordinates of the rows of ``vecs``, and whose cells (j, i) hold the
-    same (mirror=1) or their negatives (mirror=-1)."""
-    vecs = np.asarray(vecs, dtype=np.int16).reshape(-1, len(cells))
+    same (mirror=1) or their negatives (mirror=-1).  It is a view of an
+    entry-major (n, n, N) array: each cell is filled by one copy of N
+    coordinates, the layout ``modp_rank_batch`` eliminates in."""
+    vecs = np.asarray(vecs, dtype=np.int16).reshape(-1, len(cells)).T
     rows, cols = np.array(cells).T
-    out = np.zeros((len(vecs), n, n), dtype=np.int16)
-    out[:, cols, rows] = mirror * vecs
-    out[:, rows, cols] = vecs
-    return out
+    out = np.zeros((n, n, vecs.shape[1]), dtype=np.int16)
+    out[cols, rows] = mirror * vecs
+    out[rows, cols] = vecs
+    return out.transpose(2, 0, 1)
 
 
 def _veronese_member(fam, p):
@@ -778,6 +826,9 @@ def _check_cap(p, d):
 def _check_threads(threads):
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
+    if threads > THREADS_CAP:
+        raise CapExceeded("%d threads requested, over the %d cap"
+                          % (threads, THREADS_CAP))
 
 
 def enumerate_cone_points(family: str, p: int) -> PointSet:

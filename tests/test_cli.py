@@ -11,12 +11,14 @@ import pytest
 
 from secant.classifier import TABLE_RANK_CAP
 from secant.cli import main
+from secant.oracle import THREADS_CAP
 from secant.ranks import SHAPES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "table_rank8_golden.json")
 LIE_GOLDEN = os.path.join(DATA, "lie_cli_golden.json")
 RANK_GOLDEN = os.path.join(DATA, "rank_cli_golden.json")
+ORACLE_GOLDEN = os.path.join(DATA, "oracle_cli_golden.json")
 
 
 def run_cli(*argv):
@@ -474,15 +476,47 @@ class TestOracle:
         assert doc["check"]["closed_form"]["kind"] == "matrix rank"
         assert doc["check"]["closed_form"]["agrees"] is True
 
+    @staticmethod
+    def cached_table(tmp_path_factory, family, p):
+        """A cached table, as (header, rank bytes)."""
+        from secant.oracle import rank_table
+        stem = str(tmp_path_factory.mktemp("cache") / "t")
+        rank_table(family, p).save(stem)
+        with open(stem + ".json") as fh, open(stem + ".bin", "rb") as fb:
+            return json.load(fh), fb.read()
+
     @pytest.fixture(scope="class")
     def segre_4x5_table(self, tmp_path_factory):
         """The cached segre-4x5 table over F_2 (2^20 codes, 16 blocks of
-        the check), as (header, rank bytes)."""
-        from secant.oracle import rank_table
-        stem = str(tmp_path_factory.mktemp("cache") / "t")
-        rank_table("segre-4x5", 2).save(stem)
-        with open(stem + ".json") as fh, open(stem + ".bin", "rb") as fb:
-            return json.load(fh), fb.read()
+        the check)."""
+        return self.cached_table(tmp_path_factory, "segre-4x5", 2)
+
+    @pytest.fixture(scope="class")
+    def segre_3x3_f3_table(self, tmp_path_factory):
+        """The cached segre-3x3 table over F_3, where the check compares
+        the byte of each multiple with its representative's rank."""
+        return self.cached_table(tmp_path_factory, "segre-3x3", 3)
+
+    @staticmethod
+    def check_flipped(tmp_path, monkeypatch, table, family, p, code,
+                      message):
+        # a cached table with one rank byte flipped, and a header whose
+        # sha256 and layer counts match the flipped bytes
+        import hashlib
+        head, data = table
+        data = bytearray(data)
+        assert (data[code] == 1) == (message == "rank-1 layer")
+        data[code] ^= 1
+        counts = {str(r): data.count(r) for r in range(256) if r in data}
+        stem = str(tmp_path / ("oracle_%s_p%d_v2" % (family, p)))
+        with open(stem + ".bin", "wb") as fh:
+            fh.write(data)
+        with open(stem + ".json", "w") as fh:
+            json.dump(dict(head, sha256=hashlib.sha256(data).hexdigest(),
+                           counts=counts), fh)
+        monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
+        with pytest.raises(AssertionError, match=message):
+            run_cli("oracle", family, "--prime", str(p), "--check", "--json")
 
     @pytest.mark.parametrize("code,message", [
         (65, "closed-form"),             # a rank-2 code in the first block
@@ -492,23 +526,19 @@ class TestOracle:
     ])
     def test_check_reports_flipped_rank_byte(self, tmp_path, monkeypatch,
                                              segre_4x5_table, code, message):
-        # a cached table with one rank byte flipped, and a header whose
-        # sha256 and layer counts match the flipped bytes
-        import hashlib
-        head, data = segre_4x5_table
-        data = bytearray(data)
-        assert (data[code] == 1) == (message == "rank-1 layer")
-        data[code] ^= 1
-        counts = {str(r): data.count(r) for r in range(256) if r in data}
-        stem = str(tmp_path / "oracle_segre-4x5_p2_v2")
-        with open(stem + ".bin", "wb") as fh:
-            fh.write(data)
-        with open(stem + ".json", "w") as fh:
-            json.dump(dict(head, sha256=hashlib.sha256(data).hexdigest(),
-                           counts=counts), fh)
-        monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
-        with pytest.raises(AssertionError, match=message):
-            run_cli("oracle", "segre-4x5", "--prime", "2", "--check", "--json")
+        self.check_flipped(tmp_path, monkeypatch, segre_4x5_table,
+                           "segre-4x5", 2, code, message)
+
+    @pytest.mark.parametrize("code,message", [
+        (3 ** 8 + 1, "closed-form"),      # e_0 + e_8, a representative
+        (2 * 3 ** 8 + 2, "closed-form"),  # its double, leading digit 2
+        (2 * 3 ** 4 + 2, "closed-form"),  # the double of e_0 + e_4
+        (1, "rank-1 layer"),              # a cone point
+    ])
+    def test_check_reports_flipped_rank_byte_odd_prime(
+            self, tmp_path, monkeypatch, segre_3x3_f3_table, code, message):
+        self.check_flipped(tmp_path, monkeypatch, segre_3x3_f3_table,
+                           "segre-3x3", 3, code, message)
 
     def test_cap_exit_2(self, capsys):
         code, _ = run_cli("oracle", "spinor10", "--prime", "3")
@@ -551,6 +581,29 @@ class TestOracle:
         assert code == 1
         assert out == ""
         assert "threads must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [THREADS_CAP + 1, 10 ** 9])
+    def test_threads_over_cap_exit_2(self, bad, capsys, monkeypatch):
+        # refused before the family is enumerated, so no pool starts
+        import secant.oracle
+        monkeypatch.setattr(secant.oracle, "enumerate_cone_points", None)
+        code, out = run_cli("oracle", "segre-2x2", "--prime", "2",
+                            "--threads", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "over the %d cap" % THREADS_CAP in capsys.readouterr().err
+
+
+with open(ORACLE_GOLDEN) as _fh:
+    _ORACLE_OUTPUTS = json.load(_fh)["outputs"]
+
+
+@pytest.mark.parametrize("entry", _ORACLE_OUTPUTS,
+                         ids=lambda e: _golden_id(e["argv"][1:4], e["argv"]))
+def test_oracle_cli_golden(entry):
+    code, out = run_cli(*entry["argv"])
+    assert code == 0
+    assert out == entry["stdout"]
 
 
 class TestTable:

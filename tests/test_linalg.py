@@ -29,9 +29,10 @@ from secant.linalg import (
 )
 from secant.oracle import _SMALL_PRIMES  # noqa: the oracle's primes
 
-#: The oracle's primes, the largest prime of the int16 path of
-#: ``modp_rank_batch`` (181^2 <= 2^15) and two primes of its int64 path.
-_BATCH_PRIMES = _SMALL_PRIMES + (181, 191, 1_000_003)
+#: The oracle's primes, the whole byte path of ``modp_rank_batch``
+#: (13^2 <= 256), and primes of its int64 path: the first, two near the
+#: bound of the int16 path it once had, and the Hadamard prime.
+_BATCH_PRIMES = _SMALL_PRIMES + (17, 181, 191, 1_000_003)
 
 
 def random_int_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -250,6 +251,38 @@ def test_modp_rank_batch_across_blocks(p):
     assert len(mats) > _BLOCK
     want = [modp_rank(m.tolist(), p) for m in base] * reps
     assert modp_rank_batch(mats, p).tolist() == want
+
+
+@pytest.mark.parametrize("p,size", [(3, 3), (2, 4), (13, 2)])
+def test_modp_rank_batch_every_matrix(p, size):
+    # every size x size matrix over F_p: 19683, 65536 and 28561 of them
+    digits = np.indices((p,) * size * size).reshape(size * size, -1).T
+    mats = digits.reshape(-1, size, size)
+    want = [modp_rank(m, p) for m in mats.tolist()]
+    assert modp_rank_batch(mats, p).tolist() == want
+    # the same matrices as a view of an entry-major (size, size, N) array
+    entry_major = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    assert modp_rank_batch(entry_major.transpose(2, 0, 1), p).tolist() == want
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+@pytest.mark.parametrize("p", [3, 13])
+def test_modp_rank_batch_entries_past_a_byte(p, dtype):
+    # entries below 0 and at or above 256 whose residues are those of a
+    # reference batch: a cast to bytes before reduction would wrap them
+    rng = np.random.default_rng(p)
+    base = rng.integers(0, p, size=(500, 4, 3))
+    base[::5, 3] = base[::5, 0]
+    want = modp_rank_batch(base, p).tolist()
+    assert want == [modp_rank(m, p) for m in base.tolist()]
+    info = np.iinfo(dtype)
+    top = (min(info.max, 1000) - p) // p
+    low = max(info.min, -1000) // p + 1
+    for shift in (rng.integers(low, top + 1, size=base.shape),
+                  np.full(base.shape, low), np.full(base.shape, top)):
+        mats = (base + p * shift).astype(dtype)
+        assert (mats < 0).any() or (mats >= 256).any() or dtype == np.uint8
+        assert modp_rank_batch(mats, p).tolist() == want
 
 
 def test_modp_rank_batch_rejects_non_batch_shape():
