@@ -381,21 +381,21 @@ _BLOCK = 1 << 16
 
 def modp_rank_batch(mats, p: int):
     """Ranks over F_p of the matrices of an (N, m, n) integer array, as an
-    (N,) int64 array with the values of ``modp_rank``.
+    (N,) int64 array with the values of ``modp_rank``; ValueError for a
+    prime above 251, where p * p passes 16 bits.
 
     All matrices of a block of ``_BLOCK`` are eliminated together, one
     column at a time along the shorter side: each takes as pivot a row
     with a nonzero entry in the column, scales it to 1 and subtracts its
     multiples from the later columns of every row, the pivot row included,
     which leaves the pivot row zero there and so never a pivot again.
-    For p <= 13, where p * p fits a byte, a block is held entry-major, as
-    an (m, n, N) uint8 array, so each entry of every matrix is one
-    contiguous N-vector; entries stay in [0, p) between steps, a step
-    adds to each the pivot entry times p minus a row entry, below p * p,
-    and reduces it with x <- min(x, x - c) for c = p * 2**j in descending
-    order (an x below c wraps above it).  A larger prime, below 2^31 so
-    that every product fits, runs in int64 with ``%`` and takes a pivot's
-    inverse as its (p - 2)-th power.
+    A block is held entry-major, as an (m, n, N) array of the narrowest
+    unsigned type that holds p * p (bytes for p <= 13, 16 bits up to
+    251), so each entry of every matrix is one contiguous N-vector;
+    entries stay in [0, p) between steps, a step adds to each the pivot
+    entry times p minus a row entry, below p * p, and reduces it with
+    x <- min(x, x - c) for c = p * 2**j in descending order (an x below c
+    wraps above it).
     """
     # imported here: numpy imported by this module, ahead of the other
     # secant modules, raised the resident memory after importing them all
@@ -405,38 +405,31 @@ def modp_rank_batch(mats, p: int):
     if mats.ndim != 3:
         raise ValueError("expected an (N, m, n) array, got shape %s"
                          % (mats.shape,))
-    if p >= 1 << 31:
-        raise ValueError("prime %d is too large for int64 elimination" % p)
+    if p * p > 1 << 16:
+        raise ValueError("prime %d is too large for 16-bit elimination" % p)
     if mats.shape[1] < mats.shape[2]:
         mats = mats.transpose(0, 2, 1)
-    if p * p > 256:
-        return _modp_rank_int64(mats, p)
-    out = np.zeros(len(mats), dtype=np.int64)
-    if mats.size:
-        _modp_rank_bytes(mats, p, out)
-    return out
-
-
-def _modp_rank_bytes(mats, p, out):
-    """``modp_rank_batch`` for p * p <= 256 on an (N, m, n) array with
-    m >= n and no zero size: writes the ranks into ``out``."""
-    import numpy as np
     count, nrows, ncols = mats.shape
+    out = np.zeros(count, dtype=np.int64)
+    if not mats.size:
+        return out
+    dtype = np.dtype(np.uint8 if p * p <= 1 << 8 else np.uint16)
+    wrap = 1 << 8 * dtype.itemsize
 
     def steps(top):
         # the c = p * 2**j that bring [0, top] into [0, p)
         return [p << j for j in reversed(range((top // p).bit_length()))]
 
-    # an entry is cast to a byte, which keeps it mod 256, and a multiple of
-    # p is added that brings the least entry to [0, p); when the greatest
-    # then passes a byte, each block is reduced by % first
+    # an entry is cast to the unsigned type, which keeps it mod wrap, and
+    # a multiple of p is added that brings the least entry to [0, p); when
+    # the greatest then passes the type, each block is reduced by % first
     low, high = int(mats.min()), int(mats.max())
     shift = -(low // p) * p
-    wide = high + shift > 255
+    wide = high + shift >= wrap
     first = steps(p - 1 if wide else high + shift)
     again = steps(p * p - 1)
     inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
-                        dtype=np.uint8)
+                        dtype=dtype)
     # a pivot is the row with the greatest entry in the column: the greatest
     # of the keys entry << bits | row gives both
     bits = (nrows - 1).bit_length()
@@ -445,7 +438,7 @@ def _modp_rank_bytes(mats, p, out):
     size = min(count, _BLOCK)
     # one entry-major block, one scratch array of the same size and the keys,
     # reused by every block
-    a_buf = np.empty(size * nrows * ncols, dtype=np.uint8)
+    a_buf = np.empty(size * nrows * ncols, dtype=dtype)
     t_buf = np.empty_like(a_buf)
     k_buf = np.empty(size * nrows, dtype=key_type)
 
@@ -464,13 +457,13 @@ def _modp_rank_bytes(mats, p, out):
             # entry-major already
             np.copyto(a, block.transpose(1, 2, 0), casting="unsafe")
         else:
-            # cast in the input's layout, then transpose bytes: a cast
-            # that transposes too is slower than the two together
+            # cast in the input's layout, then transpose: a cast that
+            # transposes too is slower than the two together
             cast = t_buf[:a.size].reshape(block.shape)
             np.copyto(cast, block, casting="unsafe")
             np.copyto(a, cast.transpose(1, 2, 0))
         if not wide and shift:
-            a += np.uint8(shift % 256)
+            a += dtype.type(shift % wrap)
         scratch = t_buf[:a.size].reshape(a.shape)
         reduce(a, scratch, first)
         flat = a.reshape(-1)
@@ -481,7 +474,7 @@ def _modp_rank_bytes(mats, p, out):
             np.left_shift(col, bits, out=keys, dtype=key_type)
             keys |= row_ids
             best = keys.max(axis=0)
-            pivot = (best >> bits).astype(np.uint8)
+            pivot = (best >> bits).astype(dtype)
             out[lo:lo + size] += pivot != 0
             rest = ncols - c - 1
             if not rest:
@@ -498,35 +491,6 @@ def _modp_rank_bytes(mats, p, out):
             np.multiply(col[:, None], row[None], out=prod)
             later += prod
             reduce(later, prod, again)
-
-
-def _modp_rank_int64(mats, p):
-    import numpy as np
-
-    def inverse(x):
-        # the inverse of x, and 0 for 0: x ** (p - 2) mod p
-        result, power, e = np.ones_like(x), x.copy(), p - 2
-        while e:
-            if e & 1:
-                result = result * power % p
-            power = power * power % p
-            e >>= 1
-        return result
-
-    count, nrows, ncols = mats.shape
-    out = np.zeros(count, dtype=np.int64)
-    for lo in range(0, count, _BLOCK):
-        a = np.mod(mats[lo:lo + _BLOCK].astype(np.int64), p)
-        which = np.arange(len(a))
-        for c in range(ncols):
-            # the pivot row scaled to 1; zero where the column has no pivot
-            row = a[which, (a[:, :, c] != 0).argmax(axis=1)]
-            out[lo:lo + _BLOCK] += row[:, c] != 0
-            row = row * inverse(row[:, c])[:, None] % p
-            # earlier columns are zero in every row, the pivot row too, so
-            # the whole contiguous array is updated
-            a -= a[:, :, c, None] * row[:, None, :]
-            a %= p
     return out
 
 

@@ -4,7 +4,8 @@ Enumerates the cone points of each supported point family over a small prime
 field, computes exact additive rank tables by breadth-first layering over
 sums, and tests structural claims desk-scale: parabolic-reduction rank
 preservation under coordinate projection, tangent-vector second-secant
-membership, and the three-factor lower-bound tensor.
+membership, and the comparison of the rank criterion for alternating
+3-tensors in dimension 6 with their lifts from the F_2 table.
 
 Epistemic discipline: only field-robust statements are asserted (matrix and
 skew normal forms, the lift inequality for alternating 3-tensors, projection
@@ -18,8 +19,10 @@ family point generators, membership checks, closed forms, cone multiples,
 tangent products and Levi projections below run on such arrays, the
 kernels in blocks of ``_BLOCK`` rows; the Lie-algebra generators (all but
 the spinors') act on the identity matrix, every unit vector at once.
-Projective representatives are the lexicographically smallest scalar
-multiples of each point, so tables are canonical and diffable.
+The projective representative of a point is its smallest code among its
+nonzero scalar multiples, the one whose leading base-p digit is 1, so
+tables are canonical and diffable and the representatives are the codes
+the BFS expands and ``secant oracle --check`` evaluates.
 
 Families: one registry, ``_FAMILIES``, holds a ``_Family`` record per kind
 with its tag pattern, ambient dimension, cone-point generator (an (N, d)
@@ -116,7 +119,7 @@ AMBIENT_CAP = 1 << 24
 #: Hard cap on BFS worker threads: a pool starts up to one per block.
 THREADS_CAP = 64
 
-TABLE_VERSION = 2
+TABLE_VERSION = 3
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -156,9 +159,6 @@ class SubspaceCodec:
         self.free = [c for c in range(nfull) if c not in pivot_set]
         self.dim = len(self.free)
 
-    def to_sub(self, full):
-        return self.to_sub_array(np.array([full]))[0].tolist()
-
     def to_sub_array(self, full):
         """Subspace coordinates of an (N, nfull) array of full coordinates;
         ValueError if a row violates the constraints."""
@@ -167,9 +167,6 @@ class SubspaceCodec:
                             % self.p).any():
             raise ValueError("vector violates the subspace constraints")
         return full[:, self.free]
-
-    def to_full(self, sub):
-        return self.to_full_array(np.array([sub]))[0].tolist()
 
     def to_full_array(self, subs):
         """Full coordinates of an (N, dim) array of subspace coordinates."""
@@ -185,7 +182,8 @@ class SubspaceCodec:
 @dataclass
 class PointSet:
     """Cone points of one family over F_p: canonical projective
-    representatives, plus the data needed to expand scalar multiples."""
+    representatives, the smallest code of each F_p^* orbit (leading
+    base-p digit 1), plus the data needed to expand scalar multiples."""
     family: str
     prime: int
     dim: int
@@ -286,18 +284,11 @@ def _orbit_blocks(p, d):
 
 
 def _canonical_codes(vecs, p):
-    """Code of the lexicographically smallest scalar multiple of each row
-    of an (N, d) array: the smallest when read with coordinate 0 as the
-    most significant digit."""
-    best_key = best = None
-    for c in range(1, p):
-        mult = vecs * c % p
-        key, code = encode_array(mult[:, ::-1], p), encode_array(mult, p)
-        if best is None:
-            best_key, best = key, code
-        else:
-            smaller = key < best_key
-            best_key[smaller], best[smaller] = key[smaller], code[smaller]
+    """Smallest code among the p - 1 nonzero scalar multiples of each row
+    of an (N, d) array: the multiple whose leading base-p digit is 1."""
+    best = encode_array(vecs % p, p)
+    for c in range(2, p):
+        np.minimum(best, encode_array(vecs * c % p, p), out=best)
     return best
 
 
@@ -831,11 +822,15 @@ def _check_threads(threads):
                           % (threads, THREADS_CAP))
 
 
+def _check_prime(p):
+    if p not in _SMALL_PRIMES:
+        raise ValueError("prime %r not supported (need a prime <= 13)" % p)
+
+
 def enumerate_cone_points(family: str, p: int) -> PointSet:
     """Enumerate canonical projective representatives of a family's cone
     over F_p and check the defining equations on every point."""
-    if p not in _SMALL_PRIMES:
-        raise ValueError("prime %r not supported (need a prime <= 13)" % p)
+    _check_prime(p)
     rec, fam = _family(family)
     d = rec.dim(fam)
     _check_cap(p, d)
@@ -865,9 +860,6 @@ class RankTable:
 
     def rank_of_code(self, code: int) -> int:
         return int(self.ranks[code])
-
-    def rank_of_vec(self, vec) -> int:
-        return int(self.ranks[encode_vec(list(vec), self.prime)])
 
     @property
     def max_rank(self) -> int:
@@ -1212,8 +1204,12 @@ def _cache_stem(family, p):
 
 
 def rank_table(family: str, p: int, threads: int = 1) -> RankTable:
-    """Enumerate + BFS, cached on disk when SECANT_CACHE_DIR is set."""
+    """Enumerate + BFS, cached on disk when SECANT_CACHE_DIR is set.  The
+    tag and the prime are checked first: the cache path is made from them,
+    and an unchecked tag such as "x/../y" would name a file elsewhere."""
     _check_threads(threads)
+    _check_prime(p)
+    _family(family)
     stem = _cache_stem(family, p)
     if stem is not None and os.path.exists(stem + ".json"):
         try:
@@ -1370,9 +1366,10 @@ def wedge3_tr2_values(coords) -> np.ndarray:
     return out
 
 
-#: A prime above the Hadamard bound of the minors that ``_divisor_ranks``
-#: meets.
-_HADAMARD_PRIME = 1_000_003
+#: Primes within ``modp_rank_batch`` whose product, 1,009,091, is above the
+#: Hadamard bound of the minors that ``_divisor_ranks`` meets; three is the
+#: fewest, as 251^2 is below it.
+_DIVISOR_PRIMES = (97, 101, 103)
 
 
 def _divisor_ranks(vecs) -> np.ndarray:
@@ -1382,13 +1379,19 @@ def _divisor_ranks(vecs) -> np.ndarray:
 
     An r x r minor of such a 15 x 6 matrix has rows of at most 6 entries of
     absolute value at most 4, so by Hadamard's inequality it is at most
-    (4 sqrt 6)^r <= (4 sqrt 6)^6 = 884,736 in absolute value, below
-    ``_HADAMARD_PRIME``: it vanishes mod that prime only if it vanishes,
-    and the rank mod the prime is the rank over Q."""
+    (4 sqrt 6)^r <= (4 sqrt 6)^6 = 884,736 in absolute value.  No rank mod
+    a prime is above the rank r over Q, and some prime of
+    ``_DIVISOR_PRIMES`` sees r: a nonzero r x r minor divisible by all of
+    them would be divisible by their product, which is above its absolute
+    value.  So the greatest of the ranks mod those primes is r (the
+    small-primes modular method, von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 5)."""
     vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 20)
     if np.abs(vecs).max(initial=0) > 4:
         raise ValueError("divisor ranks need entries of absolute value <= 4")
-    return modp_rank_batch(_divisor_array(vecs, 6, 3), _HADAMARD_PRIME)
+    mats = _divisor_array(vecs, 6, 3)
+    return np.maximum.reduce([modp_rank_batch(mats, q)
+                              for q in _DIVISOR_PRIMES])
 
 
 def _gr3_point_lifts(table: "RankTable") -> tuple:

@@ -39,6 +39,7 @@ from secant.oracle import (
     _digit_add_rows,
     _isotropic_codec,
     _spinor_generators,
+    encode_vec,
     rank_table,
 )
 from secant.ranks import (
@@ -548,6 +549,6 @@ def tensor222_check(p: int) -> bool:
         coords[(i * 2 + j) * 2 + k] = 1
     control = [0] * 8
     control[0] = 1  # e0 x e0 x e0
-    if table.rank_of_vec(control) != 1:
+    if table.rank_of_code(encode_vec(control, p)) != 1:
         raise AssertionError("decomposable control is not rank 1")
-    return table.rank_of_vec(coords) == 3
+    return table.rank_of_code(encode_vec(coords, p)) == 3

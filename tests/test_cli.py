@@ -11,7 +11,7 @@ import pytest
 
 from secant.classifier import TABLE_RANK_CAP
 from secant.cli import main
-from secant.oracle import THREADS_CAP
+from secant.oracle import TABLE_VERSION, THREADS_CAP
 from secant.ranks import SHAPES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -508,7 +508,8 @@ class TestOracle:
         assert (data[code] == 1) == (message == "rank-1 layer")
         data[code] ^= 1
         counts = {str(r): data.count(r) for r in range(256) if r in data}
-        stem = str(tmp_path / ("oracle_%s_p%d_v2" % (family, p)))
+        stem = str(tmp_path / ("oracle_%s_p%d_v%d"
+                               % (family, p, TABLE_VERSION)))
         with open(stem + ".bin", "wb") as fh:
             fh.write(data)
         with open(stem + ".json", "w") as fh:

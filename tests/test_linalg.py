@@ -30,9 +30,9 @@ from secant.linalg import (
 from secant.oracle import _SMALL_PRIMES  # noqa: the oracle's primes
 
 #: The oracle's primes, the whole byte path of ``modp_rank_batch``
-#: (13^2 <= 256), and primes of its int64 path: the first, two near the
-#: bound of the int16 path it once had, and the Hadamard prime.
-_BATCH_PRIMES = _SMALL_PRIMES + (17, 181, 191, 1_000_003)
+#: (13^2 <= 256), and primes of its 16-bit path: the first, two near the
+#: bound of the int16 path it once had, and the last (251^2 < 2^16).
+_BATCH_PRIMES = _SMALL_PRIMES + (17, 181, 191, 251)
 
 
 def random_int_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -253,9 +253,10 @@ def test_modp_rank_batch_across_blocks(p):
     assert modp_rank_batch(mats, p).tolist() == want
 
 
-@pytest.mark.parametrize("p,size", [(3, 3), (2, 4), (13, 2)])
+@pytest.mark.parametrize("p,size", [(3, 3), (2, 4), (13, 2), (17, 2)])
 def test_modp_rank_batch_every_matrix(p, size):
-    # every size x size matrix over F_p: 19683, 65536 and 28561 of them
+    # every size x size matrix over F_p: 19683, 65536, 28561 and 83521 of
+    # them, the last on the 16-bit path and across a block boundary
     digits = np.indices((p,) * size * size).reshape(size * size, -1).T
     mats = digits.reshape(-1, size, size)
     want = [modp_rank(m, p) for m in mats.tolist()]
@@ -265,24 +266,35 @@ def test_modp_rank_batch_every_matrix(p, size):
     assert modp_rank_batch(entry_major.transpose(2, 0, 1), p).tolist() == want
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
-@pytest.mark.parametrize("p", [3, 13])
-def test_modp_rank_batch_entries_past_a_byte(p, dtype):
-    # entries below 0 and at or above 256 whose residues are those of a
-    # reference batch: a cast to bytes before reduction would wrap them
+def _check_entries_past(p, dtype, reach, wrap):
+    # entries below 0 and at or above wrap, within reach, whose residues
+    # are those of a reference batch: a cast to the elimination's type
+    # before reduction would wrap them
     rng = np.random.default_rng(p)
     base = rng.integers(0, p, size=(500, 4, 3))
     base[::5, 3] = base[::5, 0]
     want = modp_rank_batch(base, p).tolist()
     assert want == [modp_rank(m, p) for m in base.tolist()]
     info = np.iinfo(dtype)
-    top = (min(info.max, 1000) - p) // p
-    low = max(info.min, -1000) // p + 1
+    top = (min(info.max, reach) - p) // p
+    low = max(info.min, -reach) // p + 1
     for shift in (rng.integers(low, top + 1, size=base.shape),
                   np.full(base.shape, low), np.full(base.shape, top)):
         mats = (base + p * shift).astype(dtype)
-        assert (mats < 0).any() or (mats >= 256).any() or dtype == np.uint8
+        assert (mats < 0).any() or (mats >= wrap).any() or info.max < wrap
         assert modp_rank_batch(mats, p).tolist() == want
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+@pytest.mark.parametrize("p", [3, 13])
+def test_modp_rank_batch_entries_past_a_byte(p, dtype):
+    _check_entries_past(p, dtype, 1000, 256)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64])
+@pytest.mark.parametrize("p", [17, 251])
+def test_modp_rank_batch_entries_past_16_bits(p, dtype):
+    _check_entries_past(p, dtype, 200_000, 1 << 16)
 
 
 def test_modp_rank_batch_rejects_non_batch_shape():
@@ -290,9 +302,11 @@ def test_modp_rank_batch_rejects_non_batch_shape():
         modp_rank_batch(np.zeros((3, 3), dtype=np.int64), 2)
 
 
-def test_modp_rank_batch_rejects_prime_past_int64_products():
-    with pytest.raises(ValueError):
-        modp_rank_batch(np.zeros((1, 2, 2), dtype=np.int64), (1 << 31) + 11)
+def test_modp_rank_batch_rejects_prime_past_16_bit_products():
+    # 257 is the first prime with p * p past 2^16
+    assert modp_rank_batch(np.eye(2, dtype=np.int64)[None], 251).tolist() == [2]
+    with pytest.raises(ValueError, match="too large"):
+        modp_rank_batch(np.zeros((1, 2, 2), dtype=np.int64), 257)
 
 
 def test_rational_sqrt():

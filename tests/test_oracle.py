@@ -37,7 +37,7 @@ from secant.oracle import (
 )
 from secant.oracle import (  # noqa: internals
     _FAMILIES,
-    _HADAMARD_PRIME,
+    _DIVISOR_PRIMES,
     _closed_form,
     _composite_batch,
     _digit_add_rows,
@@ -226,6 +226,25 @@ class TestRegistry:
         assert got.dtype == np.int64 and got.shape == (len(want), rec.dim(fam))
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("kind,p", [
+        (kind, p) for kind, (family, _) in sorted(INSTANCES.items())
+        for p in (2, 3) if p ** family_dim(family) <= AMBIENT_CAP])
+    def test_reps_lead_with_one_and_cover_the_cone(self, kind, p):
+        # one representative per F_p^* orbit, in the intervals
+        # [p**k, 2 * p**k) that the BFS expands and --check evaluates, and
+        # their multiples are every nonzero multiple of the family's points
+        rec, fam = _family(self.INSTANCES[kind][0])
+        pts = enumerate_cone_points(self.INSTANCES[kind][0], p)
+        for code in pts.reps:
+            vec = decode_vec(code, p, pts.dim)
+            k = max(i for i, v in enumerate(vec) if v)
+            assert p ** k <= code < 2 * p ** k
+        points = rec.points(fam, p)
+        cone = {encode_vec([c * x for x in vec], p)
+                for vec in points.tolist() for c in range(1, p)} - {0}
+        assert pts.cone_codes().tolist() == sorted(cone)
+        assert len(cone) == (p - 1) * len(pts.reps)
+
     def test_spinor_points_need_f2(self):
         rec, fam = _family("spinor10")
         for points in (rec.points, POINTS["spinor10"]):
@@ -291,16 +310,16 @@ class TestEncoding:
         # solution space of one linear constraint mod 3
         codec = SubspaceCodec([[1, 2, 0, 1]], 3, 4)
         assert codec.dim == 3
-        for sub in itertools.product(range(3), repeat=3):
-            full = codec.to_full(list(sub))
-            assert codec.to_sub(full) == list(sub)
+        subs = np.array(list(itertools.product(range(3), repeat=3)))
+        full = codec.to_full_array(subs)
+        assert codec.to_sub_array(full).tolist() == subs.tolist()
 
     def test_codec_array_matches_scalar(self):
         codec = SubspaceCodec([[1, 1, 0, 0], [0, 0, 1, 2]], 3, 4)
         subs = np.array([[a, b] for a in range(3) for b in range(3)])
         full = codec.to_full_array(subs)
         assert codec.to_sub_array(full).tolist() == subs.tolist()
-        assert [codec.to_sub(row) for row in full.tolist()] == [
+        assert codec.to_sub_array(full).tolist() == [
             oracle_reference._to_sub(codec, row) for row in full.tolist()]
         full[4, 0] += 1
         with pytest.raises(ValueError):
@@ -309,7 +328,7 @@ class TestEncoding:
     def test_codec_rejects_outsiders(self):
         codec = SubspaceCodec([[1, 0, 0, 0]], 2, 4)
         with pytest.raises(ValueError):
-            codec.to_sub([1, 0, 0, 0])
+            codec.to_sub_array([[1, 0, 0, 0]])
 
 
 class TestEnumeration:
@@ -356,12 +375,14 @@ class TestEnumeration:
         assert len(enumerate_cone_points("spinor10", 2)) == 3 * 5 * 9 * 17
 
     def test_reps_are_canonical_and_nonzero(self):
+        # a representative's leading (last nonzero) coordinate is 1, which
+        # makes its code the smallest of its multiples
         pts = enumerate_cone_points("segre-2x2", 3)
         for code in pts.reps:
             vec = decode_vec(code, 3, 4)
             assert any(vec)
-            mult = [tuple(2 * v % 3 for v in vec)]
-            assert tuple(vec) <= min(mult)
+            assert [v for v in vec if v][-1] == 1
+            assert code < encode_vec([2 * v for v in vec], 3)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_isotropic_points_are_isotropic(self, p):
@@ -373,7 +394,7 @@ class TestEnumeration:
         pts = enumerate_cone_points("lambda20-6", p)
         for code in pts.reps:
             sub = decode_vec(code, p, 14)
-            full = codec.to_full(sub)
+            full = codec.to_full_array([sub])[0].tolist()
             # zero contraction with the mirror symplectic form
             contraction = sum(form[i][j] * full[pidx[(i, j)]]
                               for (i, j) in pairs) % p
@@ -404,7 +425,7 @@ class TestBFS:
     def test_zero_code_is_rank_zero(self):
         table = rank_table("quadric-4", 3)
         assert table.rank_of_code(0) == 0
-        assert table.rank_of_vec([0, 0, 0, 0]) == 0
+        assert table.rank_of_code(encode_vec([0, 0, 0, 0], 3)) == 0
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_segre_2x2_matches_matrix_rank(self, p):
@@ -577,6 +598,26 @@ class TestCaching:
         assert back.prime == table.prime
         assert np.array_equal(back.ranks, table.ranks)
 
+    @pytest.mark.parametrize("family,p", [
+        ("x/../../elsewhere/evil", 2), ("segre-2x2/../evil", 2),
+        ("segre-2x2", 4)])
+    def test_tag_checked_before_the_cache_path(self, tmp_path, monkeypatch,
+                                               family, p):
+        # a tag or prime that names no table is refused before any cache
+        # file is looked for: unchecked, the first tag would reach the
+        # header planted outside the cache directory
+        monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path / "cache"))
+        (tmp_path / "cache" / "oracle_x").mkdir(parents=True)
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / ("evil_p2_v%d.json" % orc.TABLE_VERSION)
+         ).write_text("{}")
+
+        def load(stem):
+            raise AssertionError("cache read for %r" % stem)
+        monkeypatch.setattr(RankTable, "load", staticmethod(load))
+        with pytest.raises(ValueError):
+            rank_table(family, p)
+
     def test_env_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
         t1 = rank_table("segre-2x2", 3)
@@ -729,7 +770,7 @@ class TestTangentProbes:
                 for (i, j), v in zip(cells, y):
                     sym[i][j] = sym[j][i] = v
                 r = modp_rank(sym, p)
-                assert table.rank_of_vec(y) == r <= 2
+                assert table.rank_of_code(encode_vec(y, p)) == r <= 2
                 hist[r] = hist.get(r, 0) + 1
         rep = tangent_probe(family, p)
         assert rep.histogram == hist and not rep.asserted
@@ -811,10 +852,13 @@ class TestWedge3Lift:
         want = [int_rank(_divisor_matrix(v)) for v in vecs]
         assert {0, 3, 5, 6} <= set(want)
         assert _divisor_ranks(vecs).tolist() == want
-        # the modulus is a prime above the Hadamard bound (4 sqrt 6)^6
-        q = _HADAMARD_PRIME
-        assert q * q > 4 ** 12 * 6 ** 6
-        assert all(q % f for f in range(2, math.isqrt(q) + 1))
+        # primes within the 16-bit kernel whose product is above the
+        # Hadamard bound (4 sqrt 6)^6 = 884,736
+        assert 4 ** 6 * 6 ** 3 == 884_736
+        assert math.prod(_DIVISOR_PRIMES) > 884_736
+        for q in _DIVISOR_PRIMES:
+            assert q * q <= 1 << 16
+            assert all(q % f for f in range(2, math.isqrt(q) + 1))
         with pytest.raises(ValueError):
             _divisor_ranks([[5] + [0] * 19])
 
@@ -839,7 +883,7 @@ class TestWedge3Lift:
         from secant.ranks import wedge3_c6_rank
         assert wedge3_c6_rank(co) == 2
         table = rank_table("gr3-6", 2)
-        assert table.rank_of_vec(co) == 1
+        assert table.rank_of_code(encode_vec(co, 2)) == 1
 
 
 class TestSpinorOracle:
