@@ -237,7 +237,8 @@ class Chopping:
 # The registry is declarative data.  Each entry pairs a matching rule (a
 # predicate on the canonical descriptor) with a self-contained mathematical
 # justification; the search below reduces everything else to these by
-# chopping.
+# chopping.  The height rules come first: they read the marks alone, so no
+# weight of height >= 2 reaches a rule that builds its diagram.
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,18 @@ def _adjoint(family, rank=None, min_rank=0):
 
 
 BASE_CASES: tuple[BaseCase, ...] = (
+    BaseCase(
+        "height3",
+        "the highest weight has mark-sum at least 3; every tame pair "
+        "has mark-sum at most 2, so the pair is wild",
+        lambda g: height(g) >= 3),
+    BaseCase(
+        "height2-dense-failure",
+        "the highest weight has mark-sum 2 but is not a sum of two "
+        "fundamental weights of projectively-dense modules (the natural "
+        "modules of SL and Sp factors); every tame height-2 pair is "
+        "such a sum, so the pair is wild",
+        lambda g: height(g) == 2 and not height2_tame(g)),
     _exact(
         "wedge3-sl6", "A", 5, [(0, 0, 1, 0, 0)],
         "alternating 3-tensors on F^6 under SL6: the tangent vector "
@@ -334,18 +347,6 @@ BASE_CASES: tuple[BaseCase, ...] = (
         "inside the 1-graded piece of the E8 Lie algebra, have E8-orbit "
         "dimension 58, 92 or 114; the module contains a vector of orbit "
         "dimension 112, which therefore has border rank 2 but rank 3"),
-    BaseCase(
-        "height3",
-        "the highest weight has mark-sum at least 3; every tame pair "
-        "has mark-sum at most 2, so the pair is wild",
-        lambda g: height(g) >= 3),
-    BaseCase(
-        "height2-dense-failure",
-        "the highest weight has mark-sum 2 but is not a sum of two "
-        "fundamental weights of projectively-dense modules (the natural "
-        "modules of SL and Sp factors); every tame height-2 pair is "
-        "such a sum, so the pair is wild",
-        lambda g: height(g) == 2 and not height2_tame(g)),
 )
 
 _BASE_BY_ID = {bc.id: bc for bc in BASE_CASES}
@@ -421,38 +422,30 @@ def _mark_boundaries(st: SimpleType, pos: int) -> tuple[tuple[int, ...], ...]:
 def find_wild_certificate(g: GroupDescriptor) -> Certificate | None:
     """Search for a wildness certificate for a canonical effective descriptor.
 
-    Height >= 3 and failing height-2 weights certify directly from the
-    height rules.  A fundamental (height-1) weight is matched against the
-    registry and otherwise chopped once at each boundary of the connected
-    sets that hold its mark (`_mark_boundaries`, size-then-lex order); the
-    first result that matches the registry gives a one-step certificate.
-    No longer chain can succeed where this pass fails (see the module
-    docstring), and the pass finds the chain a size-then-lex scan of every
-    removal subset finds.  Returns None when no certificate exists, which
-    is the expected outcome for tame pairs.
-    Raises CapExceeded for a height-1 factor of rank above TABLE_RANK_CAP.
+    The root is matched against the registry, whose height rules decide
+    every weight of height >= 2.  A fundamental (height-1) weight that
+    matches no base case is chopped once at each boundary of the connected
+    sets that hold its mark (`_mark_boundaries`, size-then-lex order), and
+    the first result that matches gives a one-step certificate.  No longer
+    chain can succeed where this pass fails (see the module docstring), and
+    the pass finds the chain a size-then-lex scan of every removal subset
+    finds.  Returns None when no certificate exists, which is the expected
+    outcome for tame pairs.  Raises CapExceeded for a height-1 factor of
+    rank above TABLE_RANK_CAP, before any base case is tried.
     """
     g = canonicalize(g)
     h = height(g)
     if h == 0:
         return None
-    if h >= 3:
-        bc = _BASE_BY_ID["height3"]
-        return Certificate(root=g, chain=(), base_case=bc.id, citation=bc.citation)
-    if h == 2:
-        if height2_tame(g):
-            return None
-        bc = _BASE_BY_ID["height2-dense-failure"]
-        return Certificate(root=g, chain=(), base_case=bc.id, citation=bc.citation)
-
-    # height 1: a single factor carrying one fundamental mark
     st, marks = g.factors[0]
-    if st.rank > TABLE_RANK_CAP:
+    if h == 1 and st.rank > TABLE_RANK_CAP:
         raise CapExceeded("%s has rank above the certificate search cap %d"
                           % (st, TABLE_RANK_CAP))
     bc = match_base_case(g)
     if bc is not None:
         return Certificate(root=g, chain=(), base_case=bc.id, citation=bc.citation)
+    if h > 1:
+        return None  # a tame height-2 weight
     for boundary in _mark_boundaries(st, marks.index(1) + 1):
         result = _chop(g, (boundary,))
         bc = match_base_case(result)

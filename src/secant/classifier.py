@@ -10,9 +10,14 @@ decision procedure:
     of projectively-dense modules (natural modules of SL and Sp factors);
   * height 1  ->  a finite table of tame fundamental modules per family.
 
-The height-1 table is data with one justification string per row, and the
-chopping-certificate search is an independent wildness mechanism; tests
-assert the two never disagree (double-entry against transcription errors).
+The tame list is written once: `_TAME_CLASSES` holds one row per tame
+class of fundamental modules (family, tame vertices at rank n,
+justification, rank profile), `_dense_pair` describes the height-2 sums,
+and the one lookup `_tame_class` serves both `classify` and
+`max_typical_rank`.  A weight the list does not hold is wild, and
+`classify` backs it with a certificate from the chopping layer, whose
+registry of wild base cases is independent of this list; tests assert the
+two never disagree (double-entry against transcription errors).
 """
 
 from __future__ import annotations
@@ -64,80 +69,130 @@ class RankProfile:
 
 
 # ---------------------------------------------------------------------------
-# height-1 tame table (data; one justification per row)
+# the tame list: one row per tame class of fundamental modules, as (family,
+# its tame 1-based vertices at rank n, justification, rank profile at rank
+# n); the first row of the weight's family that holds its vertex applies
 
 
-def _fundamental_tame_citation(st: SimpleType, pos: int) -> str | None:
-    """Justification string if (st, pi_pos) is a tame fundamental, else None."""
-    fam, n = st.family, st.rank
-    if fam == "A":
-        if pos in (1, n):
-            return ("natural module of a special linear group (or its "
-                    "dual): the group is transitive on the projective "
-                    "space, so every vector has rank 1")
-        if pos in (2, n - 1):
-            return ("alternating square of the natural special linear "
-                    "module (or its dual): rank is half the rank of the "
-                    "skew matrix, the rank strata are the orbits, and no "
-                    "rank jumps occur in limits")
-    elif fam == "B":
-        if pos == 1:
-            return ("vector module of an odd orthogonal group: the closed "
-                    "orbit is a quadric whose complement is a single "
-                    "orbit, every vector has rank at most 2")
-        if pos == n and 2 * n + 1 <= 10:
-            return ("spin module of an odd orthogonal group with ambient "
-                    "dimension at most 10: the spinor variety is a quadric "
-                    "(dimension 8) or the 16-dimensional spinor case, and "
-                    "every spinor is a sum of at most two pure spinors, "
-                    "with rank strata orbit closures")
-    elif fam == "C":
-        if pos == 1:
-            return ("natural module of a symplectic group: the group is "
-                    "transitive on the projective space, so every vector "
-                    "has rank 1")
-        if pos == 2:
-            return ("primitive alternating square of the natural "
-                    "symplectic module: rank is half the rank of the skew "
-                    "matrix, rank strata are orbit closures")
-    elif fam == "D":
-        if pos == 1:
-            return ("vector module of an even orthogonal group: the closed "
-                    "orbit is a quadric whose complement is a single "
-                    "orbit, every vector has rank at most 2")
-        if pos in (n - 1, n) and 2 * n <= 10:
-            return ("half-spin module of an even orthogonal group with "
-                    "ambient dimension at most 10: a quadric (dimension 8) "
-                    "or the 16-dimensional spinor case, every half-spinor "
-                    "is a sum of at most two pure spinors")
-    elif fam == "E" and n == 6:
-        if pos in (1, 5):
-            return ("27-dimensional module of E6 (the exceptional Jordan "
-                    "algebra or its dual): the cubic-determinant rank "
-                    "strata are orbit closures with maximal rank 3")
-    elif fam == "F" and n == 4:
-        if pos == 1:
-            return ("26-dimensional module of F4 (traceless exceptional "
-                    "Jordan algebra): Jordan-rank strata are orbit "
-                    "closures with maximal rank 3")
-    elif fam == "G" and n == 2:
-        if pos == 1:
-            return ("7-dimensional module of G2 (traceless octonions): the "
-                    "closed orbit is a 5-dimensional quadric, every vector "
-                    "has rank at most 2")
+_TAME_CLASSES = (
+    ("A", lambda n: (1, n),
+     "natural module of a special linear group (or its dual): the group is "
+     "transitive on the projective space, so every vector has rank 1",
+     lambda n: RankProfile("P(F^%d)" % (n + 1), 1, "1")),
+    ("A", lambda n: (2, n - 1),
+     "alternating square of the natural special linear module (or its "
+     "dual): rank is half the rank of the skew matrix, the rank strata are "
+     "the orbits, and no rank jumps occur in limits",
+     lambda n: RankProfile("Gr2(F^%d)" % (n + 1), (n + 1) // 2, "floor(m/2)")),
+    ("B", lambda n: (1,),
+     "vector module of an odd orthogonal group: the closed orbit is a "
+     "quadric whose complement is a single orbit, every vector has rank at "
+     "most 2",
+     lambda n: RankProfile("Q^%d" % (2 * n - 1), 2, "2")),
+    ("B", lambda n: (n,) if 2 * n + 1 <= 10 else (),
+     "spin module of an odd orthogonal group with ambient dimension at most "
+     "10: the spinor variety is a quadric (dimension 8) or the "
+     "16-dimensional spinor case, and every spinor is a sum of at most two "
+     "pure spinors, with rank strata orbit closures",
+     lambda n: RankProfile("Q^6" if n == 3 else "S^10", 2, "2")),
+    ("C", lambda n: (1,),
+     "natural module of a symplectic group: the group is transitive on the "
+     "projective space, so every vector has rank 1",
+     lambda n: RankProfile("P(F^%d)" % (2 * n), 1, "1")),
+    ("C", lambda n: (2,),
+     "primitive alternating square of the natural symplectic module: rank "
+     "is half the rank of the skew matrix, rank strata are orbit closures",
+     lambda n: RankProfile("Gr_w(2,F^%d)" % (2 * n), n, "n")),
+    ("D", lambda n: (1,),
+     "vector module of an even orthogonal group: the closed orbit is a "
+     "quadric whose complement is a single orbit, every vector has rank at "
+     "most 2",
+     lambda n: RankProfile("Q^%d" % (2 * n - 2), 2, "2")),
+    ("D", lambda n: (n - 1, n) if 2 * n <= 10 else (),
+     "half-spin module of an even orthogonal group with ambient dimension "
+     "at most 10: a quadric (dimension 8) or the 16-dimensional spinor "
+     "case, every half-spinor is a sum of at most two pure spinors",
+     lambda n: RankProfile("Q^6" if n == 4 else "S^10", 2, "2")),
+    ("E", lambda n: (1, 5) if n == 6 else (),
+     "27-dimensional module of E6 (the exceptional Jordan algebra or its "
+     "dual): the cubic-determinant rank strata are orbit closures with "
+     "maximal rank 3",
+     lambda n: RankProfile("E^16", 3, "3")),
+    ("F", lambda n: (1,),
+     "26-dimensional module of F4 (traceless exceptional Jordan algebra): "
+     "Jordan-rank strata are orbit closures with maximal rank 3",
+     lambda n: RankProfile("F^15", 3, "3")),
+    ("G", lambda n: (1,),
+     "7-dimensional module of G2 (traceless octonions): the closed orbit is "
+     "a 5-dimensional quadric, every vector has rank at most 2",
+     lambda n: RankProfile("Q^5", 2, "2")),
+)
+
+
+def _natural_dim(st: SimpleType) -> int:
+    """Dimension of the natural module of an SL (A) or Sp (C) factor."""
+    return st.rank + 1 if st.family == "A" else 2 * st.rank
+
+
+def _describe_unit(st: SimpleType, pos: int) -> str:
+    """The dense fundamental module at 1-based vertex `pos` of `st`."""
+    return "%snatural %s%d module" % (
+        "dual " if st.family == "A" and pos != 1 else "",
+        "SL" if st.family == "A" else "Sp", _natural_dim(st))
+
+
+def _dense_pair(g: GroupDescriptor) -> tuple[str, RankProfile]:
+    """(citation, profile) of a sum of two dense fundamental weights: the
+    Segre product of two factors, or on one factor the Veronese square of
+    one vertex or the line-hyperplane flag of the two ends of SL."""
+    (f1, p1, _, _), (f2, p2, _, _) = _unit_marks(g)
+    (st1, _), (st2, _) = g.factors[f1], g.factors[f2]
+    m1, m2 = _natural_dim(st1), _natural_dim(st2)
+    u1, u2 = _describe_unit(st1, p1), _describe_unit(st2, p2)
+    if f1 != f2:
+        shape, profile = "%s tensor the %s" % (u1, u2), RankProfile(
+            "Segre(P(F^%d)xP(F^%d))" % (m1, m2), min(m1, m2), "min(m,n)")
+    elif p1 == p2:
+        shape, profile = "twice the " + u1, RankProfile(
+            "Ver2(P(F^%d))" % m1, m1, "m")
+    else:
+        shape, profile = "%s plus the %s" % (u1, u2), RankProfile(
+            "Fl(1,%d;F^%d)" % (m1 - 1, m1), m1, "m")
+    return ("height-2 weight equal to a sum of two projectively-dense "
+            "fundamental weights (%s); these sums are exactly the tame "
+            "height-2 pairs" % shape, profile)
+
+
+def _tame_class(g: GroupDescriptor) -> tuple[str, str, RankProfile] | None:
+    """(reason, citation, profile) of a canonical descriptor on the tame
+    list, or None: a fundamental weight on a row of `_TAME_CLASSES`, or a
+    sum of two dense fundamental weights."""
+    h = height(g)
+    if h == 1:  # single factor, single unit mark
+        st, marks = g.factors[0]
+        pos = marks.index(1) + 1
+        for family, vertices, citation, profile in _TAME_CLASSES:
+            if family == st.family and pos in vertices(st.rank):
+                return REASON_TABLE, citation, profile(st.rank)
+    elif h == 2 and height2_tame(g):
+        return (REASON_H2_LIST,) + _dense_pair(g)
     return None
 
 
-def _describe_unit(g: GroupDescriptor, fi: int, pos: int) -> str:
-    st, _ = g.factors[fi]
-    if st.family == "A":
-        return ("natural SL%d module" % (st.rank + 1)
-                if pos == 1 else "dual natural SL%d module" % (st.rank + 1))
-    return "natural Sp%d module" % (2 * st.rank)
+def _effective(g: GroupDescriptor) -> GroupDescriptor:
+    """The canonical form of `g`; ValueError on the trivial module."""
+    g = canonicalize(g)
+    if height(g) == 0:
+        raise ValueError("trivial one-dimensional module: no verdict "
+                         "(effective pairs need height >= 1)")
+    return g
 
 
 # ---------------------------------------------------------------------------
 # the decision procedure
+
+#: Verdict reason of the wild base cases that are height rules.
+_WILD_REASONS = {"height3": REASON_H3, "height2-dense-failure": REASON_H2_FAIL}
 
 
 def classify(g: GroupDescriptor) -> TamenessVerdict:
@@ -146,110 +201,36 @@ def classify(g: GroupDescriptor) -> TamenessVerdict:
     Wild verdicts carry a replayable certificate.  Raises ValueError on the
     trivial (height-0) module and on a type with no root system.
     """
-    g = canonicalize(g)
-    h = height(g)
-    if h == 0:
-        raise ValueError("trivial one-dimensional module: no verdict "
-                         "(effective pairs need height >= 1)")
-    if h == 2 and height2_tame(g):
-        (f1, p1, _, _), (f2, p2, _, _) = _unit_marks(g)
-        if f1 == f2 and p1 == p2:
-            shape = "twice the %s" % _describe_unit(g, f1, p1)
-        elif f1 == f2:
-            shape = "%s plus the %s" % (
-                _describe_unit(g, f1, p1), _describe_unit(g, f2, p2))
-        else:
-            shape = "%s tensor the %s" % (
-                _describe_unit(g, f1, p1), _describe_unit(g, f2, p2))
-        return TamenessVerdict(
-            "tame", REASON_H2_LIST,
-            "height-2 weight equal to a sum of two projectively-dense "
-            "fundamental weights (%s); these sums are exactly the tame "
-            "height-2 pairs" % shape)
-    if h == 1:  # single factor, single unit mark
-        st, marks = g.factors[0]
-        citation = _fundamental_tame_citation(st, marks.index(1) + 1)
-        if citation is not None:
-            return TamenessVerdict("tame", REASON_TABLE, citation)
-
+    g = _effective(g)
+    tame = _tame_class(g)
+    if tame is not None:
+        reason, citation, _ = tame
+        return TamenessVerdict("tame", reason, citation)
     cert = find_wild_certificate(g)
     if cert is None:
         raise AssertionError("no wildness certificate was found for %s, "
                              "which is not tame" % format_descriptor(g))
-    if h >= 3:
-        return TamenessVerdict("wild", REASON_H3, cert.citation, cert)
-    if h == 2:
+    reason = _WILD_REASONS.get(cert.base_case, REASON_CERTIFICATE)
+    citation = cert.citation
+    if reason == REASON_H2_FAIL:
         failing = sorted({fi for fi, pos, fam, rk in _unit_marks(g)
                           if not dense_position(fam, rk, pos)})
-        names = ", ".join(str(g.factors[fi][0]) for fi in failing)
-        return TamenessVerdict(
-            "wild", REASON_H2_FAIL,
-            cert.citation + " (non-dense factor: %s)" % names, cert)
-    return TamenessVerdict("wild", REASON_CERTIFICATE, cert.citation, cert)
-
-
-# ---------------------------------------------------------------------------
-# maximal typical rank (per variety underlying a tame pair)
+        citation += " (non-dense factor: %s)" % ", ".join(
+            str(g.factors[fi][0]) for fi in failing)
+    return TamenessVerdict("wild", reason, citation, cert)
 
 
 def max_typical_rank(g: GroupDescriptor) -> RankProfile:
     """Maximal rank of a point for the variety underlying a tame pair.
 
-    Raises ValueError on wild input.
+    Raises ValueError on the trivial module and on wild input.
     """
-    g = canonicalize(g)
-    verdict = classify(g)
-    if not verdict.tame:
+    g = _effective(g)
+    tame = _tame_class(g)
+    if tame is None:
         raise ValueError(
             "%s is wild: no finite rank profile" % format_descriptor(g))
-
-    if len(g.factors) == 2:
-        dims = []
-        for st, _marks in g.factors:
-            dims.append(st.rank + 1 if st.family == "A" else 2 * st.rank)
-        a, b = dims
-        return RankProfile(
-            "Segre(P(F^%d)xP(F^%d))" % (a, b), min(a, b), "min(m,n)")
-
-    st, marks = g.factors[0]
-    fam, n = st.family, st.rank
-    h = sum(marks)
-    if h == 2:
-        pos = [p for p, m in enumerate(marks, start=1) if m]
-        if len(pos) == 1:  # 2*pi at a dense vertex: Veronese square
-            m = n + 1 if fam == "A" else 2 * n
-            return RankProfile("Ver2(P(F^%d))" % m, m, "m")
-        m = n + 1  # pi_1 + pi_n of SL: flag of line and hyperplane
-        return RankProfile("Fl(1,%d;F^%d)" % (m - 1, m), m, "m")
-
-    pos = marks.index(1) + 1
-    if fam == "A":
-        m = n + 1
-        if pos in (1, n):
-            return RankProfile("P(F^%d)" % m, 1, "1")
-        return RankProfile("Gr2(F^%d)" % m, m // 2, "floor(m/2)")
-    if fam == "B":
-        if pos == 1:
-            return RankProfile("Q^%d" % (2 * n - 1), 2, "2")
-        # spin, ambient 2n+1 <= 10
-        if n == 3:
-            return RankProfile("Q^6", 2, "2")
-        return RankProfile("S^10", 2, "2")
-    if fam == "C":
-        if pos == 1:
-            return RankProfile("P(F^%d)" % (2 * n), 1, "1")
-        return RankProfile("Gr_w(2,F^%d)" % (2 * n), n, "n")
-    if fam == "D":
-        if pos == 1:
-            return RankProfile("Q^%d" % (2 * n - 2), 2, "2")
-        if n == 4:
-            return RankProfile("Q^6", 2, "2")
-        return RankProfile("S^10", 2, "2")
-    if fam == "E":
-        return RankProfile("E^16", 3, "3")
-    if fam == "F":
-        return RankProfile("F^15", 3, "3")
-    return RankProfile("Q^5", 2, "2")  # G2 pi_1
+    return tame[2]
 
 
 # ---------------------------------------------------------------------------

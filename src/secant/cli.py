@@ -125,7 +125,8 @@ def _cmd_rank(args, out) -> int:
             doc = json.load(fh)
     except OSError as exc:
         raise ValueError("cannot read %s: %s" % (args.file, exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise ValueError("%s is not valid JSON: %s" % (args.file, exc))
 
     tensor = tensor_from_json(doc)

@@ -899,12 +899,16 @@ class RankTable:
     @classmethod
     def load(cls, stem: str) -> "RankTable":
         """Read a table written by ``save``; ValueError if the header is
-        not an object with the fields ``save`` writes, if its version,
-        length, sha256 or layer counts do not match the rank bytes, or if
-        its point count or a representative is not that of a point set
-        over the header's space."""
+        not JSON (too deep a nesting included), not an object with the
+        fields ``save`` writes, if its version, length, sha256 or layer
+        counts do not match the rank bytes, or if its point count or a
+        representative is not that of a point set over the header's
+        space."""
         with open(stem + ".json", "r", encoding="utf-8") as fh:
-            head = json.load(fh)
+            try:
+                head = json.load(fh)
+            except RecursionError:  # one decoder frame per nesting level
+                raise ValueError("cache header nested too deeply") from None
         if not isinstance(head, dict):
             raise ValueError("cache header is not a JSON object")
         if head.get("version") != TABLE_VERSION:

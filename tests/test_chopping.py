@@ -404,6 +404,59 @@ def test_certificate_rule_cases():
     assert find_wild_certificate(parse_descriptor("C3[2,0,0]")) is None
 
 
+def _descriptors_of_height(max_total_rank, heights, max_mark):
+    """Canonical descriptors whose factors, of total rank at most
+    `max_total_rank`, carry marks of at most `max_mark` with a height in
+    `heights`."""
+    def factor_lists(budget):
+        yield ()
+        for r in range(1, budget + 1):
+            for st in _candidate_types(r):
+                for rest in factor_lists(budget - r):
+                    yield (st,) + rest
+
+    def mark_vectors(slots, total):
+        if slots == 0:
+            if total == 0:
+                yield ()
+            return
+        for m in range(min(total, max_mark) + 1):
+            for rest in mark_vectors(slots - 1, total - m):
+                yield (m,) + rest
+
+    out = set()
+    for types in factor_lists(max_total_rank):
+        slots = sum(st.rank for st in types)
+        for h in heights:
+            for flat in mark_vectors(slots, h):
+                factors, at = [], 0
+                for st in types:
+                    factors.append((st, flat[at:at + st.rank]))
+                    at += st.rank
+                out.add(canonicalize(GroupDescriptor(tuple(factors))))
+    return sorted(out, key=format_descriptor)
+
+
+def test_roots_of_height_two_and_three_go_through_the_registry():
+    # the height rules are registry entries like any other: a root of
+    # height >= 2 gets its certificate from `match_base_case`, with an
+    # empty chain, and none exactly when the tame list holds it
+    from secant.classifier import classify
+    rule = {2: "height2-dense-failure", 3: "height3"}
+    counts = {"tame": 0, "wild": 0}
+    for g in _descriptors_of_height(4, (2, 3), 3):
+        tame = classify(g).tame
+        counts["tame" if tame else "wild"] += 1
+        cert = find_wild_certificate(g)
+        assert (cert is None) == tame, g
+        if cert is not None:
+            assert cert.base_case == match_base_case(g).id == rule[height(g)]
+            assert cert.chain == ()
+            assert replay_certificate(cert), g
+    # 115 canonical roots of height 2 (26 of them tame) and 247 of height 3
+    assert counts == {"tame": 26, "wild": 336}
+
+
 def test_wild_iff_certificate_fundamentals_to_rank_cap():
     # double-entry bookkeeping: the tame table and the certificate search
     # agree on every fundamental of every canonical type up to the cap

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 
 import pytest
 
 from secant.chopping import (
+    _candidate_types,
     dense_position,
     find_wild_certificate,
     replay_certificate,
@@ -152,6 +154,76 @@ def test_max_typical_rank_rejects_wild():
         max_typical_rank(parse_descriptor("A5[0,0,1,0,0]"))
     with pytest.raises(ValueError):
         max_typical_rank(parse_descriptor("A1[3]"))
+
+
+def test_height_zero_message_is_shared():
+    for f in (classify, max_typical_rank):
+        with pytest.raises(ValueError,
+                           match="^trivial one-dimensional module: no verdict"):
+            f(parse_descriptor("A3[0,0,0]"))
+
+
+def test_every_table_row_has_a_profile_and_its_citation():
+    # classify and max_typical_rank read the one tame list: each row of the
+    # table has a rank profile, and classify gives it the reason and
+    # citation recorded in the CLI golden table
+    golden = {r["descriptor"]: r for r in json.loads(
+        (DATA / "table_rank8_golden.json").read_text())["rows"]}
+    rows = generate_table(8)
+    assert {format_descriptor(g) for g, _ in rows} == set(golden)
+    for g, _ in rows:
+        profile = max_typical_rank(g)
+        assert profile.variety and profile.formula, g
+        assert profile.max_rank >= 1, g
+        want = golden[format_descriptor(g)]
+        verdict = classify(g)
+        assert (verdict.reason, verdict.citation) == (
+            want["reason"], want["citation"]), g
+
+
+def test_wild_fundamentals_have_no_profile_rank8():
+    wild = 0
+    for st in _canonical_single_types(8):
+        for pos in range(st.rank):
+            g = GroupDescriptor(((st, tuple(int(t == pos)
+                                            for t in range(st.rank))),))
+            if classify(g).tame:
+                continue
+            wild += 1
+            with pytest.raises(ValueError, match="is wild"):
+                max_typical_rank(g)
+    # 161 fundamentals, 61 of them tame
+    assert wild == 100
+
+
+def _marks_up_to(rank, top):
+    """Every nonzero mark tuple of length `rank` with entries <= top."""
+    return [m for m in itertools.product(range(top + 1), repeat=rank)
+            if any(m)]
+
+
+def test_tame_verdict_iff_rank_profile():
+    # over every single factor of rank <= 6 with marks <= 2 and every
+    # product of two factors of rank <= 3 (non-canonical types B2, D3
+    # included), classify says tame exactly when max_typical_rank returns
+    descs = [GroupDescriptor(((st, m),))
+             for r in range(1, 7) for st in _candidate_types(r)
+             for m in _marks_up_to(r, 2)]
+    small = [st for r in range(1, 4) for st in _candidate_types(r)]
+    descs += [GroupDescriptor(((st1, m1), (st2, m2)))
+              for st1 in small for st2 in small
+              for m1 in _marks_up_to(st1.rank, 1)
+              for m2 in _marks_up_to(st2.rank, 1)]
+    tame = 0
+    for g in descs:
+        try:
+            max_typical_rank(g)
+            has_profile = True
+        except ValueError:
+            has_profile = False
+        assert classify(g).tame == has_profile, format_descriptor(g)
+        tame += has_profile
+    assert (len(descs), tame) == (6827, 175)
 
 
 def test_generate_table_small():

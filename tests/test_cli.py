@@ -158,6 +158,18 @@ class TestRank:
         code, _ = run_cli("rank", "matrix", str(path))
         assert code == 1
 
+    def test_deeply_nested_json_exit_1(self, tmp_path, capsys):
+        # the decoder recurses once per level and gives up with a
+        # RecursionError, which is malformed input like any other
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out = run_cli("rank", "matrix", str(path))
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "%s is not valid JSON" % path in err
+        assert "Traceback" not in err
+
     def test_float_coordinate_exit_1(self, tmp_path, capsys):
         path = self.write(tmp_path, {
             "shape": "matrix", "dims": [1, 1], "coords": [0.1]})

@@ -681,6 +681,22 @@ class TestCaching:
             t4 = rank_table("segre-2x2", 2)
             assert np.array_equal(t1.ranks, t4.ranks)
 
+    def test_deeply_nested_cache_header_recomputed(self, tmp_path,
+                                                   monkeypatch):
+        # a header the decoder cannot parse for its nesting depth is a
+        # corrupt cache: load raises ValueError, and rank_table recomputes
+        # the table and writes a good header in its place
+        monkeypatch.setenv("SECANT_CACHE_DIR", str(tmp_path))
+        want = bfs_rank_table(enumerate_cone_points("gr2-4", 2))
+        stem = str(tmp_path / ("oracle_gr2-4_p2_v%d" % orc.TABLE_VERSION))
+        with open(stem + ".json", "w") as fh:
+            fh.write("[" * 100000 + "]" * 100000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            RankTable.load(stem)
+        table = rank_table("gr2-4", 2)
+        assert np.array_equal(table.ranks, want.ranks)
+        assert np.array_equal(RankTable.load(stem).ranks, want.ranks)
+
     def test_save_leaves_no_temporaries(self, tmp_path):
         table = rank_table("segre-2x2", 3)
         table.save(str(tmp_path / "t"))
