@@ -508,10 +508,44 @@ def coform_of_operator(A, G):
     return [[_exact_div(x, den) for x in row] for row in W]
 
 
-def _gram(sym, vecs) -> list:
-    """Gram matrix [u^T S v] of integer vectors under the integer form S."""
-    rows = [[(j, s) for j, s in enumerate(row) if s] for row in sym]
-    images = [[sum([s * v[j] for j, s in row]) for row in rows] for v in vecs]
+class _Form:
+    """An ambient symmetric form, prepared once per distinct contents: its
+    integer rows, their nonzero entries as (column, value) pairs, and
+    whether `_check_forms` has passed on it.  ValueError on a form that is
+    not square."""
+
+    __slots__ = ("rows", "sparse", "checked")
+
+    def __init__(self, rows):
+        if rows and len(rows[0]) != len(rows):
+            raise ValueError("ambient form matrix is not square: %d rows of "
+                             "length %d" % (len(rows), len(rows[0])))
+        self.rows = rows
+        self.sparse = [[(j, s) for j, s in enumerate(row) if s]
+                       for row in rows]
+        self.checked = False
+
+
+@lru_cache(maxsize=8)
+def _prepared_form(entries, types) -> _Form:
+    # `types` is only part of the key
+    return _Form(_integer_matrix(entries)[0])
+
+
+def _form(sym) -> _Form:
+    """The prepared record of the form `sym`, looked up by its entries and
+    their types: a form edited in place is a new key, and a float never
+    shares the record of the exact value it equals.  ValueError on a ragged
+    or non-square form, which is not cached."""
+    entries = tuple(map(tuple, sym))
+    return _prepared_form(entries,
+                          frozenset({type(x) for row in entries for x in row}))
+
+
+def _gram(form, vecs) -> list:
+    """Gram matrix [u^T S v] of integer vectors under the prepared form S."""
+    images = [[sum([s * v[j] for j, s in row]) for row in form.sparse]
+              for v in vecs]
     return [[sum(map(operator.mul, u, w)) for w in images] for u in vecs]
 
 
@@ -520,39 +554,54 @@ def skew_im_stats(omega, sym) -> tuple:
 
     `omega` is the matrix of a skew bivector (mapping covectors to vectors
     in the coordinates where `sym` is the matrix of the ambient symmetric
-    form); the ambient form must be nondegenerate.  Entries are ints or
-    Fractions; each matrix is cleared of denominators once, which scales
-    neither statistic, and the ranks are taken by integer fraction-free
-    elimination.
+    form); the ambient form must be nondegenerate, and both matrices n x n.
+    Entries are ints or Fractions; each matrix is cleared of denominators
+    once, which scales neither statistic, and the ranks are taken by
+    integer fraction-free elimination.  Each distinct form is prepared and
+    checked once (`_form`, `_check_forms`); later calls on it check only
+    the coform.
     """
-    return _int_skew_im_stats(_integer_matrix(omega)[0],
-                              _integer_matrix(sym)[0])
+    omega = _integer_matrix(omega)[0]
+    form = _form(sym)
+    n = len(form.rows)
+    shape = (len(omega), len(omega[0]) if omega else 0)
+    if shape != (n, n):
+        raise ValueError("coform matrix is %dx%d, the ambient form is %dx%d"
+                         % (shape + (n, n)))
+    return _int_skew_im_stats(omega, form)
 
 
-def _check_forms(sym, omega=None) -> None:
-    """Raise ValueError unless `sym` is symmetric and nondegenerate and
-    `omega`, when given, is skew; entries are checked in row-major order,
-    the coform's before the form's at each one."""
+def _check_forms(form, omega=None) -> None:
+    """Raise ValueError unless the prepared form is symmetric and
+    nondegenerate and `omega`, when given, is skew; entries are checked in
+    row-major order, the coform's before the form's at each one.  A form
+    that passes is marked checked and is not checked again; one that fails
+    is never marked."""
+    if form.checked and omega is None:
+        return
+    sym = form.rows
+    check_sym = not form.checked
     n = len(sym)
     for i in range(n):
         for j in range(n):
             if omega is not None and omega[i][j] != -omega[j][i]:
                 raise ValueError("coform matrix is not skew-symmetric")
-            if sym[i][j] != sym[j][i]:
+            if check_sym and sym[i][j] != sym[j][i]:
                 raise ValueError("ambient form matrix is not symmetric")
     # IntEchelon: faster than the dense loop on these mostly-zero forms
-    if len(int_row_basis(sym)) != n:
+    if check_sym and len(int_row_basis(sym)) != n:
         raise ValueError("ambient symmetric form is degenerate")
+    form.checked = True
 
 
-def _int_skew_im_stats(omega, sym) -> tuple:
-    """``skew_im_stats`` of integer matrices."""
-    _check_forms(sym, omega)
+def _int_skew_im_stats(omega, form) -> tuple:
+    """``skew_im_stats`` of an integer coform under a prepared form."""
+    _check_forms(form, omega)
     cols = [list(col) for col in zip(*omega)]
     basis = [cols[c] for c in int_row_basis(cols)]  # spans the image
     # the Gram rank by IntEchelon too: faster here on these small sparse
     # matrices than the dense loop
-    return len(basis), len(int_row_basis(_gram(sym, basis)))
+    return len(basis), len(int_row_basis(_gram(form, basis)))
 
 
 _CASE_TABLE = {
@@ -572,30 +621,38 @@ def isotropic_pair_case(x1, x2, y1, y2, sym) -> str:
     of isotropic 2-planes the statistics always land in the six-row table
     {(4,4),(4,2),(4,0),(2,1),(2,0),(0,0)}.  The four vectors share one
     cleared denominator D, which scales the coform by D^2.  Their 4x4 Gram
-    matrix holds the planes' isotropy values.  When the four are
-    independent the coform is V J V^T with V of rank 4 and J invertible, so
-    its image is their span and the statistics are (4, rank of the Gram
-    matrix), and both planes span 2-planes; otherwise the coform is built
-    and its image eliminated.
+    matrix V S V^T holds the planes' isotropy values, and its rank is taken
+    first: rank(V S V^T) <= rank V, so a Gram rank of 4 proves the four
+    vectors independent, and only a lower Gram rank eliminates V itself.
+    When the four are independent the coform is V J V^T with V of rank 4
+    and J invertible, so its image is their span and the statistics are
+    (4, Gram rank), and both planes span 2-planes; otherwise the coform is
+    built and its image eliminated.  The planes' checks come before the
+    form's, and each distinct form is checked once (`_check_forms`).
     """
-    sym, _ = _integer_matrix(sym)
+    form = _form(sym)
     vecs, _ = _integer_matrix([x1, x2, y1, y2])
-    gram = _gram(sym, vecs)
-    independent = int_rank(vecs) == 4
+    n = len(form.rows)
+    if len(vecs[0]) != n:
+        raise ValueError("input vectors have %d coordinates, the ambient "
+                         "form is %dx%d" % (len(vecs[0]), n, n))
+    gram = _gram(form, vecs)
+    gram_rank = int_rank(gram)
+    independent = gram_rank == 4 or int_rank(vecs) == 4
     for k in (0, 2):
         if any(gram[i][j] for i in (k, k + 1) for j in (k, k + 1)):
             raise ValueError("input plane is not isotropic")
         if not independent and int_rank(vecs[k:k + 2]) != 2:
             raise ValueError("input vectors do not span a 2-plane")
     if independent:
-        _check_forms(sym)
-        stats = (4, int_rank(gram))
+        _check_forms(form)
+        stats = (4, gram_rank)
     else:
         x1, x2, y1, y2 = vecs
         W = [[a1 * b2 - a2 * b1 + c1 * d2 - c2 * d1
               for b1, b2, d1, d2 in zip(x1, x2, y1, y2)]
              for a1, a2, c1, c2 in zip(x1, x2, y1, y2)]
-        stats = _int_skew_im_stats(W, sym)
+        stats = _int_skew_im_stats(W, form)
     if stats not in _CASE_TABLE:
         raise ValueError(
             "image statistics %s outside the isotropic-pair table" % (stats,))
@@ -609,8 +666,11 @@ def sample_isotropic_plane(n: int, rng: random.Random) -> tuple:
     [-9, 9] with one (for the first vector) or two (for the second) linear
     equations solved exactly for leftover hyperbolic coordinates.
     Everything is computed in integers: each solved coordinate is one
-    quotient of integers (an int when it divides), and the rank check runs
-    on the vectors scaled by their denominators.
+    quotient of integers (an int when it divides).  The independence check
+    runs on the vectors scaled by their denominators: the first coordinate
+    of the first is dq p_0 != 0, so the two are independent iff one 2x2
+    minor against it is nonzero, and a scan of those minors replaces an
+    elimination.  The draws are the same either way.
     """
     m = n // 2
     extra = n % 2
@@ -653,11 +713,14 @@ def sample_isotropic_plane(n: int, rng: random.Random) -> tuple:
                + nq * r[0])
         ds = 2 * dq * det
         ns = [c1 * p[1] * dq - 2 * c2 * r[1], 2 * r[0] * c2 - p[0] * c1 * dq]
-        if int_rank([
-                assemble([dq * x for x in p], [nq] + [dq * x for x in q[1:]],
-                         [dq * x for x in w]),
-                assemble([ds * x for x in r], ns + [ds * x for x in s[2:]],
-                         [ds * x for x in z])]) != 2:
+        u = assemble([dq * x for x in p], [nq] + [dq * x for x in q[1:]],
+                     [dq * x for x in w])
+        v = assemble([ds * x for x in r], ns + [ds * x for x in s[2:]],
+                     [ds * x for x in z])
+        # u[0] = dq p_0 != 0, so u and v are independent iff some 2x2 minor
+        # u[0] v[j] - u[j] v[0] is nonzero
+        u0, v0 = u[0], v[0]
+        if not any(u0 * b != a * v0 for a, b in zip(u, v)):
             continue
         q[0] = _exact_div(nq, dq)
         s[:2] = (_exact_div(x, ds) for x in ns)

@@ -104,11 +104,21 @@ def exact_rationals(raw) -> list:
 
 def _integer_row(values) -> tuple[list[int], int]:
     """(ints, den): den is the lcm of the denominators of the rational
-    values (ints or Fractions) and ints[i] == values[i] * den."""
+    values (ints or Fractions) and ints[i] == values[i] * den.  TypeError
+    on a float, which is inexact, and on any other value with no
+    denominator."""
     values = list(values)
     if all(type(v) is int for v in values):
         return values, 1
-    den = lcm(*(v.denominator for v in values))
+    try:
+        den = lcm(*(v.denominator for v in values))
+    except AttributeError:
+        bad = next(v for v in values if not hasattr(v, "denominator"))
+        if isinstance(bad, float):
+            raise TypeError("inexact float coordinate %r; use an int, a "
+                            "Fraction or an exact string" % (bad,)) from None
+        raise TypeError("entry %r of type %s is not an int or a Fraction"
+                        % (bad, type(bad).__name__)) from None
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

@@ -287,7 +287,7 @@ PARTITIONS_13 = [
 
 
 def test_criterion_08_partition_image_statistics():
-    with _Criterion(8) as c:
+    with _Criterion(8, budget=10.0) as c:
         for parts, expected in PARTITIONS_13:
             assert partition_im_stats(parts) == expected
             op, gram = so_nilpotent_realization(parts)

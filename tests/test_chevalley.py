@@ -528,6 +528,90 @@ def test_isotropic_pair_case_errors():
                 isotropic_pair_case(*vectors, form)
 
 
+def _hyperbolic_pair(n):
+    """The case-a pair (a1, a2, b1, b2) of `_case_templates`."""
+    return _case_templates(n)[0][0]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: skew_im_stats([[0, 1, 2], [-1, 0, 3]], [[1, 0], [0, 1]]),
+     "coform matrix is 2x3, the ambient form is 2x2"),
+    (lambda: skew_im_stats([[0, 1], [-1, 0]], split_symmetric_form(3)),
+     "coform matrix is 2x2, the ambient form is 3x3"),
+    (lambda: isotropic_pair_case(
+        *_hyperbolic_pair(12), [row[:11] for row in split_symmetric_form(12)]),
+     "ambient form matrix is not square: 12 rows of length 11"),
+    (lambda: isotropic_pair_case(
+        *(v[:11] for v in _hyperbolic_pair(12)), split_symmetric_form(12)),
+     "input vectors have 11 coordinates, the ambient form is 12x12"),
+    (lambda: isotropic_pair_case(*_hyperbolic_pair(12),
+                                 split_symmetric_form(13)),
+     "input vectors have 12 coordinates, the ambient form is 13x13"),
+    (lambda: isotropic_pair_case(*_hyperbolic_pair(12)[:3], (Q(0),) * 11,
+                                 split_symmetric_form(12)),
+     "ragged matrix"),
+    (lambda: isotropic_pair_case(*_hyperbolic_pair(12),
+                                 split_symmetric_form(12)[:11] + [[0]]),
+     "ragged matrix"),
+], ids=["coform-not-square", "coform-size", "form-not-square",
+        "short-vectors", "long-form", "ragged-vectors", "ragged-form"])
+def test_coform_statistics_check_sizes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_isotropic_pair_case_refuses_float_coordinates():
+    x1, x2, y1, y2 = _hyperbolic_pair(12)
+    G = split_symmetric_form(12)
+    assert isotropic_pair_case(x1, x2, y1, y2, G) == "a"
+    with pytest.raises(TypeError, match="inexact float coordinate 0.5"):
+        isotropic_pair_case((0.5,) + x1[1:], x2, y1, y2, G)
+    # a float form equal in value to the cached integer form is refused too
+    with pytest.raises(TypeError, match="inexact float coordinate"):
+        isotropic_pair_case(x1, x2, y1, y2,
+                            [[float(x) for x in row] for row in G])
+
+
+def test_prepared_form_cache_cannot_leak():
+    from secant.chevalley import _prepared_form
+
+    n = 12
+    vectors = _hyperbolic_pair(n)
+    G = split_symmetric_form(n)
+    skewed = [row[:] for row in G]  # as in test_isotropic_pair_case_errors
+    skewed[10][11] += 1
+    degenerate = [row[:] for row in G]
+    degenerate[10][11] = degenerate[11][10] = 0
+    assert isotropic_pair_case(*vectors, G) == "a"
+    for _ in range(2):  # a failed check is never remembered as passed
+        with pytest.raises(ValueError, match="form matrix is not symmetric"):
+            isotropic_pair_case(*vectors, skewed)
+        with pytest.raises(ValueError, match="symmetric form is degenerate"):
+            isotropic_pair_case(*vectors, degenerate)
+        with pytest.raises(ValueError, match="symmetric form is degenerate"):
+            skew_im_stats([[0] * n] * n, degenerate)
+    assert isotropic_pair_case(*vectors, G) == "a"
+    # the caller's list edited in place is looked up as a new form
+    form = [row[:] for row in G]
+    assert isotropic_pair_case(*vectors, form) == "a"
+    form[10][11] = form[11][10] = 0
+    with pytest.raises(ValueError, match="symmetric form is degenerate"):
+        isotropic_pair_case(*vectors, form)
+    # distinct forms beyond the cache's size only evict
+    rng = random.Random("prepared-forms")
+    templates = _case_templates(8)
+    seen = set()
+    misses = _prepared_form.cache_info().misses
+    for i in range(500):
+        vectors, label = templates[i % len(templates)]
+        moved, form = _transport(vectors, split_symmetric_form(8), rng)
+        assert isotropic_pair_case(*moved, form) == label
+        seen.add(tuple(map(tuple, form)))
+    info = _prepared_form.cache_info()
+    assert len(seen) == info.misses - misses == 500
+    assert info.currsize <= info.maxsize
+
+
 def test_isotropic_pair_sampling_stays_in_table():
     rng = random.Random(5)
     for n in (10, 13):

@@ -383,6 +383,20 @@ def test_exact_scalar_normal_form():
             _exact_scalar(bad)
 
 
+def test_matrix_entries_refuse_floats_and_non_rationals():
+    # a matrix that is not all ints is cleared of denominators; a float or
+    # any entry with no denominator is refused with TypeError, and a float
+    # equal to an integer is refused like any other
+    for call in (rank, _int_inverse):
+        for bad in ([[0.5, 1]], [[Q(1, 2), 2.0]], [[0.5]]):
+            with pytest.raises(TypeError, match="inexact float coordinate"):
+                call(bad)
+        for bad in ([["1/2", 1]], [[Q(1, 3), None]]):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                call(bad)
+    assert rank([[Q(1, 2), 1], [True, 2]]) == 1
+
+
 def test_exact_rationals_accepts_what_fraction_accepts():
     # a plain decimal integer string is read by int, anything else by
     # Fraction; the accepted strings and their values are Fraction's
